@@ -1,6 +1,6 @@
 """discoh: discordlike correlation of bipartite coherence.
 
-A numpy/scipy toolkit for finite-dimensional bipartite density matrices:
+A numpy toolkit for finite-dimensional bipartite density matrices:
 entropy and coherence measures, the incoherent channel families (IUO, PPIO,
 rank-one PPIO, physically free operations), quantum discord via basis
 optimization, the closed-form discordlike coherence correlation, and

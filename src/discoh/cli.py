@@ -131,6 +131,15 @@ def _emit(text: str, out_path) -> None:
         print(text)
 
 
+def _warn_unconverged(trace, where: str) -> None:
+    if trace is not None and not trace.converged:
+        print(
+            f"warning: discord search did not converge on {where}; best value "
+            f"{trace.best_value:.12g} is an upper bound (raise --max-iter or --restarts)",
+            file=sys.stderr,
+        )
+
+
 def _measure_values(rho, names, basis_a, basis_b, opt_config):
     values = {}
     trace = None
@@ -158,6 +167,7 @@ def cmd_compute(args) -> int:
     names = parse_measures(args.measures)
     opt_config = OptimizerConfig(restarts=args.restarts, max_iter=args.max_iter, seed=args.seed)
     values, trace = _measure_values(rho, names, basis_a, basis_b, opt_config)
+    _warn_unconverged(trace, args.state)
 
     if args.format == "csv":
         header = ",".join(names)
@@ -209,7 +219,8 @@ def cmd_sweep(args) -> int:
 
     lines = [",".join([param_name] + names)]
     for p, rho in zip(params, states):
-        values, _ = _measure_values(rho, names, None, None, opt_config)
+        values, trace = _measure_values(rho, names, None, None, opt_config)
+        _warn_unconverged(trace, f"{args.family} {param_name}={p:.12g}")
         lines.append(",".join([f"{p:.12g}"] + [f"{values[n]:.12g}" for n in names]))
     _emit("\n".join(lines), args.out)
     return 0

@@ -1,13 +1,15 @@
-"""Quantum discord via measurement-basis optimization, the discordlike
-coherence correlation in closed form, and the machinery that checks the
-structural theorems relating the two (see README, Theorems 1-3).
+"""Quantum discord via measurement-basis search, the discordlike coherence
+correlation in closed form, and the machinery that checks the structural
+theorems relating the two (see README, Theorems 1-3).
 
-The basis search parameterizes a unitary frame as a product of complex Givens
-rotations, one (angle, phase) pair per index pair; for a qubit this is the
-familiar (theta, phi) Bloch parameterization.  A multi-start Nelder-Mead
-refinement runs over that angle vector; restarts are independent and the
-reported value is an upper bound on the true minimum, with per-restart
-statistics attached.
+The basis search minimizes one objective, I(rho) - J_U(rho) (equally the
+coherence correlation against the frame U), over unitary frames U on A.  All
+restarts move in lock-step on U(d_a): one stacked evaluation gives every
+value and analytic gradient, each restart follows a geodesic with a
+Barzilai-Borwein step and Armijo backtracking, and retires on its own once its
+Riemannian gradient is small (Abrudan, Eriksson & Koivunen, IEEE TSP 56, 1134
+(2008); Wen & Yin, Math. Program. 142, 397 (2013)).  The value is an upper
+bound on the true minimum, with per-restart statistics attached.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import (
     LABEL_RANK_ONE_PPIO,
@@ -27,7 +28,7 @@ from .channels import (
     random_iuo,
     random_rank_one_ppio,
 )
-from .linalg import MAX_OPT_DIM, as_frame, dephase, dephase_local, diag_probs, partial_trace, tensor
+from .linalg import MAX_OPT_DIM, as_frame, dephase_local, diag_probs, partial_trace, tensor
 from .measures import (
     coherence_rel_ent,
     correlated_coherence,
@@ -36,7 +37,9 @@ from .measures import (
     entropy_of_probs,
     mutual_information,
 )
-from .states import DensityMatrix, ReferenceBasis, ket_projector, rng_from_seed
+from .states import (
+    DensityMatrix, ReferenceBasis, haar_unitary, ket_projector, matrix_to_json, rng_from_seed
+)
 
 
 class MeasurementBasis(ReferenceBasis):
@@ -46,8 +49,11 @@ class MeasurementBasis(ReferenceBasis):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start settings for the basis searches.  Defaults are tuned for
-    d_a <= 4 (desk scale); all randomness is driven by the explicit seed."""
+    """Multi-start settings for the basis search, tuned for d_a <= 4; all
+    randomness is driven by the explicit seed.  A restart stops once its
+    Riemannian gradient norm reaches x_tol, or when its line search can lower
+    its value no further (converged if its last step changed the value by at
+    most f_tol).  max_iter caps the steps of each restart."""
 
     restarts: int = 16
     max_iter: int = 500
@@ -55,10 +61,20 @@ class OptimizerConfig:
     x_tol: float = 1e-9
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("restarts", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("f_tol", "x_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
 
 @dataclass(frozen=True)
 class RestartRecord:
-    initial_params: tuple
+    initial_frame: tuple
     final_value: float
     iterations: int
 
@@ -73,62 +89,14 @@ class OptimizationTrace:
     def to_dict(self) -> dict:
         return {
             "best_value": self.best_value,
-            "best_frame": [
-                [[float(x.real), float(x.imag)] for x in row]
-                for row in self.best_basis.frame
-            ],
+            "best_frame": matrix_to_json(self.best_basis.frame),
             "converged": self.converged,
             "restarts": [
-                {
-                    "initial_params": list(r.initial_params),
-                    "final_value": r.final_value,
-                    "iterations": r.iterations,
-                }
+                {"initial_frame": matrix_to_json(r.initial_frame), "final_value": r.final_value,
+                 "iterations": r.iterations}
                 for r in self.restarts
             ],
         }
-
-
-def n_basis_params(dim: int) -> int:
-    return dim * (dim - 1)
-
-
-def basis_frame(params, dim: int) -> np.ndarray:
-    """Unitary frame from the Givens angle vector.
-
-    Layout: one (theta, phi) pair per index pair (i, j), i < j.  Products of
-    such rotations reach every measurement frame (column phases are
-    irrelevant to the projectors).
-    """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (n_basis_params(dim),):
-        raise ValueError(f"need {n_basis_params(dim)} parameters for dim {dim}")
-    if dim == 2:
-        c, s = np.cos(params[0]), np.sin(params[0])
-        e = np.exp(1j * params[1])
-        return np.array([[c, -s * e.conjugate()], [s * e, c]])
-    u = np.eye(dim, dtype=complex)
-    k = 0
-    for i in range(dim - 1):
-        for j in range(i + 1, dim):
-            theta, phi = params[k], params[k + 1]
-            k += 2
-            g = np.eye(dim, dtype=complex)
-            c, s = np.cos(theta), np.sin(theta)
-            e = np.exp(1j * phi)
-            g[i, i] = c
-            g[j, j] = c
-            g[j, i] = s * e
-            g[i, j] = -s * e.conjugate()
-            u = g @ u
-    return u
-
-
-def _check_opt_dims(rho: DensityMatrix) -> None:
-    if rho.dim > MAX_OPT_DIM:
-        raise ValueError(
-            f"optimization paths are capped at total dimension {MAX_OPT_DIM}, got {rho.dim}"
-        )
 
 
 def _eigvalsh_psd_batch(mats: np.ndarray) -> np.ndarray:
@@ -200,78 +168,137 @@ def discord_at_basis(rho: DensityMatrix, basis) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Multi-start optimization
+# Basis search on U(d_a)
 # ---------------------------------------------------------------------------
 
-
-def _multistart(objective, dim: int, config: OptimizerConfig):
-    rng = rng_from_seed(config.seed)
-    n = n_basis_params(dim)
-    records = []
-    best_value = math.inf
-    best_x = np.zeros(n)
-    best_success = False
-    for r in range(config.restarts):
-        # restart 0 starts at the reference frame itself; the rest are random
-        x0 = np.zeros(n) if r == 0 else rng.uniform(0.0, 2.0 * np.pi, n)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iter,
-                "fatol": config.f_tol,
-                "xatol": config.x_tol,
-            },
-        )
-        records.append(
-            RestartRecord(
-                initial_params=tuple(float(v) for v in x0),
-                final_value=float(res.fun),
-                iterations=int(res.nit),
-            )
-        )
-        if res.fun < best_value:
-            best_value = float(res.fun)
-            best_x = res.x
-            best_success = bool(res.success)
-    return best_value, best_x, tuple(records), best_success
+# Value changes this small are roundoff; the line search lets them pass, so a
+# restart near its minimum keeps following the (still exact) gradient.
+ROUNDOFF = 1e-14
+ARMIJO, MAX_BACKTRACKS = 1e-4, 40
 
 
-def _discord_objective(rho: DensityMatrix):
-    """Closure computing I(rho) - I(rho | measurement) from the angle vector."""
+def _basis_objective(rho: DensityMatrix):
+    """f(U) = I(rho) - J_U(rho) = S(rho_a) - S(rho) + S_union - H(p) on a
+    stack of frames U, shape (R, d_a, d_a), with its gradient wrt conj(U).
+
+    M_k = <u_k|rho|u_k>_A are the unnormalized conditional B blocks, p_k their
+    traces and S_union the entropy of their joint spectrum.  The same f is the
+    coherence correlation against the frame U, S[(Delta_U x 1)rho] - S(rho) -
+    C_r(rho_a).  df = sum_k Tr[W_k dM_k] with W_k = log2(p_k) 1 - log2 M_k:
+    the 1/ln2 terms cancel because Tr dM_k = dp_k.
+    """
     d_a, d_b = rho.dims
-    t = rho.mat.reshape(d_a, d_b, d_a, d_b)
-    rb = partial_trace(rho.mat, rho.dims, keep="b")
-    s_b = entropy(rb)
-    i_rho = mutual_information(rho)
+    # tm[(i, j, l), m] = rho[i, j, m, l], so (tm @ U)[(i, j, l), a] = y[i, j, l, a]
+    tm = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 1, 3, 2).reshape(-1, d_a)
+    const = entropy(partial_trace(rho.mat, rho.dims, keep="a")) - entropy(rho.mat)
 
-    def objective(params):
-        frame = basis_frame(params, d_a)
-        blocks = np.einsum("ia,ijkl,ka->ajl", frame.conj(), t, frame)
-        lam = np.clip(_eigvalsh_psd_batch(blocks), 0.0, None)
-        # sum_k p_k S(rho_k) == S(union of raw block spectra) - H(p)
-        s_union = _neg_xlog2x_sum(lam)
-        h_p = _neg_xlog2x_sum(lam.sum(axis=1))
-        mci = s_b - (s_union - h_p)
-        return i_rho - mci
+    def objective(frames):
+        y = (tm @ frames).reshape(-1, d_a, d_b, d_b, d_a)
+        blocks = np.einsum("ria,rijla->rajl", frames.conj(), y)
+        lam, vec = np.linalg.eigh(blocks)
+        lam = np.clip(lam, 0.0, None)
+        p = lam.sum(axis=-1)
+        # pseudo-log, log 0 := 0: a zero eigenvalue of a PSD block moves only at
+        # second order, so its weight in W adds nothing to the gradient
+        log_lam = np.log2(np.where(lam > 0.0, lam, 1.0))
+        log_p = np.log2(np.where(p > 0.0, p, 1.0))
+        f = const - (lam * log_lam).sum(axis=(1, 2)) + (p * log_p).sum(axis=1)
+        w = log_p[..., None] - log_lam
+        wmat = (vec * w[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+        return f, np.einsum("rijla,ralj->ria", y, wmat)
 
     return objective
 
 
+def _riemannian(grad, frames):
+    """Lie-algebra gradient A = G U^H - U G^H: f(exp(tX) U) changes at rate Re Tr(A^H X)."""
+    x = grad @ frames.conj().swapaxes(-1, -2)
+    return x - x.conj().swapaxes(-1, -2)
+
+
+def _inner(a, b):
+    return np.einsum("rij,rij->r", a.conj(), b).real
+
+
+def minimize(objective, frames, config: OptimizerConfig):
+    """Riemannian gradient descent on U(d), every restart in lock-step.
+
+    objective(frames) maps an (n, d, d) stack to the values and the gradients
+    wrt conj(frames).  Each step moves a restart along the geodesic
+    exp(-mu A) U, A its Lie-algebra gradient, with mu a Barzilai-Borwein step
+    (capped at a half turn) that an Armijo line search halves until the value
+    drops; all pending restarts share each stacked call.
+    Returns (frames, values, iterations, converged), one entry per restart.
+    """
+    u = np.array(frames, dtype=complex)
+    f, g = objective(u)
+    a = _riemannian(g, u)
+    step, drop, iters = np.ones(len(u)), np.full(len(u), math.inf), np.zeros(len(u), dtype=int)
+    converged = _inner(a, a) <= config.x_tol**2
+    active = np.flatnonzero(~converged)
+    while active.size:
+        d, f0 = a[active], f[active]
+        # exp(-mu D) = V exp(i mu w) V^H from the eigensystem of the Hermitian iD
+        w, v = np.linalg.eigh(1j * d)
+        vu = v.conj().swapaxes(-1, -2) @ u[active]
+        mu = np.minimum(step[active], np.pi / np.abs(w).max(axis=-1))
+        decrease = ARMIJO * _inner(d, d)
+        pending = np.arange(active.size)
+        for _ in range(MAX_BACKTRACKS):
+            rot = np.exp(1j * mu[pending, None] * w[pending])
+            trial = v[pending] @ (rot[..., None] * vu[pending])
+            ft, gt = objective(trial)
+            ok = ft <= f0[pending] - mu[pending] * decrease[pending] + ROUNDOFF
+            r = active[pending[ok]]
+            u[r], f[r], a[r] = trial[ok], ft[ok], _riemannian(gt[ok], trial[ok])
+            pending = pending[~ok]
+            if not pending.size:
+                break
+            mu[pending] *= 0.5
+        converged[active[pending]] = drop[active[pending]] <= config.f_tol
+        moved = np.ones(active.size, dtype=bool)
+        moved[pending] = False
+        r = active[moved]
+        # BB steps from s = -mu D and y = A_new - A_old, alternating the two forms
+        s, y = -mu[moved, None, None] * d[moved], a[r] - d[moved]
+        sy, ss, yy = np.abs(_inner(s, y)), _inner(s, s), _inner(y, y)
+        bb = np.where(iters[r] % 2 == 0, ss / np.maximum(sy, 1e-300), sy / np.maximum(yy, 1e-300))
+        step[r] = np.clip(bb, 1e-10, 1e10)
+        drop[r] = f0[moved] - f[r]
+        iters[r] += 1
+        converged[r] = _inner(a[r], a[r]) <= config.x_tol**2
+        active = r[~converged[r] & (iters[r] < config.max_iter)]
+    return u, f, iters, converged
+
+
+def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationTrace:
+    """One search over all restarts: restart 0 starts at the reference frame,
+    the others at seeded Haar frames; ties go to the lowest restart index."""
+    if rho.dim > MAX_OPT_DIM:
+        cap = f"optimization paths are capped at total dimension {MAX_OPT_DIM}"
+        raise ValueError(f"{cap}, got {rho.dim}")
+    config = config or OptimizerConfig()
+    rng = rng_from_seed(config.seed)
+    starts = [np.eye(rho.d_a, dtype=complex)]
+    starts += [haar_unitary(rho.d_a, rng) for _ in range(config.restarts - 1)]
+    frames, values, iters, converged = minimize(_basis_objective(rho), np.stack(starts), config)
+    best = int(np.argmin(values))
+    records = tuple(
+        RestartRecord(tuple(map(tuple, s)), float(v), int(i))
+        for s, v, i in zip(starts, values, iters)
+    )
+    best_basis = MeasurementBasis(frames[best])
+    return OptimizationTrace(float(values[best]), best_basis, records, bool(converged[best]))
+
+
 def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
-    """Quantum discord up to part A by multi-start basis optimization.
+    """Quantum discord up to part A by multi-start basis search.
 
     Returns (value, OptimizationTrace).  The value is an upper bound on the
     true minimum; it is deterministic for a fixed config seed.
     """
-    _check_opt_dims(rho)
-    config = config or OptimizerConfig()
-    value, x, records, success = _multistart(_discord_objective(rho), rho.d_a, config)
-    basis = MeasurementBasis(basis_frame(x, rho.d_a))
-    return value, OptimizationTrace(
-        best_value=value, best_basis=basis, restarts=records, converged=success
-    )
+    trace = _search(rho, config)
+    return trace.best_value, trace
 
 
 def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400) -> float:
@@ -361,53 +388,24 @@ def coherence_discord_invariance(
 
 def coherence_discord_symmetric(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:
     """Both-sided variant: correlated-coherence drop under full dephasing of
-    A and B in the (product) reference basis."""
-    from .measures import joint_frame
+    A and B in the (product) reference basis.
 
-    frame = joint_frame(basis_a, basis_b, rho.dims)
-    deph = DensityMatrix(dephase(rho.mat, frame), rho.dims)
-    return correlated_coherence(rho, basis_a, basis_b) - correlated_coherence(
-        deph, basis_a, basis_b
-    )
-
-
-def _coherence_discord_objective(rho: DensityMatrix):
-    """Closure computing the closed-form correlation against a rotated
-    reference frame on A (reuses nothing from the measured route)."""
-    d_a, d_b = rho.dims
-    t = rho.mat.reshape(d_a, d_b, d_a, d_b)
-    s_rho = entropy(rho.mat)
-    ra = partial_trace(rho.mat, rho.dims, keep="a")
-    s_a = entropy(ra)
-
-    def objective(params):
-        frame = basis_frame(params, d_a)
-        blocks = np.einsum("ia,ijkl,ka->ajl", frame.conj(), t, frame)
-        lam = np.clip(_eigvalsh_psd_batch(blocks), 0.0, None)
-        s_deph = _neg_xlog2x_sum(lam)
-        h_diag_a = _neg_xlog2x_sum(lam.sum(axis=1))
-        return (s_deph - s_rho) - (h_diag_a - s_a)
-
-    return objective
+    The fully dephased state is diagonal in the product frame, and so are its
+    marginals, so it keeps no correlated coherence: the drop is I_co itself.
+    """
+    return correlated_coherence(rho, basis_a, basis_b)
 
 
 def discord_via_coherence(rho: DensityMatrix, config: OptimizerConfig | None = None):
     """Minimize the coherence correlation over all reference bases of A.
 
     Returns (value, best ReferenceBasis, OptimizationTrace).  The minimum
-    recovers the quantum discord (Theorem 2 in the README), which makes this
-    an independent numerical route to the same quantity as discord().
-    Ties between restarts resolve to the lowest restart index.
+    recovers the quantum discord (Theorem 2 in the README): the coherence
+    correlation against a frame equals I(rho) minus the information its
+    measurement keeps, so this runs the same search as discord().
     """
-    _check_opt_dims(rho)
-    config = config or OptimizerConfig()
-    value, x, records, success = _multistart(
-        _coherence_discord_objective(rho), rho.d_a, config
-    )
-    basis = ReferenceBasis(basis_frame(x, rho.d_a))
-    return value, basis, OptimizationTrace(
-        best_value=value, best_basis=basis, restarts=records, converged=success
-    )
+    trace = _search(rho, config)
+    return trace.best_value, trace.best_basis, trace
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +484,7 @@ class ZeroSetCertificate:
             "threshold": self.threshold,
         }
         if self.basis is not None:
-            out["basis_frame"] = [
-                [[float(x.real), float(x.imag)] for x in row] for row in self.basis.frame
-            ]
+            out["best_frame"] = matrix_to_json(self.basis.frame)
         return out
 
 

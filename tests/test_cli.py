@@ -8,6 +8,7 @@ from discoh.states import (
     bell_phi_plus,
     classical_quantum,
     load_state,
+    random_state,
     save_state,
     state_to_json,
     werner,
@@ -288,3 +289,50 @@ def test_output_to_file(capsys, bell_file, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["measures"]["I_co"] == pytest.approx(1.0)
+
+
+def test_compute_rejects_bad_optimizer_config(capsys, bell_file):
+    code, out, err = run_cli(capsys, "compute", bell_file, "--measures", "discord", "--restarts", "0")
+    assert code == 2
+    assert out == ""
+    assert "restarts" in err
+
+
+def test_unconverged_search_warns_on_stderr_only(capsys, tmp_path):
+    path = tmp_path / "mixed.json"
+    save_state(random_state(3, 2, "ginibre-mixed", seed=4), path)
+    args = ("compute", str(path), "--measures", "discord")
+    code, out_short, err = run_cli(capsys, *args, "--max-iter", "1")
+    assert code == 0
+    assert "warning: discord search did not converge on" in err and str(path) in err
+    assert out_short.startswith("{") and "warning" not in out_short
+    code, out_full, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    # stdout differs only in the echoed budget and the (upper-bound) value
+    short, full = json.loads(out_short), json.loads(out_full)
+    assert short["measures"]["discord"] >= full["measures"]["discord"]
+    assert {k: v for k, v in short.items() if k not in ("config", "measures")} == {
+        k: v for k, v in full.items() if k not in ("config", "measures")
+    }
+
+    code, out, err = run_cli(
+        capsys, "sweep", "cq-angle", "--steps", "3", "--measures", "discord", "--max-iter", "1"
+    )
+    assert code == 0
+    assert "cq-angle theta=" in err
+    assert len(out.strip().splitlines()) == 4
+
+
+def test_cli_import_leaves_scipy_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, discoh.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

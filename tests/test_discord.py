@@ -6,7 +6,6 @@ from discoh.channels import dephasing_channel, make_rank_one_ppio
 from discoh.discord import (
     MeasurementBasis,
     OptimizerConfig,
-    basis_frame,
     coherence_discord,
     coherence_discord_drop,
     coherence_discord_invariance,
@@ -17,16 +16,18 @@ from discoh.discord import (
     discord_via_coherence,
     in_zero_set,
     measured_conditional_info,
-    n_basis_params,
+    minimize,
     ppio_monotonicity_gap,
     qubit_discord_grid,
 )
-from discoh.measures import entropy, entropy_of_probs, mutual_information
+from discoh.linalg import partial_trace
+from discoh.measures import correlated_coherence, entropy, entropy_of_probs, mutual_information
 from discoh.states import (
     DensityMatrix,
     ReferenceBasis,
     bell_phi_plus,
     classical_quantum,
+    haar_unitary,
     random_state,
     werner,
 )
@@ -53,24 +54,114 @@ def random_states(n, d_a=2, d_b=2, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# basis parameterization
+# the basis search on U(d_a)
 # ---------------------------------------------------------------------------
 
 
-def test_basis_frame_qubit_is_bloch():
-    theta, phi = 0.4, 1.3
-    frame = basis_frame([theta, phi], 2)
-    expected_col0 = np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)])
-    assert_allclose(frame[:, 0], expected_col0, atol=1e-12)
-    assert_allclose(frame.conj().T @ frame, np.eye(2), atol=1e-12)
+def expm_skew(x):
+    # exp(X) for skew-Hermitian X, from the eigensystem of the Hermitian iX
+    w, v = np.linalg.eigh(1j * x)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def test_basis_frame_unitary_any_dim():
+def random_skew(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return g - g.conj().T
+
+
+def ginibre(rng, d, rank):
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def hidden_basis_state(rng, d_a, d_b=2):
+    # classical-quantum in a random frame of A: exact discord 0
+    blocks = [ginibre(rng, d_b, d_b) for _ in range(d_a)]
+    basis = ReferenceBasis(haar_unitary(d_a, rng))
+    return classical_quantum(rng.dirichlet(np.ones(d_a)), blocks, basis_a=basis)
+
+
+def test_riemannian_gradient_matches_finite_differences():
+    from discoh.discord import _basis_objective, _riemannian
+
     rng = np.random.default_rng(1)
-    for d in (2, 3, 4):
-        params = rng.uniform(0, 2 * np.pi, n_basis_params(d))
-        frame = basis_frame(params, d)
-        assert np.max(np.abs(frame.conj().T @ frame - np.eye(d))) < 1e-12
+    states = [random_state(d_a, 2, "ginibre-mixed", seed=d_a) for d_a in (2, 3, 4)]
+    states.append(DensityMatrix(ginibre(rng, 6, 2), (2, 3)))  # every conditional block singular
+    h = 1e-5
+    for rho in states:
+        objective = _basis_objective(rho)
+        for _ in range(3):
+            u = haar_unitary(rho.d_a, rng)
+            x = random_skew(rng, rho.d_a)
+            _, g = objective(u[None])
+            analytic = np.vdot(_riemannian(g, u[None])[0], x).real
+            f_plus, _ = objective((expm_skew(h * x) @ u)[None])
+            f_minus, _ = objective((expm_skew(-h * x) @ u)[None])
+            numeric = (f_plus[0] - f_minus[0]) / (2 * h)
+            assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
+
+
+def test_geodesic_steps_keep_frames_unitary():
+    from discoh.discord import _basis_objective
+
+    rng = np.random.default_rng(2)
+    rho = random_state(4, 2, "ginibre-mixed", seed=3)
+    starts = np.stack([haar_unitary(4, rng) for _ in range(4)])
+    frames, _, iters, _ = minimize(_basis_objective(rho), starts, OptimizerConfig(x_tol=1e-300))
+    assert iters.min() > 10
+    for u in frames:
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+
+
+def test_search_retires_restarts_whose_line_search_fails():
+    from discoh.discord import _basis_objective
+
+    objective = _basis_objective(random_state(3, 2, "ginibre-mixed", seed=5))
+
+    def uphill(frames):
+        f, g = objective(frames)
+        return f, -g
+
+    starts = np.stack([haar_unitary(3, np.random.default_rng(k)) for k in range(3)])
+    frames, values, iters, converged = minimize(uphill, starts, OptimizerConfig())
+    assert_allclose(frames, starts, atol=1e-15)
+    assert_allclose(values, objective(starts)[0], atol=1e-15)
+    assert not iters.any() and not converged.any()
+
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+def test_search_finds_hidden_basis_zero(d_a):
+    rng = np.random.default_rng(40 + d_a)
+    for _ in range(3):
+        value, trace = discord(hidden_basis_state(rng, d_a))
+        assert abs(value) <= 1e-9
+        assert trace.converged
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2), (2, 4)])
+def test_search_on_pure_states_returns_entanglement_entropy(dims):
+    # every measurement basis gives S(rho_a) on a pure state
+    rho = random_state(*dims, "haar-pure", seed=sum(dims))
+    value, trace = discord(rho)
+    assert abs(value - entropy(partial_trace(rho.mat, dims, keep="a"))) <= 1e-9
+    assert trace.converged
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("restarts", 0),
+        ("max_iter", 0),
+        ("f_tol", 0.0),
+        ("x_tol", -1e-9),
+        ("f_tol", float("nan")),
+        ("x_tol", float("inf")),
+    ],
+)
+def test_optimizer_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value})
 
 
 def test_measurement_basis_validates():
@@ -109,8 +200,7 @@ def test_discord_at_basis_cq_fixed_point():
 def test_discord_at_basis_bell_any_basis():
     rng = np.random.default_rng(2)
     for _ in range(5):
-        params = rng.uniform(0, 2 * np.pi, 2)
-        frame = basis_frame(params, 2)
+        frame = haar_unitary(2, rng)
         assert_allclose(discord_at_basis(bell_phi_plus(), frame), 1.0, atol=1e-9)
 
 
@@ -118,7 +208,7 @@ def test_discord_formulas_agree_at_random_bases():
     # the measured-information route and the post-measurement-state route
     rng = np.random.default_rng(3)
     for rho in random_states(10, seed=4):
-        frame = basis_frame(rng.uniform(0, 2 * np.pi, 2), 2)
+        frame = haar_unitary(2, rng)
         via_state = discord_at_basis(rho, frame)
         via_mci = mutual_information(rho) - measured_conditional_info(rho, frame)
         assert abs(via_state - via_mci) < 1e-9
@@ -173,7 +263,7 @@ def test_trace_serialization():
     d = trace.to_dict()
     assert set(d) == {"best_value", "best_frame", "converged", "restarts"}
     assert len(d["restarts"]) == 3
-    assert {"initial_params", "final_value", "iterations"} == set(d["restarts"][0])
+    assert {"initial_frame", "final_value", "iterations"} == set(d["restarts"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +331,23 @@ def test_symmetric_variant_diagonal_zero():
 
 def test_symmetric_variant_bell_one():
     assert_allclose(coherence_discord_symmetric(bell_phi_plus()), 1.0, atol=1e-12)
+
+
+def test_symmetric_variant_equals_literal_drop():
+    # I_co(rho) - I_co(rho dephased in the product frame), written out
+    rng = np.random.default_rng(23)
+    for d_a, d_b in [(2, 2), (2, 3), (3, 3), (4, 2), (4, 4)]:
+        rho = random_state(d_a, d_b, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
+        fa, fb = haar_unitary(d_a, rng), haar_unitary(d_b, rng)
+        for basis_a, basis_b in [(None, None), (fa, fb)]:
+            big = np.kron(np.eye(d_a) if basis_a is None else fa,
+                          np.eye(d_b) if basis_b is None else fb)
+            inner = big.conj().T @ rho.mat @ big
+            deph = DensityMatrix(big @ np.diag(np.diag(inner)) @ big.conj().T, rho.dims)
+            literal = correlated_coherence(rho, basis_a, basis_b) - correlated_coherence(
+                deph, basis_a, basis_b
+            )
+            assert abs(coherence_discord_symmetric(rho, basis_a, basis_b) - literal) <= 1e-12
 
 
 def test_symmetric_variant_cq_with_distinct_coherent_blocks():
@@ -407,6 +514,7 @@ def test_witness_not_in_discord_zero_set():
     assert not cert.member
     assert cert.value > 0.01
     assert cert.basis is not None
+    assert len(cert.to_dict()["best_frame"]) == 2
     assert qubit_discord_grid(wit) > 0.01
     # ... even though both mixture components are discord free
     assert in_zero_set(product_state(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), "dac").member

@@ -68,7 +68,8 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("f_tol", "x_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -302,38 +303,47 @@ def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
 
 
 def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400) -> float:
-    """Brute-force (theta, phi) grid oracle for d_a = 2.
+    """Brute-force grid oracle for d_a = 2, validation-only: the minimum of
+    I(rho) - J over the measurements {psi0, psi1} on A,
+    psi0 = (cos theta, sin theta e^{i phi}), at every point of the grid
+    theta = linspace(0, pi/2, n_theta) by
+    phi = linspace(0, 2 pi, n_phi, endpoint=False).
 
-    Validation-only: exhaustively evaluates the measured objective on a dense
-    Bloch grid.  Not a production path.
+    Bloch form: psi0 has Bloch vector n = (sin 2theta cos phi,
+    sin 2theta sin phi, cos 2theta) and psi1 has -n, so the two outcomes'
+    conditional B blocks rho_b/2 + H and rho_b/2 - H share one half-block
+    H = sum_j n_j R_j / 2, with R_j = Tr_A[(sigma_j x 1) rho].  H is
+    broadcast over the separable grid: an equatorial part per phi times
+    sin 2theta, plus cos 2theta R_z.  Beyond the block spectra and entropy
+    sums, the oracle shares no code with the basis search.
     """
     d_a, d_b = rho.dims
     if d_a != 2:
         raise ValueError("the grid oracle only covers d_a = 2")
+    for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+            raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
     t = rho.mat.reshape(2, d_b, 2, d_b)
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    r_x, r_y, r_z = np.einsum("xki,ijkl->xjl", pauli, t) / 2.0
     rb = partial_trace(rho.mat, rho.dims, keep="b")
-    s_b = entropy(rb)
-    i_rho = mutual_information(rho)
 
-    theta = np.linspace(0.0, np.pi / 2.0, n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    c = np.cos(th).ravel()
-    s = np.sin(th).ravel()
-    e = np.exp(1j * ph.ravel())
-    psi0 = np.stack([c, s * e], axis=1)
-    psi1 = np.stack([-s * e.conj(), c + 0j], axis=1)
+    theta = np.linspace(0.0, np.pi / 2.0, n_theta)[:, None, None, None]
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[:, None, None]
+    # block = rho_b/2 + H, shape (n_theta, n_phi, d_b, d_b)
+    block = np.sin(2.0 * theta) * (np.cos(phi) * r_x + np.sin(phi) * r_y)
+    block += np.cos(2.0 * theta) * r_z + rb / 2.0
 
-    lam_parts = []
-    for psi in (psi0, psi1):
-        blocks = np.einsum("gi,ijkl,gk->gjl", psi.conj(), t, psi)
-        lam_parts.append(np.clip(_eigvalsh_psd_batch(blocks), 0.0, None))
-    lam = np.concatenate(lam_parts, axis=1)  # (G, 2*d_b) raw spectra
-    p = np.stack([lp.sum(axis=1) for lp in lam_parts], axis=1)
-    s_union = _neg_xlog2x_sum(lam, axis=1)
-    h_p = _neg_xlog2x_sum(p, axis=1)
-    mci = s_b - (s_union - h_p)
-    return float(np.min(i_rho - mci))
+    def s_union_minus_h_p(block):
+        lam = np.clip(_eigvalsh_psd_batch(block), 0.0, None)
+        p = lam.sum(axis=-1, keepdims=True)
+        return _neg_xlog2x_sum(lam, axis=-1) - _neg_xlog2x_sum(p, axis=-1)
+
+    cond = s_union_minus_h_p(block)
+    np.subtract(rb, block, out=block)  # the other outcome: rho_b/2 - H
+    cond += s_union_minus_h_p(block)
+    mci = entropy(rb) - cond
+    return float(np.min(mutual_information(rho) - mci))
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,15 @@ from .states import (
     spawn_seeds,
 )
 
-SUITES = (
-    "theorem1",
-    "theorem2",
-    "theorem3",
-    "superadditivity",
-    "invariance",
-    "zero-sets",
-)
+_DEFAULT_TRIALS = {
+    "theorem1": 1000,
+    "theorem2": 200,
+    "theorem3": 500,
+    "superadditivity": 1000,
+    "invariance": 100,
+    "zero-sets": 200,
+}
+SUITES = tuple(_DEFAULT_TRIALS)
 
 
 @dataclass
@@ -71,6 +72,8 @@ class SuiteResult:
 
 
 def _trial_rngs(seed: int, trials: int):
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     return [rng_from_seed(int(s)) for s in spawn_seeds(seed, trials)]
 
 
@@ -340,19 +343,18 @@ def verify_zero_sets(
 
 def run_suite(suite: str, trials: int | None = None, dims: tuple = (2, 2), seed: int = 0,
               restarts: int = 16, progress=None) -> SuiteResult:
-    """Dispatch a suite by name with its standard trial count as default."""
+    """Dispatch a suite by name; trials=None runs its standard trial count."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    n = _DEFAULT_TRIALS[suite] if trials is None else trials
     if suite == "theorem1":
-        return verify_theorem1(trials or 1000, dims, seed, progress=progress)
+        return verify_theorem1(n, dims, seed, progress=progress)
     if suite == "theorem2":
-        return verify_theorem2(
-            trials or 200, dims, seed, restarts=restarts, grid_checks=0, progress=progress
-        )
+        return verify_theorem2(n, dims, seed, restarts=restarts, grid_checks=0, progress=progress)
     if suite == "theorem3":
-        return verify_theorem3(trials or 500, dims, seed, progress=progress)
+        return verify_theorem3(n, dims, seed, progress=progress)
     if suite == "superadditivity":
-        return verify_superadditivity(trials or 1000, seed=seed, progress=progress)
+        return verify_superadditivity(n, seed=seed, progress=progress)
     if suite == "invariance":
-        return verify_invariance(trials or 100, dims, seed, progress=progress)
-    if suite == "zero-sets":
-        return verify_zero_sets(trials or 200, dims, seed, restarts=restarts, progress=progress)
-    raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+        return verify_invariance(n, dims, seed, progress=progress)
+    return verify_zero_sets(n, dims, seed, restarts=restarts, progress=progress)

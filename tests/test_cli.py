@@ -239,6 +239,14 @@ def test_verify_unknown_suite_is_input_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "theorem3", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert "trials must be an integer >= 1" in err
+
+
 def test_verify_suite_violation_exits_one(capsys, monkeypatch):
     import discoh.cli
     from discoh.verify import SuiteResult

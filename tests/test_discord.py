@@ -157,6 +157,8 @@ def test_search_on_pure_states_returns_entanglement_entropy(dims):
         ("x_tol", -1e-9),
         ("f_tol", float("nan")),
         ("x_tol", float("inf")),
+        ("f_tol", True),
+        ("x_tol", True),
     ],
 )
 def test_optimizer_config_rejects_bad_values(field, value):
@@ -256,6 +258,63 @@ def test_grid_oracle_requires_qubit_a():
     rho = random_state(3, 2, "ginibre-mixed", seed=6)
     with pytest.raises(ValueError, match="d_a = 2"):
         qubit_discord_grid(rho)
+
+
+@pytest.mark.parametrize("n_theta, n_phi, name", [(0, 0, "n_theta"), (1, 40, "n_theta"),
+                                                  (41, 1, "n_phi"), (41, True, "n_phi")])
+def test_grid_oracle_rejects_resolutions_below_two(n_theta, n_phi, name):
+    with pytest.raises(ValueError, match=name):
+        qubit_discord_grid(werner(0.5), n_theta, n_phi)
+
+
+def grid_reference(rho, n_theta, n_phi):
+    # the grid as two explicit contractions: <psi|rho|psi>_A for psi0 and psi1
+    # at every (theta, phi), each block spectrum from LAPACK
+    d_b = rho.d_b
+    t = rho.mat.reshape(2, d_b, 2, d_b)
+    theta = np.linspace(0.0, np.pi / 2.0, n_theta)
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    c, s, e = np.cos(th).ravel(), np.sin(th).ravel(), np.exp(1j * ph.ravel())
+    psi0 = np.stack([c, s * e], axis=1)
+    psi1 = np.stack([-s * e.conj(), c + 0j], axis=1)
+    lam = np.stack([
+        np.linalg.eigvalsh(np.einsum("gi,ijkl,gk->gjl", psi.conj(), t, psi))
+        for psi in (psi0, psi1)
+    ], axis=1).clip(0.0, None)  # (G, 2, d_b)
+    p = lam.sum(axis=2)
+
+    def h(x):
+        return -(x * np.log2(np.where(x > 0.0, x, 1.0))).sum(axis=tuple(range(1, x.ndim)))
+
+    mci = entropy(partial_trace(rho.mat, rho.dims, keep="b")) - (h(lam) - h(p))
+    return float(np.min(mutual_information(rho) - mci))
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_grid_oracle_matches_reference(d_b):
+    rng = np.random.default_rng(40 + d_b)
+    states = random_states(3, 2, d_b, seed=d_b)
+    states.append(DensityMatrix(ginibre(rng, 2 * d_b, 1), (2, d_b)))  # rank one
+    for rho in states:
+        assert abs(qubit_discord_grid(rho, 41, 40) - grid_reference(rho, 41, 40)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_b", [2, 3])
+def test_grid_oracle_pure_state_gives_entanglement_entropy(d_b):
+    # every measurement leaves pure conditional states, so every grid point
+    # gives S(rho_a), computed here from the reduced spectrum alone
+    rho = random_state(2, d_b, "haar-pure", seed=d_b)
+    lam = np.linalg.eigvalsh(rho.mat.reshape(2, d_b, 2, d_b).trace(axis1=1, axis2=3))
+    s_a = -sum(x * np.log2(x) for x in lam if x > 0.0)
+    assert abs(qubit_discord_grid(rho, 41, 40) - s_a) <= 1e-12
+
+
+def test_grid_oracle_zero_on_computational_cq_state():
+    # classical on A in the computational basis: theta = 0 is on the grid
+    rng = np.random.default_rng(11)
+    rho = classical_quantum([0.3, 0.7], [ginibre(rng, 3, 3), ginibre(rng, 3, 2)])
+    assert abs(qubit_discord_grid(rho, 41, 40)) <= 1e-12
 
 
 def test_trace_serialization():

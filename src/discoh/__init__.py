@@ -27,7 +27,6 @@ from .channels import (
     random_rank_one_ppio,
 )
 from .discord import (
-    MeasurementBasis,
     OptimizationTrace,
     OptimizerConfig,
     ZeroSetCertificate,
@@ -62,7 +61,6 @@ from .states import (
     ReferenceBasis,
     bell_phi_plus,
     classical_quantum,
-    from_raw,
     load_state,
     marginals,
     random_state,

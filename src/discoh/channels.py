@@ -10,13 +10,12 @@ freedom is out of scope.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_complex_matrix, as_frame, dag, tensor
-from .states import DensityMatrix, matrix_from_json, matrix_to_json
+from .states import DensityMatrix
 
 KRAUS_TOL = 1e-9
 CLASSIFY_TOL = 1e-9
@@ -463,52 +462,3 @@ def random_physically_free(
     u = iuo_matrix(rng.permutation(d_a), rng.uniform(0.0, 2.0 * np.pi, d_a))
     return make_physically_free(u, random_kraus_ops(d_b, n_b_ops, rng))
 
-
-# ---------------------------------------------------------------------------
-# JSON channel format, sharing the complex-entry encoding of the state format:
-#   {"kind": "kraus", "ops": [matrix, ...]}
-#   {"kind": "pio", "weights": [...], "components": [channel, ...]}
-# ---------------------------------------------------------------------------
-
-
-def channel_to_json(chan) -> dict:
-    if isinstance(chan, ChannelMixture):
-        return {
-            "kind": "pio",
-            "weights": list(chan.weights),
-            "components": [channel_to_json(c) for c in chan.components],
-        }
-    return {"kind": "kraus", "ops": [matrix_to_json(k) for k in chan.ops]}
-
-
-def channel_from_json(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("channel JSON needs a 'kind' field")
-    kind = obj["kind"]
-    if kind == "kraus":
-        ops = obj.get("ops")
-        if not isinstance(ops, list) or not ops:
-            raise ValueError("kraus channel needs a non-empty 'ops' list")
-        return KrausChannel([matrix_from_json(k, what=f"ops[{i}]") for i, k in enumerate(ops)])
-    if kind == "pio":
-        comps = obj.get("components")
-        weights = obj.get("weights")
-        if not isinstance(comps, list) or not isinstance(weights, list):
-            raise ValueError("pio channel needs 'weights' and 'components' lists")
-        return ChannelMixture(weights, [channel_from_json(c) for c in comps])
-    raise ValueError(f"unknown channel kind {kind!r}")
-
-
-def save_channel(chan, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(channel_to_json(chan), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def load_channel(path):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed JSON in {path}: {exc}") from exc
-    return channel_from_json(obj)

@@ -1,4 +1,4 @@
-"""Command-line front end: state/channel I/O, measure computation, family
+"""Command-line front end: state and basis I/O, measure computation, family
 sweeps, randomized verification campaigns, and CSV/JSON reporting.
 
 Exit codes: 0 success, 1 computation-level failure (suite violation),
@@ -23,8 +23,8 @@ from .states import (
     ReferenceBasis,
     classical_quantum,
     ket_projector,
+    load_bases,
     load_state,
-    matrix_from_json,
     random_state,
     save_state,
     state_to_json,
@@ -108,19 +108,6 @@ def _config_dict(args, tols: dict) -> dict:
     return cfg
 
 
-def _load_bases(path):
-    """Basis file: {"frame_a": [[[re,im],...]], "frame_b": ...}, both optional."""
-    if path is None:
-        return None, None
-    with open(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("basis JSON must be an object")
-    basis_a = ReferenceBasis(matrix_from_json(obj["frame_a"], "frame_a")) if "frame_a" in obj else None
-    basis_b = ReferenceBasis(matrix_from_json(obj["frame_b"], "frame_b")) if "frame_b" in obj else None
-    return basis_a, basis_b
-
-
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -163,7 +150,7 @@ def cmd_compute(args) -> int:
     rho = load_state(args.state, **tols)
     if args.part == "b":
         rho = swap_subsystems(rho)
-    basis_a, basis_b = _load_bases(args.basis)
+    basis_a, basis_b = load_bases(args.basis) if args.basis else (None, None)
     names = parse_measures(args.measures)
     opt_config = OptimizerConfig(restarts=args.restarts, max_iter=args.max_iter, seed=args.seed)
     values, trace = _measure_values(rho, names, basis_a, basis_b, opt_config)

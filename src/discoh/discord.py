@@ -28,7 +28,9 @@ from .channels import (
     random_iuo,
     random_rank_one_ppio,
 )
-from .linalg import MAX_OPT_DIM, as_frame, dephase_local, diag_probs, partial_trace, tensor
+from .linalg import (
+    MAX_OPT_DIM, as_frame, conditional_blocks, dephase_local, diag_probs, partial_trace, tensor
+)
 from .measures import (
     coherence_rel_ent,
     correlated_coherence,
@@ -37,14 +39,7 @@ from .measures import (
     entropy_of_probs,
     mutual_information,
 )
-from .states import (
-    DensityMatrix, ReferenceBasis, haar_unitary, ket_projector, matrix_to_json, rng_from_seed
-)
-
-
-class MeasurementBasis(ReferenceBasis):
-    """Unitary frame on H_a; its columns define the rank-one projectors of a
-    local von Neumann measurement."""
+from .states import DensityMatrix, ReferenceBasis, haar_unitary, matrix_to_json, rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -126,16 +121,6 @@ def _neg_xlog2x_sum(x: np.ndarray, axis=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _measurement_blocks(rho: DensityMatrix, frame: np.ndarray | None):
-    """Unnormalized conditional B blocks <psi_k| rho |psi_k> for all k."""
-    d_a, d_b = rho.dims
-    t = rho.mat.reshape(d_a, d_b, d_a, d_b)
-    if frame is None:
-        idx = np.arange(d_a)
-        return t[idx, :, idx, :]
-    return np.einsum("ia,ijkl,ka->ajl", frame.conj(), t, frame)
-
-
 def measured_conditional_info(rho: DensityMatrix, basis) -> float:
     """S(rho_b) - sum_k p_k S(rho_k) for the local measurement on A.
 
@@ -144,7 +129,7 @@ def measured_conditional_info(rho: DensityMatrix, basis) -> float:
     frame = as_frame(basis, rho.d_a)
     rb = partial_trace(rho.mat, rho.dims, keep="b")
     total = 0.0
-    for block in _measurement_blocks(rho, frame):
+    for block in conditional_blocks(rho.mat, rho.dims, frame):
         lam = np.clip(np.linalg.eigvalsh(block), 0.0, None)
         p = float(lam.sum())
         if p > 1e-12:
@@ -155,17 +140,11 @@ def measured_conditional_info(rho: DensityMatrix, basis) -> float:
 def discord_at_basis(rho: DensityMatrix, basis) -> float:
     """I(rho) - I(post-measurement state): the discord candidate at one basis.
 
-    Built from the full post-measurement state, so it cross-checks
-    measured_conditional_info through an independent route.
+    Built from the full post-measurement state, the A-dephased rho, so it
+    cross-checks measured_conditional_info through an independent route.
     """
-    frame = as_frame(basis, rho.d_a)
-    d_a = rho.d_a
-    cols = np.eye(d_a, dtype=complex) if frame is None else frame
-    blocks = _measurement_blocks(rho, frame)
-    post = sum(
-        tensor(ket_projector(cols[:, k]), blocks[k]) for k in range(d_a)
-    )
-    return mutual_information(rho) - mutual_information(DensityMatrix(post, rho.dims))
+    post = DensityMatrix(dephase_local(rho.mat, rho.dims, basis), rho.dims)
+    return mutual_information(rho) - mutual_information(post)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +267,7 @@ def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationT
         RestartRecord(tuple(map(tuple, s)), float(v), int(i))
         for s, v, i in zip(starts, values, iters)
     )
-    best_basis = MeasurementBasis(frames[best])
+    best_basis = ReferenceBasis(frames[best])
     return OptimizationTrace(float(values[best]), best_basis, records, bool(converged[best]))
 
 
@@ -371,9 +350,7 @@ def coherence_discord_drop(rho: DensityMatrix, ppio: KrausChannel) -> float:
     return correlated_coherence(rho) - correlated_coherence(out)
 
 
-def coherence_discord_invariance(
-    rho: DensityMatrix, trials: int = 50, seed: int = 0, basis_a=None
-) -> float:
+def coherence_discord_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> float:
     """Max deviation of the literal drop from the closed form over random
     non-merging rank-one PPIOs.
 
@@ -381,10 +358,6 @@ def coherence_discord_invariance(
     convexity, so representation independence holds on the non-merging class;
     the sampler is restricted accordingly.
     """
-    if basis_a is not None:
-        frame = as_frame(basis_a, rho.d_a)
-        big = tensor(frame, np.eye(rho.d_b))
-        rho = DensityMatrix(big.conj().T @ rho.mat @ big, rho.dims)
     base = coherence_discord(rho)
     ico = correlated_coherence(rho)
     rng = rng_from_seed(seed)
@@ -504,7 +477,10 @@ def in_zero_set(
     """Decide membership in a zero set by evaluating the measure.
 
     dac / dac-symmetric are decided by their closed forms at 1e-9; discord
-    membership is best-effort via the basis minimization at 1e-6.
+    membership via the basis minimization at 1e-6.  The search value is an
+    upper bound, so a value at or below the threshold proves membership; a
+    value above it from an unconverged search proves nothing and raises
+    RuntimeError.
     """
     if which == "dac":
         v = coherence_discord(rho)
@@ -513,7 +489,12 @@ def in_zero_set(
         v = coherence_discord_symmetric(rho)
         return ZeroSetCertificate("dac-symmetric", v <= 1e-9, v, 1e-9)
     if which == "discord":
-        v, basis, _ = discord_via_coherence(rho, config)
+        v, basis, trace = discord_via_coherence(rho, config)
+        if v > 1e-6 and not trace.converged:
+            raise RuntimeError(
+                f"discord search did not converge; its best value {v:.6g} is only an upper "
+                "bound, so membership is undecided (raise max_iter or restarts)"
+            )
         return ZeroSetCertificate("discord", v <= 1e-6, v, 1e-6, basis=basis)
     raise ValueError(f"unknown zero set {which!r}; expected one of {ZERO_SET_KINDS}")
 

@@ -116,10 +116,6 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
     return HermitianEig(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 
-def _conjugate_into_frame(m: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    return dag(frame) @ m @ frame
-
-
 def dephase(m: np.ndarray, basis=None) -> np.ndarray:
     """Zero all off-diagonal entries of ``m`` in the reference basis.
 
@@ -134,12 +130,28 @@ def dephase(m: np.ndarray, basis=None) -> np.ndarray:
     frame = as_frame(basis, d)
     if frame is None:
         return np.diag(np.diag(m))
-    inner = _conjugate_into_frame(m, frame)
+    inner = dag(frame) @ m @ frame
     return frame @ np.diag(np.diag(inner)) @ dag(frame)
 
 
+def conditional_blocks(m: np.ndarray, dims: tuple[int, int], frame=None) -> np.ndarray:
+    """Unnormalized conditional B blocks M_k = <u_k| m |u_k>_A, shape (d_a, d_b, d_b).
+
+    ``frame`` is None (computational basis of A) or a unitary whose columns are
+    the u_k.  The blocks are the diagonal blocks of m in the frame u (x) 1, so
+    their joint spectrum is the spectrum of the A-dephased state.
+    """
+    d_a, d_b = dims
+    t = m.reshape(d_a, d_b, d_a, d_b)
+    if frame is None:
+        idx = np.arange(d_a)
+        return t[idx, :, idx, :]
+    return np.einsum("ia,ijkl,ka->ajl", frame.conj(), t, frame)
+
+
 def dephase_local(m: np.ndarray, dims: tuple[int, int], basis_a=None) -> np.ndarray:
-    """Apply the dephasing map to subsystem A only (identity on B).
+    """Apply the dephasing map to subsystem A only (identity on B):
+    sum_k |u_k><u_k| (x) M_k with M_k the conditional blocks.
 
     The output is block diagonal in the A reference frame.
     """
@@ -148,13 +160,13 @@ def dephase_local(m: np.ndarray, dims: tuple[int, int], basis_a=None) -> np.ndar
     if m.shape != (d_a * d_b, d_a * d_b):
         raise ValueError(f"matrix is {m.shape}, expected ({d_a * d_b}, {d_a * d_b})")
     frame = as_frame(basis_a, d_a)
-    if frame is not None:
-        big = tensor(frame, np.eye(d_b))
-        return big @ dephase_local(_conjugate_into_frame(m, big), dims) @ dag(big)
-    t = m.reshape(d_a, d_b, d_a, d_b)
-    out = np.zeros_like(t)
-    idx = np.arange(d_a)
-    out[idx, :, idx, :] = t[idx, :, idx, :]
+    blocks = conditional_blocks(m, dims, frame)
+    if frame is None:
+        out = np.zeros((d_a, d_b, d_a, d_b), dtype=complex)
+        idx = np.arange(d_a)
+        out[idx, :, idx, :] = blocks
+    else:
+        out = np.einsum("ia,ka,ajl->ijkl", frame, frame.conj(), blocks)
     return out.reshape(d_a * d_b, d_a * d_b)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_frame, dag, diag_probs, partial_trace, tensor
+from .linalg import as_frame, conditional_blocks, dag, diag_probs, partial_trace, tensor
 from .states import DensityMatrix, ReferenceBasis, state_mat
 
 # Eigenvalues of a state below this are treated as exactly zero; anything
@@ -112,22 +112,11 @@ def correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> floa
     )
 
 
-def _a_block_eigenvalues(rho: DensityMatrix, basis_a=None) -> np.ndarray:
-    """Eigenvalues of the A-dephased state, computed blockwise.
-
-    Dephasing A leaves a block-diagonal matrix with one d_b x d_b block per
-    reference level, so its spectrum is the union of the block spectra.
-    """
-    d_a, d_b = rho.dims
-    frame = as_frame(basis_a, d_a)
-    m = rho.mat
-    if frame is not None:
-        big = tensor(frame, np.eye(d_b))
-        m = dag(big) @ m @ big
-    t = m.reshape(d_a, d_b, d_a, d_b)
-    idx = np.arange(d_a)
-    blocks = t[idx, :, idx, :]
-    return np.linalg.eigvalsh(blocks).ravel()
+def _a_dephased_entropy(rho: DensityMatrix, basis_a=None) -> float:
+    """S[(dephase_a x id)(rho)]: the dephased state is block diagonal, so its
+    spectrum is the union of the conditional blocks' spectra."""
+    blocks = conditional_blocks(rho.mat, rho.dims, as_frame(basis_a, rho.d_a))
+    return entropy_of_probs(np.linalg.eigvalsh(blocks))
 
 
 def cq_coherence(rho: DensityMatrix, basis_a=None) -> float:
@@ -137,7 +126,7 @@ def cq_coherence(rho: DensityMatrix, basis_a=None) -> float:
     Not faithful: it vanishes on every classical-quantum state in the
     reference basis, not only on incoherent states.
     """
-    return entropy_of_probs(_a_block_eigenvalues(rho, basis_a)) - entropy(rho.mat)
+    return _a_dephased_entropy(rho, basis_a) - entropy(rho.mat)
 
 
 def joint_coherence(rho: DensityMatrix, basis_ab=None) -> float:
@@ -214,7 +203,7 @@ class MeasureReport:
         c_ab = entropy_of_probs(diag_probs(rho.mat, frame)) - s_ab
         c_a = entropy_of_probs(diag_probs(ra, as_frame(basis_a, d_a))) - s_a
         c_b = entropy_of_probs(diag_probs(rb, as_frame(basis_b, d_b))) - s_b
-        c_upper = entropy_of_probs(_a_block_eigenvalues(rho, basis_a)) - s_ab
+        c_upper = _a_dephased_entropy(rho, basis_a) - s_ab
         return cls(
             S_ab=s_ab,
             S_a=s_a,

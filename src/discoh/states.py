@@ -1,5 +1,5 @@
 """Validated bipartite density matrices, reference bases, state families and
-random ensembles, plus the JSON state format.
+random ensembles, plus the JSON state and basis formats.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class ReferenceBasis:
     @classmethod
     def computational(cls, dim: int) -> "ReferenceBasis":
         return cls(np.eye(dim))
-
-    def column(self, i: int) -> np.ndarray:
-        return self.frame[:, i]
 
 
 class DensityMatrix:
@@ -114,11 +111,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.dims[0] * self.dims[1]
-
-
-def from_raw(mat, dims: tuple[int, int], **tolerances) -> DensityMatrix:
-    """Validated construction of a DensityMatrix from a raw matrix."""
-    return DensityMatrix(mat, dims, **tolerances)
 
 
 def state_mat(rho) -> np.ndarray:
@@ -328,21 +320,35 @@ def save_state(rho: DensityMatrix, path) -> None:
         fh.write("\n")
 
 
-def load_state(path, **tolerances) -> DensityMatrix:
+def _read_json(path):
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed JSON in {path}: {exc}") from exc
-    return state_from_json(obj, **tolerances)
 
 
-def basis_from_json(obj, dim: int | None = None) -> ReferenceBasis:
-    """Read a reference basis: {"dim": d, "frame": [[[re,im],...],...]}."""
-    if not isinstance(obj, dict) or "frame" not in obj:
-        raise ValueError("basis JSON needs a 'frame' field")
-    frame = matrix_from_json(obj["frame"], what="frame")
-    basis = ReferenceBasis(frame)
-    if dim is not None and basis.dim != dim:
-        raise ValueError(f"basis dimension {basis.dim} does not match state ({dim})")
-    return basis
+def load_state(path, **tolerances) -> DensityMatrix:
+    return state_from_json(_read_json(path), **tolerances)
+
+
+_BASIS_KEYS = ("frame_a", "frame_b")
+
+
+def load_bases(path) -> tuple[ReferenceBasis | None, ReferenceBasis | None]:
+    """Read a basis file {"frame_a": matrix, "frame_b": matrix} into
+    (basis_a, basis_b), None where a frame is absent.  Matrices use the state
+    format, basis vectors as columns; either frame may be left out, not both,
+    and any other key is an error."""
+    obj = _read_json(path)
+    if not isinstance(obj, dict):
+        raise ValueError(f"basis JSON in {path} must be an object")
+    for key in obj:
+        if key not in _BASIS_KEYS:
+            raise ValueError(f"basis JSON in {path}: unknown key {key!r} (expected {_BASIS_KEYS})")
+    if not obj:
+        raise ValueError(f"basis JSON in {path} needs 'frame_a' or 'frame_b'")
+    return tuple(
+        ReferenceBasis(matrix_from_json(obj[key], key)) if key in obj else None
+        for key in _BASIS_KEYS
+    )

@@ -78,14 +78,15 @@ def test_criterion_3_theorem2_agreement():
         trials=200, dims=(2, 2), seed=20260811, restarts=16, grid_checks=20
     )
     elapsed = time.time() - t0
+    d = result.details
     ok = result.passed and elapsed < 300.0
     report(
         3,
-        "theorem 2 optimizer agreement",
+        "theorem 2 at the searched basis",
         ok,
-        f"200 states: max |minimized coherence corr - discord| = "
-        f"{result.details['max_optimizer_dev']:.2e}, grid cross-check (20 states) = "
-        f"{result.details['max_grid_dev']:.2e} (tol 1e-4), {elapsed:.0f}s (< 300s)",
+        f"200 states: max |search - discord_at_basis| = {d['max_discord_at_basis_dev']:.2e}, "
+        f"max |search - I_co drop| = {d['max_ico_drop_dev']:.2e}, grid cross-check "
+        f"(20 states) = {d['max_grid_dev']:.2e} (tol 1e-4), {elapsed:.0f}s (< 300s)",
     )
 
 

@@ -8,12 +8,9 @@ from discoh.channels import (
     PIOSpec,
     PPIOSpec,
     apply,
-    channel_from_json,
-    channel_to_json,
     classify,
     dephasing_channel,
     lift_to_bipartite,
-    load_channel,
     make_iuo,
     make_physically_free,
     make_pio,
@@ -22,7 +19,6 @@ from discoh.channels import (
     random_kraus_ops,
     random_physically_free,
     random_rank_one_ppio,
-    save_channel,
 )
 from discoh.discord import coherence_discord
 from discoh.linalg import dephase
@@ -271,27 +267,3 @@ def test_lift_to_bipartite():
 
     assert_allclose(apply(chan, rho).mat, dephase_local(rho.mat, (2, 2)), atol=1e-12)
 
-
-def test_channel_json_round_trip(tmp_path):
-    rng = np.random.default_rng(14)
-    chan = random_physically_free(2, 2, rng)
-    path = tmp_path / "chan.json"
-    save_channel(chan, path)
-    back = load_channel(path)
-    assert isinstance(back, KrausChannel)
-    for a, b in zip(chan.ops, back.ops):
-        assert_allclose(a, b, atol=1e-15)
-
-    mix = ChannelMixture([0.25, 0.75], [chan, random_physically_free(2, 2, rng)])
-    obj = channel_to_json(mix)
-    back = channel_from_json(obj)
-    assert isinstance(back, ChannelMixture)
-    assert back.m == 2
-    assert back.weights == (0.25, 0.75)
-
-
-def test_channel_json_rejects_garbage():
-    with pytest.raises(ValueError, match="kind"):
-        channel_from_json({"ops": []})
-    with pytest.raises(ValueError, match="kind"):
-        channel_from_json({"kind": "unitary"})

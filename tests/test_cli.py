@@ -153,6 +153,39 @@ def test_compute_with_basis_file(capsys, tmp_path):
     assert json.loads(out)["measures"]["discord"] == pytest.approx(0.0, abs=1e-6)
 
 
+def hadamard_json():
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return [[[h, 0.0] for h in row] for row in hadamard]
+
+
+@pytest.mark.parametrize(
+    "obj, named",
+    [
+        ({"dim": 2, "frame": hadamard_json()}, "'dim'"),
+        ({"frame_a": hadamard_json(), "frame_c": hadamard_json()}, "'frame_c'"),
+        ({}, "'frame_a' or 'frame_b'"),
+        ([hadamard_json()], "must be an object"),
+    ],
+)
+def test_compute_rejects_basis_file_without_known_frames(capsys, bell_file, tmp_path, obj, named):
+    basis_path = tmp_path / "basis.json"
+    basis_path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "compute", bell_file, "--measures", "ico",
+                             "--basis", str(basis_path))
+    assert code == 2
+    assert out == ""
+    assert named in err and str(basis_path) in err
+
+
+def test_compute_malformed_basis_json_names_the_file(capsys, bell_file, tmp_path):
+    basis_path = tmp_path / "basis.json"
+    basis_path.write_text('{"frame_a": [[[1, 0], [0, 0]], [[0, 0], [1, 0]],}')
+    code, out, err = run_cli(capsys, "compute", bell_file, "--basis", str(basis_path))
+    assert code == 2
+    assert out == ""
+    assert f"malformed JSON in {basis_path}" in err
+
+
 def test_sweep_werner_endpoints_and_monotonicity(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "werner", "--steps", "11", "--measures", "discord,dac,ico",

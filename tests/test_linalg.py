@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from discoh.linalg import (
+    conditional_blocks,
     dephase,
     dephase_local,
     diag_probs,
@@ -150,6 +151,23 @@ def test_dephase_local_fixes_cq_states():
         np.diag([0.0, 1.0]), PLUS
     )
     assert_allclose(dephase_local(cq, (2, 2)), cq, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+def test_conditional_blocks_and_framed_dephase_local(dims):
+    # reference: conjugate by U (x) 1, keep the diagonal A blocks, conjugate back
+    d_a, d_b = dims
+    rng = np.random.default_rng(sum(dims))
+    m = rand_hermitian(rng, d_a * d_b)
+    u, _ = np.linalg.qr(rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a)))
+    big = np.kron(u, np.eye(d_b))
+    inner = (big.conj().T @ m @ big).reshape(d_a, d_b, d_a, d_b)
+    keep = np.eye(d_a)[:, None, :, None] * np.ones((1, d_b, 1, d_b))
+    expected = big @ (inner * keep).reshape(m.shape) @ big.conj().T
+    blocks = conditional_blocks(m, dims, u)
+    assert_allclose(blocks, [inner[k, :, k, :] for k in range(d_a)], atol=1e-13)
+    assert_allclose(dephase_local(m, dims, u), expected, atol=1e-13)
+    assert_allclose(dephase_local(m, dims), (m.reshape(inner.shape) * keep).reshape(m.shape))
 
 
 def test_diag_probs_matches_dephase_spectrum():

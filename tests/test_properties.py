@@ -35,8 +35,43 @@ def test_theorem1_suite_3x2():
 def test_theorem2_suite_small():
     result = verify_theorem2(trials=12, seed=104, grid_checks=4)
     assert result.passed
-    assert result.details["max_optimizer_dev"] <= 1e-4
+    assert result.details["max_discord_at_basis_dev"] <= 1e-4
+    assert result.details["max_ico_drop_dev"] <= 1e-4
     assert result.details["max_grid_dev"] <= 1e-4
+
+
+def test_theorem2_check_catches_a_wrong_value(monkeypatch):
+    import discoh.verify
+
+    search = discoh.verify.discord_via_coherence
+
+    def off_by_1e3(rho, config=None):
+        value, basis, trace = search(rho, config)
+        return value + 1e-3, basis, trace
+
+    monkeypatch.setattr(discoh.verify, "discord_via_coherence", off_by_1e3)
+    result = verify_theorem2(trials=3, seed=104)
+    assert not result.passed and result.failures == 3
+    for key in ("max_discord_at_basis_dev", "max_ico_drop_dev"):
+        assert abs(result.details[key] - 1e-3) <= 1e-12
+
+
+def test_theorem2_grid_check_catches_a_non_optimal_basis(monkeypatch):
+    import discoh.verify
+    from discoh.discord import discord_at_basis
+    from discoh.states import ReferenceBasis, haar_unitary
+
+    def wrong_basis(rho, config=None):
+        basis = ReferenceBasis(haar_unitary(2, np.random.default_rng(1)))
+        return discord_at_basis(rho, basis), basis, None
+
+    monkeypatch.setattr(discoh.verify, "discord_via_coherence", wrong_basis)
+    result = verify_theorem2(trials=1, seed=104, grid_checks=1)
+    assert not result.passed
+    # the value is right at its basis; only the grid sees it is not the minimum
+    assert result.details["max_discord_at_basis_dev"] <= 1e-12
+    assert result.details["max_ico_drop_dev"] <= 1e-12
+    assert result.details["max_grid_dev"] > 1e-4
 
 
 def test_theorem3_suite_small():

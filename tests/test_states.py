@@ -10,7 +10,6 @@ from discoh.states import (
     ReferenceBasis,
     bell_phi_plus,
     classical_quantum,
-    from_raw,
     load_state,
     marginals,
     random_state,
@@ -25,30 +24,30 @@ PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
 def test_from_raw_maximally_mixed():
-    rho = from_raw(np.eye(4) / 4, (2, 2))
+    rho = DensityMatrix(np.eye(4) / 4, (2, 2))
     assert rho.dims == (2, 2)
 
 
 def test_from_raw_rejects_negative_eigenvalue():
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        from_raw(np.diag([0.6, 0.6, -0.1, -0.1]), (2, 2))
+        DensityMatrix(np.diag([0.6, 0.6, -0.1, -0.1]), (2, 2))
 
 
 def test_from_raw_rejects_bad_trace():
     with pytest.raises(ValueError, match="trace"):
-        from_raw(np.diag([0.5, 0.48]) , (2, 1))
+        DensityMatrix(np.diag([0.5, 0.48]), (2, 1))
 
 
 def test_from_raw_rejects_non_hermitian():
     m = np.eye(4) / 4
     m[0, 1] = 0.1
     with pytest.raises(ValueError, match="Hermitian"):
-        from_raw(m, (2, 2))
+        DensityMatrix(m, (2, 2))
 
 
 def test_from_raw_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dims"):
-        from_raw(np.eye(4) / 4, (2, 3))
+        DensityMatrix(np.eye(4) / 4, (2, 3))
 
 
 def test_bell_projector_valid():

@@ -151,6 +151,12 @@ def cmd_compute(args) -> int:
     if args.part == "b":
         rho = swap_subsystems(rho)
     basis_a, basis_b = load_bases(args.basis) if args.basis else (None, None)
+    for key, basis, dim in (("frame_a", basis_a, rho.d_a), ("frame_b", basis_b, rho.d_b)):
+        if basis is not None and basis.dim != dim:
+            raise ValueError(
+                f"basis JSON in {args.basis}, {key}: frame is {basis.dim}x{basis.dim}, "
+                f"but that part of the state has dimension {dim}"
+            )
     names = parse_measures(args.measures)
     opt_config = OptimizerConfig(restarts=args.restarts, max_iter=args.max_iter, seed=args.seed)
     values, trace = _measure_values(rho, names, basis_a, basis_b, opt_config)

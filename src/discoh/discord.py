@@ -32,9 +32,9 @@ from .linalg import (
     MAX_OPT_DIM, as_frame, conditional_blocks, dephase_local, diag_probs, partial_trace, tensor
 )
 from .measures import (
-    coherence_rel_ent,
+    _coherence_of,
+    _cq_coherence,
     correlated_coherence,
-    cq_coherence,
     entropy,
     entropy_of_probs,
     mutual_information,
@@ -77,16 +77,21 @@ class RestartRecord:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
+    """The search's result: converged says whether the best restart converged,
+    restarts_at_best how many restarts ended within f_tol of the best value."""
+
     best_value: float
     best_basis: ReferenceBasis
     restarts: tuple
     converged: bool
+    restarts_at_best: int
 
     def to_dict(self) -> dict:
         return {
             "best_value": self.best_value,
             "best_frame": matrix_to_json(self.best_basis.frame),
             "converged": self.converged,
+            "restarts_at_best": self.restarts_at_best,
             "restarts": [
                 {"initial_frame": matrix_to_json(r.initial_frame), "final_value": r.final_value,
                  "iterations": r.iterations}
@@ -170,7 +175,7 @@ def _basis_objective(rho: DensityMatrix):
     d_a, d_b = rho.dims
     # tm[(i, j, l), m] = rho[i, j, m, l], so (tm @ U)[(i, j, l), a] = y[i, j, l, a]
     tm = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 1, 3, 2).reshape(-1, d_a)
-    const = entropy(partial_trace(rho.mat, rho.dims, keep="a")) - entropy(rho.mat)
+    const = entropy(partial_trace(rho.mat, rho.dims, keep="a")) - entropy(rho)
 
     def objective(frames):
         y = (tm @ frames).reshape(-1, d_a, d_b, d_b, d_a)
@@ -268,7 +273,10 @@ def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationT
         for s, v, i in zip(starts, values, iters)
     )
     best_basis = ReferenceBasis(frames[best])
-    return OptimizationTrace(float(values[best]), best_basis, records, bool(converged[best]))
+    at_best = int(np.count_nonzero(values - values[best] <= config.f_tol))
+    return OptimizationTrace(
+        float(values[best]), best_basis, records, bool(converged[best]), at_best
+    )
 
 
 def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
@@ -337,10 +345,11 @@ def coherence_discord(rho: DensityMatrix, basis_a=None) -> float:
     the value has the closed form
     S[(dephase_a x id)(rho)] - S(rho) - C_r(rho_a), and is independent of the
     B-side reference basis.  Zero exactly on the classical-quantum states
-    built in the A reference basis.
+    built in the A reference basis.  Equal to MeasureReport's C_r_upper - C_r_a.
     """
+    fa = as_frame(basis_a, rho.d_a)
     ra = partial_trace(rho.mat, rho.dims, keep="a")
-    return cq_coherence(rho, basis_a) - coherence_rel_ent(ra, basis_a)
+    return _cq_coherence(rho, fa) - _coherence_of(ra, fa)
 
 
 def coherence_discord_drop(rho: DensityMatrix, ppio: KrausChannel) -> float:

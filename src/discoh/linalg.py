@@ -4,7 +4,10 @@ eigendecompositions and dephasing maps.
 Everything here works on plain ``numpy`` arrays (complex128, row-major).
 Functions accepting a ``basis`` argument take either ``None`` (computational
 basis), a unitary frame matrix whose columns are the basis vectors, or any
-object with a ``.frame`` attribute (see ``discoh.states.ReferenceBasis``).
+object with a ``.frame`` attribute (see ``discoh.states.ReferenceBasis``), and
+check it with ``as_frame``.  The inner kernels ``conditional_blocks`` and
+``frame_diagonal`` take a ``frame`` that is None or already checked, and trust
+their input.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -146,7 +149,9 @@ def conditional_blocks(m: np.ndarray, dims: tuple[int, int], frame=None) -> np.n
     if frame is None:
         idx = np.arange(d_a)
         return t[idx, :, idx, :]
-    return np.einsum("ia,ijkl,ka->ajl", frame.conj(), t, frame)
+    # y[i, j, l, a] = sum_k t[i, j, k, l] u_k[a]: one matrix product
+    y = (t.transpose(0, 1, 3, 2).reshape(-1, d_a) @ frame).reshape(d_a, d_b, d_b, d_a)
+    return np.einsum("ia,ijla->ajl", frame.conj(), y)
 
 
 def dephase_local(m: np.ndarray, dims: tuple[int, int], basis_a=None) -> np.ndarray:
@@ -166,7 +171,10 @@ def dephase_local(m: np.ndarray, dims: tuple[int, int], basis_a=None) -> np.ndar
         idx = np.arange(d_a)
         out[idx, :, idx, :] = blocks
     else:
-        out = np.einsum("ia,ka,ajl->ijkl", frame, frame.conj(), blocks)
+        # out[i, j, k, l] = sum_a u_a[i] conj(u_a[k]) M_a[j, l]: one matrix product
+        proj = (frame[:, None, :] * frame.conj()[None, :, :]).reshape(d_a * d_a, d_a)
+        out = (proj @ blocks.reshape(d_a, d_b * d_b)).reshape(d_a, d_a, d_b, d_b)
+        out = out.transpose(0, 2, 1, 3)
     return out.reshape(d_a * d_b, d_a * d_b)
 
 
@@ -177,8 +185,15 @@ def diag_probs(m: np.ndarray, basis=None) -> np.ndarray:
     measurement, i.e. the spectrum of dephase(m, basis).
     """
     m = as_complex_matrix(m)
-    frame = as_frame(basis, m.shape[0])
+    return frame_diagonal(m, as_frame(basis, m.shape[0]))
+
+
+def frame_diagonal(m: np.ndarray, frame=None) -> np.ndarray:
+    """Real diagonal of F† m F, for one matrix or a stack of them (shape
+    (..., d)); ``frame`` is None (computational basis) or a checked unitary.
+
+    Only the diagonal is formed: entry a is sum_i conj(F_ia) (m F)_ia.
+    """
     if frame is None:
-        return np.diag(m).real.copy()
-    # diag(F† m F) without forming the full product
-    return np.einsum("ia,ij,ja->a", frame.conj(), m, frame).real
+        return np.diagonal(m, axis1=-2, axis2=-1).real.copy()
+    return (frame.conj() * (m @ frame)).sum(axis=-2).real

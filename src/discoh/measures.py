@@ -3,6 +3,11 @@
 All logarithms are base 2; every value is in bits.  The reference basis
 defaults to the computational basis of each subsystem; pass a
 ``ReferenceBasis`` (or raw unitary frame) to move it.
+
+Each public function checks its basis arguments once, on entry; the private
+helpers below take the checked frames.  A ``DensityMatrix`` was validated when
+it was built and carries its spectrum, so S(rho) costs no decomposition; the
+marginals and the conditional blocks are decomposed once per call.
 """
 
 from __future__ import annotations
@@ -12,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_frame, conditional_blocks, dag, diag_probs, partial_trace, tensor
-from .states import DensityMatrix, ReferenceBasis, state_mat
+from .linalg import (
+    as_complex_matrix, as_frame, conditional_blocks, dag, frame_diagonal, partial_trace, tensor
+)
+from .states import DensityMatrix, state_mat
 
 # Eigenvalues of a state below this are treated as exactly zero; anything
 # more negative signals an invalid state and raises.
@@ -34,17 +41,43 @@ def entropy_of_probs(p: np.ndarray) -> float:
     w_min = p.min() if p.size else 0.0
     if w_min < -EIG_CLIP:
         raise ValueError(f"negative probability/eigenvalue {w_min:.3e} below -{EIG_CLIP:g}")
-    p = np.clip(p, 0.0, None)
-    nz = p[p > 0.0]
+    nz = p[p > 0.0]  # values in [-EIG_CLIP, 0] count as zero and add nothing
     if nz.size == 0:
         return 0.0
     return float(-np.dot(nz, np.log2(nz)))
 
 
+def _state(rho) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, eigenvalues) of a DensityMatrix, which keeps its spectrum, or
+    of a plain matrix."""
+    if isinstance(rho, DensityMatrix):
+        return rho.mat, rho.spectrum
+    m = as_complex_matrix(rho)
+    return m, np.linalg.eigvalsh(m)
+
+
+def _entropy_of(m: np.ndarray) -> float:
+    """Entropy of a trusted Hermitian matrix, or of the direct sum of a stack."""
+    return entropy_of_probs(np.linalg.eigvalsh(m))
+
+
+def _dephased_entropy(m: np.ndarray, frame) -> float:
+    """Entropy of a trusted matrix (or stack) dephased in a checked frame."""
+    return entropy_of_probs(frame_diagonal(m, frame))
+
+
+def _coherence_of(m: np.ndarray, frame) -> float:
+    """Relative entropy of coherence of a trusted matrix in a checked frame."""
+    return _dephased_entropy(m, frame) - _entropy_of(m)
+
+
+def _marginals(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    return partial_trace(rho.mat, rho.dims, keep="a"), partial_trace(rho.mat, rho.dims, keep="b")
+
+
 def entropy(rho) -> float:
     """Von Neumann entropy -Tr(rho log2 rho)."""
-    m = state_mat(rho)
-    return entropy_of_probs(np.linalg.eigvalsh(m))
+    return entropy_of_probs(_state(rho)[1])
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -59,41 +92,25 @@ def relative_entropy(rho, sigma) -> float:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
     w_s, v_s = np.linalg.eigh(s)
     # mass of rho in each eigendirection of sigma
-    mass = np.einsum("ia,ij,ja->a", v_s.conj(), r, v_s).real
+    mass = frame_diagonal(r, v_s)
     kernel = w_s <= SUPPORT_CUTOFF
     if np.any(mass[kernel] > SUPPORT_CUTOFF):
         return math.inf
     keep = ~kernel
     cross = float(np.dot(mass[keep], np.log2(w_s[keep])))
-    return -entropy(r) - cross
+    return -entropy(rho) - cross
 
 
 def coherence_rel_ent(rho, basis=None) -> float:
     """Relative entropy of coherence: S[dephased rho] - S(rho)."""
-    m = state_mat(rho)
-    frame = as_frame(basis, m.shape[0])
-    return entropy_of_probs(diag_probs(m, frame)) - entropy(m)
+    m, w = _state(rho)
+    return _dephased_entropy(m, as_frame(basis, m.shape[0])) - entropy_of_probs(w)
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """S(rho_a) + S(rho_b) - S(rho_ab)."""
-    ra = partial_trace(rho.mat, rho.dims, keep="a")
-    rb = partial_trace(rho.mat, rho.dims, keep="b")
-    return entropy(ra) + entropy(rb) - entropy(rho.mat)
-
-
-def joint_frame(basis_a, basis_b, dims: tuple[int, int]) -> np.ndarray | None:
-    """Tensor-product frame of two subsystem bases (None if both default)."""
-    d_a, d_b = dims
-    fa = as_frame(basis_a, d_a)
-    fb = as_frame(basis_b, d_b)
-    if fa is None and fb is None:
-        return None
-    if fa is None:
-        fa = np.eye(d_a, dtype=complex)
-    if fb is None:
-        fb = np.eye(d_b, dtype=complex)
-    return tensor(fa, fb)
+    ra, rb = _marginals(rho)
+    return _entropy_of(ra) + _entropy_of(rb) - entropy(rho)
 
 
 def correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:
@@ -102,21 +119,23 @@ def correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> floa
     Nonnegative by superadditivity of the relative entropy of coherence, and
     zero on product states and on diagonal bipartite states.
     """
-    frame = joint_frame(basis_a, basis_b, rho.dims)
-    ra = partial_trace(rho.mat, rho.dims, keep="a")
-    rb = partial_trace(rho.mat, rho.dims, keep="b")
+    fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
+    ra, rb = _marginals(rho)
+    # the diagonal of rho in the frame fa (x) fb is the diagonal, in fb, of its
+    # conditional blocks in fa
+    blocks = conditional_blocks(rho.mat, rho.dims, fa)
     return (
-        coherence_rel_ent(rho.mat, frame)
-        - coherence_rel_ent(ra, basis_a)
-        - coherence_rel_ent(rb, basis_b)
+        _dephased_entropy(blocks, fb) - entropy(rho)
+        - _coherence_of(ra, fa)
+        - _coherence_of(rb, fb)
     )
 
 
-def _a_dephased_entropy(rho: DensityMatrix, basis_a=None) -> float:
-    """S[(dephase_a x id)(rho)]: the dephased state is block diagonal, so its
-    spectrum is the union of the conditional blocks' spectra."""
-    blocks = conditional_blocks(rho.mat, rho.dims, as_frame(basis_a, rho.d_a))
-    return entropy_of_probs(np.linalg.eigvalsh(blocks))
+def _cq_coherence(rho: DensityMatrix, fa) -> float:
+    """S[(dephase_a x id)(rho)] - S(rho) in a checked frame: the dephased state
+    is block diagonal, so its spectrum is the union of the conditional blocks'
+    spectra."""
+    return _entropy_of(conditional_blocks(rho.mat, rho.dims, fa)) - entropy(rho)
 
 
 def cq_coherence(rho: DensityMatrix, basis_a=None) -> float:
@@ -126,35 +145,40 @@ def cq_coherence(rho: DensityMatrix, basis_a=None) -> float:
     Not faithful: it vanishes on every classical-quantum state in the
     reference basis, not only on incoherent states.
     """
-    return _a_dephased_entropy(rho, basis_a) - entropy(rho.mat)
+    return _cq_coherence(rho, as_frame(basis_a, rho.d_a))
 
 
 def joint_coherence(rho: DensityMatrix, basis_ab=None) -> float:
     """Symmetric variant: the relative entropy of coherence of the joint
     state in the (product) reference basis.  Faithful on diagonal states."""
-    return coherence_rel_ent(rho.mat, basis_ab)
+    return coherence_rel_ent(rho, basis_ab)
 
 
-def l1_coherence(rho, basis=None) -> float:
-    """Sum of moduli of the off-diagonal entries in the reference frame."""
-    m = state_mat(rho)
-    frame = as_frame(basis, m.shape[0])
+def _l1_of(m: np.ndarray, frame) -> float:
     if frame is not None:
         m = dag(frame) @ m @ frame
     a = np.abs(m)
     return float(a.sum() - np.trace(a).real)
 
 
+def l1_coherence(rho, basis=None) -> float:
+    """Sum of moduli of the off-diagonal entries in the reference frame."""
+    m = state_mat(rho)
+    return _l1_of(m, as_frame(basis, m.shape[0]))
+
+
+def _l1_correlated(rho: DensityMatrix, ra, rb, fa, fb) -> float:
+    joint = None
+    if fa is not None or fb is not None:
+        eye_a, eye_b = np.eye(rho.d_a), np.eye(rho.d_b)
+        joint = tensor(eye_a if fa is None else fa, eye_b if fb is None else fb)
+    return _l1_of(rho.mat, joint) - _l1_of(ra, fa) - _l1_of(rb, fb)
+
+
 def l1_correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:
     """l1-norm analogue of the correlated coherence (comparison measure)."""
-    frame = joint_frame(basis_a, basis_b, rho.dims)
-    ra = partial_trace(rho.mat, rho.dims, keep="a")
-    rb = partial_trace(rho.mat, rho.dims, keep="b")
-    return (
-        l1_coherence(rho.mat, frame)
-        - l1_coherence(ra, basis_a)
-        - l1_coherence(rb, basis_b)
-    )
+    fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
+    return _l1_correlated(rho, *_marginals(rho), fa, fb)
 
 
 # Stable column order of the report (documented in the README; the CSV and
@@ -192,18 +216,18 @@ class MeasureReport:
 
     @classmethod
     def compute(cls, rho: DensityMatrix, basis_a=None, basis_b=None) -> "MeasureReport":
-        """One pass over the state, sharing the eigendecompositions."""
-        d_a, d_b = rho.dims
-        frame = joint_frame(basis_a, basis_b, rho.dims)
-        ra = partial_trace(rho.mat, rho.dims, keep="a")
-        rb = partial_trace(rho.mat, rho.dims, keep="b")
-        s_ab = entropy(rho.mat)
-        s_a = entropy(ra)
-        s_b = entropy(rb)
-        c_ab = entropy_of_probs(diag_probs(rho.mat, frame)) - s_ab
-        c_a = entropy_of_probs(diag_probs(ra, as_frame(basis_a, d_a))) - s_a
-        c_b = entropy_of_probs(diag_probs(rb, as_frame(basis_b, d_b))) - s_b
-        c_upper = _a_dephased_entropy(rho, basis_a) - s_ab
+        """One pass over the state: S(rho) is read from its kept spectrum, and
+        the marginals and the conditional blocks are decomposed once each."""
+        fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
+        ra, rb = _marginals(rho)
+        blocks = conditional_blocks(rho.mat, rho.dims, fa)
+        s_ab = entropy(rho)
+        s_a = _entropy_of(ra)
+        s_b = _entropy_of(rb)
+        c_ab = _dephased_entropy(blocks, fb) - s_ab
+        c_a = _dephased_entropy(ra, fa) - s_a
+        c_b = _dephased_entropy(rb, fb) - s_b
+        c_upper = _entropy_of(blocks) - s_ab
         return cls(
             S_ab=s_ab,
             S_a=s_a,
@@ -215,7 +239,7 @@ class MeasureReport:
             I_co=c_ab - c_a - c_b,
             C_r_upper=c_upper,
             C_r_sym=c_ab,
-            l1_cc=l1_correlated_coherence(rho, basis_a, basis_b),
+            l1_cc=_l1_correlated(rho, ra, rb, fa, fb),
         )
 
     def to_dict(self) -> dict:

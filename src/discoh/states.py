@@ -52,11 +52,14 @@ class DensityMatrix:
     """Positive semidefinite, unit-trace complex matrix with a bipartite
     dimension split (d_a, d_b).
 
-    Validation (Hermiticity, trace, positivity) happens at construction;
-    instances are immutable, so they can be shared freely across workers.
+    Validation (Hermiticity, trace, positivity) happens at construction, and
+    only there: the measures trust a DensityMatrix.  The eigenvalues the
+    positivity check computes are kept, ascending, as the read-only
+    ``spectrum``, so no measure decomposes the state again.  Instances are
+    immutable, so they can be shared freely across workers.
     """
 
-    __slots__ = ("mat", "dims")
+    __slots__ = ("mat", "dims", "spectrum")
 
     def __init__(
         self,
@@ -84,15 +87,17 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"trace = {tr.real:.12g} exceeds tolerance {trace_tol:g} from 1")
-        w_min = float(np.linalg.eigvalsh(mat)[0])
-        if w_min < -psd_tol:
-            raise ValueError(
-                f"negative eigenvalue {w_min:.3e} below tolerance -{psd_tol:g}"
-            )
         mat = mat.copy()
+        spectrum = np.linalg.eigvalsh(mat)
+        if spectrum[0] < -psd_tol:
+            raise ValueError(
+                f"negative eigenvalue {spectrum[0]:.3e} below tolerance -{psd_tol:g}"
+            )
         mat.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", (d_a, d_b))
+        object.__setattr__(self, "spectrum", spectrum)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -329,7 +334,11 @@ def _read_json(path):
 
 
 def load_state(path, **tolerances) -> DensityMatrix:
-    return state_from_json(_read_json(path), **tolerances)
+    obj = _read_json(path)
+    try:
+        return state_from_json(obj, **tolerances)
+    except ValueError as exc:
+        raise ValueError(f"state JSON in {path}: {exc}") from exc
 
 
 _BASIS_KEYS = ("frame_a", "frame_b")
@@ -348,7 +357,10 @@ def load_bases(path) -> tuple[ReferenceBasis | None, ReferenceBasis | None]:
             raise ValueError(f"basis JSON in {path}: unknown key {key!r} (expected {_BASIS_KEYS})")
     if not obj:
         raise ValueError(f"basis JSON in {path} needs 'frame_a' or 'frame_b'")
-    return tuple(
-        ReferenceBasis(matrix_from_json(obj[key], key)) if key in obj else None
-        for key in _BASIS_KEYS
-    )
+    bases = []
+    for key in _BASIS_KEYS:
+        try:
+            bases.append(ReferenceBasis(matrix_from_json(obj[key])) if key in obj else None)
+        except ValueError as exc:
+            raise ValueError(f"basis JSON in {path}, {key}: {exc}") from exc
+    return tuple(bases)

@@ -186,6 +186,42 @@ def test_compute_malformed_basis_json_names_the_file(capsys, bell_file, tmp_path
     assert f"malformed JSON in {basis_path}" in err
 
 
+def identity_json(d):
+    return [[[float(i == j), 0.0] for j in range(d)] for i in range(d)]
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        # frames swapped for a 2x3 state: frame_a is 3x3, A has dimension 2
+        ({"frame_a": identity_json(3), "frame_b": identity_json(2)}, "frame_a"),
+        ({"frame_b": identity_json(2)}, "frame_b"),
+        # a bad entry, and a matrix that is not unitary
+        ({"frame_a": [[[1, 0], [0, 0]], [[0, 0], [1]]]}, "frame_a"),
+        ({"frame_b": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                      [[0, 0], [0, 0], [2, 0]]]}, "frame_b"),
+    ],
+)
+def test_compute_basis_errors_name_the_file_and_the_frame(capsys, tmp_path, obj, key):
+    state_path = tmp_path / "s23.json"
+    save_state(random_state(2, 3, "ginibre-mixed", seed=1), state_path)
+    basis_path = tmp_path / "basis.json"
+    basis_path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "compute", str(state_path), "--basis", str(basis_path))
+    assert code == 2
+    assert out == ""
+    assert str(basis_path) in err and key in err
+
+
+def test_compute_state_entry_error_names_the_file(capsys, tmp_path):
+    state_path = tmp_path / "bad.json"
+    state_path.write_text(json.dumps({"dims": [2, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], "x"]]}))
+    code, out, err = run_cli(capsys, "compute", str(state_path))
+    assert code == 2
+    assert out == ""
+    assert str(state_path) in err and "row 1, column 1" in err
+
+
 def test_sweep_werner_endpoints_and_monotonicity(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "werner", "--steps", "11", "--measures", "discord,dac,ico",

@@ -242,6 +242,53 @@ def test_discord_werner_grid_oracle():
         assert abs(value - oracle) < 1e-4
 
 
+def werner_discord(p):
+    # closed form for p Phi+ + (1 - p) I/4, with 0 log 0 := 0
+    def xlog2x(x):
+        return x * np.log2(x) if x > 0 else 0.0
+
+    return xlog2x(1 - p) / 4 - xlog2x(1 + p) / 2 + xlog2x(1 + 3 * p) / 4
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.9, 1.0])
+def test_discord_matches_werner_closed_form(p):
+    value, trace = discord(werner(p))
+    assert abs(value - werner_discord(p)) <= 1e-9
+    assert trace.converged
+
+
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def luo_bell_diagonal_discord(c):
+    """Discord of (1 + sum_j c_j s_j (x) s_j)/4 (Luo, PRA 77, 042303 (2008)):
+    I(rho) minus the classical correlation, which is set by max_j |c_j|."""
+    signs = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])  # Phi+-, Psi+-
+    lam = (1 + signs @ c) / 4
+    mutual = 2 + sum(x * np.log2(x) for x in lam if x > 0)
+    top = np.max(np.abs(c))
+    classical = sum((1 + s * top) / 2 * np.log2(1 + s * top) for s in (1, -1) if 1 + s * top > 0)
+    return mutual - classical
+
+
+def test_discord_matches_luo_on_rotated_bell_diagonal_states():
+    rng = np.random.default_rng(2008)
+    for _ in range(8):
+        # Bell-diagonal weights w_k give the correlations c_j = sum_k w_k <s_j s_j>_k
+        w = rng.dirichlet(np.ones(4))
+        c = np.array([w[0] - w[1] + w[2] - w[3], -w[0] + w[1] + w[2] - w[3],
+                      w[0] + w[1] - w[2] - w[3]])
+        mat = (np.eye(4) + sum(cj * np.kron(s, s) for cj, s in zip(c, PAULIS))) / 4
+        u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+        value, trace = discord(DensityMatrix(u @ mat @ u.conj().T, (2, 2)))
+        assert abs(value - luo_bell_diagonal_discord(c)) <= 1e-9
+        assert trace.converged
+
+
 def test_discord_dimension_cap():
     big = DensityMatrix(np.eye(72) / 72, (8, 9))
     with pytest.raises(ValueError, match="capped"):
@@ -314,9 +361,23 @@ def test_grid_oracle_zero_on_computational_cq_state():
 def test_trace_serialization():
     _, trace = discord(bell_phi_plus(), OptimizerConfig(restarts=3))
     d = trace.to_dict()
-    assert set(d) == {"best_value", "best_frame", "converged", "restarts"}
+    assert set(d) == {"best_value", "best_frame", "converged", "restarts_at_best", "restarts"}
     assert len(d["restarts"]) == 3
+    # every basis gives the Bell state's discord, so every restart ends at the best value
+    assert d["restarts_at_best"] == 3
     assert {"initial_frame", "final_value", "iterations"} == set(d["restarts"][0])
+
+
+def test_restarts_at_best_counts_restarts_within_f_tol():
+    rho = random_state(3, 2, "ginibre-mixed", seed=11)
+    _, full = discord(rho, OptimizerConfig(restarts=8))
+    _, cut = discord(rho, OptimizerConfig(restarts=8, max_iter=1))
+    assert full.restarts_at_best == 8
+    # one step from eight different frames leaves eight different values
+    assert cut.restarts_at_best == 1
+    for trace in (full, cut):
+        finals = [r.final_value for r in trace.restarts]
+        assert trace.restarts_at_best == sum(v - trace.best_value <= 1e-9 for v in finals)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ from discoh.linalg import (
     dephase,
     dephase_local,
     diag_probs,
+    frame_diagonal,
     hermitian_eig,
     partial_trace,
     tensor,
 )
+from discoh.states import haar_unitary
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 BELL = np.zeros((4, 4), dtype=complex)
@@ -153,7 +155,7 @@ def test_dephase_local_fixes_cq_states():
     assert_allclose(dephase_local(cq, (2, 2)), cq, atol=1e-12)
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3), (2, 4), (4, 4), (8, 8)])
 def test_conditional_blocks_and_framed_dephase_local(dims):
     # reference: conjugate by U (x) 1, keep the diagonal A blocks, conjugate back
     d_a, d_b = dims
@@ -179,3 +181,24 @@ def test_diag_probs_matches_dephase_spectrum():
         np.sort(np.linalg.eigvalsh(dephase(m, frame))),
         atol=1e-10,
     )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 64])
+def test_diag_probs_matches_full_product(d):
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    frame = haar_unitary(d, rng)
+    expected = np.diag(frame.conj().T @ m @ frame).real
+    assert_allclose(diag_probs(m, frame), expected, rtol=0, atol=1e-12)
+    assert_allclose(diag_probs(m), np.diag(m).real, rtol=0, atol=0)
+
+
+def test_frame_diagonal_of_a_stack_is_each_diagonal():
+    rng = np.random.default_rng(17)
+    stack = np.stack([rand_hermitian(rng, 3) for _ in range(4)])
+    frame = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    expected = [np.diag(frame.conj().T @ m @ frame).real for m in stack]
+    assert_allclose(frame_diagonal(stack, frame), expected, rtol=0, atol=1e-13)
+    assert_allclose(frame_diagonal(stack), [np.diag(m).real for m in stack], rtol=0, atol=0)

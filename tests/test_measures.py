@@ -22,6 +22,7 @@ from discoh.states import (
     DensityMatrix,
     bell_phi_plus,
     classical_quantum,
+    haar_unitary,
     random_state,
     werner,
 )
@@ -207,3 +208,99 @@ def test_report_serialization_order():
     row = rep.csv_row()
     assert len(row.split(",")) == len(CSV_COLUMNS)
     assert float(row.split(",")[7]) == pytest.approx(1.0)  # I_co column
+
+
+# ---------------------------------------------------------------------------
+# one decomposition per matrix, checked against the plain definitions
+# ---------------------------------------------------------------------------
+
+
+def seeded_state(dims, rank, seed):
+    rng = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real, dims), rng
+
+
+def test_spectrum_is_kept_read_only():
+    rho, _ = seeded_state((2, 3), 6, 1)
+    assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.mat))
+    assert not rho.spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        rho.spectrum[0] = 0.0
+    with pytest.raises(AttributeError):
+        rho.spectrum = np.zeros(6)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (8, 8)])
+@pytest.mark.parametrize("framed", [False, True])
+def test_measures_never_decompose_the_full_state(monkeypatch, dims, framed):
+    from discoh.discord import coherence_discord, coherence_discord_symmetric
+
+    rho, rng = seeded_state(dims, dims[0] * dims[1], sum(dims))
+    fa = fb = None
+    if framed:
+        fa, fb = haar_unitary(dims[0], rng), haar_unitary(dims[1], rng)
+    shapes = []
+    for name in ("eigvalsh", "eigh"):
+        def counting(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    MeasureReport.compute(rho, fa, fb)
+    coherence_discord(rho, fa)
+    coherence_discord_symmetric(rho, fa, fb)
+    correlated_coherence(rho, fa, fb)
+    mutual_information(rho)
+    d = rho.dim
+    assert shapes, "the marginals and the conditional blocks are decomposed"
+    assert all(shape[-2:] != (d, d) for shape in shapes), shapes
+
+
+def plain_entropy(m):
+    w = np.linalg.eigvalsh(m)
+    w = w[w > 1e-15]
+    return float(-(w * np.log2(w)).sum())
+
+
+def projectors(frame, d_b=1):
+    # |u_k><u_k| (x) 1_B for the columns u_k of the frame
+    return [np.kron(np.outer(u, u.conj()), np.eye(d_b)) for u in frame.T]
+
+
+def plain_dephase(m, projectors):
+    return sum(p @ m @ p for p in projectors)
+
+
+def plain_report(rho, fa, fb):
+    d_a, d_b = rho.dims
+    fa = np.eye(d_a) if fa is None else fa
+    fb = np.eye(d_b) if fb is None else fb
+    m = rho.mat
+    t = m.reshape(d_a, d_b, d_a, d_b)
+    ra, rb = np.einsum("ijkj->ik", t), np.einsum("ijil->jl", t)
+    s_ab, s_a, s_b = plain_entropy(m), plain_entropy(ra), plain_entropy(rb)
+    c_ab = plain_entropy(plain_dephase(m, projectors(np.kron(fa, fb)))) - s_ab
+    c_a = plain_entropy(plain_dephase(ra, projectors(fa))) - s_a
+    c_b = plain_entropy(plain_dephase(rb, projectors(fb))) - s_b
+    c_upper = plain_entropy(plain_dephase(m, projectors(fa, d_b))) - s_ab
+    return {"S_ab": s_ab, "S_a": s_a, "S_b": s_b, "I": s_a + s_b - s_ab, "C_r_ab": c_ab,
+            "C_r_a": c_a, "C_r_b": c_b, "I_co": c_ab - c_a - c_b, "C_r_upper": c_upper,
+            "C_r_sym": c_ab, "dac": c_upper - c_a}
+
+
+@pytest.mark.parametrize("dims, rank", [((2, 2), 1), ((2, 3), 2), ((3, 3), 2), ((4, 2), 3)])
+@pytest.mark.parametrize("framed", [False, True])
+def test_report_and_dac_match_plain_definitions_on_rank_deficient_states(dims, rank, framed):
+    from discoh.discord import coherence_discord
+
+    rho, rng = seeded_state(dims, rank, 10 * rank + dims[0])
+    fa = fb = None
+    if framed:
+        fa, fb = haar_unitary(dims[0], rng), haar_unitary(dims[1], rng)
+    want = plain_report(rho, fa, fb)
+    got = {**MeasureReport.compute(rho, fa, fb).to_dict(), "dac": coherence_discord(rho, fa)}
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-12, (key, got[key], value)

@@ -42,7 +42,7 @@ from .discord import (
     ppio_monotonicity_gap,
     qubit_discord_grid,
 )
-from .linalg import dephase, dephase_local, hermitian_eig, partial_trace, tensor
+from .linalg import dephase, dephase_local, partial_trace, tensor
 from .measures import (
     CSV_COLUMNS,
     MeasureReport,
@@ -50,7 +50,6 @@ from .measures import (
     correlated_coherence,
     cq_coherence,
     entropy,
-    joint_coherence,
     l1_coherence,
     l1_correlated_coherence,
     mutual_information,
@@ -62,7 +61,6 @@ from .states import (
     bell_phi_plus,
     classical_quantum,
     load_state,
-    marginals,
     random_state,
     save_state,
     state_from_json,

@@ -57,9 +57,6 @@ class KrausChannel:
     def __repr__(self):
         return f"KrausChannel(n_ops={len(self.ops)}, dim={self.in_dim})"
 
-    def __call__(self, rho):
-        return apply(self, rho)
-
 
 class ChannelMixture:
     """Convex combination of channels, kept as a weighted list.
@@ -90,15 +87,8 @@ class ChannelMixture:
         raise AttributeError("ChannelMixture is immutable")
 
     @property
-    def m(self) -> int:
-        return len(self.components)
-
-    @property
     def in_dim(self) -> int:
         return self.components[0].in_dim
-
-    def __call__(self, rho):
-        return apply(self, rho)
 
 
 def apply(chan, rho):

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .discord import OptimizerConfig, coherence_discord, coherence_discord_symmetric, discord
+from .discord import OptimizerConfig, discord
 from .measures import CSV_COLUMNS, MeasureReport
 from .states import (
     DensityMatrix,
@@ -130,15 +130,13 @@ def _warn_unconverged(trace, where: str) -> None:
 def _measure_values(rho, names, basis_a, basis_b, opt_config):
     values = {}
     trace = None
-    report_names = [n for n in names if n in CSV_COLUMNS]
-    if report_names:
+    if any(n != "discord" for n in names):
+        # every closed form comes from one report: dac = C_r_upper - C_r_a, and
+        # the both-sided drop dac_sym is I_co (the fully dephased state keeps none)
         report = MeasureReport.compute(rho, basis_a, basis_b)
-        for n in report_names:
-            values[n] = getattr(report, n)
-    if "dac" in names:
-        values["dac"] = coherence_discord(rho, basis_a)
-    if "dac_sym" in names:
-        values["dac_sym"] = coherence_discord_symmetric(rho, basis_a, basis_b)
+        closed = {**report.to_dict(), "dac": report.C_r_upper - report.C_r_a,
+                  "dac_sym": report.I_co}
+        values = {n: closed[n] for n in names if n != "discord"}
     if "discord" in names:
         # discord minimizes over all bases, so any basis file is irrelevant to it
         values["discord"], trace = discord(rho, opt_config)

@@ -115,12 +115,6 @@ def _eigvalsh_psd_batch(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)
 
 
-def _neg_xlog2x_sum(x: np.ndarray, axis=None) -> np.ndarray:
-    x = np.clip(x, 0.0, None)
-    safe = np.where(x > 0.0, x, 1.0)
-    return -(x * np.log2(safe)).sum(axis=axis)
-
-
 # ---------------------------------------------------------------------------
 # Measured quantities at a fixed basis
 # ---------------------------------------------------------------------------
@@ -129,17 +123,15 @@ def _neg_xlog2x_sum(x: np.ndarray, axis=None) -> np.ndarray:
 def measured_conditional_info(rho: DensityMatrix, basis) -> float:
     """S(rho_b) - sum_k p_k S(rho_k) for the local measurement on A.
 
-    Zero-probability branches are skipped.  The value lies in [0, S(rho_b)].
+    With M_k = p_k rho_k the conditional blocks, sum_k p_k S(rho_k) is
+    S_union - H(p): the entropy of their joint spectrum minus that of their
+    traces, so a zero-probability branch adds nothing.  The value lies in
+    [0, S(rho_b)].
     """
     frame = as_frame(basis, rho.d_a)
     rb = partial_trace(rho.mat, rho.dims, keep="b")
-    total = 0.0
-    for block in conditional_blocks(rho.mat, rho.dims, frame):
-        lam = np.clip(np.linalg.eigvalsh(block), 0.0, None)
-        p = float(lam.sum())
-        if p > 1e-12:
-            total += p * entropy_of_probs(lam / p)
-    return entropy(rb) - total
+    lam = np.linalg.eigvalsh(conditional_blocks(rho.mat, rho.dims, frame))
+    return entropy(rb) - entropy_of_probs(lam) + entropy_of_probs(lam.sum(axis=-1))
 
 
 def discord_at_basis(rho: DensityMatrix, basis) -> float:
@@ -322,9 +314,9 @@ def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400)
     block += np.cos(2.0 * theta) * r_z + rb / 2.0
 
     def s_union_minus_h_p(block):
-        lam = np.clip(_eigvalsh_psd_batch(block), 0.0, None)
+        lam = _eigvalsh_psd_batch(block)
         p = lam.sum(axis=-1, keepdims=True)
-        return _neg_xlog2x_sum(lam, axis=-1) - _neg_xlog2x_sum(p, axis=-1)
+        return entropy_of_probs(lam, axis=-1) - entropy_of_probs(p, axis=-1)
 
     cond = s_union_minus_h_p(block)
     np.subtract(rb, block, out=block)  # the other outcome: rho_b/2 - H
@@ -354,9 +346,7 @@ def coherence_discord(rho: DensityMatrix, basis_a=None) -> float:
 
 def coherence_discord_drop(rho: DensityMatrix, ppio: KrausChannel) -> float:
     """Literal correlated-coherence drop under one concrete rank-one PPIO."""
-    _require_rank_one_ppio(ppio, rho.d_a)
-    out = apply(lift_to_bipartite(ppio, rho.d_b), rho)
-    return correlated_coherence(rho) - correlated_coherence(out)
+    return correlated_coherence(rho) - correlated_coherence(_apply_rank_one_ppio(rho, ppio))
 
 
 def coherence_discord_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> float:
@@ -405,11 +395,14 @@ def discord_via_coherence(rho: DensityMatrix, config: OptimizerConfig | None = N
 # ---------------------------------------------------------------------------
 
 
-def _require_rank_one_ppio(ppio: KrausChannel, d_a: int) -> None:
-    if not isinstance(ppio, KrausChannel) or ppio.in_dim != d_a:
-        raise ValueError(f"expected a channel on A (dim {d_a})")
+def _apply_rank_one_ppio(rho: DensityMatrix, ppio: KrausChannel) -> DensityMatrix:
+    """rho after a rank-one PPIO on A, applied literally: its Kraus operators,
+    lifted to K (x) 1_B, act on rho."""
+    if not isinstance(ppio, KrausChannel) or ppio.in_dim != rho.d_a:
+        raise ValueError(f"expected a channel on A (dim {rho.d_a})")
     if LABEL_RANK_ONE_PPIO not in classify(ppio):
         raise ValueError("channel is not a rank-one PPIO in the reference basis")
+    return apply(lift_to_bipartite(ppio, rho.d_b), rho)
 
 
 def ppio_monotonicity_gap(
@@ -422,9 +415,7 @@ def ppio_monotonicity_gap(
     every bipartite state; with strict=True a violation beyond 1e-9 raises
     ArithmeticError (it would signal a numerical bug, not physics).
     """
-    _require_rank_one_ppio(ppio, rho.d_a)
-    out = apply(lift_to_bipartite(ppio, rho.d_b), rho)
-    gap = correlated_coherence(rho) - correlated_coherence(out)
+    gap = coherence_discord_drop(rho, ppio)
     deph = DensityMatrix(dephase_local(rho.mat, rho.dims), rho.dims)
     mi_drop = mutual_information(rho) - mutual_information(deph)
     if strict and (gap < -1e-9 or gap < mi_drop - 1e-9):
@@ -441,8 +432,7 @@ def dephasing_balance(rho: DensityMatrix, ppio: KrausChannel) -> float:
 
     Vanishes whenever all the per-level unitaries of the PPIO coincide.
     """
-    _require_rank_one_ppio(ppio, rho.d_a)
-    out = apply(lift_to_bipartite(ppio, rho.d_b), rho)
+    out = _apply_rank_one_ppio(rho, ppio)
     ra = partial_trace(rho.mat, rho.dims, keep="a")
     out_a = partial_trace(out.mat, out.dims, keep="a")
     return (
@@ -495,7 +485,7 @@ def in_zero_set(
         v = coherence_discord(rho)
         return ZeroSetCertificate("dac", v <= 1e-9, v, 1e-9)
     if which == "dac-symmetric":
-        v = coherence_discord_symmetric(rho)
+        v = correlated_coherence(rho)
         return ZeroSetCertificate("dac-symmetric", v <= 1e-9, v, 1e-9)
     if which == "discord":
         v, basis, trace = discord_via_coherence(rho, config)

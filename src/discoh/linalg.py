@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: tensor products, partial traces, Hermitian
-eigendecompositions and dephasing maps.
+"""Dense complex-matrix kernel: tensor products, partial traces, conditional
+blocks and dephasing maps.
 
 Everything here works on plain ``numpy`` arrays (complex128, row-major).
 Functions accepting a ``basis`` argument take either ``None`` (computational
@@ -11,8 +11,6 @@ their input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,10 +56,6 @@ def as_frame(basis, dim: int) -> np.ndarray | None:
     return frame
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(m - dag(m))) <= tol)
-
-
 def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
     d = u.shape[0]
     err = np.max(np.abs(dag(u) @ u - np.eye(d)))
@@ -95,28 +89,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
     if keep == "b":
         return np.einsum("ijil->jl", t)
     raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
-
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    eigenvalues are sorted descending; eigenvectors holds the matching
-    unitary matrix of column vectors, so V diag(w) V† reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
-    """Eigendecompose a Hermitian matrix, eigenvalues descending."""
-    m = as_complex_matrix(m)
-    if not is_hermitian(m, tol):
-        err = np.max(np.abs(m - dag(m)))
-        raise ValueError(f"matrix is not Hermitian: max |M - M†| = {err:.3e} > {tol:g}")
-    w, v = np.linalg.eigh(m)
-    return HermitianEig(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 
 def dephase(m: np.ndarray, basis=None) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    as_complex_matrix, as_frame, conditional_blocks, dag, frame_diagonal, partial_trace, tensor
+    as_complex_matrix, as_frame, conditional_blocks, dag, frame_diagonal, partial_trace
 )
 from .states import DensityMatrix, state_mat
 
@@ -31,20 +31,23 @@ EIG_CLIP = 1e-10
 SUPPORT_CUTOFF = 1e-10
 
 
-def entropy_of_probs(p: np.ndarray) -> float:
-    """Shannon entropy in bits with the 0 log 0 := 0 convention.
+def entropy_of_probs(p: np.ndarray, axis=None):
+    """Shannon entropy in bits with the 0 log 0 := 0 convention: of all of
+    ``p`` as one distribution (a float), or of each distribution along
+    ``axis`` (an array).
 
-    Values in [-EIG_CLIP, 0) are clipped to zero; more negative values raise,
-    since they signal an invalid state rather than roundoff.
+    Values in [-EIG_CLIP, 0] count as zero; more negative values raise, since
+    they signal an invalid state rather than roundoff.
     """
-    p = np.asarray(p, dtype=float).ravel()
+    p = np.asarray(p, dtype=float)
     w_min = p.min() if p.size else 0.0
     if w_min < -EIG_CLIP:
         raise ValueError(f"negative probability/eigenvalue {w_min:.3e} below -{EIG_CLIP:g}")
-    nz = p[p > 0.0]  # values in [-EIG_CLIP, 0] count as zero and add nothing
-    if nz.size == 0:
-        return 0.0
-    return float(-np.dot(nz, np.log2(nz)))
+    if axis is None:
+        nz = p[p > 0.0]
+        return float(-np.dot(nz, np.log2(nz))) if nz.size else 0.0
+    safe = np.where(p > 0.0, p, 1.0)  # 1 log 1 = 0 stands in for every zero
+    return -(safe * np.log2(safe)).sum(axis=axis)
 
 
 def _state(rho) -> tuple[np.ndarray, np.ndarray]:
@@ -148,12 +151,6 @@ def cq_coherence(rho: DensityMatrix, basis_a=None) -> float:
     return _cq_coherence(rho, as_frame(basis_a, rho.d_a))
 
 
-def joint_coherence(rho: DensityMatrix, basis_ab=None) -> float:
-    """Symmetric variant: the relative entropy of coherence of the joint
-    state in the (product) reference basis.  Faithful on diagonal states."""
-    return coherence_rel_ent(rho, basis_ab)
-
-
 def _l1_of(m: np.ndarray, frame) -> float:
     if frame is not None:
         m = dag(frame) @ m @ frame
@@ -168,11 +165,17 @@ def l1_coherence(rho, basis=None) -> float:
 
 
 def _l1_correlated(rho: DensityMatrix, ra, rb, fa, fb) -> float:
-    joint = None
+    m = rho.mat
     if fa is not None or fb is not None:
-        eye_a, eye_b = np.eye(rho.d_a), np.eye(rho.d_b)
-        joint = tensor(eye_a if fa is None else fa, eye_b if fb is None else fb)
-    return _l1_of(rho.mat, joint) - _l1_of(ra, fa) - _l1_of(rb, fb)
+        # F† m F for F = fa (x) fb, one subsystem index at a time: a pass takes
+        # m to (F† m)†, so two passes give F† m F without forming F
+        for _ in range(2):
+            if fa is not None:
+                m = dag(fa) @ m.reshape(rho.d_a, -1)
+            if fb is not None:
+                m = dag(fb) @ m.reshape(rho.d_a, rho.d_b, -1)
+            m = dag(m.reshape(rho.dim, rho.dim))
+    return _l1_of(m, None) - _l1_of(ra, fa) - _l1_of(rb, fb)
 
 
 def l1_correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:
@@ -211,7 +214,6 @@ class MeasureReport:
     C_r_b: float
     I_co: float
     C_r_upper: float
-    C_r_sym: float
     l1_cc: float
 
     @classmethod
@@ -238,16 +240,14 @@ class MeasureReport:
             C_r_b=c_b,
             I_co=c_ab - c_a - c_b,
             C_r_upper=c_upper,
-            C_r_sym=c_ab,
             l1_cc=_l1_correlated(rho, ra, rb, fa, fb),
         )
 
+    @property
+    def C_r_sym(self) -> float:
+        """The symmetric (joint) coherence: C_r of rho in the product frame,
+        which is C_r_ab."""
+        return self.C_r_ab
+
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
-
-    def csv_row(self, digits: int = 12) -> str:
-        return ",".join(f"{getattr(self, name):.{digits}g}" for name in CSV_COLUMNS)
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(CSV_COLUMNS)

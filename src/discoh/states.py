@@ -16,7 +16,6 @@ from .linalg import (
     as_complex_matrix,
     check_unitary,
     dag,
-    partial_trace,
     tensor,
 )
 
@@ -42,10 +41,6 @@ class ReferenceBasis:
 
     def __repr__(self):
         return f"ReferenceBasis(dim={self.dim})"
-
-    @classmethod
-    def computational(cls, dim: int) -> "ReferenceBasis":
-        return cls(np.eye(dim))
 
 
 class DensityMatrix:
@@ -123,16 +118,6 @@ def state_mat(rho) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.mat
     return as_complex_matrix(rho)
-
-
-def marginals(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
-    """Reduced states (rho_a, rho_b)."""
-    ra = partial_trace(rho.mat, rho.dims, keep="a")
-    rb = partial_trace(rho.mat, rho.dims, keep="b")
-    return (
-        DensityMatrix(ra, (rho.d_a, 1)),
-        DensityMatrix(rb, (rho.d_b, 1)),
-    )
 
 
 def swap_subsystems(rho: DensityMatrix) -> DensityMatrix:
@@ -269,6 +254,11 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _is_number(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{what} must be a non-empty list of rows")
@@ -287,7 +277,7 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or not all(_is_number(x) for x in entry)
             ):
                 raise ValueError(
                     f"{what} entry at row {i}, column {j} is not a [re, im] pair"
@@ -312,7 +302,7 @@ def state_from_json(obj, **tolerances) -> DensityMatrix:
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
     ):
         raise ValueError("'dims' must be a pair of positive integers")
     mat = matrix_from_json(obj["matrix"])

@@ -28,7 +28,6 @@ from .linalg import dephase_local
 from .measures import correlated_coherence
 from .states import (
     DensityMatrix,
-    classical_quantum,
     ket_projector,
     random_cq_state,
     random_state_from,

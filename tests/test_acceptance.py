@@ -16,7 +16,7 @@ from discoh.discord import (
     discord,
     qubit_discord_grid,
 )
-from discoh.measures import MeasureReport, correlated_coherence, cq_coherence, joint_coherence
+from discoh.measures import MeasureReport, coherence_rel_ent, correlated_coherence, cq_coherence
 from discoh.states import DensityMatrix, bell_phi_plus, classical_quantum, werner
 from discoh.verify import (
     verify_invariance,
@@ -47,7 +47,7 @@ def test_criterion_1_fixed_points():
         "bell dac": (coherence_discord(bell), 1.0),
         "bell discord": (d_bell, 1.0),
         "bell C_r_upper": (cq_coherence(bell), 1.0),
-        "bell C_r_sym": (joint_coherence(bell), 1.0),
+        "bell C_r_sym": (coherence_rel_ent(bell), 1.0),
         "cq dac": (coherence_discord(cq), 0.0),
         "cq C_r_upper": (cq_coherence(cq), 0.0),
         "product I_co": (correlated_coherence(product), 0.0),

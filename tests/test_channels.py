@@ -159,7 +159,7 @@ def test_pio_mixture_of_two_ppios():
     other = PPIOSpec(dim=2, supports=((0, 1),), perms=((1, 0),),
                      phases=((0.0, 0.0),))
     pio = make_pio(PIOSpec(weights=(0.5, 0.5), components=(one, other)))
-    assert pio.m == 2
+    assert len(pio.components) == 2
     rho = random_state(2, 1, "ginibre-mixed", seed=8)
     expected = 0.5 * apply(make_ppio(one), rho).mat + 0.5 * apply(make_ppio(other), rho).mat
     assert_allclose(apply(pio, rho).mat, expected, atol=1e-12)

@@ -3,14 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from discoh.cli import main, parse_measures
+from discoh.cli import ALL_MEASURES, _measure_values, main, parse_measures
+from discoh.discord import OptimizerConfig, coherence_discord, coherence_discord_symmetric
 from discoh.states import (
+    ReferenceBasis,
     bell_phi_plus,
     classical_quantum,
+    haar_unitary,
     load_state,
+    matrix_to_json,
     random_state,
     save_state,
     state_to_json,
+    swap_subsystems,
     werner,
 )
 
@@ -220,6 +225,75 @@ def test_compute_state_entry_error_names_the_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert str(state_path) in err and "row 1, column 1" in err
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [("state entry", "row 0, column 0"), ("dims", "'dims'"), ("basis entry", "row 0, column 0")],
+)
+def test_compute_rejects_json_booleans(capsys, tmp_path, bad, named):
+    # json loads true as a bool, which Python counts as the integer 1
+    state = {"dims": [2, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    basis = {"frame_a": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    if bad == "state entry":
+        state["matrix"][0][0] = [True, 0]
+    elif bad == "dims":
+        state["dims"] = [True, 2]
+    else:
+        basis["frame_a"][0][0] = [True, 0]
+    state_path, basis_path = tmp_path / "s.json", tmp_path / "c.json"
+    state_path.write_text(json.dumps(state))
+    basis_path.write_text(json.dumps(basis))
+    code, out, err = run_cli(capsys, "compute", str(state_path), "--measures", "ico",
+                             "--basis", str(basis_path))
+    assert code == 2
+    assert out == ""
+    assert str(basis_path if bad == "basis entry" else state_path) in err and named in err
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 4)])
+@pytest.mark.parametrize("framed", [False, True])
+def test_closed_form_measures_come_from_one_report(monkeypatch, dims, framed):
+    # rho_a, rho_b and the stacked conditional blocks are decomposed once each;
+    # the state's own spectrum was kept when it was built
+    rho = random_state(*dims, "ginibre-mixed", seed=sum(dims))
+    rng = np.random.default_rng(sum(dims))
+    bases = [ReferenceBasis(haar_unitary(d, rng)) if framed else None for d in dims]
+    shapes = []
+    for name in ("eigvalsh", "eigh"):
+        def counting(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    names = [n for n in ALL_MEASURES if n != "discord"]
+    values, trace = _measure_values(rho, names, *bases, OptimizerConfig())
+    assert sorted(values) == sorted(names) and trace is None
+    assert len(shapes) == 3, shapes
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+def test_compute_dac_fields_equal_the_library_calls(capsys, tmp_path, dims):
+    rho = random_state(*dims, "ginibre-mixed", seed=10 + sum(dims))
+    state_path = tmp_path / "s.json"
+    save_state(rho, state_path)
+    rng = np.random.default_rng(sum(dims))
+    for part in ("a", "b"):
+        measured = rho if part == "a" else swap_subsystems(rho)
+        fa, fb = haar_unitary(measured.d_a, rng), haar_unitary(measured.d_b, rng)
+        for frames in ({}, {"frame_a": fa}, {"frame_a": fa, "frame_b": fb}):
+            argv = ["compute", str(state_path), "--measures", "dac,dac_sym", "--format", "csv",
+                    "--part", part]
+            if frames:
+                basis_path = tmp_path / "basis.json"
+                basis_path.write_text(json.dumps({k: matrix_to_json(f) for k, f in frames.items()}))
+                argv += ["--basis", str(basis_path)]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            ba, bb = frames.get("frame_a"), frames.get("frame_b")
+            want = [f"{coherence_discord(measured, ba):.12g}",
+                    f"{coherence_discord_symmetric(measured, ba, bb):.12g}"]
+            assert out.strip().splitlines()[1].split(",") == want
 
 
 def test_sweep_werner_endpoints_and_monotonicity(capsys):

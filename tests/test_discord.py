@@ -289,6 +289,58 @@ def test_discord_matches_luo_on_rotated_bell_diagonal_states():
         assert trace.converged
 
 
+def plain_entropy(w):
+    w = w[w > 1e-15]
+    return float(-(w * np.log2(w)).sum())
+
+
+def maximally_correlated(a, rng):
+    """sum_ij a_ij |ii><jj| under Haar local unitaries; its discord is
+    H(diag a) - S(a), attained by measuring A in the rotated computational basis."""
+    d = a.shape[0]
+    m = np.zeros((d * d, d * d), dtype=complex)
+    diag = np.arange(d) * (d + 1)  # |ii> sits at index i*d + i
+    m[np.ix_(diag, diag)] = a
+    u = np.kron(haar_unitary(d, rng), haar_unitary(d, rng))
+    return DensityMatrix(u @ m @ u.conj().T, (d, d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("deficient", [False, True])
+def test_discord_matches_maximally_correlated_closed_form(d, deficient):
+    rng = np.random.default_rng(300 + 10 * d + deficient)
+    for _ in range(2):
+        a = ginibre(rng, d, d - 1 if deficient else d)
+        exact = plain_entropy(np.diag(a).real) - plain_entropy(np.linalg.eigvalsh(a))
+        rho = maximally_correlated(a, rng)
+        value, trace = discord(rho)
+        assert abs(value - exact) <= 1e-9
+        assert trace.converged
+        value, _, trace = discord_via_coherence(rho, OptimizerConfig(seed=1))
+        assert abs(value - exact) <= 1e-9
+        assert trace.converged
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cnot_converts_local_coherence_into_equal_discord(d):
+    # |i, j> -> |i, i + j mod d> is an incoherent permutation; on rho_a (x) |0><0|
+    # it gives sum_ij (rho_a)_ij |ii><jj|, so C_r(rho_a) = I_co = dac = D^a
+    # (Ma, Yadin, Girolami, Vedral & Gu, PRL 116, 160407 (2016))
+    rho_a = ginibre(np.random.default_rng(500 + d), d, d)
+    cnot = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            cnot[i * d + (i + j) % d, i * d + j] = 1.0
+    zero = np.zeros((d, d))
+    zero[0, 0] = 1.0
+    rho = DensityMatrix(cnot @ np.kron(rho_a, zero) @ cnot.T, (d, d))
+    c_r = plain_entropy(np.diag(rho_a).real) - plain_entropy(np.linalg.eigvalsh(rho_a))
+    value, trace = discord(rho)
+    assert trace.converged
+    for got in (correlated_coherence(rho), coherence_discord(rho), value):
+        assert abs(got - c_r) <= 1e-9
+
+
 def test_discord_dimension_cap():
     big = DensityMatrix(np.eye(72) / 72, (8, 9))
     with pytest.raises(ValueError, match="capped"):

@@ -1,6 +1,6 @@
-"""The README's command-line examples and measure names stay in step with the
-code: every example parses (nothing runs), and the documented column order is
-the report's."""
+"""The README's examples and measure names stay in step with the code: the
+library quickstart runs, every command-line example parses (nothing runs), and
+the documented column order is the report's."""
 
 import shlex
 from pathlib import Path
@@ -16,6 +16,13 @@ def code_block(heading: str, fence: str) -> list:
     rest = README[README.index(heading):]
     body = rest[rest.index(fence) + len(fence):]
     return body[: body.index("```")].strip("\n").splitlines()
+
+
+def test_readme_quickstart_runs():
+    source = "\n".join(code_block("## Library quickstart", "```python"))
+    namespace = {}
+    exec(compile(source, "README.md quickstart", "exec"), namespace)
+    assert abs(namespace["value"] - 1.0) <= 1e-9  # the Bell state's discord
 
 
 def test_readme_command_lines_parse():

@@ -8,7 +8,6 @@ from discoh.linalg import (
     dephase_local,
     diag_probs,
     frame_diagonal,
-    hermitian_eig,
     partial_trace,
     tensor,
 )
@@ -83,33 +82,6 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace(np.eye(4), (2, 3), "a")
-
-
-def test_hermitian_eig_diagonal():
-    res = hermitian_eig(np.diag([0.7, 0.3]))
-    assert_allclose(res.eigenvalues, [0.7, 0.3])
-
-
-def test_hermitian_eig_projector_and_pauli():
-    assert_allclose(hermitian_eig(PLUS).eigenvalues, [1.0, 0.0], atol=1e-12)
-    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert_allclose(hermitian_eig(pauli_x).eigenvalues, [1.0, -1.0], atol=1e-12)
-
-
-def test_hermitian_eig_reconstruction_and_unitarity():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        m = rand_hermitian(rng, 5)
-        res = hermitian_eig(m)
-        v, w = res.eigenvectors, res.eigenvalues
-        assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m)) < 1e-9
-        assert np.max(np.abs(v.conj().T @ v - np.eye(5))) < 1e-9
-        assert abs(w.sum() - np.trace(m).real) < 1e-10
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_dephase_uniform_coherent_state():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from discoh.linalg import dephase_local, hermitian_eig
+from discoh.linalg import dephase_local, partial_trace
 from discoh.measures import (
     CSV_COLUMNS,
     MeasureReport,
@@ -12,7 +12,7 @@ from discoh.measures import (
     correlated_coherence,
     cq_coherence,
     entropy,
-    joint_coherence,
+    entropy_of_probs,
     l1_coherence,
     l1_correlated_coherence,
     mutual_information,
@@ -51,6 +51,14 @@ def test_entropy_rejects_invalid_state():
         entropy(np.diag([1.1, -0.1]))
 
 
+def test_entropy_of_probs_of_a_stack_is_each_row():
+    p = np.array([[0.5, 0.5, 0.0], [1.0, -1e-12, 0.0], [0.25, 0.25, 0.5]])
+    assert_allclose(entropy_of_probs(p, axis=-1), [entropy_of_probs(row) for row in p],
+                    rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="negative"):
+        entropy_of_probs(np.array([[0.5, 0.5], [1.1, -0.1]]), axis=-1)
+
+
 def test_relative_entropy_identical_is_zero():
     rho = random_state(2, 2, "ginibre-mixed", seed=8)
     assert abs(relative_entropy(rho, rho)) < 1e-10
@@ -79,14 +87,14 @@ def test_relative_entropy_nonnegative_random():
 
 def test_relative_entropy_contractive_under_partial_trace():
     # monotonicity: discarding B cannot increase distinguishability
-    from discoh.states import marginals
-
     rng = np.random.default_rng(22)
     for _ in range(25):
         rho = random_state(2, 3, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
         sig = random_state(2, 3, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
         full = relative_entropy(rho, sig)
-        reduced = relative_entropy(marginals(rho)[0], marginals(sig)[0])
+        reduced = relative_entropy(
+            partial_trace(rho.mat, rho.dims, "a"), partial_trace(sig.mat, sig.dims, "a")
+        )
         assert full >= reduced - 1e-9
 
 
@@ -106,7 +114,7 @@ def test_coherence_vanishes_in_eigenbasis():
     rng = np.random.default_rng(4)
     for _ in range(10):
         rho = random_state(2, 2, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
-        frame = hermitian_eig(rho.mat).eigenvectors
+        frame = np.linalg.eigh(rho.mat)[1]
         assert abs(coherence_rel_ent(rho.mat, frame)) < 1e-9
 
 
@@ -121,9 +129,7 @@ def test_mutual_information_bell():
 
 def test_mutual_information_werner_matches_composed_entropies():
     w = werner(0.5)
-    from discoh.states import marginals
-
-    ra, rb = marginals(w)
+    ra, rb = partial_trace(w.mat, w.dims, "a"), partial_trace(w.mat, w.dims, "b")
     expected = entropy(ra) + entropy(rb) - entropy(w)
     assert_allclose(mutual_information(w), expected, atol=1e-12)
     assert_allclose(expected, 2.0 - entropy(np.diag([5 / 8, 1 / 8, 1 / 8, 1 / 8])), atol=1e-12)
@@ -165,18 +171,33 @@ def test_cq_coherence_equals_relative_entropy_to_dephased():
         assert_allclose(cq_coherence(rho), relative_entropy(rho.mat, sigma), atol=1e-9)
 
 
-def test_joint_coherence_matches_coherence_rel_ent():
-    rho = random_state(2, 2, "ginibre-mixed", seed=5)
-    assert joint_coherence(rho) == coherence_rel_ent(rho.mat)
-    assert abs(joint_coherence(DensityMatrix(np.diag([0.4, 0.1, 0.2, 0.3]), (2, 2)))) < 1e-12
-    assert_allclose(joint_coherence(bell_phi_plus()), 1.0, atol=1e-12)
-
-
 def test_l1_coherence_cases():
     assert l1_coherence(np.diag([0.4, 0.6])) == 0.0
     assert_allclose(l1_correlated_coherence(bell_phi_plus()), 1.0, atol=1e-12)
     rho = product_state(np.diag([0.3, 0.7]), np.diag([0.1, 0.9]))
     assert abs(l1_correlated_coherence(rho)) < 1e-12
+
+
+def l1_in_frame(m, frame):
+    a = np.abs(frame.conj().T @ m @ frame)
+    return a.sum() - np.trace(a)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 4), (8, 8)])
+@pytest.mark.parametrize("sides", ["a", "b", "ab"])
+def test_l1_correlated_coherence_matches_joint_frame_formula(dims, sides):
+    rho, rng = seeded_state(dims, dims[0] * dims[1], 7 * sum(dims) + len(sides))
+    fa = haar_unitary(dims[0], rng) if "a" in sides else None
+    fb = haar_unitary(dims[1], rng) if "b" in sides else None
+    ua = np.eye(dims[0]) if fa is None else fa
+    ub = np.eye(dims[1]) if fb is None else fb
+    want = (
+        l1_in_frame(rho.mat, np.kron(ua, ub))
+        - l1_in_frame(partial_trace(rho.mat, dims, "a"), ua)
+        - l1_in_frame(partial_trace(rho.mat, dims, "b"), ub)
+    )
+    assert abs(l1_correlated_coherence(rho, fa, fb) - want) <= 1e-12
+    assert abs(MeasureReport.compute(rho, fa, fb).l1_cc - want) <= 1e-12
 
 
 def test_superadditivity_on_random_states():
@@ -197,17 +218,14 @@ def test_report_internal_consistency():
         assert abs(rep.I - mutual_information(rho)) < 1e-9
         assert abs(rep.I_co - correlated_coherence(rho)) < 1e-9
         assert abs(rep.C_r_upper - cq_coherence(rho)) < 1e-9
-        assert abs(rep.C_r_sym - joint_coherence(rho)) < 1e-9
+        assert abs(rep.C_r_sym - coherence_rel_ent(rho)) < 1e-9
 
 
 def test_report_serialization_order():
     rep = MeasureReport.compute(bell_phi_plus())
     d = rep.to_dict()
     assert tuple(d.keys()) == CSV_COLUMNS
-    assert MeasureReport.csv_header() == ",".join(CSV_COLUMNS)
-    row = rep.csv_row()
-    assert len(row.split(",")) == len(CSV_COLUMNS)
-    assert float(row.split(",")[7]) == pytest.approx(1.0)  # I_co column
+    assert d["I_co"] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,7 @@ def cmd_verify(args) -> int:
         dims=args.dims,
         seed=args.seed,
         restarts=args.restarts,
+        max_iter=args.max_iter,
         progress=progress,
     )
     summary = result.to_dict()
@@ -295,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a randomized verification suite")
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--trials", type=int, default=None, help="override the suite default")
-    p.add_argument("--dims", type=parse_dims, default=(2, 2), help="AxB, e.g. 2x2")
+    p.add_argument("--dims", type=parse_dims, default=None,
+                   help="AxB, e.g. 2x3 (default: 2x2; superadditivity cycles 2x2/2x3/3x3)")
     _add_common(p, optimizer=True)
     p.set_defaults(func=cmd_verify)
 

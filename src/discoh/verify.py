@@ -1,18 +1,19 @@
 """Randomized verification suites for the structural theorems and the
 invariants behind the coherence correlation (see README for the statements).
 
-Every suite derives one child seed per trial from the root seed, so results
-are reproducible and independent of evaluation order; aggregation is a
-max/min reduction.
+Every suite is one per-trial check run by _run_trials: each trial draws from
+its own child seed of the root seed, so results are reproducible and
+independent of evaluation order, and the trials' rows reduce to a SuiteResult
+that names the worst trial and its child seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .channels import apply, random_physically_free, random_rank_one_ppio
+from .channels import ChannelMixture, apply, random_physically_free, random_rank_one_ppio
 from .discord import (
     OptimizerConfig,
     coherence_discord,
@@ -35,16 +36,6 @@ from .states import (
     spawn_seeds,
 )
 
-_DEFAULT_TRIALS = {
-    "theorem1": 1000,
-    "theorem2": 200,
-    "theorem3": 500,
-    "superadditivity": 1000,
-    "invariance": 100,
-    "zero-sets": 200,
-}
-SUITES = tuple(_DEFAULT_TRIALS)
-
 
 @dataclass
 class SuiteResult:
@@ -59,17 +50,7 @@ class SuiteResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "dims": list(self.dims),
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "max_violation": self.max_violation,
-            "failures": self.failures,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return {**asdict(self), "dims": list(self.dims)}
 
 
 def _trial_rngs(seed: int, trials: int):
@@ -78,36 +59,47 @@ def _trial_rngs(seed: int, trials: int):
     return [rng_from_seed(int(s)) for s in spawn_seeds(seed, trials)]
 
 
+def _run_trials(suite, trials, dims, seed, tol, check, progress, reduce=None, limits=None):
+    """The trial protocol of every suite.  Trial i runs check(i, rng) on its
+    own child stream and returns (violation, row).  A trial fails when its
+    violation exceeds tol, and counts one more failure for each row value above
+    its entry in limits.  reduce maps a row key to (fn, start), and details
+    carry fn([start] + that key's values over the trials that report it).
+    Details also name the worst trial and its child seed; child seeds are
+    prefix-stable, so rerunning with trials=worst_trial + 1 reproduces it."""
+    rows = []
+    for i, rng in enumerate(_trial_rngs(seed, trials)):
+        rows.append(check(i, rng))
+        if progress:
+            progress(i + 1, trials)
+    violations = [v for v, _ in rows]
+    worst = max(range(trials), key=violations.__getitem__)
+    failures = sum(1 for v in violations if v > tol) + sum(
+        1 for _, row in rows for key, limit in (limits or {}).items()
+        if key in row and row[key] > limit
+    )
+    details = {"worst_trial": worst, "worst_seed": int(spawn_seeds(seed, trials)[worst])}
+    for key, (fn, start) in (reduce or {}).items():
+        details[key] = float(fn([start] + [row[key] for _, row in rows if key in row]))
+    return SuiteResult(
+        suite, trials, dims, seed, tol, float(violations[worst]), failures, failures == 0, details
+    )
+
+
 def verify_theorem1(
     trials: int = 1000, dims: tuple = (2, 2), seed: int = 0, progress=None
 ) -> SuiteResult:
     """Correlated coherence never increases under local rank-one PPIOs, and
     the drop dominates the mutual-information drop of the bare measurement."""
-    tol = 1e-9
-    worst = -np.inf
-    failures = 0
-    min_gap = np.inf
-    for i, rng in enumerate(_trial_rngs(seed, trials)):
+
+    def check(i, rng):
         rho = random_state_from(rng, *dims, "ginibre-mixed")
         ppio = random_rank_one_ppio(dims[0], rng, injective=False)
         gap, mi_drop = ppio_monotonicity_gap(rho, ppio, strict=False)
-        violation = max(-gap, mi_drop - gap)
-        min_gap = min(min_gap, gap)
-        worst = max(worst, violation)
-        if violation > tol:
-            failures += 1
-        if progress:
-            progress(i + 1, trials)
-    return SuiteResult(
-        suite="theorem1",
-        trials=trials,
-        dims=dims,
-        seed=seed,
-        tolerance=tol,
-        max_violation=float(worst),
-        failures=failures,
-        passed=failures == 0,
-        details={"min_gap": float(min_gap)},
+        return max(-gap, mi_drop - gap), {"min_gap": gap}
+
+    return _run_trials(
+        "theorem1", trials, dims, seed, 1e-9, check, progress, reduce={"min_gap": (min, np.inf)}
     )
 
 
@@ -118,6 +110,7 @@ def verify_theorem2(
     restarts: int = 16,
     grid_checks: int = 0,
     progress=None,
+    max_iter: int = 500,
 ) -> SuiteResult:
     """One basis search per trial, checked at the basis it returns.  Two routes
     that share no code with the search objective evaluate dac_U = I - J_U
@@ -125,41 +118,27 @@ def verify_theorem2(
     and the literal I_co drop under dephasing A in U.  Both must equal the
     search value; the first grid_checks trials also compare it with the qubit
     grid oracle, which catches a basis that is not the minimum."""
-    tol = 1e-4
-    worst_mi = worst_drop = worst_grid = 0.0
-    failures = 0
-    for i, rng in enumerate(_trial_rngs(seed, trials)):
+
+    def check(i, rng):
         rho = random_state_from(rng, *dims, "ginibre-mixed")
-        config = OptimizerConfig(restarts=restarts, seed=int(rng.integers(0, 2**63)))
+        config = OptimizerConfig(
+            restarts=restarts, max_iter=max_iter, seed=int(rng.integers(0, 2**63))
+        )
         value, basis, _ = discord_via_coherence(rho, config)
-        mi_dev = abs(discord_at_basis(rho, basis) - value)
         dephased = DensityMatrix(dephase_local(rho.mat, rho.dims, basis), rho.dims)
         drop = correlated_coherence(rho, basis) - correlated_coherence(dephased, basis)
-        drop_dev = abs(drop - value)
-        worst_mi, worst_drop = max(worst_mi, mi_dev), max(worst_drop, drop_dev)
-        bad = max(mi_dev, drop_dev) > tol
+        row = {
+            "max_discord_at_basis_dev": abs(discord_at_basis(rho, basis) - value),
+            "max_ico_drop_dev": abs(drop - value),
+        }
         if i < grid_checks:
-            gdev = abs(qubit_discord_grid(rho) - value)
-            worst_grid = max(worst_grid, gdev)
-            bad = bad or gdev > tol
-        if bad:
-            failures += 1
-        if progress:
-            progress(i + 1, trials)
-    return SuiteResult(
-        suite="theorem2",
-        trials=trials,
-        dims=dims,
-        seed=seed,
-        tolerance=tol,
-        max_violation=float(max(worst_mi, worst_drop, worst_grid)),
-        failures=failures,
-        passed=failures == 0,
-        details={
-            "max_discord_at_basis_dev": float(worst_mi),
-            "max_ico_drop_dev": float(worst_drop),
-            "max_grid_dev": float(worst_grid),
-        },
+            row["max_grid_dev"] = abs(qubit_discord_grid(rho) - value)
+        return max(row.values()), row
+
+    keys = ("max_discord_at_basis_dev", "max_ico_drop_dev", "max_grid_dev")
+    return _run_trials(
+        "theorem2", trials, dims, seed, 1e-4, check, progress,
+        reduce=dict.fromkeys(keys, (max, 0.0)),
     )
 
 
@@ -172,40 +151,20 @@ def verify_theorem3(
     """Physically free channels U_a (x) {B_j} map the zero set into itself
     (free operations generate no resource); every fourth trial uses a convex
     mixture of two such channels."""
-    from .channels import ChannelMixture
 
-    tol = 1e-10
-    worst = -np.inf
-    failures = 0
-    for i, rng in enumerate(_trial_rngs(seed, trials)):
+    def free_channel(rng):
+        return random_physically_free(*dims, rng, n_b_ops=int(rng.integers(1, 4)))
+
+    def check(i, rng):
         cq = random_cq_state(rng, *dims)
         if i % MIXTURE_EVERY == MIXTURE_EVERY - 1:
             w = rng.dirichlet(np.ones(2))
-            chan = ChannelMixture(
-                w,
-                [
-                    random_physically_free(*dims, rng, n_b_ops=int(rng.integers(1, 4)))
-                    for _ in range(2)
-                ],
-            )
+            chan = ChannelMixture(w, [free_channel(rng) for _ in range(2)])
         else:
-            chan = random_physically_free(*dims, rng, n_b_ops=int(rng.integers(1, 4)))
-        v = coherence_discord(apply(chan, cq))
-        worst = max(worst, v)
-        if v > tol:
-            failures += 1
-        if progress:
-            progress(i + 1, trials)
-    return SuiteResult(
-        suite="theorem3",
-        trials=trials,
-        dims=dims,
-        seed=seed,
-        tolerance=tol,
-        max_violation=float(worst),
-        failures=failures,
-        passed=failures == 0,
-    )
+            chan = free_channel(rng)
+        return coherence_discord(apply(chan, cq)), {}
+
+    return _run_trials("theorem3", trials, dims, seed, 1e-10, check, progress)
 
 
 def verify_superadditivity(
@@ -213,33 +172,22 @@ def verify_superadditivity(
     dims_list: tuple = ((2, 2), (2, 3), (3, 3)),
     seed: int = 0,
     progress=None,
+    dims: tuple | None = None,
 ) -> SuiteResult:
     """C_r(rho_ab) >= C_r(rho_a) + C_r(rho_b), i.e. the correlated coherence
-    is nonnegative, on random mixed and pure states across dimensions."""
-    tol = 1e-9
-    worst = -np.inf
-    failures = 0
-    for i, rng in enumerate(_trial_rngs(seed, trials)):
-        dims = dims_list[i % len(dims_list)]
+    is nonnegative, on random mixed and pure states across dimensions.  The
+    trials cycle through dims_list; an explicit dims runs that one split."""
+    if dims is not None:
+        dims_list = (dims,)
+
+    def check(i, rng):
         ensemble = "haar-pure" if i % 5 == 4 else "ginibre-mixed"
-        rho = random_state_from(rng, *dims, ensemble)
-        violation = -correlated_coherence(rho)
-        worst = max(worst, violation)
-        if violation > tol:
-            failures += 1
-        if progress:
-            progress(i + 1, trials)
-    return SuiteResult(
-        suite="superadditivity",
-        trials=trials,
-        dims=dims_list[0],
-        seed=seed,
-        tolerance=tol,
-        max_violation=float(worst),
-        failures=failures,
-        passed=failures == 0,
-        details={"dims_list": [list(d) for d in dims_list]},
-    )
+        rho = random_state_from(rng, *dims_list[i % len(dims_list)], ensemble)
+        return -correlated_coherence(rho), {}
+
+    result = _run_trials("superadditivity", trials, dims_list[0], seed, 1e-9, check, progress)
+    result.details["dims_list"] = [list(d) for d in dims_list]
+    return result
 
 
 def verify_invariance(
@@ -251,31 +199,16 @@ def verify_invariance(
 ) -> SuiteResult:
     """Representation independence of the closed form over random non-merging
     rank-one PPIOs, plus invariance under local IUO conjugation."""
-    tol = 1e-9
-    worst = 0.0
-    failures = 0
-    for i, rng in enumerate(_trial_rngs(seed, trials)):
+
+    def check(i, rng):
         rho = random_state_from(rng, *dims, "ginibre-mixed")
         dev = coherence_discord_invariance(
             rho, trials=ppio_samples, seed=int(rng.integers(0, 2**63))
         )
         conj = random_local_iuo_conjugation(rho, rng)
-        dev = max(dev, abs(coherence_discord(conj) - coherence_discord(rho)))
-        worst = max(worst, dev)
-        if dev > tol:
-            failures += 1
-        if progress:
-            progress(i + 1, trials)
-    return SuiteResult(
-        suite="invariance",
-        trials=trials,
-        dims=dims,
-        seed=seed,
-        tolerance=tol,
-        max_violation=float(worst),
-        failures=failures,
-        passed=failures == 0,
-    )
+        return max(dev, abs(coherence_discord(conj) - coherence_discord(rho))), {}
+
+    return _run_trials("invariance", trials, dims, seed, 1e-9, check, progress)
 
 
 def nonconvexity_witness() -> DensityMatrix:
@@ -298,70 +231,65 @@ def verify_zero_sets(
     member_discord_checks: int = 20,
     restarts: int = 16,
     progress=None,
+    max_iter: int = 500,
 ) -> SuiteResult:
     """Convex mixtures of zero-correlation states stay in the zero set; the
     zero set sits inside the discord-free set; and the two-basis mixture
     witness has discord > 0.01 (non-convexity of the discord-free set)."""
-    tol = 1e-10
-    worst = -np.inf
-    member_discord_max = 0.0
-    failures = 0
-    for i, rng in enumerate(_trial_rngs(seed, trials)):
+
+    def search(search_seed):
+        return OptimizerConfig(restarts=restarts, max_iter=max_iter, seed=search_seed)
+
+    def check(i, rng):
         n = int(rng.integers(2, 5))
         weights = rng.dirichlet(np.ones(n))
-        mix = sum(w * random_cq_state(rng, *dims).mat for w in weights)
-        mixture = DensityMatrix(mix, dims)
+        mixture = DensityMatrix(sum(w * random_cq_state(rng, *dims).mat for w in weights), dims)
         v = coherence_discord(mixture)
-        worst = max(worst, v)
-        if v > tol:
-            failures += 1
-        if i < member_discord_checks:
-            dv, _ = discord(
-                mixture, OptimizerConfig(restarts=restarts, seed=int(rng.integers(0, 2**63)))
-            )
-            member_discord_max = max(member_discord_max, dv)
-            if dv > 1e-6:
-                failures += 1
-        if progress:
-            progress(i + 1, trials)
+        if i >= member_discord_checks:
+            return v, {}
+        dv, _ = discord(mixture, search(int(rng.integers(0, 2**63))))
+        return v, {"member_discord_max": dv}
+
+    result = _run_trials(
+        "zero-sets", trials, dims, seed, 1e-10, check, progress,
+        reduce={"member_discord_max": (max, 0.0)}, limits={"member_discord_max": 1e-6},
+    )
     witness = nonconvexity_witness()
-    w_opt, _ = discord(witness, OptimizerConfig(restarts=restarts, seed=seed))
+    w_opt, _ = discord(witness, search(seed))
     w_grid = qubit_discord_grid(witness)
     witness_ok = min(w_opt, w_grid) > 0.01
-    if not witness_ok:
-        failures += 1
-    return SuiteResult(
-        suite="zero-sets",
-        trials=trials,
-        dims=dims,
-        seed=seed,
-        tolerance=tol,
-        max_violation=float(worst),
-        failures=failures,
-        passed=failures == 0,
-        details={
-            "member_discord_max": float(member_discord_max),
-            "witness_discord_optimizer": float(w_opt),
-            "witness_discord_grid": float(w_grid),
-            "witness_above_0.01": witness_ok,
-        },
-    )
+    result.details.update({
+        "witness_discord_optimizer": float(w_opt),
+        "witness_discord_grid": float(w_grid),
+        "witness_above_0.01": witness_ok,
+    })
+    result.failures += not witness_ok
+    result.passed = result.failures == 0
+    return result
 
 
-def run_suite(suite: str, trials: int | None = None, dims: tuple = (2, 2), seed: int = 0,
-              restarts: int = 16, progress=None) -> SuiteResult:
-    """Dispatch a suite by name; trials=None runs its standard trial count."""
-    if suite not in SUITES:
+_SUITES = {
+    "theorem1": verify_theorem1,
+    "theorem2": verify_theorem2,
+    "theorem3": verify_theorem3,
+    "superadditivity": verify_superadditivity,
+    "invariance": verify_invariance,
+    "zero-sets": verify_zero_sets,
+}
+SUITES = tuple(_SUITES)
+_SEARCHING = ("theorem2", "zero-sets")
+
+
+def run_suite(suite: str, trials: int | None = None, dims: tuple | None = None, seed: int = 0,
+              restarts: int | None = None, max_iter: int | None = None,
+              progress=None) -> SuiteResult:
+    """Run a suite by name.  None for trials, dims, restarts or max_iter keeps
+    the suite's own default; restarts and max_iter reach only the suites that
+    search (theorem2 and zero-sets)."""
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    n = _DEFAULT_TRIALS[suite] if trials is None else trials
-    if suite == "theorem1":
-        return verify_theorem1(n, dims, seed, progress=progress)
-    if suite == "theorem2":
-        return verify_theorem2(n, dims, seed, restarts=restarts, grid_checks=0, progress=progress)
-    if suite == "theorem3":
-        return verify_theorem3(n, dims, seed, progress=progress)
-    if suite == "superadditivity":
-        return verify_superadditivity(n, seed=seed, progress=progress)
-    if suite == "invariance":
-        return verify_invariance(n, dims, seed, progress=progress)
-    return verify_zero_sets(n, dims, seed, restarts=restarts, progress=progress)
+    options = {"trials": trials, "dims": dims}
+    if suite in _SEARCHING:
+        options.update(restarts=restarts, max_iter=max_iter)
+    given = {key: value for key, value in options.items() if value is not None}
+    return _SUITES[suite](seed=seed, progress=progress, **given)

@@ -376,6 +376,40 @@ def test_verify_other_suites_wired(capsys, suite, trials):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize("suite", ["theorem2", "zero-sets"])
+def test_verify_max_iter_reaches_the_search(capsys, monkeypatch, suite):
+    import discoh.verify
+
+    seen = []
+
+    def spy(search):
+        def recorded(rho, config=None):
+            seen.append(config.max_iter)
+            return search(rho, config)
+        return recorded
+
+    for name in ("discord_via_coherence", "discord"):
+        monkeypatch.setattr(discoh.verify, name, spy(getattr(discoh.verify, name)))
+    _, out, _ = run_cli(
+        capsys, "verify", suite, "--trials", "2", "--restarts", "2", "--max-iter", "1"
+    )
+    assert seen and set(seen) == {1}
+    assert json.loads(out)["config"]["max_iter"] == 1
+
+
+def test_verify_superadditivity_runs_an_explicit_dims_split(capsys):
+    code, out, _ = run_cli(capsys, "verify", "superadditivity", "--trials", "10", "--dims", "4x4")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["dims"] == [4, 4]
+    assert payload["details"]["dims_list"] == [[4, 4]]
+    code, out, _ = run_cli(capsys, "verify", "superadditivity", "--trials", "10")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["dims"] == [2, 2]
+    assert payload["details"]["dims_list"] == [[2, 2], [2, 3], [3, 3]]
+
+
 def test_verify_unknown_suite_is_input_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "theorem9"])

@@ -1,12 +1,13 @@
 """The README's examples and measure names stay in step with the code: the
 library quickstart runs, every command-line example parses (nothing runs), and
-the documented column order is the report's."""
+the documented column order and suite details keys are the code's."""
 
 import shlex
 from pathlib import Path
 
 from discoh.cli import build_parser
 from discoh.measures import CSV_COLUMNS
+from discoh.verify import SUITES, run_suite
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -40,3 +41,15 @@ def test_readme_command_lines_parse():
 def test_readme_measure_names_are_the_report_columns():
     (line,) = code_block("### Measure names", "```")
     assert tuple(name.strip() for name in line.split(",")) == CSV_COLUMNS
+
+
+def test_readme_suite_details_keys_are_the_suites_keys():
+    section = README[README.index("### Suite details"):]
+    listed = {}
+    for line in section[: section.index("\n\n", section.index("- `"))].splitlines():
+        if line.startswith("- `"):
+            name, keys = line[2:].split(":", 1)
+            listed[name.strip("`")] = [key.strip().strip("`") for key in keys.split(",")]
+    assert list(listed) == list(SUITES)
+    for name in SUITES:
+        assert listed[name] == list(run_suite(name, trials=2, restarts=2).details), name

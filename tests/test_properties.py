@@ -2,11 +2,14 @@
 runs the full campaigns."""
 
 import numpy as np
+import pytest
 
 from discoh.channels import apply, lift_to_bipartite, random_rank_one_ppio
 from discoh.discord import coherence_discord
-from discoh.states import random_cq_state, random_state_from, rng_from_seed
+from discoh.states import random_cq_state, random_state_from, rng_from_seed, spawn_seeds
 from discoh.verify import (
+    SUITES,
+    run_suite,
     verify_invariance,
     verify_superadditivity,
     verify_theorem1,
@@ -104,6 +107,19 @@ def test_zero_sets_suite_small():
     assert result.details["witness_discord_grid"] > 0.01
 
 
+@pytest.mark.parametrize("value,failures", [(1.0, 2), (0.0, 1)])
+def test_zero_sets_counts_member_and_witness_checks(monkeypatch, value, failures):
+    # every search returns value: 1.0 fails the two member checks, 0.0 the witness
+    import discoh.verify
+
+    monkeypatch.setattr(discoh.verify, "discord", lambda rho, config=None: (value, None))
+    result = verify_zero_sets(trials=3, member_discord_checks=2, seed=109)
+    assert result.failures == failures and not result.passed
+    assert result.max_violation <= 1e-10
+    assert result.details["member_discord_max"] == value
+    assert result.details["witness_discord_optimizer"] == value
+
+
 def test_rank_one_ppio_output_in_zero_set():
     # any local rank-one PPIO pushes any state into the zero set
     rng = rng_from_seed(110)
@@ -175,3 +191,47 @@ def test_suite_results_deterministic():
     b = verify_theorem1(trials=50, seed=113)
     assert a.max_violation == b.max_violation
     assert a.details == b.details
+
+
+DIRECT = {
+    "theorem1": verify_theorem1,
+    "theorem2": verify_theorem2,
+    "theorem3": verify_theorem3,
+    "superadditivity": verify_superadditivity,
+    "invariance": verify_invariance,
+    "zero-sets": verify_zero_sets,
+}
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_run_suite_is_the_direct_call_with_one_progress_call_per_trial(name):
+    # the campaigns benchmark times each trial from these progress calls
+    calls = []
+    result = run_suite(name, trials=3, seed=114, progress=lambda i, n: calls.append((i, n)))
+    assert calls == [(1, 3), (2, 3), (3, 3)]
+    assert result.trials == 3
+    assert result.to_dict() == DIRECT[name](trials=3, seed=114).to_dict()
+
+
+def test_worst_trial_is_the_first_largest_violation(monkeypatch):
+    import discoh.verify
+
+    values = iter([1e-12, 5e-10, -3e-11, 5e-10])
+    monkeypatch.setattr(discoh.verify, "coherence_discord", lambda rho: next(values))
+    result = verify_theorem3(trials=4, seed=116)
+    assert result.max_violation == 5e-10
+    assert result.failures == 2 and not result.passed
+    assert result.details == {"worst_trial": 1, "worst_seed": int(spawn_seeds(116, 4)[1])}
+
+
+@pytest.mark.parametrize(
+    "name,trials", [("theorem1", 40), ("theorem3", 40), ("superadditivity", 40), ("invariance", 6)]
+)
+def test_worst_trial_replays_as_the_last_trial_of_a_prefix(name, trials):
+    full = run_suite(name, trials=trials, seed=115)
+    worst = full.details["worst_trial"]
+    assert full.details["worst_seed"] == int(spawn_seeds(115, trials)[worst])
+    again = run_suite(name, trials=worst + 1, seed=115)
+    assert again.max_violation == full.max_violation
+    assert again.details["worst_trial"] == worst
+    assert again.details["worst_seed"] == full.details["worst_seed"]

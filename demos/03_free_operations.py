@@ -11,14 +11,17 @@ set fixed (Theorem 3).
 import numpy as np
 
 from discoh import (
+    DensityMatrix,
+    KrausChannel,
+    ProductChannel,
     apply,
+    apply_local,
     bell_phi_plus,
     classical_quantum,
     classify,
     coherence_discord,
     correlated_coherence,
     dephasing_channel,
-    lift_to_bipartite,
     make_iuo,
     make_physically_free,
     make_rank_one_ppio,
@@ -34,8 +37,6 @@ swap = make_iuo([1, 0], [0.0, np.pi / 3])
 print("  phase-decorated swap:", sorted(classify(swap)))
 print("  full dephasing:      ", sorted(classify(dephasing_channel(2))))
 hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-from discoh import KrausChannel
-
 print("  Hadamard unitary:    ", sorted(classify(KrausChannel([hadamard]))), "(coherent)")
 rng = rng_from_seed(7)
 free = random_physically_free(2, 2, rng)
@@ -59,7 +60,8 @@ for _ in range(5):
 u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 merging = make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)])
 rho = random_state(3, 2, "ginibre-mixed", seed=11)
-out = apply(lift_to_bipartite(merging, 2), rho)
+# its Kraus operators act on A's indices of rho; no operator on A (x) B is formed
+out = DensityMatrix(apply_local(rho.mat, rho.dims, merging.ops), rho.dims)
 print("\nlevel-merging PPIO on a 3x2 state:")
 print(f"  I_co before = {correlated_coherence(rho):.6f}, after = {correlated_coherence(out):.6f}")
 
@@ -72,5 +74,5 @@ for n_ops in (1, 2, 3):
     print(f"  dac after U_a x {{B_j}} with {n_ops} B ops: {coherence_discord(apply(chan, cq)):.2e}")
 
 # ... while a plain unitary that is not incoherent does create it.
-coherent = KrausChannel([np.kron(hadamard, np.eye(2))])
+coherent = ProductChannel(KrausChannel([hadamard]), KrausChannel([np.eye(2)]))
 print(f"  dac after (Hadamard x I), for contrast: {coherence_discord(apply(coherent, cq)):.4f}")

@@ -14,10 +14,10 @@ from .channels import (
     KrausChannel,
     PIOSpec,
     PPIOSpec,
+    ProductChannel,
     apply,
     classify,
     dephasing_channel,
-    lift_to_bipartite,
     make_iuo,
     make_physically_free,
     make_pio,
@@ -42,7 +42,7 @@ from .discord import (
     ppio_monotonicity_gap,
     qubit_discord_grid,
 )
-from .linalg import dephase, dephase_local, partial_trace, tensor
+from .linalg import apply_local, dephase, dephase_local, partial_trace, tensor
 from .measures import (
     CSV_COLUMNS,
     MeasureReport,

@@ -1,7 +1,9 @@
 """Kraus channels and the incoherent-operation families used throughout:
 incoherently unitary operations (IUOs), projective physically incoherent
 operations (PPIOs), their rank-one special case, convex mixtures, and the
-factorizable physically free channels U_a (x) B_j.
+factorizable physically free channels U_a (x) B_j.  Kraus operators are kept
+as one (n, d, d) stack, built directly by the samplers, and local channels act
+on the reshaped bipartite state (linalg.apply_local), never lifted to A (x) B.
 
 Classification is structural: it inspects the Kraus representation it is
 given.  Labels are sound but detection of equivalence under Kraus gauge
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, as_frame, dag, tensor
+from .linalg import apply_local, as_complex_matrix, as_frame, dag, tensor
 from .states import DensityMatrix
 
 KRAUS_TOL = 1e-9
@@ -28,26 +30,26 @@ LABEL_PHYSICALLY_FREE = "physically-free"
 
 
 class KrausChannel:
-    """A CPTP map given by its Kraus operators."""
+    """A CPTP map given by its Kraus operators, kept as one read-only stack
+    ``ops`` of shape (n, d_out, d_in)."""
 
     __slots__ = ("ops", "in_dim", "out_dim")
 
     def __init__(self, ops, tol: float = KRAUS_TOL):
-        mats = tuple(as_complex_matrix(k).copy() for k in ops)
-        if not mats:
-            raise ValueError("a channel needs at least one Kraus operator")
-        out_dim, in_dim = mats[0].shape
-        for k in mats:
-            if k.shape != (out_dim, in_dim):
-                raise ValueError("all Kraus operators must share one shape")
-            k.setflags(write=False)
-        total = sum(dag(k) @ k for k in mats)
-        err = float(np.max(np.abs(total - np.eye(in_dim))))
-        if err > tol:
+        ops = np.array(ops, dtype=complex)  # raises if the shapes differ
+        if ops.ndim != 3 or not len(ops):
+            raise ValueError("a channel needs at least one Kraus operator, all 2-D of one shape")
+        _, out_dim, in_dim = ops.shape
+        # sum_n K_n† K_n = F† F for the operators stacked into one column F;
+        # a non-finite entry makes err nan, which fails the check too
+        flat = ops.reshape(-1, in_dim)
+        err = float(np.abs(dag(flat) @ flat - np.eye(in_dim)).max())
+        if not err <= tol:
             raise ValueError(
                 f"channel is not trace preserving: max |sum K†K - I| = {err:.3e} > {tol:g}"
             )
-        object.__setattr__(self, "ops", mats)
+        ops.setflags(write=False)
+        object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "in_dim", in_dim)
         object.__setattr__(self, "out_dim", out_dim)
 
@@ -56,6 +58,35 @@ class KrausChannel:
 
     def __repr__(self):
         return f"KrausChannel(n_ops={len(self.ops)}, dim={self.in_dim})"
+
+
+@dataclass(frozen=True)
+class ProductChannel:
+    """The local channel Phi_A (x) Phi_B, kept as its factors: KrausChannels on
+    A and on B that keep their dimensions.  ``ops`` forms the joint Kraus set
+    {K_i (x) L_j} on demand, for ``classify``; ``apply`` never needs it."""
+
+    a: KrausChannel
+    b: KrausChannel
+
+    def __post_init__(self):
+        for part in (self.a, self.b):
+            if not isinstance(part, KrausChannel) or part.in_dim != part.out_dim:
+                raise ValueError("the factors must be KrausChannels that keep their dimension")
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.a.in_dim, self.b.in_dim
+
+    @property
+    def in_dim(self) -> int:
+        return self.a.in_dim * self.b.in_dim
+
+    out_dim = in_dim
+
+    @property
+    def ops(self) -> np.ndarray:
+        return np.array([tensor(k, l) for k in self.a.ops for l in self.b.ops])
 
 
 class ChannelMixture:
@@ -86,51 +117,33 @@ class ChannelMixture:
     def __setattr__(self, name, value):
         raise AttributeError("ChannelMixture is immutable")
 
-    @property
-    def in_dim(self) -> int:
-        return self.components[0].in_dim
-
 
 def apply(chan, rho):
-    """Apply a channel (or mixture) to a state.
+    """Apply a KrausChannel, a ProductChannel or a mixture of them to a state.
 
     DensityMatrix in, DensityMatrix out (revalidated); plain matrices pass
     through as matrices.
     """
-    if isinstance(chan, ChannelMixture):
-        mats = [apply_mat(c, _input_mat(chan, rho)) for c in chan.components]
-        out = sum(w * m for w, m in zip(chan.weights, mats))
-    else:
-        out = apply_mat(chan, _input_mat(chan, rho))
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(out, rho.dims)
-    return out
-
-
-def _input_mat(chan, rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        m = rho.mat
-    else:
-        m = as_complex_matrix(rho)
-    if m.shape[0] != chan.in_dim:
-        raise ValueError(f"state dimension {m.shape[0]} does not match channel ({chan.in_dim})")
-    if isinstance(rho, DensityMatrix) and chan.in_dim != _out_dim(chan):
+    mixture = isinstance(chan, ChannelMixture)
+    weights, parts = (chan.weights, chan.components) if mixture else ((1.0,), (chan,))
+    state = isinstance(rho, DensityMatrix)
+    m = rho.mat if state else as_complex_matrix(rho)
+    in_dim = parts[0].in_dim
+    if m.shape[0] != in_dim:
+        raise ValueError(f"state dimension {m.shape[0]} does not match channel ({in_dim})")
+    if state and in_dim != parts[0].out_dim:
         raise ValueError("dimension-changing channels cannot return a DensityMatrix")
-    return m
+    for c in parts:
+        if state and isinstance(c, ProductChannel) and c.dims != rho.dims:
+            raise ValueError(f"channel factors {c.dims} do not match state dims {rho.dims}")
+    out = sum(w * _apply_mat(c, m) for w, c in zip(weights, parts))
+    return DensityMatrix(out, rho.dims) if state else out
 
 
-def _out_dim(chan) -> int:
-    return chan.components[0].out_dim if isinstance(chan, ChannelMixture) else chan.out_dim
-
-
-def apply_mat(chan: KrausChannel, m: np.ndarray) -> np.ndarray:
-    return sum(k @ m @ dag(k) for k in chan.ops)
-
-
-def lift_to_bipartite(chan: KrausChannel, d_b: int) -> KrausChannel:
-    """Extend a channel on A to A (x) B by tensoring identity on B."""
-    eye = np.eye(d_b)
-    return KrausChannel([tensor(k, eye) for k in chan.ops])
+def _apply_mat(chan, m: np.ndarray) -> np.ndarray:
+    if isinstance(chan, ProductChannel):
+        return apply_local(m, chan.dims, chan.a.ops, chan.b.ops)
+    return (chan.ops @ m @ chan.ops.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,29 +175,11 @@ def make_iuo(perm, phases) -> KrausChannel:
     return KrausChannel([iuo_matrix(perm, phases)])
 
 
-def _is_iuo_matrix(u: np.ndarray, tol: float = CLASSIFY_TOL) -> bool:
-    d = u.shape[0]
-    if u.shape != (d, d):
-        return False
-    nz = np.abs(u) > tol
-    if not np.all(nz.sum(axis=0) == 1):
-        return False
-    rows = nz.argmax(axis=0)
-    if len(set(rows.tolist())) != d:
-        return False
-    vals = u[rows, np.arange(d)]
-    return bool(np.max(np.abs(np.abs(vals) - 1.0)) <= tol)
-
-
 def _require_iuo_matrix(u, what: str) -> np.ndarray:
-    if isinstance(u, KrausChannel):
-        if len(u.ops) != 1:
-            raise ValueError(f"{what} must be a single-Kraus unitary channel")
-        u = u.ops[0]
-    u = as_complex_matrix(u)
-    if not _is_iuo_matrix(u):
+    chan = KrausChannel([u], tol=np.inf)  # classify's IUO test implies unitarity
+    if LABEL_IUO not in classify(chan) or chan.in_dim != chan.out_dim:
         raise ValueError(f"{what} is not a phase-decorated permutation of the reference basis")
-    return u
+    return chan.ops[0]
 
 
 def make_rank_one_ppio(dim: int, unitaries) -> KrausChannel:
@@ -195,14 +190,12 @@ def make_rank_one_ppio(dim: int, unitaries) -> KrausChannel:
     """
     if len(unitaries) != dim:
         raise ValueError(f"need {dim} unitaries (one per level), got {len(unitaries)}")
-    ops = []
+    ops = np.zeros((dim, dim, dim), dtype=complex)
     for j, u in enumerate(unitaries):
         u = _require_iuo_matrix(u, f"unitary #{j}")
         if u.shape != (dim, dim):
             raise ValueError(f"unitary #{j} is {u.shape}, expected ({dim}, {dim})")
-        k = np.zeros((dim, dim), dtype=complex)
-        k[:, j] = u[:, j]
-        ops.append(k)
+        ops[j, :, j] = u[:, j]
     return KrausChannel(ops)
 
 
@@ -277,20 +270,18 @@ def dephasing_channel(dim: int) -> KrausChannel:
     return make_rank_one_ppio(dim, [eye] * dim)
 
 
-def make_physically_free(u_a, b_ops, tol: float = KRAUS_TOL) -> KrausChannel:
-    """Bipartite channel with Kraus set {U_a (x) B_j}.
+def make_physically_free(u_a, b_ops, tol: float = KRAUS_TOL) -> ProductChannel:
+    """Bipartite channel with Kraus set {U_a (x) B_j}, kept as its factors.
 
     u_a must be an IUO on A; the B-side operators must satisfy
     sum_j B_j† B_j = I_b.
     """
     u = _require_iuo_matrix(u_a, "u_a")
-    b_mats = [as_complex_matrix(b) for b in b_ops]
-    d_b = b_mats[0].shape[0]
-    total = sum(dag(b) @ b for b in b_mats)
-    err = float(np.max(np.abs(total - np.eye(d_b))))
-    if err > tol:
-        raise ValueError(f"B-side Kraus set incomplete: max |sum B†B - I| = {err:.3e} > {tol:g}")
-    return KrausChannel([tensor(u, b) for b in b_mats])
+    try:
+        b = KrausChannel(b_ops, tol)
+    except ValueError as exc:
+        raise ValueError(f"B-side Kraus set incomplete: {exc}") from exc
+    return ProductChannel(KrausChannel([u]), b)
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +289,9 @@ def make_physically_free(u_a, b_ops, tol: float = KRAUS_TOL) -> KrausChannel:
 # ---------------------------------------------------------------------------
 
 
-def _column_structure(k: np.ndarray, tol: float):
-    """Nonzero columns of a Kraus operator, or None if any column has more
-    than one nonzero entry (which rules out the incoherent families)."""
-    nz = np.abs(k) > tol
-    counts = nz.sum(axis=0)
-    if np.any(counts > 1):
-        return None
-    cols = np.flatnonzero(counts == 1)
-    rows = nz[:, cols].argmax(axis=0)
-    vals = k[rows, cols]
-    return cols, rows, vals
-
-
-def classify(chan: KrausChannel, basis=None, dims=None, tol: float = CLASSIFY_TOL) -> frozenset:
-    """Structural labels of a Kraus representation.
+def classify(chan, basis=None, dims=None, tol: float = CLASSIFY_TOL) -> frozenset:
+    """Structural labels of a Kraus representation (a KrausChannel, or a
+    ProductChannel through its joint Kraus set).
 
     Returns any of {incoherent, iuo, ppio, rank-one-ppio, physically-free}.
     The physically-free (factorizable) label needs the bipartite split, so it
@@ -323,38 +302,23 @@ def classify(chan: KrausChannel, basis=None, dims=None, tol: float = CLASSIFY_TO
     frame = as_frame(basis, d)
     ops = chan.ops
     if frame is not None:
-        ops = tuple(dag(frame) @ k @ frame for k in ops)
+        ops = dag(frame) @ ops @ frame
 
     labels = set()
-    structures = [_column_structure(k, tol) for k in ops]
-    if all(s is not None for s in structures):
+    nz = np.abs(ops) > tol  # (n, d_out, d)
+    if nz.sum(axis=1).max() <= 1:  # no column of any operator holds two entries
         labels.add(LABEL_INCOHERENT)
-
-        if len(ops) == 1:
-            cols, rows, vals = structures[0]
-            if (
-                len(cols) == d
-                and len(set(rows.tolist())) == d
-                and np.max(np.abs(np.abs(vals) - 1.0)) <= tol
-            ):
-                labels.add(LABEL_IUO)
-
-        covered: set[int] = set()
-        is_ppio = True
-        for s in structures:
-            cols, rows, vals = s
-            if (
-                len(cols) == 0
-                or len(set(rows.tolist())) != len(cols)
-                or np.max(np.abs(np.abs(vals) - 1.0)) > tol
-                or covered & set(cols.tolist())
-            ):
-                is_ppio = False
-                break
-            covered |= set(cols.tolist())
-        if is_ppio and covered == set(range(d)):
+        cols = nz.any(axis=1)  # the columns each operator keeps
+        if (
+            nz.sum(axis=2).max() <= 1  # ... each sent to its own row
+            and np.all(np.abs(np.abs(ops[nz]) - 1.0) <= tol)  # with a unit-modulus entry
+            and cols.any(axis=1).all()  # no operator is zero
+            and np.all(cols.sum(axis=0) == 1)  # the kept columns partition range(d)
+        ):
             labels.add(LABEL_PPIO)
-            if len(ops) == d and all(len(s[0]) == 1 for s in structures):
+            if len(ops) == 1:
+                labels.add(LABEL_IUO)
+            if len(ops) == d and np.all(cols.sum(axis=1) == 1):
                 labels.add(LABEL_RANK_ONE_PPIO)
 
     if dims is not None and _is_factorizable_free(ops, dims, tol):
@@ -362,50 +326,34 @@ def classify(chan: KrausChannel, basis=None, dims=None, tol: float = CLASSIFY_TO
     return frozenset(labels)
 
 
-def _blocks(k: np.ndarray, dims) -> np.ndarray:
-    d_a, d_b = dims
-    return k.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
-
-
-def _is_factorizable_free(ops, dims, tol: float) -> bool:
+def _is_factorizable_free(ops: np.ndarray, dims, tol: float) -> bool:
     """Does every Kraus operator factor as U_a (x) B_j with one common IUO?
 
     Writes each operator as a d_a x d_a grid of d_b x d_b blocks; for a
-    common IUO the only nonzero blocks sit at (perm(c), c) and the blocks are
-    proportional with unit-modulus ratios shared across operators.
+    common IUO the only nonzero blocks, in every operator, sit at (perm(c), c),
+    and the block of column c is ratio_c times the block of column 0, with
+    unit-modulus ratios shared across operators.
     """
     d_a, d_b = dims
-    if ops[0].shape != (d_a * d_b, d_a * d_b):
+    if ops.shape[1:] != (d_a * d_b, d_a * d_b):
         return False
-    grids = [_blocks(k, dims) for k in ops]
-    norms = sum(np.abs(g).reshape(d_a, d_a, -1).max(axis=2) for g in grids)
-    nz = norms > tol
+    grids = ops.reshape(-1, d_a, d_b, d_a, d_b).transpose(0, 1, 3, 2, 4)
+    nz = np.abs(grids).max(axis=(3, 4)).sum(axis=0) > tol
     if not np.all(nz.sum(axis=0) == 1):
         return False
-    perm = nz.argmax(axis=0)
+    perm, cols = nz.argmax(axis=0), np.arange(d_a)
     if len(set(perm.tolist())) != d_a:
         return False
-    # reference column: the B_j candidates, up to one global phase
-    refs = [g[perm[0], 0] for g in grids]
-    j0 = int(np.argmax([np.abs(r).max() for r in refs]))
-    for c in range(1, d_a):
-        cur = grids[j0][perm[c], c]
-        denom = np.vdot(refs[j0], refs[j0]).real
-        if denom <= tol**2:
-            return False
-        ratio = np.vdot(refs[j0], cur) / denom
-        if abs(abs(ratio) - 1.0) > 10 * tol:
-            return False
-        for g, ref in zip(grids, refs):
-            if np.max(np.abs(g[perm[c], c] - ratio * ref)) > 10 * tol:
-                return False
-    # off-pattern blocks must vanish
-    for g in grids:
-        for r in range(d_a):
-            for c in range(d_a):
-                if r != perm[c] and np.max(np.abs(g[r, c])) > tol:
-                    return False
-    return True
+    kept = grids[:, perm, cols]  # (n, d_a, d_b, d_b): each column's block
+    # the operator with the largest column-0 block fixes the ratios
+    ref = kept[int(np.abs(kept[:, 0]).max(axis=(1, 2)).argmax())]
+    denom = np.vdot(ref[0], ref[0]).real
+    if denom <= tol**2:
+        return False
+    ratios = np.einsum("jl,cjl->c", ref[0].conj(), ref) / denom
+    if np.max(np.abs(np.abs(ratios) - 1.0)) > 10 * tol:
+        return False
+    return bool(np.max(np.abs(kept - ratios[:, None, None] * kept[:, :1])) <= 10 * tol)
 
 
 # ---------------------------------------------------------------------------
@@ -421,34 +369,46 @@ def random_iuo(dim: int, rng: np.random.Generator) -> KrausChannel:
 def random_rank_one_ppio(
     dim: int, rng: np.random.Generator, injective: bool = False
 ) -> KrausChannel:
-    """Random rank-one PPIO, one random IUO per basis level.
-
-    With ``injective=True`` the level map j -> perm_j(j) is forced to be a
-    permutation (no two levels merge), which is the class on which the
-    coherence correlation is representation independent; the general class
-    (default) may merge levels and can only drop the correlation further.
-    """
-    if injective:
-        tau = rng.permutation(dim)
-        unitaries = [iuo_matrix(tau, rng.uniform(0.0, 2.0 * np.pi, dim)) for _ in range(dim)]
-    else:
-        unitaries = [
-            iuo_matrix(rng.permutation(dim), rng.uniform(0.0, 2.0 * np.pi, dim))
-            for _ in range(dim)
-        ]
-    return make_rank_one_ppio(dim, unitaries)
+    """Random rank-one PPIO, one random IUO per basis level.  With
+    ``injective=True`` the level map j -> perm_j(j) is a permutation (no two
+    levels merge): the class on which the coherence correlation is
+    representation independent; merging PPIOs can only drop it further."""
+    return KrausChannel(random_rank_one_ppio_ops(dim, rng, 1, injective)[0])
 
 
-def random_kraus_ops(dim: int, n_ops: int, rng: np.random.Generator) -> list:
-    """Random trace-preserving Kraus set via a Haar-random isometry."""
+def random_rank_one_ppio_ops(
+    dim: int, rng: np.random.Generator, n: int, injective: bool = False
+) -> np.ndarray:
+    """Kraus stacks of n random rank-one PPIOs, shape (n, dim, dim, dim), from
+    the draws of n random_rank_one_ppio calls, in their order.  K_j = U_j |j><j|
+    keeps only column j of the IUO U_j drawn for level j: e^{i th_j} at row
+    perm_j(j); injective PPIOs share one permutation across the levels."""
+    ops = np.zeros((n, dim, dim, dim), dtype=complex)
+    levels = np.arange(dim)
+    for k in range(n):
+        if injective:
+            rows = rng.permutation(dim)
+            phases = np.diagonal(rng.uniform(0.0, 2.0 * np.pi, (dim, dim)))
+        else:
+            rows, phases = np.empty(dim, dtype=int), np.empty(dim)
+            for j in levels:
+                rows[j] = rng.permutation(dim)[j]
+                phases[j] = rng.uniform(0.0, 2.0 * np.pi, dim)[j]
+        ops[k, levels, rows, levels] = np.exp(1j * phases)
+    return ops
+
+
+def random_kraus_ops(dim: int, n_ops: int, rng: np.random.Generator) -> np.ndarray:
+    """Random trace-preserving Kraus stack (n_ops, dim, dim) via a Haar-random
+    isometry."""
     g = rng.standard_normal((n_ops * dim, dim)) + 1j * rng.standard_normal((n_ops * dim, dim))
     q, _ = np.linalg.qr(g)
-    return [q[i * dim : (i + 1) * dim, :] for i in range(n_ops)]
+    return q.reshape(n_ops, dim, dim)
 
 
 def random_physically_free(
     d_a: int, d_b: int, rng: np.random.Generator, n_b_ops: int = 2
-) -> KrausChannel:
-    u = iuo_matrix(rng.permutation(d_a), rng.uniform(0.0, 2.0 * np.pi, d_a))
-    return make_physically_free(u, random_kraus_ops(d_b, n_b_ops, rng))
-
+) -> ProductChannel:
+    """Random U_a (x) {B_j}: a random IUO on A and a random n_b_ops-operator
+    channel on B."""
+    return ProductChannel(random_iuo(d_a, rng), KrausChannel(random_kraus_ops(d_b, n_b_ops, rng)))

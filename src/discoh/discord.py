@@ -20,26 +20,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    LABEL_RANK_ONE_PPIO,
-    KrausChannel,
-    apply,
-    classify,
-    lift_to_bipartite,
-    random_iuo,
-    random_rank_one_ppio,
+    LABEL_RANK_ONE_PPIO, KrausChannel, classify, random_iuo, random_rank_one_ppio_ops
 )
 from .linalg import (
-    MAX_OPT_DIM, as_frame, conditional_blocks, dephase_local, diag_probs, partial_trace, tensor
+    MAX_OPT_DIM, apply_local, as_frame, conditional_blocks, dephase_local, frame_diagonal,
+    partial_trace,
 )
 from .measures import (
     _coherence_of,
+    _correlated_coherence,
     _cq_coherence,
     correlated_coherence,
     entropy,
     entropy_of_probs,
     mutual_information,
 )
-from .states import DensityMatrix, ReferenceBasis, haar_unitary, matrix_to_json, rng_from_seed
+from .states import (
+    DensityMatrix, ReferenceBasis, haar_unitary, matrix_to_json, rng_from_seed, validate_density
+)
 
 
 @dataclass(frozen=True)
@@ -355,17 +353,17 @@ def coherence_discord_invariance(rho: DensityMatrix, trials: int = 50, seed: int
 
     Merging PPIOs (two levels mapped to one) drop strictly more coherence by
     convexity, so representation independence holds on the non-merging class;
-    the sampler is restricted accordingly.
+    the sampler is restricted accordingly.  The PPIOs are drawn as one Kraus
+    stack and act on rho together; the outputs are validated, and their I_co
+    taken, in one stacked pass each.
     """
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     base = coherence_discord(rho)
-    ico = correlated_coherence(rho)
-    rng = rng_from_seed(seed)
-    worst = 0.0
-    for _ in range(trials):
-        ppio = random_rank_one_ppio(rho.d_a, rng, injective=True)
-        out = apply(lift_to_bipartite(ppio, rho.d_b), rho)
-        worst = max(worst, abs(ico - correlated_coherence(out) - base))
-    return worst
+    ops = random_rank_one_ppio_ops(rho.d_a, rng_from_seed(seed), trials, injective=True)
+    outs = apply_local(rho.mat, rho.dims, ops)
+    ico = _correlated_coherence(outs, validate_density(outs), rho.dims)
+    return float(np.max(np.abs(correlated_coherence(rho) - ico - base)))
 
 
 def coherence_discord_symmetric(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:
@@ -396,13 +394,13 @@ def discord_via_coherence(rho: DensityMatrix, config: OptimizerConfig | None = N
 
 
 def _apply_rank_one_ppio(rho: DensityMatrix, ppio: KrausChannel) -> DensityMatrix:
-    """rho after a rank-one PPIO on A, applied literally: its Kraus operators,
-    lifted to K (x) 1_B, act on rho."""
+    """rho after a rank-one PPIO on A, applied literally: its Kraus operators
+    act on A's indices of rho, and the output is validated."""
     if not isinstance(ppio, KrausChannel) or ppio.in_dim != rho.d_a:
         raise ValueError(f"expected a channel on A (dim {rho.d_a})")
     if LABEL_RANK_ONE_PPIO not in classify(ppio):
         raise ValueError("channel is not a rank-one PPIO in the reference basis")
-    return apply(lift_to_bipartite(ppio, rho.d_b), rho)
+    return DensityMatrix(apply_local(rho.mat, rho.dims, ppio.ops), rho.dims)
 
 
 def ppio_monotonicity_gap(
@@ -432,15 +430,12 @@ def dephasing_balance(rho: DensityMatrix, ppio: KrausChannel) -> float:
 
     Vanishes whenever all the per-level unitaries of the PPIO coincide.
     """
-    out = _apply_rank_one_ppio(rho, ppio)
-    ra = partial_trace(rho.mat, rho.dims, keep="a")
-    out_a = partial_trace(out.mat, out.dims, keep="a")
-    return (
-        entropy_of_probs(diag_probs(rho.mat))
-        - entropy_of_probs(diag_probs(ra))
-        - entropy_of_probs(diag_probs(out.mat))
-        + entropy_of_probs(diag_probs(out_a))
+    both = np.stack([rho.mat, _apply_rank_one_ppio(rho, ppio).mat])
+    # S[D(.)] - S[D(._a)] for rho and for rho', from one stack
+    h = entropy_of_probs(frame_diagonal(both), axis=-1) - entropy_of_probs(
+        frame_diagonal(partial_trace(both, rho.dims, keep="a")), axis=-1
     )
+    return float(h[0] - h[1])
 
 
 # ---------------------------------------------------------------------------
@@ -500,5 +495,5 @@ def in_zero_set(
 
 def random_local_iuo_conjugation(rho: DensityMatrix, rng) -> DensityMatrix:
     """Conjugate by a random product IUO U_a (x) U_b (suite plumbing)."""
-    u = tensor(random_iuo(rho.d_a, rng).ops[0], random_iuo(rho.d_b, rng).ops[0])
-    return DensityMatrix(u @ rho.mat @ u.conj().T, rho.dims)
+    u_a, u_b = random_iuo(rho.d_a, rng), random_iuo(rho.d_b, rng)
+    return DensityMatrix(apply_local(rho.mat, rho.dims, u_a.ops, u_b.ops), rho.dims)

@@ -1,5 +1,5 @@
 """Dense complex-matrix kernel: tensor products, partial traces, conditional
-blocks and dephasing maps.
+blocks, dephasing maps and local channels.
 
 Everything here works on plain ``numpy`` arrays (complex128, row-major).
 Functions accepting a ``basis`` argument take either ``None`` (computational
@@ -69,25 +69,18 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Trace out one subsystem of a bipartite operator.
-
-    Parameters
-    ----------
-    m : square matrix of size d_a*d_b
-    dims : (d_a, d_b)
-    keep : "a" or "b", the subsystem kept
-
-    The trace of the result equals the trace of the input.
-    """
+    """Trace out one subsystem of a bipartite operator m (d_a*d_b square), or
+    of each operator of a stack (..., d, d); ``keep`` names the subsystem kept,
+    "a" or "b".  The trace of the result equals the trace of the input."""
     d_a, d_b = dims
     m = np.asarray(m, dtype=complex)
-    if m.shape != (d_a * d_b, d_a * d_b):
+    if m.shape[-2:] != (d_a * d_b, d_a * d_b):
         raise ValueError(f"matrix is {m.shape}, expected ({d_a * d_b}, {d_a * d_b})")
-    t = m.reshape(d_a, d_b, d_a, d_b)
+    t = m.reshape(*m.shape[:-2], d_a, d_b, d_a, d_b)
     if keep == "a":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     if keep == "b":
-        return np.einsum("ijil->jl", t)
+        return np.einsum("...ijil->...jl", t)
     raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
 
 
@@ -110,24 +103,51 @@ def dephase(m: np.ndarray, basis=None) -> np.ndarray:
 
 
 def conditional_blocks(m: np.ndarray, dims: tuple[int, int], frame=None) -> np.ndarray:
-    """Unnormalized conditional B blocks M_k = <u_k| m |u_k>_A, shape (d_a, d_b, d_b).
+    """Unnormalized conditional B blocks M_k = <u_k| m |u_k>_A, shape (..., d_a,
+    d_b, d_b) for m of shape (..., d, d).
 
     ``frame`` is None (computational basis of A) or a unitary whose columns are
     the u_k.  The blocks are the diagonal blocks of m in the frame u (x) 1, so
     their joint spectrum is the spectrum of the A-dephased state.
     """
     d_a, d_b = dims
-    t = m.reshape(d_a, d_b, d_a, d_b)
+    lead = m.shape[:-2]
+    t = m.reshape(*lead, d_a, d_b, d_a, d_b)
     if frame is None:
-        idx = np.arange(d_a)
-        return t[idx, :, idx, :]
-    # y[i, j, l, a] = sum_k t[i, j, k, l] u_k[a]: one matrix product
-    y = (t.transpose(0, 1, 3, 2).reshape(-1, d_a) @ frame).reshape(d_a, d_b, d_b, d_a)
-    return np.einsum("ia,ijla->ajl", frame.conj(), y)
+        return np.einsum("...ijil->...ijl", t)
+    # y[..., i, j, l, a] = sum_k t[..., i, j, k, l] u_k[a]: one matrix product
+    y = (t.swapaxes(-1, -2).reshape(-1, d_a) @ frame).reshape(*lead, d_a, d_b, d_b, d_a)
+    return np.einsum("ia,...ijla->...ajl", frame.conj(), y)
+
+
+def _transfer(ops: np.ndarray) -> np.ndarray:
+    """The channel of a Kraus stack (..., n, d, d) as a matrix on X[p, q]:
+    S[(i, k), (p, q)] = sum_n K_n[i, p] conj(K_n[k, q])."""
+    d = ops.shape[-1]
+    s = (ops[..., :, None, :, None] * ops.conj()[..., None, :, None, :]).sum(axis=-5)
+    return s.reshape(*s.shape[:-4], d * d, d * d)
+
+
+def apply_local(m: np.ndarray, dims: tuple[int, int], ops_a=None, ops_b=None) -> np.ndarray:
+    """(Phi_A (x) Phi_B)(m) for Kraus stacks ops_a on A and ops_b on B (None is
+    the identity), with no operator on A (x) B formed.  A stack of channels,
+    (..., n, d, d), gives a stack of outputs (..., d_a d_b, d_a d_b).  On the
+    realigned R[(i, k), (j, l)] = m[(i, j), (k, l)] a channel on A acts on the
+    rows and one on B on the columns: one matrix product per side."""
+    d_a, d_b = dims
+    r = m.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    if ops_a is not None:
+        r = _transfer(ops_a) @ r
+    if ops_b is not None:
+        r = r @ _transfer(ops_b).swapaxes(-1, -2)
+    lead = r.shape[:-2]
+    out = r.reshape(*lead, d_a, d_a, d_b, d_b).swapaxes(-2, -3)
+    return out.reshape(*lead, d_a * d_b, d_a * d_b)
 
 
 def dephase_local(m: np.ndarray, dims: tuple[int, int], basis_a=None) -> np.ndarray:
-    """Apply the dephasing map to subsystem A only (identity on B):
+    """Apply the dephasing map to subsystem A only (identity on B): the local
+    channel with Kraus operators |u_k><u_k| on A, which leaves
     sum_k |u_k><u_k| (x) M_k with M_k the conditional blocks.
 
     The output is block diagonal in the A reference frame.
@@ -137,17 +157,8 @@ def dephase_local(m: np.ndarray, dims: tuple[int, int], basis_a=None) -> np.ndar
     if m.shape != (d_a * d_b, d_a * d_b):
         raise ValueError(f"matrix is {m.shape}, expected ({d_a * d_b}, {d_a * d_b})")
     frame = as_frame(basis_a, d_a)
-    blocks = conditional_blocks(m, dims, frame)
-    if frame is None:
-        out = np.zeros((d_a, d_b, d_a, d_b), dtype=complex)
-        idx = np.arange(d_a)
-        out[idx, :, idx, :] = blocks
-    else:
-        # out[i, j, k, l] = sum_a u_a[i] conj(u_a[k]) M_a[j, l]: one matrix product
-        proj = (frame[:, None, :] * frame.conj()[None, :, :]).reshape(d_a * d_a, d_a)
-        out = (proj @ blocks.reshape(d_a, d_b * d_b)).reshape(d_a, d_a, d_b, d_b)
-        out = out.transpose(0, 2, 1, 3)
-    return out.reshape(d_a * d_b, d_a * d_b)
+    u = np.eye(d_a) if frame is None else frame.T
+    return apply_local(m, dims, u[:, :, None] * u.conj()[:, None, :])
 
 
 def diag_probs(m: np.ndarray, basis=None) -> np.ndarray:

@@ -7,7 +7,8 @@ defaults to the computational basis of each subsystem; pass a
 Each public function checks its basis arguments once, on entry; the private
 helpers below take the checked frames.  A ``DensityMatrix`` was validated when
 it was built and carries its spectrum, so S(rho) costs no decomposition; the
-marginals and the conditional blocks are decomposed once per call.
+marginals and the conditional blocks are decomposed once per call.  The
+entropies behind I_co (``_entropies``) take a whole stack of states at once.
 """
 
 from __future__ import annotations
@@ -123,15 +124,38 @@ def correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> floa
     zero on product states and on diagonal bipartite states.
     """
     fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
-    ra, rb = _marginals(rho)
+    return float(_correlated_coherence(rho.mat, rho.spectrum, rho.dims, fa, fb))
+
+
+# I_co = H(rho in fa (x) fb) - S(rho) - [H(ra in fa) - S(ra)] - [H(rb in fb) - S(rb)]
+_ICO_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
+
+
+def _entropies(m: np.ndarray, w: np.ndarray, dims, fa=None, fb=None):
+    """The six entropies behind I_co, of a trusted state or of each state of a
+    stack m (..., d, d) with spectra w (..., d), in checked frames: H(rho in
+    fa (x) fb), S(rho), H(ra in fa), S(ra), H(rb in fb), S(rb), shape (..., 6).
+    Their distributions are the zero-padded rows of one table, so one entropy
+    call covers them all.  Also returns the marginals and conditional blocks."""
+    lead = m.shape[:-2]
+    ra, rb = partial_trace(m, dims, keep="a"), partial_trace(m, dims, keep="b")
     # the diagonal of rho in the frame fa (x) fb is the diagonal, in fb, of its
     # conditional blocks in fa
-    blocks = conditional_blocks(rho.mat, rho.dims, fa)
-    return (
-        _dephased_entropy(blocks, fb) - entropy(rho)
-        - _coherence_of(ra, fa)
-        - _coherence_of(rb, fb)
+    blocks = conditional_blocks(m, dims, fa)
+    parts = (
+        frame_diagonal(blocks, fb).reshape(*lead, -1), w,
+        frame_diagonal(ra, fa), np.linalg.eigvalsh(ra),
+        frame_diagonal(rb, fb), np.linalg.eigvalsh(rb),
     )
+    table = np.zeros((*lead, len(parts), m.shape[-1]))
+    for k, part in enumerate(parts):
+        table[..., k, : part.shape[-1]] = part
+    return entropy_of_probs(table, axis=-1), ra, rb, blocks
+
+
+def _correlated_coherence(m: np.ndarray, w: np.ndarray, dims, fa=None, fb=None) -> np.ndarray:
+    """I_co of each trusted state of a stack (a scalar for one state)."""
+    return _entropies(m, w, dims, fa, fb)[0] @ _ICO_SIGNS
 
 
 def _cq_coherence(rho: DensityMatrix, fa) -> float:
@@ -218,28 +242,22 @@ class MeasureReport:
 
     @classmethod
     def compute(cls, rho: DensityMatrix, basis_a=None, basis_b=None) -> "MeasureReport":
-        """One pass over the state: S(rho) is read from its kept spectrum, and
-        the marginals and the conditional blocks are decomposed once each."""
+        """One pass over the state: S(rho) is read from its kept spectrum, the
+        marginals and the conditional blocks are decomposed once each, and I_co
+        is correlated_coherence's own sum."""
         fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
-        ra, rb = _marginals(rho)
-        blocks = conditional_blocks(rho.mat, rho.dims, fa)
-        s_ab = entropy(rho)
-        s_a = _entropy_of(ra)
-        s_b = _entropy_of(rb)
-        c_ab = _dephased_entropy(blocks, fb) - s_ab
-        c_a = _dephased_entropy(ra, fa) - s_a
-        c_b = _dephased_entropy(rb, fb) - s_b
-        c_upper = _entropy_of(blocks) - s_ab
+        h, ra, rb, blocks = _entropies(rho.mat, rho.spectrum, rho.dims, fa, fb)
+        h_ab, s_ab, h_a, s_a, h_b, s_b = h.tolist()
         return cls(
             S_ab=s_ab,
             S_a=s_a,
             S_b=s_b,
             I=s_a + s_b - s_ab,
-            C_r_ab=c_ab,
-            C_r_a=c_a,
-            C_r_b=c_b,
-            I_co=c_ab - c_a - c_b,
-            C_r_upper=c_upper,
+            C_r_ab=h_ab - s_ab,
+            C_r_a=h_a - s_a,
+            C_r_b=h_b - s_b,
+            I_co=float(h @ _ICO_SIGNS),
+            C_r_upper=_entropy_of(blocks) - s_ab,
             l1_cc=_l1_correlated(rho, ra, rb, fa, fb),
         )
 

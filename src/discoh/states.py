@@ -16,7 +16,6 @@ from .linalg import (
     as_complex_matrix,
     check_unitary,
     dag,
-    tensor,
 )
 
 
@@ -43,15 +42,35 @@ class ReferenceBasis:
         return f"ReferenceBasis(dim={self.dim})"
 
 
+def validate_density(mats, hermitian_tol=HERMITIAN_TOL, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
+    """Check that a matrix, or each matrix of a stack (..., d, d), is Hermitian,
+    unit-trace and PSD within the tolerances, naming the worst value if not.
+    Returns the ascending spectra (..., d) the positivity check computes."""
+    herm_err = float(np.abs(mats - mats.conj().swapaxes(-1, -2)).max())
+    if herm_err > hermitian_tol:
+        raise ValueError(f"matrix is not Hermitian: max |M - M†| = {herm_err:.3e} > "
+                         f"{hermitian_tol:g}")
+    traces = mats.trace(axis1=-2, axis2=-1)
+    trace_err = np.abs(traces - 1.0)
+    if trace_err.max() > trace_tol:
+        tr = np.ravel(traces)[np.argmax(trace_err)]
+        raise ValueError(f"trace = {tr.real:.12g} exceeds tolerance {trace_tol:g} from 1")
+    spectra = np.linalg.eigvalsh(mats)
+    w_min = spectra[..., 0].min()
+    if w_min < -psd_tol:
+        raise ValueError(f"negative eigenvalue {w_min:.3e} below tolerance -{psd_tol:g}")
+    return spectra
+
+
 class DensityMatrix:
     """Positive semidefinite, unit-trace complex matrix with a bipartite
     dimension split (d_a, d_b).
 
-    Validation (Hermiticity, trace, positivity) happens at construction, and
-    only there: the measures trust a DensityMatrix.  The eigenvalues the
-    positivity check computes are kept, ascending, as the read-only
-    ``spectrum``, so no measure decomposes the state again.  Instances are
-    immutable, so they can be shared freely across workers.
+    Validation (``validate_density``: Hermiticity, trace, positivity) happens
+    at construction, and only there: the measures trust a DensityMatrix.  The
+    eigenvalues the positivity check computes are kept, ascending, as the
+    read-only ``spectrum``, so no measure decomposes the state again.
+    Instances are immutable, so they can be shared freely across workers.
     """
 
     __slots__ = ("mat", "dims", "spectrum")
@@ -74,20 +93,8 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix is {mat.shape} but dims ({d_a}, {d_b}) require ({d}, {d})"
             )
-        herm_err = float(np.max(np.abs(mat - dag(mat))))
-        if herm_err > hermitian_tol:
-            raise ValueError(
-                f"matrix is not Hermitian: max |M - M†| = {herm_err:.3e} > {hermitian_tol:g}"
-            )
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"trace = {tr.real:.12g} exceeds tolerance {trace_tol:g} from 1")
         mat = mat.copy()
-        spectrum = np.linalg.eigvalsh(mat)
-        if spectrum[0] < -psd_tol:
-            raise ValueError(
-                f"negative eigenvalue {spectrum[0]:.3e} below tolerance -{psd_tol:g}"
-            )
+        spectrum = validate_density(mat, hermitian_tol, trace_tol, psd_tol)
         mat.setflags(write=False)
         spectrum.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -166,22 +173,20 @@ def classical_quantum(
         raise ValueError("probabilities must be nonnegative")
     if abs(probs.sum() - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {probs.sum():.12g}, expected 1")
-    block_mats = [state_mat(b) for b in blocks]
-    d_b = block_mats[0].shape[0]
-    for b in block_mats:
-        if b.shape != (d_b, d_b):
-            raise ValueError("all B blocks must share one dimension")
+    block_mats = np.array([state_mat(b) for b in blocks])  # raises on ragged shapes
+    d_b = block_mats.shape[-1]
+    if block_mats.shape[1:] != (d_b, d_b):
+        raise ValueError("all B blocks must share one dimension")
     if basis_a is not None:
         dim_a = basis_a.dim
     else:
         dim_a = d_a if d_a is not None else len(probs)
     if len(probs) > dim_a:
         raise ValueError(f"{len(probs)} blocks do not fit in d_a = {dim_a}")
-    frame = basis_a.frame if basis_a is not None else np.eye(dim_a, dtype=complex)
-    mat = np.zeros((dim_a * d_b, dim_a * d_b), dtype=complex)
-    for i, (p, b) in enumerate(zip(probs, block_mats)):
-        mat += p * tensor(ket_projector(frame[:, i]), b)
-    return DensityMatrix(mat, (dim_a, d_b))
+    f = (basis_a.frame if basis_a is not None else np.eye(dim_a))[:, : len(probs)]
+    # mat[a, j, c, l] = sum_i f_i[a] conj(f_i[c]) p_i b_i[j, l]
+    mat = np.einsum("ai,ci,ijl->ajcl", f, f.conj(), probs[:, None, None] * block_mats)
+    return DensityMatrix(mat.reshape(dim_a * d_b, -1), (dim_a, d_b))
 
 
 # ---------------------------------------------------------------------------

@@ -285,11 +285,14 @@ def run_suite(suite: str, trials: int | None = None, dims: tuple | None = None, 
               progress=None) -> SuiteResult:
     """Run a suite by name.  None for trials, dims, restarts or max_iter keeps
     the suite's own default; restarts and max_iter reach only the suites that
-    search (theorem2 and zero-sets)."""
+    search (theorem2 and zero-sets), but every suite rejects invalid ones, as
+    OptimizerConfig does, before any trial runs."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    options = {"trials": trials, "dims": dims}
-    if suite in _SEARCHING:
-        options.update(restarts=restarts, max_iter=max_iter)
+    options = {"trials": trials, "dims": dims, "restarts": restarts, "max_iter": max_iter}
     given = {key: value for key, value in options.items() if value is not None}
+    search = {key: given.pop(key) for key in ("restarts", "max_iter") if key in given}
+    OptimizerConfig(**search)
+    if suite in _SEARCHING:
+        given.update(search)
     return _SUITES[suite](seed=seed, progress=progress, **given)

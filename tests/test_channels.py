@@ -7,10 +7,10 @@ from discoh.channels import (
     KrausChannel,
     PIOSpec,
     PPIOSpec,
+    ProductChannel,
     apply,
     classify,
     dephasing_channel,
-    lift_to_bipartite,
     make_iuo,
     make_physically_free,
     make_pio,
@@ -19,10 +19,11 @@ from discoh.channels import (
     random_kraus_ops,
     random_physically_free,
     random_rank_one_ppio,
+    random_rank_one_ppio_ops,
 )
 from discoh.discord import coherence_discord
-from discoh.linalg import dephase
-from discoh.states import classical_quantum, random_state
+from discoh.linalg import apply_local, dephase
+from discoh.states import classical_quantum, random_state, rng_from_seed
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -236,10 +237,24 @@ def test_classify_factorizable_free():
     assert "physically-free" in classify(remixed, dims=(2, 2))
 
 
+def test_classify_ppio_needs_nonzero_operators_on_disjoint_columns():
+    # a zero operator, or two operators on one column (admitted as unit-modulus
+    # by a loose tolerance), make an incoherent channel but not a PPIO
+    padded = KrausChannel([*dephasing_channel(2).ops, np.zeros((2, 2))])
+    assert classify(padded) == frozenset({"incoherent"})
+    shared = KrausChannel([np.eye(2) / np.sqrt(2.0)] * 2)
+    assert classify(shared, tol=0.5) == frozenset({"incoherent"})
+
+
 def test_classify_non_factorizable():
     rng = np.random.default_rng(11)
     ops = random_kraus_ops(4, 2, rng)
     assert "physically-free" not in classify(KrausChannel(ops), dims=(2, 2))
+    # dephasing A by {I, Z}: each operator has the IUO pattern, but no single
+    # U_a serves both (the second one's blocks have the opposite ratio)
+    ops = [np.kron(np.eye(2), np.eye(2)), np.kron(np.diag([1.0, -1.0]), np.eye(2))]
+    chan = KrausChannel([k / np.sqrt(2.0) for k in ops])
+    assert "physically-free" not in classify(chan, dims=(2, 2))
 
 
 def test_classify_in_rotated_frame():
@@ -260,10 +275,101 @@ def test_incoherent_channels_preserve_diagonals():
             assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-10
 
 
-def test_lift_to_bipartite():
-    chan = lift_to_bipartite(dephasing_channel(2), 2)
+def test_apply_local_dephasing_on_a_is_dephase_local():
     rho = random_state(2, 2, "ginibre-mixed", seed=13)
-    from discoh.linalg import dephase_local
+    from discoh.linalg import apply_local, dephase_local
 
-    assert_allclose(apply(chan, rho).mat, dephase_local(rho.mat, (2, 2)), atol=1e-12)
+    out = apply_local(rho.mat, rho.dims, dephasing_channel(2).ops)
+    assert_allclose(out, dephase_local(rho.mat, (2, 2)), atol=1e-12)
 
+
+def test_product_channel_matches_its_joint_kraus_set():
+    rng = np.random.default_rng(14)
+    chan = random_physically_free(2, 3, rng, n_b_ops=2)
+    rho = random_state(2, 3, "ginibre-mixed", seed=14)
+    joint = KrausChannel([np.kron(k, b) for k in chan.a.ops for b in chan.b.ops])
+    assert_allclose(chan.ops, joint.ops, atol=0)
+    assert_allclose(apply(chan, rho).mat, apply(joint, rho).mat, atol=1e-12)
+    with pytest.raises(ValueError, match="do not match"):
+        apply(chan, random_state(3, 2, "ginibre-mixed", seed=14))
+
+
+# ---------------------------------------------------------------------------
+# The direct samplers, certified by classify, and the local kernel against the
+# kron(K, 1_B) / kron(U_a, B_j) formula.
+# ---------------------------------------------------------------------------
+
+
+def merges(ops) -> bool:
+    """Does the rank-one PPIO send two levels to one?"""
+    rows = np.abs(ops).sum(axis=0).argmax(axis=0)  # level j goes to row rows[j]
+    return len(set(rows.tolist())) < len(rows)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sampled_rank_one_ppios_are_certified(d):
+    rng = rng_from_seed(200 + d)
+    merging = 0
+    for injective in (True, False):
+        stacks = [random_rank_one_ppio(d, rng, injective).ops for _ in range(40)]
+        stacks += list(random_rank_one_ppio_ops(d, rng, 40, injective))
+        for ops in stacks:
+            assert "rank-one-ppio" in classify(KrausChannel(ops))
+            assert not (injective and merges(ops))
+            merging += merges(ops)
+    assert merging > 0
+
+
+def test_rank_one_ppio_stack_draws_as_single_samples_do():
+    for injective in (True, False):
+        one, many = rng_from_seed(21), rng_from_seed(21)
+        singles = [random_rank_one_ppio(3, one, injective).ops for _ in range(5)]
+        assert_allclose(random_rank_one_ppio_ops(3, many, 5, injective), singles, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_sampled_physically_free_channels_are_certified(dims):
+    rng = rng_from_seed(210 + sum(dims))
+    for n_b_ops in (1, 2, 3) * 20:
+        chan = random_physically_free(*dims, rng, n_b_ops=n_b_ops)
+        joint = [np.kron(u, b) for u in chan.a.ops for b in chan.b.ops]
+        assert "physically-free" in classify(KrausChannel(joint), dims=dims)
+
+
+def kron_reference(m, ops_a, ops_b):
+    """sum_ij (K_i (x) L_j) m (K_i (x) L_j)†, the lifted operators formed."""
+    out = np.zeros_like(m)
+    for k in ops_a:
+        for b in ops_b:
+            big = np.kron(k, b)
+            out += big @ m @ big.conj().T
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_apply_local_matches_the_kron_formula(dims):
+    d_a, d_b = dims
+    rng = rng_from_seed(220 + d_a * d_b)
+    m = random_state(d_a, d_b, "ginibre-mixed", seed=d_a * d_b).mat
+    eye_b = np.eye(d_b)[None]
+    # one channel on A
+    ppio = random_rank_one_ppio(d_a, rng).ops
+    assert_allclose(apply_local(m, dims, ppio), kron_reference(m, ppio, eye_b), atol=1e-12)
+    general = random_kraus_ops(d_a, 3, rng)
+    assert_allclose(apply_local(m, dims, general), kron_reference(m, general, eye_b), atol=1e-12)
+    # a stack of channels on A
+    stack = random_rank_one_ppio_ops(d_a, rng, 7, injective=True)
+    expected = [kron_reference(m, ops, eye_b) for ops in stack]
+    assert_allclose(apply_local(m, dims, stack), expected, atol=1e-12)
+    # a channel on B alone, and U_a (x) {B_j} given as its two factors
+    b_ops = random_kraus_ops(d_b, 2, rng)
+    assert_allclose(
+        apply_local(m, dims, ops_b=b_ops), kron_reference(m, np.eye(d_a)[None], b_ops),
+        atol=1e-12,
+    )
+    free = random_physically_free(d_a, d_b, rng, n_b_ops=3)
+    assert_allclose(
+        apply_local(m, dims, free.a.ops, free.b.ops),
+        kron_reference(m, free.a.ops, free.b.ops),
+        atol=1e-12,
+    )

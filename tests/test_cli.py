@@ -483,6 +483,16 @@ def test_compute_rejects_bad_optimizer_config(capsys, bell_file):
     assert "restarts" in err
 
 
+@pytest.mark.parametrize("suite", ["theorem1", "theorem2"])
+def test_verify_rejects_invalid_restarts_and_max_iter(capsys, suite):
+    code, out, err = run_cli(
+        capsys, "verify", suite, "--trials", "2", "--restarts", "0", "--max-iter", "0"
+    )
+    assert code == 2 and out == ""
+    assert "restarts must be an integer >= 1, got 0" in err
+    assert "trials" not in err  # no trial ran, so no progress line
+
+
 def test_unconverged_search_warns_on_stderr_only(capsys, tmp_path):
     path = tmp_path / "mixed.json"
     save_state(random_state(3, 2, "ginibre-mixed", seed=4), path)

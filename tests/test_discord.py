@@ -490,6 +490,11 @@ def test_invariance_check_random_states():
         assert coherence_discord_invariance(rho, trials=50, seed=11) <= 1e-9
 
 
+def test_invariance_check_needs_a_sample():
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        coherence_discord_invariance(bell_phi_plus(), trials=0)
+
+
 def test_symmetric_variant_diagonal_zero():
     diag = DensityMatrix(np.diag([0.4, 0.1, 0.2, 0.3]), (2, 2))
     assert abs(coherence_discord_symmetric(diag)) < 1e-12

@@ -174,3 +174,20 @@ def test_frame_diagonal_of_a_stack_is_each_diagonal():
     expected = [np.diag(frame.conj().T @ m @ frame).real for m in stack]
     assert_allclose(frame_diagonal(stack, frame), expected, rtol=0, atol=1e-13)
     assert_allclose(frame_diagonal(stack), [np.diag(m).real for m in stack], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_partial_trace_and_conditional_blocks_of_a_stack_are_per_matrix(dims):
+    rng = np.random.default_rng(18)
+    d = dims[0] * dims[1]
+    stack = np.stack([rand_hermitian(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
+    frame = haar_unitary(dims[0], rng)
+    for keep in ("a", "b"):
+        expected = [[partial_trace(m, dims, keep) for m in row] for row in stack]
+        assert_allclose(partial_trace(stack, dims, keep), expected, rtol=0, atol=0)
+    for f in (None, frame):
+        expected = [[conditional_blocks(m, dims, f) for m in row] for row in stack]
+        assert_allclose(conditional_blocks(stack, dims, f), expected, rtol=0, atol=1e-15)
+    t = stack.reshape(2, 3, dims[0], dims[1], dims[0], dims[1])
+    blocks = [[[t[r, s, k, :, k, :] for k in range(dims[0])] for s in range(3)] for r in range(2)]
+    assert_allclose(conditional_blocks(stack, dims), blocks, rtol=0, atol=0)

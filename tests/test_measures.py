@@ -322,3 +322,19 @@ def test_report_and_dac_match_plain_definitions_on_rank_deficient_states(dims, r
     got = {**MeasureReport.compute(rho, fa, fb).to_dict(), "dac": coherence_discord(rho, fa)}
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
+
+
+def test_correlated_coherence_of_a_stack_is_per_state():
+    from discoh.measures import _correlated_coherence
+
+    rng = np.random.default_rng(31)
+    for dims in [(2, 2), (2, 3), (3, 2)]:
+        states = [random_state(*dims, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
+                  for _ in range(5)]
+        fa, fb = haar_unitary(dims[0], rng), haar_unitary(dims[1], rng)
+        stack = np.stack([rho.mat for rho in states])
+        spectra = np.stack([rho.spectrum for rho in states])
+        for basis_a, basis_b in [(None, None), (fa, fb)]:
+            expected = [correlated_coherence(rho, basis_a, basis_b) for rho in states]
+            got = _correlated_coherence(stack, spectra, dims, basis_a, basis_b)
+            assert_allclose(got, expected, rtol=0, atol=1e-14)

@@ -4,9 +4,12 @@ runs the full campaigns."""
 import numpy as np
 import pytest
 
-from discoh.channels import apply, lift_to_bipartite, random_rank_one_ppio
-from discoh.discord import coherence_discord
-from discoh.states import random_cq_state, random_state_from, rng_from_seed, spawn_seeds
+from discoh.channels import KrausChannel, ProductChannel, random_rank_one_ppio
+from discoh.discord import coherence_discord, coherence_discord_drop, coherence_discord_invariance
+from discoh.linalg import apply_local
+from discoh.states import (
+    DensityMatrix, random_cq_state, random_state_from, rng_from_seed, spawn_seeds
+)
 from discoh.verify import (
     SUITES,
     run_suite,
@@ -126,7 +129,7 @@ def test_rank_one_ppio_output_in_zero_set():
     for _ in range(50):
         rho = random_state_from(rng, 2, 2)
         ppio = random_rank_one_ppio(2, rng)
-        out = apply(lift_to_bipartite(ppio, 2), rho)
+        out = DensityMatrix(apply_local(rho.mat, rho.dims, ppio.ops), rho.dims)
         assert coherence_discord(out) <= 1e-10
 
 
@@ -235,3 +238,98 @@ def test_worst_trial_replays_as_the_last_trial_of_a_prefix(name, trials):
     assert again.max_violation == full.max_violation
     assert again.details["worst_trial"] == worst
     assert again.details["worst_seed"] == full.details["worst_seed"]
+
+
+@pytest.mark.parametrize("name", ["theorem1", "theorem2"])
+@pytest.mark.parametrize(
+    "option,value", [("restarts", 0), ("max_iter", 0), ("restarts", True), ("max_iter", 2.5)]
+)
+def test_run_suite_rejects_invalid_search_options_before_any_trial(name, option, value):
+    # theorem1 runs no search, but an invalid option is still an error, not ignored
+    calls = []
+    with pytest.raises(ValueError, match=f"{option} must be an integer >= 1"):
+        run_suite(name, trials=2, seed=122, progress=lambda i, n: calls.append(i),
+                  **{option: value})
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The stacked campaign checks still catch wrong values
+# ---------------------------------------------------------------------------
+
+
+def test_invariance_check_catches_a_shifted_closed_form(monkeypatch):
+    import sys
+
+    module = sys.modules["discoh.discord"]  # the package's name discord is the function
+    rho = random_state_from(rng_from_seed(117), 2, 2)
+    monkeypatch.setattr(
+        module, "coherence_discord", lambda rho, basis_a=None: coherence_discord(rho, basis_a) + 1e-6
+    )
+    assert abs(coherence_discord_invariance(rho, trials=50, seed=1) - 1e-6) <= 1e-12
+    result = verify_invariance(trials=3, seed=117)
+    assert not result.passed and result.failures == 3
+    assert abs(result.max_violation - 1e-6) <= 1e-12
+
+
+def test_theorem3_check_catches_a_coherent_channel(monkeypatch):
+    import discoh.verify
+
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+    def hadamard_on_a(d_a, d_b, rng, n_b_ops=2):
+        return ProductChannel(KrausChannel([hadamard]), KrausChannel([np.eye(d_b)]))
+
+    monkeypatch.setattr(discoh.verify, "random_physically_free", hadamard_on_a)
+    result = verify_theorem3(trials=8, seed=118)
+    assert not result.passed and result.failures == 8
+    assert result.max_violation > 1e-3
+
+
+def test_sampled_merging_ppios_drop_more_than_the_closed_form():
+    # merging two levels of A destroys coherence that dephasing A keeps
+    rng = rng_from_seed(119)
+    merging = 0
+    while merging < 20:
+        rho = random_state_from(rng, 3, 2)
+        ppio = random_rank_one_ppio(3, rng)
+        rows = np.abs(ppio.ops).sum(axis=0).argmax(axis=0)
+        if len(set(rows.tolist())) == 3:
+            continue
+        merging += 1
+        assert coherence_discord_drop(rho, ppio) > coherence_discord(rho) + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Structural guards: campaign trials lift no operator to A (x) B, and the
+# invariance trial decomposes a whole stack of PPIO outputs at once
+# ---------------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+
+    def counting(a, *args, _original=getattr(owner, name), **kwargs):
+        calls.append(np.shape(a))
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["theorem1", "theorem3", "invariance"])
+def test_campaign_trials_form_no_kron(monkeypatch, name):
+    calls = count_calls(monkeypatch, np, "kron")
+    # four theorem3 trials include one with a mixture of two channels
+    assert run_suite(name, trials=4, seed=120).passed
+    assert calls == []
+
+
+def test_invariance_trial_decomposes_as_often_at_5_and_50_samples(monkeypatch):
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    counts = []
+    for samples in (5, 50):
+        calls.clear()
+        assert verify_invariance(trials=1, seed=121, ppio_samples=samples).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -17,6 +17,7 @@ from discoh.states import (
     state_from_json,
     state_to_json,
     swap_subsystems,
+    validate_density,
     werner,
 )
 
@@ -204,3 +205,21 @@ def test_reference_basis_validates_unitarity():
         ReferenceBasis(np.array([[1.0, 0.0], [1.0, 1.0]]))
     basis = ReferenceBasis(np.eye(3))
     assert basis.dim == 3
+
+
+def test_validate_density_of_a_stack_keeps_each_spectrum():
+    states = [random_state(2, 3, "ginibre-mixed", seed=s) for s in range(4)]
+    stack = np.stack([rho.mat for rho in states])
+    assert_allclose(validate_density(stack), [rho.spectrum for rho in states], rtol=0, atol=0)
+    assert_allclose(validate_density(states[0].mat), states[0].spectrum, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [(np.diag([0.5, 0.3]), "trace = 0.8 "), (np.diag([1.2, -0.2]), "negative eigenvalue -2.000e-01"),
+     (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian")],
+)
+def test_validate_density_names_the_worst_matrix_of_a_stack(bad, match):
+    stack = np.stack([np.eye(2) / 2, bad, np.diag([1.0, 0.0])]).astype(complex)
+    with pytest.raises(ValueError, match=match):
+        validate_density(stack)

@@ -406,9 +406,18 @@ def random_kraus_ops(dim: int, n_ops: int, rng: np.random.Generator) -> np.ndarr
     return q.reshape(n_ops, dim, dim)
 
 
+def random_physically_free_ops(
+    d_a: int, d_b: int, rng: np.random.Generator, n_b_ops: int = 2
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus stacks (1, d_a, d_a) and (n_b_ops, d_b, d_b) of a random U_a (x)
+    {B_j}, with the draws of random_iuo and random_kraus_ops, in that order."""
+    u_a = iuo_matrix(rng.permutation(d_a), rng.uniform(0.0, 2.0 * np.pi, d_a))
+    return u_a[None], random_kraus_ops(d_b, n_b_ops, rng)
+
+
 def random_physically_free(
     d_a: int, d_b: int, rng: np.random.Generator, n_b_ops: int = 2
 ) -> ProductChannel:
     """Random U_a (x) {B_j}: a random IUO on A and a random n_b_ops-operator
     channel on B."""
-    return ProductChannel(random_iuo(d_a, rng), KrausChannel(random_kraus_ops(d_b, n_b_ops, rng)))
+    return ProductChannel(*map(KrausChannel, random_physically_free_ops(d_a, d_b, rng, n_b_ops)))

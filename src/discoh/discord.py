@@ -23,13 +23,13 @@ from .channels import (
     LABEL_RANK_ONE_PPIO, KrausChannel, classify, random_iuo, random_rank_one_ppio_ops
 )
 from .linalg import (
-    MAX_OPT_DIM, apply_local, as_frame, conditional_blocks, dephase_local, frame_diagonal,
-    partial_trace,
+    MAX_OPT_DIM, apply_local, as_frame, conditional_blocks, dephase_local, partial_trace,
 )
 from .measures import (
+    _ICO_SIGNS,
     _coherence_of,
-    _correlated_coherence,
     _cq_coherence,
+    _entropies,
     correlated_coherence,
     entropy,
     entropy_of_probs,
@@ -254,9 +254,9 @@ def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationT
         raise ValueError(f"{cap}, got {rho.dim}")
     config = config or OptimizerConfig()
     rng = rng_from_seed(config.seed)
-    starts = [np.eye(rho.d_a, dtype=complex)]
-    starts += [haar_unitary(rho.d_a, rng) for _ in range(config.restarts - 1)]
-    frames, values, iters, converged = minimize(_basis_objective(rho), np.stack(starts), config)
+    eye = np.eye(rho.d_a, dtype=complex)[None]
+    starts = np.concatenate([eye, haar_unitary(rho.d_a, rng, config.restarts - 1)])
+    frames, values, iters, converged = minimize(_basis_objective(rho), starts, config)
     best = int(np.argmin(values))
     records = tuple(
         RestartRecord(tuple(map(tuple, s)), float(v), int(i))
@@ -342,11 +342,6 @@ def coherence_discord(rho: DensityMatrix, basis_a=None) -> float:
     return _cq_coherence(rho, fa) - _coherence_of(ra, fa)
 
 
-def coherence_discord_drop(rho: DensityMatrix, ppio: KrausChannel) -> float:
-    """Literal correlated-coherence drop under one concrete rank-one PPIO."""
-    return correlated_coherence(rho) - correlated_coherence(_apply_rank_one_ppio(rho, ppio))
-
-
 def coherence_discord_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> float:
     """Max deviation of the literal drop from the closed form over random
     non-merging rank-one PPIOs.
@@ -354,16 +349,12 @@ def coherence_discord_invariance(rho: DensityMatrix, trials: int = 50, seed: int
     Merging PPIOs (two levels mapped to one) drop strictly more coherence by
     convexity, so representation independence holds on the non-merging class;
     the sampler is restricted accordingly.  The PPIOs are drawn as one Kraus
-    stack and act on rho together; the outputs are validated, and their I_co
-    taken, in one stacked pass each.
+    stack and act on rho together, in one _ppio_drops pass.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    base = coherence_discord(rho)
     ops = random_rank_one_ppio_ops(rho.d_a, rng_from_seed(seed), trials, injective=True)
-    outs = apply_local(rho.mat, rho.dims, ops)
-    ico = _correlated_coherence(outs, validate_density(outs), rho.dims)
-    return float(np.max(np.abs(correlated_coherence(rho) - ico - base)))
+    return float(np.max(np.abs(_ppio_drops(rho, ops)[0] - coherence_discord(rho))))
 
 
 def coherence_discord_symmetric(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:
@@ -393,14 +384,28 @@ def discord_via_coherence(rho: DensityMatrix, config: OptimizerConfig | None = N
 # ---------------------------------------------------------------------------
 
 
-def _apply_rank_one_ppio(rho: DensityMatrix, ppio: KrausChannel) -> DensityMatrix:
-    """rho after a rank-one PPIO on A, applied literally: its Kraus operators
-    act on A's indices of rho, and the output is validated."""
+def _rank_one_ppio_ops(rho: DensityMatrix, ppio: KrausChannel) -> np.ndarray:
+    """The Kraus stack of ppio, checked to be a rank-one PPIO on A of rho."""
     if not isinstance(ppio, KrausChannel) or ppio.in_dim != rho.d_a:
         raise ValueError(f"expected a channel on A (dim {rho.d_a})")
     if LABEL_RANK_ONE_PPIO not in classify(ppio):
         raise ValueError("channel is not a rank-one PPIO in the reference basis")
-    return DensityMatrix(apply_local(rho.mat, rho.dims, ppio.ops), rho.dims)
+    return ppio.ops
+
+
+def _ppio_drops(rho: DensityMatrix, ops: np.ndarray) -> tuple[np.ndarray, float]:
+    """The I_co drops of rho under each trusted rank-one PPIO of a Kraus stack
+    (n, d_a, d_a, d_a), and its mutual-information drop under dephasing A, in
+    one pass: the PPIOs and the dephasing {|k><k|} act on A of rho in one
+    apply_local call, all outputs are validated in one call, and one _entropies
+    call covers rho and the outputs."""
+    eye = np.eye(rho.d_a)
+    deph = eye[None, :, :, None] * eye[None, :, None, :]  # one channel, {|k><k|}
+    outs = apply_local(rho.mat, rho.dims, np.concatenate([ops, deph]))
+    spectra = np.concatenate([rho.spectrum[None], validate_density(outs)])
+    h = _entropies(np.concatenate([rho.mat[None], outs]), spectra, rho.dims)[0]
+    ico, mi = h @ _ICO_SIGNS, h[:, 3] + h[:, 5] - h[:, 1]
+    return ico[0] - ico[1:-1], float(mi[0] - mi[-1])
 
 
 def ppio_monotonicity_gap(
@@ -413,14 +418,12 @@ def ppio_monotonicity_gap(
     every bipartite state; with strict=True a violation beyond 1e-9 raises
     ArithmeticError (it would signal a numerical bug, not physics).
     """
-    gap = coherence_discord_drop(rho, ppio)
-    deph = DensityMatrix(dephase_local(rho.mat, rho.dims), rho.dims)
-    mi_drop = mutual_information(rho) - mutual_information(deph)
+    (gap,), mi_drop = _ppio_drops(rho, _rank_one_ppio_ops(rho, ppio)[None])
     if strict and (gap < -1e-9 or gap < mi_drop - 1e-9):
         raise ArithmeticError(
             f"monotonicity violated: gap={gap:.3e}, mi_drop={mi_drop:.3e}"
         )
-    return gap, mi_drop
+    return float(gap), mi_drop
 
 
 def dephasing_balance(rho: DensityMatrix, ppio: KrausChannel) -> float:
@@ -430,12 +433,10 @@ def dephasing_balance(rho: DensityMatrix, ppio: KrausChannel) -> float:
 
     Vanishes whenever all the per-level unitaries of the PPIO coincide.
     """
-    both = np.stack([rho.mat, _apply_rank_one_ppio(rho, ppio).mat])
-    # S[D(.)] - S[D(._a)] for rho and for rho', from one stack
-    h = entropy_of_probs(frame_diagonal(both), axis=-1) - entropy_of_probs(
-        frame_diagonal(partial_trace(both, rho.dims, keep="a")), axis=-1
-    )
-    return float(h[0] - h[1])
+    out = DensityMatrix(apply_local(rho.mat, rho.dims, _rank_one_ppio_ops(rho, ppio)), rho.dims)
+    h = [_entropies(s.mat, s.spectrum, s.dims)[0] for s in (rho, out)]
+    # S[D(.)] - S[D(._a)] for rho and for rho': entries 0 and 2 of the I_co entropies
+    return float(h[0][0] - h[0][2] - h[1][0] + h[1][2])
 
 
 # ---------------------------------------------------------------------------

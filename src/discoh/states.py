@@ -207,12 +207,14 @@ def spawn_seeds(seed: int, n: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    ph = np.diag(r)
-    return q * (ph / np.abs(ph))
+def haar_unitary(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix, or an (n, dim, dim)
+    stack of them, drawn as n successive single calls draw them."""
+    g = rng.standard_normal((1 if n is None else n, 2, dim, dim))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    ph = np.diagonal(r, axis1=-2, axis2=-1)[..., None, :]
+    u = q * (ph / np.abs(ph))
+    return u[0] if n is None else u
 
 
 def _random_state_mat(d: int, ensemble: str, rng: np.random.Generator) -> np.ndarray:

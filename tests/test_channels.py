@@ -16,8 +16,10 @@ from discoh.channels import (
     make_pio,
     make_ppio,
     make_rank_one_ppio,
+    random_iuo,
     random_kraus_ops,
     random_physically_free,
+    random_physically_free_ops,
     random_rank_one_ppio,
     random_rank_one_ppio_ops,
 )
@@ -334,6 +336,21 @@ def test_sampled_physically_free_channels_are_certified(dims):
         chan = random_physically_free(*dims, rng, n_b_ops=n_b_ops)
         joint = [np.kron(u, b) for u in chan.a.ops for b in chan.b.ops]
         assert "physically-free" in classify(KrausChannel(joint), dims=dims)
+
+
+def test_physically_free_stacks_draw_as_random_physically_free_does():
+    for dims in [(2, 2), (2, 3), (3, 2)]:
+        for n_b_ops in (1, 2, 3):
+            rngs = [rng_from_seed(23 + n_b_ops) for _ in range(3)]
+            u_a, b_ops = random_physically_free_ops(*dims, rngs[0], n_b_ops=n_b_ops)
+            chan = random_physically_free(*dims, rngs[1], n_b_ops=n_b_ops)
+            # the factors drawn one after the other, as channels
+            iuo, kraus = random_iuo(dims[0], rngs[2]), random_kraus_ops(dims[1], n_b_ops, rngs[2])
+            for ops in (chan.a.ops, iuo.ops):
+                assert np.array_equal(u_a, ops)
+            for ops in (chan.b.ops, kraus):
+                assert np.array_equal(b_ops, ops)
+            assert len({int(rng.integers(1 << 62)) for rng in rngs}) == 1
 
 
 def kron_reference(m, ops_a, ops_b):

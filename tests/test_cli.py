@@ -363,6 +363,18 @@ def test_verify_csv_format(capsys):
 
 
 @pytest.mark.parametrize(
+    "suite,printed",
+    [("theorem1", "-0.0153569381763"), ("superadditivity", "-0.238685596513")],
+)
+def test_verify_max_violation_of_a_pass_is_a_negative_margin(capsys, suite, printed):
+    # both suites' violations are negative on a pass (-gap or mi_drop - gap, and
+    # -I_co), so their maximum is the margin by which every trial passed, negated
+    code, out, _ = run_cli(capsys, "verify", suite, "--trials", "2")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert f'"max_violation": {printed},' in out
+
+
+@pytest.mark.parametrize(
     "suite,trials",
     [("theorem2", "3"), ("theorem3", "30"), ("invariance", "5"), ("zero-sets", "5")],
 )

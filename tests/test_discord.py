@@ -6,7 +6,6 @@ from discoh.channels import dephasing_channel, make_rank_one_ppio
 from discoh.discord import (
     OptimizerConfig,
     coherence_discord,
-    coherence_discord_drop,
     coherence_discord_invariance,
     coherence_discord_symmetric,
     dephasing_balance,
@@ -465,7 +464,7 @@ def test_coherence_discord_closed_form_matches_literal_drop():
     # dual route: the closed form equals the correlated-coherence drop under
     # the canonical rank-one PPIO (plain dephasing)
     for rho in random_states(10, seed=8):
-        literal = coherence_discord_drop(rho, dephasing_channel(2))
+        literal, _ = ppio_monotonicity_gap(rho, dephasing_channel(2))
         assert abs(coherence_discord(rho) - literal) < 1e-12
 
 
@@ -612,6 +611,42 @@ def test_gap_equality_for_non_merging_ppios():
         assert abs(gap - rhs) < 1e-9
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_stacked_ppio_drops_are_the_scalar_route(dims):
+    # the stacked pass of the Theorem 1 and invariance trials against the
+    # measures of the lifted outputs sum_k (K_k (x) 1) rho (K_k (x) 1)†, one
+    # state at a time
+    from discoh.channels import KrausChannel, random_rank_one_ppio_ops
+    from discoh.discord import _ppio_drops
+
+    d_a, d_b = dims
+    eye = np.eye(d_a)
+
+    def lifted(rho, ops):
+        big = [np.kron(k, np.eye(d_b)) for k in ops]
+        return DensityMatrix(sum(b @ rho.mat @ b.conj().T for b in big), dims)
+
+    rng = np.random.default_rng(231 + d_a * d_b)
+    merging = {True: 0, False: 0}
+    for injective in (True, False):
+        for _ in range(4):
+            rho = random_state(d_a, d_b, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
+            stack = random_rank_one_ppio_ops(d_a, rng, 3, injective)
+            drops, mi_drop = _ppio_drops(rho, stack)
+            deph = lifted(rho, eye[:, :, None] * eye[:, None, :])
+            assert abs(mi_drop - (mutual_information(rho) - mutual_information(deph))) <= 1e-12
+            for ops, drop in zip(stack, drops):
+                gap = correlated_coherence(rho) - correlated_coherence(lifted(rho, ops))
+                assert abs(drop - gap) <= 1e-12
+                assert_allclose(ppio_monotonicity_gap(rho, KrausChannel(ops)), (gap, mi_drop),
+                                rtol=0, atol=1e-12)
+                rows = np.abs(ops).sum(axis=0).argmax(axis=0)  # level j goes to row rows[j]
+                merging[injective] += len(set(rows.tolist())) < d_a
+    assert merging[True] == 0 < merging[False]
+    with pytest.raises(ValueError, match="trace"):  # the outputs are validated
+        _ppio_drops(rho, 1.1 * stack)
+
+
 def test_balance_zero_for_shared_unitary():
     rng = np.random.default_rng(18)
     from discoh.channels import iuo_matrix
@@ -655,7 +690,7 @@ def test_monotonicity_drop_under_merging_exceeds_closed_form():
     merging = make_rank_one_ppio(2, [u_swap, np.eye(2)])
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
     rho = classical_quantum([0.5, 0.5], [PLUS, minus])
-    drop = coherence_discord_drop(rho, merging)
+    drop, _ = ppio_monotonicity_gap(rho, merging)
     assert drop > coherence_discord(rho) + 0.9  # merging destroys 1 extra bit
 
 

@@ -4,8 +4,8 @@ runs the full campaigns."""
 import numpy as np
 import pytest
 
-from discoh.channels import KrausChannel, ProductChannel, random_rank_one_ppio
-from discoh.discord import coherence_discord, coherence_discord_drop, coherence_discord_invariance
+from discoh.channels import random_rank_one_ppio
+from discoh.discord import coherence_discord, coherence_discord_invariance, ppio_monotonicity_gap
 from discoh.linalg import apply_local
 from discoh.states import (
     DensityMatrix, random_cq_state, random_state_from, rng_from_seed, spawn_seeds
@@ -272,15 +272,29 @@ def test_invariance_check_catches_a_shifted_closed_form(monkeypatch):
     assert abs(result.max_violation - 1e-6) <= 1e-12
 
 
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def test_theorem1_check_catches_a_coherent_channel(monkeypatch):
+    import discoh.verify
+
+    def hadamard_on_a(dim, rng, n, injective=False):
+        # the Hadamard channel as a stack of d_a = 2 operators, one of them zero
+        return np.stack([HADAMARD, np.zeros((2, 2))])[None]
+
+    monkeypatch.setattr(discoh.verify, "random_rank_one_ppio_ops", hadamard_on_a)
+    result = verify_theorem1(trials=8, seed=118)
+    assert not result.passed and result.failures == 8
+    assert result.max_violation > 1e-3
+
+
 def test_theorem3_check_catches_a_coherent_channel(monkeypatch):
     import discoh.verify
 
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
     def hadamard_on_a(d_a, d_b, rng, n_b_ops=2):
-        return ProductChannel(KrausChannel([hadamard]), KrausChannel([np.eye(d_b)]))
+        return HADAMARD[None], np.eye(d_b)[None]
 
-    monkeypatch.setattr(discoh.verify, "random_physically_free", hadamard_on_a)
+    monkeypatch.setattr(discoh.verify, "random_physically_free_ops", hadamard_on_a)
     result = verify_theorem3(trials=8, seed=118)
     assert not result.passed and result.failures == 8
     assert result.max_violation > 1e-3
@@ -297,7 +311,7 @@ def test_sampled_merging_ppios_drop_more_than_the_closed_form():
         if len(set(rows.tolist())) == 3:
             continue
         merging += 1
-        assert coherence_discord_drop(rho, ppio) > coherence_discord(rho) + 1e-6
+        assert ppio_monotonicity_gap(rho, ppio)[0] > coherence_discord(rho) + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +347,15 @@ def test_invariance_trial_decomposes_as_often_at_5_and_50_samples(monkeypatch):
         assert verify_invariance(trials=1, seed=121, ppio_samples=samples).passed
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("name", ["theorem1", "theorem3"])
+def test_campaign_trial_decomposes_four_times(monkeypatch, name):
+    # theorem1: rho, its PPIO and dephasing outputs (one stacked call), and the
+    # A and B marginals of all three (one stacked call each); theorem3: the cq
+    # state, the channel output, its conditional blocks and its A marginal
+    values = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    systems = count_calls(monkeypatch, np.linalg, "eigh")
+    # four theorem3 trials include one with a mixture of two channels
+    assert run_suite(name, trials=4, seed=122).passed
+    assert len(values) + len(systems) == 4 * 4

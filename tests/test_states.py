@@ -11,8 +11,10 @@ from discoh.states import (
     ReferenceBasis,
     bell_phi_plus,
     classical_quantum,
+    haar_unitary,
     load_state,
     random_state,
+    rng_from_seed,
     save_state,
     state_from_json,
     state_to_json,
@@ -223,3 +225,14 @@ def test_validate_density_names_the_worst_matrix_of_a_stack(bad, match):
     stack = np.stack([np.eye(2) / 2, bad, np.diag([1.0, 0.0])]).astype(complex)
     with pytest.raises(ValueError, match=match):
         validate_density(stack)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_haar_unitaries_are_successive_single_draws(d):
+    one, many = rng_from_seed(40 + d), rng_from_seed(40 + d)
+    singles = np.stack([haar_unitary(d, one) for _ in range(6)])
+    stack = haar_unitary(d, many, 6)
+    assert stack.shape == (6, d, d) and np.array_equal(stack, singles)
+    assert one.integers(1 << 62) == many.integers(1 << 62)  # the same draws were used
+    assert_allclose(stack.conj().swapaxes(-1, -2) @ stack, np.broadcast_to(np.eye(d), stack.shape),
+                    atol=1e-12)

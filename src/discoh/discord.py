@@ -22,14 +22,18 @@ import numpy as np
 from .channels import (
     LABEL_RANK_ONE_PPIO, KrausChannel, classify, random_iuo, random_rank_one_ppio_ops
 )
-from .linalg import (
-    MAX_OPT_DIM, apply_local, as_frame, conditional_blocks, dephase_local, partial_trace,
-)
+from .linalg import MAX_OPT_DIM, apply_local, dephase_local, partial_trace
 from .measures import (
-    _ICO_SIGNS,
-    _coherence_of,
-    _cq_coherence,
+    _C_R_A,
+    _C_R_AB,
+    _DAC,
+    _I_CO,
+    _J_U,
+    _MI,
+    _S_A,
+    _S_AB,
     _entropies,
+    _table,
     correlated_coherence,
     entropy,
     entropy_of_probs,
@@ -126,10 +130,7 @@ def measured_conditional_info(rho: DensityMatrix, basis) -> float:
     traces, so a zero-probability branch adds nothing.  The value lies in
     [0, S(rho_b)].
     """
-    frame = as_frame(basis, rho.d_a)
-    rb = partial_trace(rho.mat, rho.dims, keep="b")
-    lam = np.linalg.eigvalsh(conditional_blocks(rho.mat, rho.dims, frame))
-    return entropy(rb) - entropy_of_probs(lam) + entropy_of_probs(lam.sum(axis=-1))
+    return float(_table(rho, basis) @ _J_U)
 
 
 def discord_at_basis(rho: DensityMatrix, basis) -> float:
@@ -337,9 +338,7 @@ def coherence_discord(rho: DensityMatrix, basis_a=None) -> float:
     B-side reference basis.  Zero exactly on the classical-quantum states
     built in the A reference basis.  Equal to MeasureReport's C_r_upper - C_r_a.
     """
-    fa = as_frame(basis_a, rho.d_a)
-    ra = partial_trace(rho.mat, rho.dims, keep="a")
-    return _cq_coherence(rho, fa) - _coherence_of(ra, fa)
+    return float(_table(rho, basis_a) @ _DAC)
 
 
 def coherence_discord_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> float:
@@ -404,7 +403,7 @@ def _ppio_drops(rho: DensityMatrix, ops: np.ndarray) -> tuple[np.ndarray, float]
     outs = apply_local(rho.mat, rho.dims, np.concatenate([ops, deph]))
     spectra = np.concatenate([rho.spectrum[None], validate_density(outs)])
     h = _entropies(np.concatenate([rho.mat[None], outs]), spectra, rho.dims)[0]
-    ico, mi = h @ _ICO_SIGNS, h[:, 3] + h[:, 5] - h[:, 1]
+    ico, mi = h @ _I_CO, h @ _MI
     return ico[0] - ico[1:-1], float(mi[0] - mi[-1])
 
 
@@ -434,9 +433,10 @@ def dephasing_balance(rho: DensityMatrix, ppio: KrausChannel) -> float:
     Vanishes whenever all the per-level unitaries of the PPIO coincide.
     """
     out = DensityMatrix(apply_local(rho.mat, rho.dims, _rank_one_ppio_ops(rho, ppio)), rho.dims)
-    h = [_entropies(s.mat, s.spectrum, s.dims)[0] for s in (rho, out)]
-    # S[D(.)] - S[D(._a)] for rho and for rho': entries 0 and 2 of the I_co entropies
-    return float(h[0][0] - h[0][2] - h[1][0] + h[1][2])
+    h = _entropies(np.stack([rho.mat, out.mat]), np.stack([rho.spectrum, out.spectrum]), rho.dims)[0]
+    # S[D(.)] - S[D(._a)], of rho and of rho'
+    gap = h @ (_C_R_AB + _S_AB - _C_R_A - _S_A)
+    return float(gap[0] - gap[1])
 
 
 # ---------------------------------------------------------------------------

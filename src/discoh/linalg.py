@@ -161,16 +161,6 @@ def dephase_local(m: np.ndarray, dims: tuple[int, int], basis_a=None) -> np.ndar
     return apply_local(m, dims, u[:, :, None] * u.conj()[:, None, :])
 
 
-def diag_probs(m: np.ndarray, basis=None) -> np.ndarray:
-    """Real diagonal of ``m`` in the given reference frame.
-
-    For a density matrix this is the outcome distribution of the reference
-    measurement, i.e. the spectrum of dephase(m, basis).
-    """
-    m = as_complex_matrix(m)
-    return frame_diagonal(m, as_frame(basis, m.shape[0]))
-
-
 def frame_diagonal(m: np.ndarray, frame=None) -> np.ndarray:
     """Real diagonal of F† m F, for one matrix or a stack of them (shape
     (..., d)); ``frame`` is None (computational basis) or a checked unitary.

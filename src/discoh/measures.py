@@ -6,9 +6,16 @@ defaults to the computational basis of each subsystem; pass a
 
 Each public function checks its basis arguments once, on entry; the private
 helpers below take the checked frames.  A ``DensityMatrix`` was validated when
-it was built and carries its spectrum, so S(rho) costs no decomposition; the
-marginals and the conditional blocks are decomposed once per call.  The
-entropies behind I_co (``_entropies``) take a whole stack of states at once.
+it was built and carries its spectrum, so S(rho) costs no decomposition.
+
+Every closed form is a signed sum of seven entropies of rho, its marginals
+and its dephasings, which ``_entropies`` tabulates for one state or a stack:
+H(rho in fa (x) fb), S(rho), H(rho_a in fa), S(rho_a), H(rho_b in fb),
+S(rho_b) and S_union, the entropy of the joint spectrum of the A-conditional
+blocks (S of the A-dephased state).  A table costs two small decompositions:
+rho_a, and rho_b stacked with the blocks, which are all d_b x d_b.  Each
+quantity is one sign vector over the rows (``_I_CO``, ``_DAC``, ...); only this
+module knows the row order.
 """
 
 from __future__ import annotations
@@ -60,25 +67,6 @@ def _state(rho) -> tuple[np.ndarray, np.ndarray]:
     return m, np.linalg.eigvalsh(m)
 
 
-def _entropy_of(m: np.ndarray) -> float:
-    """Entropy of a trusted Hermitian matrix, or of the direct sum of a stack."""
-    return entropy_of_probs(np.linalg.eigvalsh(m))
-
-
-def _dephased_entropy(m: np.ndarray, frame) -> float:
-    """Entropy of a trusted matrix (or stack) dephased in a checked frame."""
-    return entropy_of_probs(frame_diagonal(m, frame))
-
-
-def _coherence_of(m: np.ndarray, frame) -> float:
-    """Relative entropy of coherence of a trusted matrix in a checked frame."""
-    return _dephased_entropy(m, frame) - _entropy_of(m)
-
-
-def _marginals(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    return partial_trace(rho.mat, rho.dims, keep="a"), partial_trace(rho.mat, rho.dims, keep="b")
-
-
 def entropy(rho) -> float:
     """Von Neumann entropy -Tr(rho log2 rho)."""
     return entropy_of_probs(_state(rho)[1])
@@ -108,13 +96,66 @@ def relative_entropy(rho, sigma) -> float:
 def coherence_rel_ent(rho, basis=None) -> float:
     """Relative entropy of coherence: S[dephased rho] - S(rho)."""
     m, w = _state(rho)
-    return _dephased_entropy(m, as_frame(basis, m.shape[0])) - entropy_of_probs(w)
+    return entropy_of_probs(frame_diagonal(m, as_frame(basis, m.shape[0]))) - entropy_of_probs(w)
+
+
+# The rows of the entropy table, in order: H is the Shannon entropy of a
+# diagonal in the reference frame, S a von Neumann entropy, and S_union that
+# of the A-dephased state.
+_ROWS = ("H_ab", "S_ab", "H_a", "S_a", "H_b", "S_b", "S_union")
+
+
+def _signs(**terms: int) -> np.ndarray:
+    """A quantity as a sign vector over the rows of the entropy table."""
+    return np.array([terms.get(row, 0) for row in _ROWS], dtype=float)
+
+
+_S_AB, _S_A, _S_B = _signs(S_ab=1), _signs(S_a=1), _signs(S_b=1)
+_MI = _S_A + _S_B - _S_AB
+_C_R_AB, _C_R_A, _C_R_B = _signs(H_ab=1, S_ab=-1), _signs(H_a=1, S_a=-1), _signs(H_b=1, S_b=-1)
+_I_CO = _C_R_AB - _C_R_A - _C_R_B
+# S[(dephase_a x id)(rho)] - S(rho): the dephased state is block diagonal, so
+# its spectrum is the union of the conditional blocks' spectra
+_C_R_UPPER = _signs(S_union=1, S_ab=-1)
+_DAC = _C_R_UPPER - _C_R_A
+# S(rho_b) - sum_k p_k S(rho_k) = S(rho_b) - S_union + H(p), and the outcome
+# probabilities p_k = <u_k|rho_a|u_k> are the diagonal of rho_a in the frame
+_J_U = _signs(S_b=1, S_union=-1, H_a=1)
+
+
+def _entropies(m: np.ndarray, w: np.ndarray, dims, fa=None, fb=None):
+    """The entropy table (..., 7) of a trusted state, or of each state of a
+    stack m (..., d, d) with spectra w (..., d), in checked frames; its rows
+    are _ROWS.  Their distributions are the zero-padded rows of one array, so
+    one entropy call covers them all.  Also returns the marginals."""
+    lead = m.shape[:-2]
+    ra, rb = partial_trace(m, dims, keep="a"), partial_trace(m, dims, keep="b")
+    # the diagonal of rho in the frame fa (x) fb is the diagonal, in fb, of its
+    # conditional blocks in fa
+    blocks = conditional_blocks(m, dims, fa)
+    # rho_b and the blocks are all d_b x d_b: one decomposition covers them
+    lam = np.linalg.eigvalsh(np.concatenate([rb[..., None, :, :], blocks], axis=-3))
+    parts = (
+        frame_diagonal(blocks, fb).reshape(*lead, -1), w,
+        frame_diagonal(ra, fa), np.linalg.eigvalsh(ra),
+        frame_diagonal(rb, fb), lam[..., 0, :],
+        lam[..., 1:, :].reshape(*lead, -1),
+    )
+    table = np.zeros((*lead, len(parts), m.shape[-1]))
+    for k, part in enumerate(parts):
+        table[..., k, : part.shape[-1]] = part
+    return entropy_of_probs(table, axis=-1), ra, rb
+
+
+def _table(rho: DensityMatrix, basis_a=None, basis_b=None) -> np.ndarray:
+    """The entropy table of one state, its basis arguments checked here."""
+    fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
+    return _entropies(rho.mat, rho.spectrum, rho.dims, fa, fb)[0]
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """S(rho_a) + S(rho_b) - S(rho_ab)."""
-    ra, rb = _marginals(rho)
-    return _entropy_of(ra) + _entropy_of(rb) - entropy(rho)
+    return float(_table(rho) @ _MI)
 
 
 def correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:
@@ -123,46 +164,7 @@ def correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> floa
     Nonnegative by superadditivity of the relative entropy of coherence, and
     zero on product states and on diagonal bipartite states.
     """
-    fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
-    return float(_correlated_coherence(rho.mat, rho.spectrum, rho.dims, fa, fb))
-
-
-# I_co = H(rho in fa (x) fb) - S(rho) - [H(ra in fa) - S(ra)] - [H(rb in fb) - S(rb)]
-_ICO_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
-
-
-def _entropies(m: np.ndarray, w: np.ndarray, dims, fa=None, fb=None):
-    """The six entropies behind I_co, of a trusted state or of each state of a
-    stack m (..., d, d) with spectra w (..., d), in checked frames: H(rho in
-    fa (x) fb), S(rho), H(ra in fa), S(ra), H(rb in fb), S(rb), shape (..., 6).
-    Their distributions are the zero-padded rows of one table, so one entropy
-    call covers them all.  Also returns the marginals and conditional blocks."""
-    lead = m.shape[:-2]
-    ra, rb = partial_trace(m, dims, keep="a"), partial_trace(m, dims, keep="b")
-    # the diagonal of rho in the frame fa (x) fb is the diagonal, in fb, of its
-    # conditional blocks in fa
-    blocks = conditional_blocks(m, dims, fa)
-    parts = (
-        frame_diagonal(blocks, fb).reshape(*lead, -1), w,
-        frame_diagonal(ra, fa), np.linalg.eigvalsh(ra),
-        frame_diagonal(rb, fb), np.linalg.eigvalsh(rb),
-    )
-    table = np.zeros((*lead, len(parts), m.shape[-1]))
-    for k, part in enumerate(parts):
-        table[..., k, : part.shape[-1]] = part
-    return entropy_of_probs(table, axis=-1), ra, rb, blocks
-
-
-def _correlated_coherence(m: np.ndarray, w: np.ndarray, dims, fa=None, fb=None) -> np.ndarray:
-    """I_co of each trusted state of a stack (a scalar for one state)."""
-    return _entropies(m, w, dims, fa, fb)[0] @ _ICO_SIGNS
-
-
-def _cq_coherence(rho: DensityMatrix, fa) -> float:
-    """S[(dephase_a x id)(rho)] - S(rho) in a checked frame: the dephased state
-    is block diagonal, so its spectrum is the union of the conditional blocks'
-    spectra."""
-    return _entropy_of(conditional_blocks(rho.mat, rho.dims, fa)) - entropy(rho)
+    return float(_table(rho, basis_a, basis_b) @ _I_CO)
 
 
 def cq_coherence(rho: DensityMatrix, basis_a=None) -> float:
@@ -172,7 +174,7 @@ def cq_coherence(rho: DensityMatrix, basis_a=None) -> float:
     Not faithful: it vanishes on every classical-quantum state in the
     reference basis, not only on incoherent states.
     """
-    return _cq_coherence(rho, as_frame(basis_a, rho.d_a))
+    return float(_table(rho, basis_a) @ _C_R_UPPER)
 
 
 def _l1_of(m: np.ndarray, frame) -> float:
@@ -205,7 +207,8 @@ def _l1_correlated(rho: DensityMatrix, ra, rb, fa, fb) -> float:
 def l1_correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:
     """l1-norm analogue of the correlated coherence (comparison measure)."""
     fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
-    return _l1_correlated(rho, *_marginals(rho), fa, fb)
+    ra, rb = partial_trace(rho.mat, rho.dims, keep="a"), partial_trace(rho.mat, rho.dims, keep="b")
+    return _l1_correlated(rho, ra, rb, fa, fb)
 
 
 # Stable column order of the report (documented in the README; the CSV and
@@ -222,6 +225,12 @@ CSV_COLUMNS = (
     "C_r_upper",
     "C_r_sym",
     "l1_cc",
+)
+
+
+# The sign vectors of MeasureReport's entropy fields, in field order
+_REPORT_SIGNS = np.stack(
+    [_S_AB, _S_A, _S_B, _MI, _C_R_AB, _C_R_A, _C_R_B, _I_CO, _C_R_UPPER], axis=-1
 )
 
 
@@ -242,24 +251,11 @@ class MeasureReport:
 
     @classmethod
     def compute(cls, rho: DensityMatrix, basis_a=None, basis_b=None) -> "MeasureReport":
-        """One pass over the state: S(rho) is read from its kept spectrum, the
-        marginals and the conditional blocks are decomposed once each, and I_co
-        is correlated_coherence's own sum."""
+        """One pass over the state: one entropy table gives every entropy
+        field, and l1_cc reuses its marginals."""
         fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
-        h, ra, rb, blocks = _entropies(rho.mat, rho.spectrum, rho.dims, fa, fb)
-        h_ab, s_ab, h_a, s_a, h_b, s_b = h.tolist()
-        return cls(
-            S_ab=s_ab,
-            S_a=s_a,
-            S_b=s_b,
-            I=s_a + s_b - s_ab,
-            C_r_ab=h_ab - s_ab,
-            C_r_a=h_a - s_a,
-            C_r_b=h_b - s_b,
-            I_co=float(h @ _ICO_SIGNS),
-            C_r_upper=_entropy_of(blocks) - s_ab,
-            l1_cc=_l1_correlated(rho, ra, rb, fa, fb),
-        )
+        h, ra, rb = _entropies(rho.mat, rho.spectrum, rho.dims, fa, fb)
+        return cls(*(h @ _REPORT_SIGNS).tolist(), l1_cc=_l1_correlated(rho, ra, rb, fa, fb))
 
     @property
     def C_r_sym(self) -> float:

@@ -46,18 +46,19 @@ def validate_density(mats, hermitian_tol=HERMITIAN_TOL, trace_tol=TRACE_TOL, psd
     """Check that a matrix, or each matrix of a stack (..., d, d), is Hermitian,
     unit-trace and PSD within the tolerances, naming the worst value if not.
     Returns the ascending spectra (..., d) the positivity check computes."""
+    # a non-finite entry makes an error nan, which fails each check too
     herm_err = float(np.abs(mats - mats.conj().swapaxes(-1, -2)).max())
-    if herm_err > hermitian_tol:
+    if not herm_err <= hermitian_tol:
         raise ValueError(f"matrix is not Hermitian: max |M - M†| = {herm_err:.3e} > "
                          f"{hermitian_tol:g}")
     traces = mats.trace(axis1=-2, axis2=-1)
     trace_err = np.abs(traces - 1.0)
-    if trace_err.max() > trace_tol:
+    if not trace_err.max() <= trace_tol:
         tr = np.ravel(traces)[np.argmax(trace_err)]
         raise ValueError(f"trace = {tr.real:.12g} exceeds tolerance {trace_tol:g} from 1")
     spectra = np.linalg.eigvalsh(mats)
     w_min = spectra[..., 0].min()
-    if w_min < -psd_tol:
+    if not w_min >= -psd_tol:
         raise ValueError(f"negative eigenvalue {w_min:.3e} below tolerance -{psd_tol:g}")
     return spectra
 

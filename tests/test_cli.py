@@ -254,8 +254,8 @@ def test_compute_rejects_json_booleans(capsys, tmp_path, bad, named):
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 4)])
 @pytest.mark.parametrize("framed", [False, True])
 def test_closed_form_measures_come_from_one_report(monkeypatch, dims, framed):
-    # rho_a, rho_b and the stacked conditional blocks are decomposed once each;
-    # the state's own spectrum was kept when it was built
+    # rho_a, and rho_b stacked with the conditional blocks, are decomposed once
+    # each; the state's own spectrum was kept when it was built
     rho = random_state(*dims, "ginibre-mixed", seed=sum(dims))
     rng = np.random.default_rng(sum(dims))
     bases = [ReferenceBasis(haar_unitary(d, rng)) if framed else None for d in dims]
@@ -269,7 +269,7 @@ def test_closed_form_measures_come_from_one_report(monkeypatch, dims, framed):
     names = [n for n in ALL_MEASURES if n != "discord"]
     values, trace = _measure_values(rho, names, *bases, OptimizerConfig())
     assert sorted(values) == sorted(names) and trace is None
-    assert len(shapes) == 3, shapes
+    assert len(shapes) == 2, shapes
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])

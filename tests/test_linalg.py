@@ -3,10 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from discoh.linalg import (
+    as_frame,
     conditional_blocks,
     dephase,
     dephase_local,
-    diag_probs,
     frame_diagonal,
     partial_trace,
     tensor,
@@ -149,7 +149,7 @@ def test_diag_probs_matches_dephase_spectrum():
     m = rand_hermitian(rng, 3)
     frame = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     assert_allclose(
-        np.sort(diag_probs(m, frame)),
+        np.sort(frame_diagonal(m, as_frame(frame, 3))),
         np.sort(np.linalg.eigvalsh(dephase(m, frame))),
         atol=1e-10,
     )
@@ -163,8 +163,8 @@ def test_diag_probs_matches_full_product(d):
     m /= np.trace(m).real
     frame = haar_unitary(d, rng)
     expected = np.diag(frame.conj().T @ m @ frame).real
-    assert_allclose(diag_probs(m, frame), expected, rtol=0, atol=1e-12)
-    assert_allclose(diag_probs(m), np.diag(m).real, rtol=0, atol=0)
+    assert_allclose(frame_diagonal(m, as_frame(frame, d)), expected, rtol=0, atol=1e-12)
+    assert_allclose(frame_diagonal(m), np.diag(m).real, rtol=0, atol=0)
 
 
 def test_frame_diagonal_of_a_stack_is_each_diagonal():

@@ -254,7 +254,11 @@ def test_spectrum_is_kept_read_only():
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (8, 8)])
 @pytest.mark.parametrize("framed", [False, True])
 def test_measures_never_decompose_the_full_state(monkeypatch, dims, framed):
-    from discoh.discord import coherence_discord, coherence_discord_symmetric
+    # each closed form reads one entropy table: rho_a, and rho_b stacked with
+    # the conditional blocks, are decomposed once each
+    from discoh.discord import (
+        coherence_discord, coherence_discord_symmetric, measured_conditional_info
+    )
 
     rho, rng = seeded_state(dims, dims[0] * dims[1], sum(dims))
     fa = fb = None
@@ -267,14 +271,21 @@ def test_measures_never_decompose_the_full_state(monkeypatch, dims, framed):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    MeasureReport.compute(rho, fa, fb)
-    coherence_discord(rho, fa)
-    coherence_discord_symmetric(rho, fa, fb)
-    correlated_coherence(rho, fa, fb)
-    mutual_information(rho)
+    calls = {
+        "MeasureReport": lambda: MeasureReport.compute(rho, fa, fb),
+        "coherence_discord": lambda: coherence_discord(rho, fa),
+        "coherence_discord_symmetric": lambda: coherence_discord_symmetric(rho, fa, fb),
+        "correlated_coherence": lambda: correlated_coherence(rho, fa, fb),
+        "cq_coherence": lambda: cq_coherence(rho, fa),
+        "mutual_information": lambda: mutual_information(rho),
+        "measured_conditional_info": lambda: measured_conditional_info(rho, fa),
+    }
     d = rho.dim
-    assert shapes, "the marginals and the conditional blocks are decomposed"
-    assert all(shape[-2:] != (d, d) for shape in shapes), shapes
+    for name, call in calls.items():
+        shapes.clear()
+        call()
+        assert len(shapes) == 2, (name, shapes)
+        assert all(shape[-2:] != (d, d) for shape in shapes), (name, shapes)
 
 
 def plain_entropy(m):
@@ -290,6 +301,19 @@ def projectors(frame, d_b=1):
 
 def plain_dephase(m, projectors):
     return sum(p @ m @ p for p in projectors)
+
+
+def plain_measured_info(rho, fa):
+    # S(rho_b) - sum_k p_k S(rho_k), rho_k the B state left by outcome k on A
+    d_a, d_b = rho.dims
+    cond = 0.0
+    for p_k in projectors(fa, d_b):
+        post = (p_k @ rho.mat @ p_k).reshape(d_a, d_b, d_a, d_b)
+        block = np.einsum("ijil->jl", post)
+        p = np.trace(block).real
+        if p > 1e-15:
+            cond += p * plain_entropy(block / p)
+    return plain_entropy(np.einsum("ijil->jl", rho.mat.reshape(d_a, d_b, d_a, d_b))) - cond
 
 
 def plain_report(rho, fa, fb):
@@ -312,20 +336,24 @@ def plain_report(rho, fa, fb):
 @pytest.mark.parametrize("dims, rank", [((2, 2), 1), ((2, 3), 2), ((3, 3), 2), ((4, 2), 3)])
 @pytest.mark.parametrize("framed", [False, True])
 def test_report_and_dac_match_plain_definitions_on_rank_deficient_states(dims, rank, framed):
-    from discoh.discord import coherence_discord
+    from discoh.discord import coherence_discord, measured_conditional_info
 
     rho, rng = seeded_state(dims, rank, 10 * rank + dims[0])
     fa = fb = None
     if framed:
         fa, fb = haar_unitary(dims[0], rng), haar_unitary(dims[1], rng)
     want = plain_report(rho, fa, fb)
+    want["J_U"] = plain_measured_info(rho, np.eye(dims[0]) if fa is None else fa)
     got = {**MeasureReport.compute(rho, fa, fb).to_dict(), "dac": coherence_discord(rho, fa)}
+    # the standalone closed forms, each against its plain definition
+    got.update(C_r_upper=cq_coherence(rho, fa), I=mutual_information(rho),
+               I_co=correlated_coherence(rho, fa, fb), J_U=measured_conditional_info(rho, fa))
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
 
 
 def test_correlated_coherence_of_a_stack_is_per_state():
-    from discoh.measures import _correlated_coherence
+    from discoh.measures import _I_CO, _entropies
 
     rng = np.random.default_rng(31)
     for dims in [(2, 2), (2, 3), (3, 2)]:
@@ -336,5 +364,5 @@ def test_correlated_coherence_of_a_stack_is_per_state():
         spectra = np.stack([rho.spectrum for rho in states])
         for basis_a, basis_b in [(None, None), (fa, fb)]:
             expected = [correlated_coherence(rho, basis_a, basis_b) for rho in states]
-            got = _correlated_coherence(stack, spectra, dims, basis_a, basis_b)
+            got = _entropies(stack, spectra, dims, basis_a, basis_b)[0] @ _I_CO
             assert_allclose(got, expected, rtol=0, atol=1e-14)

@@ -351,9 +351,10 @@ def test_invariance_trial_decomposes_as_often_at_5_and_50_samples(monkeypatch):
 
 @pytest.mark.parametrize("name", ["theorem1", "theorem3"])
 def test_campaign_trial_decomposes_four_times(monkeypatch, name):
-    # theorem1: rho, its PPIO and dephasing outputs (one stacked call), and the
-    # A and B marginals of all three (one stacked call each); theorem3: the cq
-    # state, the channel output, its conditional blocks and its A marginal
+    # theorem1: rho, its PPIO and dephasing outputs (one stacked call), the A
+    # marginals of all three, and their B marginals with their conditional
+    # blocks (one stacked call each); theorem3: the cq state, the channel
+    # output, its A marginal, and its B marginal with its conditional blocks
     values = count_calls(monkeypatch, np.linalg, "eigvalsh")
     systems = count_calls(monkeypatch, np.linalg, "eigh")
     # four theorem3 trials include one with a mixture of two channels

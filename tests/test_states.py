@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from discoh.linalg import partial_trace
@@ -188,6 +190,24 @@ def test_json_errors_cite_row_and_column():
         state_from_json(obj)
 
 
+# one malformed entry each: a JSON boolean, a string, a 3-element list and a NaN part
+MALFORMED_ENTRIES = (True, "x", [0.5, 0.0, 0.0], [0.0, float("nan")])
+
+
+@pytest.mark.parametrize("bad", MALFORMED_ENTRIES, ids=["bool", "string", "triple", "nan"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_json_errors_name_the_malformed_entry(bad, data):
+    n = data.draw(st.integers(1, 4), label="n")
+    entry = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
+    row = st.lists(entry, min_size=n, max_size=n)
+    matrix = data.draw(st.lists(row, min_size=n, max_size=n), label="matrix")
+    i, j = data.draw(st.integers(0, n - 1), label="i"), data.draw(st.integers(0, n - 1), label="j")
+    matrix[i][j] = bad
+    with pytest.raises(ValueError, match=f"row {i}, column {j} "):
+        state_from_json({"dims": [n, 1], "matrix": matrix})
+
+
 def test_json_requires_fields():
     with pytest.raises(ValueError, match="dims"):
         state_from_json({"matrix": [[[1.0, 0.0]]]})
@@ -224,6 +244,15 @@ def test_validate_density_of_a_stack_keeps_each_spectrum():
 def test_validate_density_names_the_worst_matrix_of_a_stack(bad, match):
     stack = np.stack([np.eye(2) / 2, bad, np.diag([1.0, 0.0])]).astype(complex)
     with pytest.raises(ValueError, match=match):
+        validate_density(stack)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_density_rejects_a_non_finite_stack(value):
+    with pytest.raises(ValueError):
+        validate_density(np.full((1, 2, 2), value + 0j))
+    stack = np.stack([np.eye(2) / 2, np.diag([value, 0.0])]).astype(complex)
+    with pytest.raises(ValueError):
         validate_density(stack)
 
 

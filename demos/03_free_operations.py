@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """The incoherent channel families and what they do to the correlation.
 
-Builds IUOs, PPIOs, rank-one PPIOs and factorizable physically free channels;
-classifies them structurally; and demonstrates the two closure facts the
-verification suites check at scale: rank-one PPIOs never increase the
-correlated coherence (Theorem 1), and physically free channels keep the zero
-set fixed (Theorem 3).
+Builds IUOs, PPIOs, rank-one PPIOs and factorizable physically free channels
+as Kraus stacks; classifies them structurally; and demonstrates the two
+closure facts the verification suites check at scale: rank-one PPIOs never
+increase the correlated coherence (Theorem 1), and physically free channels
+keep the zero set fixed (Theorem 3).
 """
 
 import numpy as np
@@ -13,8 +13,6 @@ import numpy as np
 from discoh import (
     DensityMatrix,
     KrausChannel,
-    ProductChannel,
-    apply,
     apply_local,
     bell_phi_plus,
     classical_quantum,
@@ -31,28 +29,30 @@ from discoh import (
 from discoh.channels import random_physically_free
 from discoh.states import random_state, rng_from_seed
 
-# 1. Channel zoo and structural classification.
+# 1. Channel zoo and structural classification.  Builders and samplers return
+# Kraus stacks (n, d, d); classify takes them wrapped as a checked KrausChannel.
 print("classification (structural, on the given Kraus representation):")
 swap = make_iuo([1, 0], [0.0, np.pi / 3])
-print("  phase-decorated swap:", sorted(classify(swap)))
-print("  full dephasing:      ", sorted(classify(dephasing_channel(2))))
+print("  phase-decorated swap:", sorted(classify(KrausChannel(swap))))
+print("  full dephasing:      ", sorted(classify(KrausChannel(dephasing_channel(2)))))
 hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 print("  Hadamard unitary:    ", sorted(classify(KrausChannel([hadamard]))), "(coherent)")
 rng = rng_from_seed(7)
-free = random_physically_free(2, 2, rng)
+u_a, b_ops = random_physically_free(2, 2, rng)
+free = make_physically_free(u_a[0], b_ops)
 print("  U_a x {B_j} channel: ", sorted(classify(free, dims=(2, 2))))
 
 # 2. Rank-one PPIOs only ever destroy correlated coherence.
 bell = bell_phi_plus()
-gap, mi_drop = ppio_monotonicity_gap(bell, dephasing_channel(2))
+gap, mi_drop = ppio_monotonicity_gap(bell, KrausChannel(dephasing_channel(2)))
 print("\nBell state under plain dephasing of A:")
 print(f"  I_co drop = {gap:.6f}, mutual-information drop = {mi_drop:.6f} (equality case)")
 
 print("\nrandom states under random rank-one PPIOs (drop, floor):")
 for _ in range(5):
     rho = random_state(2, 2, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
-    ppio = random_rank_one_ppio(2, rng)
-    gap, mi_drop = ppio_monotonicity_gap(rho, ppio)
+    (ppio,) = random_rank_one_ppio(2, rng, 1)
+    gap, mi_drop = ppio_monotonicity_gap(rho, KrausChannel(ppio))
     print(f"  drop = {gap:+.6f}  >=  mi drop = {mi_drop:+.6f}")
 
 # A level-merging rank-one PPIO in dimension 3: the first unitary swaps
@@ -61,7 +61,7 @@ u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 merging = make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)])
 rho = random_state(3, 2, "ginibre-mixed", seed=11)
 # its Kraus operators act on A's indices of rho; no operator on A (x) B is formed
-out = DensityMatrix(apply_local(rho.mat, rho.dims, merging.ops), rho.dims)
+out = DensityMatrix(apply_local(rho.mat, rho.dims, merging), rho.dims)
 print("\nlevel-merging PPIO on a 3x2 state:")
 print(f"  I_co before = {correlated_coherence(rho):.6f}, after = {correlated_coherence(out):.6f}")
 
@@ -70,9 +70,10 @@ cq = classical_quantum([0.3, 0.7], [np.diag([0.2, 0.8]), np.array([[0.5, 0.5], [
 print("\nfree channels acting on a zero-correlation (classical-quantum) state:")
 print(f"  dac before: {coherence_discord(cq):.2e}")
 for n_ops in (1, 2, 3):
-    chan = random_physically_free(2, 2, rng, n_b_ops=n_ops)
-    print(f"  dac after U_a x {{B_j}} with {n_ops} B ops: {coherence_discord(apply(chan, cq)):.2e}")
+    u_a, b_ops = random_physically_free(2, 2, rng, n_b_ops=n_ops)
+    out = DensityMatrix(apply_local(cq.mat, cq.dims, u_a, b_ops), cq.dims)
+    print(f"  dac after U_a x {{B_j}} with {n_ops} B ops: {coherence_discord(out):.2e}")
 
 # ... while a plain unitary that is not incoherent does create it.
-coherent = ProductChannel(KrausChannel([hadamard]), KrausChannel([np.eye(2)]))
-print(f"  dac after (Hadamard x I), for contrast: {coherence_discord(apply(coherent, cq)):.4f}")
+coherent = DensityMatrix(apply_local(cq.mat, cq.dims, hadamard[None]), cq.dims)
+print(f"  dac after (Hadamard x I), for contrast: {coherence_discord(coherent):.4f}")

@@ -12,15 +12,12 @@ __version__ = "0.1.0"
 from .channels import (
     ChannelMixture,
     KrausChannel,
-    PIOSpec,
-    PPIOSpec,
     ProductChannel,
     apply,
     classify,
     dephasing_channel,
     make_iuo,
     make_physically_free,
-    make_pio,
     make_ppio,
     make_rank_one_ppio,
     random_iuo,
@@ -42,7 +39,7 @@ from .discord import (
     ppio_monotonicity_gap,
     qubit_discord_grid,
 )
-from .linalg import apply_local, dephase, dephase_local, partial_trace, tensor
+from .linalg import apply_local, dephase_local, partial_trace, tensor
 from .measures import (
     CSV_COLUMNS,
     MeasureReport,

@@ -1,9 +1,13 @@
 """Kraus channels and the incoherent-operation families used throughout:
 incoherently unitary operations (IUOs), projective physically incoherent
-operations (PPIOs), their rank-one special case, convex mixtures, and the
-factorizable physically free channels U_a (x) B_j.  Kraus operators are kept
-as one (n, d, d) stack, built directly by the samplers, and local channels act
-on the reshaped bipartite state (linalg.apply_local), never lifted to A (x) B.
+operations (PPIOs), their rank-one special case, and the factorizable
+physically free channels U_a (x) B_j.  A channel is one (n, d, d) stack of
+Kraus operators: each family has one builder and one sampler, and both return
+stacks (U_a (x) B_j as its two factors), which act on the reshaped bipartite
+state (linalg.apply_local), never lifted to A (x) B.  KrausChannel,
+ProductChannel and ChannelMixture are the checked wrappers that classify and
+apply take; a PIO, a convex mixture of PPIOs, is a ChannelMixture of
+KrausChannels.
 
 Classification is structural: it inspects the Kraus representation it is
 given.  Labels are sound but detection of equivalence under Kraus gauge
@@ -151,39 +155,52 @@ def _apply_mat(chan, m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_permutation(perm, dim: int) -> np.ndarray:
-    perm = np.asarray(perm, dtype=int)
-    if perm.shape != (dim,) or sorted(perm.tolist()) != list(range(dim)):
-        raise ValueError(f"not a permutation of range({dim}): {perm.tolist()}")
-    return perm
+def make_ppio(dim: int, supports, perms, phases) -> np.ndarray:
+    """Kraus stack (n, dim, dim) of the projective physically incoherent
+    operation K_j = U_j P_j.
+
+    supports: index sets of the orthogonal incoherent projectors P_j (they
+    must partition range(dim)); perms[j] and phases[j] define the incoherent
+    unitary U_j = sum_y e^{i phases[j][y]} |perms[j][y]><y| attached to P_j.
+    """
+    seen: set[int] = set()
+    for s in supports:
+        s_set = {int(y) for y in s}
+        if not s_set or (s_set & seen):
+            raise ValueError("projector supports must be disjoint and non-empty")
+        seen |= s_set
+    if seen != set(range(dim)):
+        raise ValueError("projector supports must partition the basis index set")
+    if len(perms) != len(supports) or len(phases) != len(supports):
+        raise ValueError("need one permutation and one phase vector per projector")
+    ops = np.zeros((len(supports), dim, dim), dtype=complex)
+    for k, (support, perm, ph) in enumerate(zip(supports, perms, phases)):
+        perm, ph = np.asarray(perm, dtype=int), np.asarray(ph, dtype=float)
+        if perm.shape != (dim,) or sorted(perm.tolist()) != list(range(dim)):
+            raise ValueError(f"not a permutation of range({dim}): {perm.tolist()}")
+        if ph.shape != (dim,):
+            raise ValueError(f"phase vectors must have length {dim}")
+        cols = np.array([int(y) for y in support])
+        ops[k, perm[cols], cols] = np.exp(1j * ph[cols])
+    return ops
 
 
-def iuo_matrix(perm, phases) -> np.ndarray:
-    """Matrix of the incoherently unitary operation sum_y e^{i th_y} |perm(y)><y|."""
-    dim = len(perm)
-    perm = _check_permutation(perm, dim)
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (dim,):
-        raise ValueError(f"need {dim} phases, got {phases.shape}")
-    u = np.zeros((dim, dim), dtype=complex)
-    u[perm, np.arange(dim)] = np.exp(1j * phases)
-    return u
+def make_iuo(perm, phases) -> np.ndarray:
+    """Kraus stack (1, d, d) of the incoherently unitary operation
+    sum_y e^{i th_y} |perm(y)><y|: the PPIO with one projector, the identity."""
+    return make_ppio(len(perm), [range(len(perm))], [perm], [phases])
 
 
-def make_iuo(perm, phases) -> KrausChannel:
-    """Single-Kraus unitary channel from a permutation decorated with phases."""
-    return KrausChannel([iuo_matrix(perm, phases)])
-
-
-def _require_iuo_matrix(u, what: str) -> np.ndarray:
+def _require_iuo(u, what: str) -> np.ndarray:
     chan = KrausChannel([u], tol=np.inf)  # classify's IUO test implies unitarity
     if LABEL_IUO not in classify(chan) or chan.in_dim != chan.out_dim:
         raise ValueError(f"{what} is not a phase-decorated permutation of the reference basis")
     return chan.ops[0]
 
 
-def make_rank_one_ppio(dim: int, unitaries) -> KrausChannel:
-    """Rank-one PPIO: Kraus set {U_j |j><j|} with one IUO per basis vector.
+def make_rank_one_ppio(dim: int, unitaries) -> np.ndarray:
+    """Kraus stack (dim, dim, dim) of the rank-one PPIO {U_j |j><j|}, with one
+    IUO matrix U_j per basis level.
 
     Only the j-th column of U_j survives, so the channel sends every input to
     a state diagonal in the reference basis (up to the permutations).
@@ -192,82 +209,18 @@ def make_rank_one_ppio(dim: int, unitaries) -> KrausChannel:
         raise ValueError(f"need {dim} unitaries (one per level), got {len(unitaries)}")
     ops = np.zeros((dim, dim, dim), dtype=complex)
     for j, u in enumerate(unitaries):
-        u = _require_iuo_matrix(u, f"unitary #{j}")
+        u = _require_iuo(u, f"unitary #{j}")
         if u.shape != (dim, dim):
             raise ValueError(f"unitary #{j} is {u.shape}, expected ({dim}, {dim})")
         ops[j, :, j] = u[:, j]
-    return KrausChannel(ops)
+    return ops
 
 
-@dataclass(frozen=True)
-class PPIOSpec:
-    """One projective physically incoherent operation.
-
-    supports: index sets of the orthogonal incoherent projectors P_j (they
-    must partition range(dim)); perms/phases define the incoherent unitary
-    U_j attached to each projector, with K_j = U_j P_j.
-    """
-
-    dim: int
-    supports: tuple
-    perms: tuple
-    phases: tuple
-
-    def validate(self) -> None:
-        seen: set[int] = set()
-        for s in self.supports:
-            s_set = set(int(y) for y in s)
-            if not s_set or (s_set & seen):
-                raise ValueError("projector supports must be disjoint and non-empty")
-            seen |= s_set
-        if seen != set(range(self.dim)):
-            raise ValueError("projector supports must partition the basis index set")
-        if len(self.perms) != len(self.supports) or len(self.phases) != len(self.supports):
-            raise ValueError("need one permutation and one phase vector per projector")
-        for p in self.perms:
-            _check_permutation(p, self.dim)
-        for ph in self.phases:
-            if len(ph) != self.dim:
-                raise ValueError(f"phase vectors must have length {self.dim}")
-
-
-def make_ppio(spec: PPIOSpec) -> KrausChannel:
-    """Channel with Kraus operators K_j = U_j P_j from a validated spec."""
-    spec.validate()
-    ops = []
-    for support, perm, phases in zip(spec.supports, spec.perms, spec.phases):
-        k = np.zeros((spec.dim, spec.dim), dtype=complex)
-        for y in support:
-            k[perm[y], y] = np.exp(1j * phases[y])
-        ops.append(k)
-    return KrausChannel(ops)
-
-
-@dataclass(frozen=True)
-class PIOSpec:
-    """Convex combination of PPIOs with positive weights summing to one."""
-
-    weights: tuple
-    components: tuple
-
-    def validate(self) -> None:
-        if abs(sum(self.weights) - 1.0) > 1e-10:
-            raise ValueError("PIO weights must sum to 1")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("PIO weights must be positive")
-        for c in self.components:
-            c.validate()
-
-
-def make_pio(spec: PIOSpec) -> ChannelMixture:
-    spec.validate()
-    return ChannelMixture(spec.weights, [make_ppio(c) for c in spec.components])
-
-
-def dephasing_channel(dim: int) -> KrausChannel:
-    """Full dephasing in the reference basis: the canonical rank-one PPIO."""
+def dephasing_channel(dim: int) -> np.ndarray:
+    """Kraus stack {|j><j|} of full dephasing in the reference basis: the
+    canonical rank-one PPIO."""
     eye = np.eye(dim, dtype=complex)
-    return make_rank_one_ppio(dim, [eye] * dim)
+    return eye[:, :, None] * eye[:, None, :]
 
 
 def make_physically_free(u_a, b_ops, tol: float = KRAUS_TOL) -> ProductChannel:
@@ -276,7 +229,7 @@ def make_physically_free(u_a, b_ops, tol: float = KRAUS_TOL) -> ProductChannel:
     u_a must be an IUO on A; the B-side operators must satisfy
     sum_j B_j† B_j = I_b.
     """
-    u = _require_iuo_matrix(u_a, "u_a")
+    u = _require_iuo(u_a, "u_a")
     try:
         b = KrausChannel(b_ops, tol)
     except ValueError as exc:
@@ -361,28 +314,21 @@ def _is_factorizable_free(ops: np.ndarray, dims, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def random_iuo(dim: int, rng: np.random.Generator) -> KrausChannel:
-    """Uniform random permutation with i.i.d. uniform phases in [0, 2pi)."""
+def random_iuo(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Kraus stack (1, dim, dim) of a uniformly random permutation with i.i.d.
+    uniform phases in [0, 2pi)."""
     return make_iuo(rng.permutation(dim), rng.uniform(0.0, 2.0 * np.pi, dim))
 
 
 def random_rank_one_ppio(
-    dim: int, rng: np.random.Generator, injective: bool = False
-) -> KrausChannel:
-    """Random rank-one PPIO, one random IUO per basis level.  With
-    ``injective=True`` the level map j -> perm_j(j) is a permutation (no two
-    levels merge): the class on which the coherence correlation is
-    representation independent; merging PPIOs can only drop it further."""
-    return KrausChannel(random_rank_one_ppio_ops(dim, rng, 1, injective)[0])
-
-
-def random_rank_one_ppio_ops(
     dim: int, rng: np.random.Generator, n: int, injective: bool = False
 ) -> np.ndarray:
-    """Kraus stacks of n random rank-one PPIOs, shape (n, dim, dim, dim), from
-    the draws of n random_rank_one_ppio calls, in their order.  K_j = U_j |j><j|
-    keeps only column j of the IUO U_j drawn for level j: e^{i th_j} at row
-    perm_j(j); injective PPIOs share one permutation across the levels."""
+    """Kraus stacks of n random rank-one PPIOs, shape (n, dim, dim, dim).
+    K_j = U_j |j><j| keeps only column j of a random IUO U_j drawn for level j:
+    e^{i th_j} at row perm_j(j).  With ``injective=True`` the levels share one
+    permutation, so the level map j -> perm(j) is a permutation (no two levels
+    merge): the class on which the coherence correlation is representation
+    independent; merging PPIOs can only drop it further."""
     ops = np.zeros((n, dim, dim, dim), dtype=complex)
     levels = np.arange(dim)
     for k in range(n):
@@ -406,18 +352,9 @@ def random_kraus_ops(dim: int, n_ops: int, rng: np.random.Generator) -> np.ndarr
     return q.reshape(n_ops, dim, dim)
 
 
-def random_physically_free_ops(
-    d_a: int, d_b: int, rng: np.random.Generator, n_b_ops: int = 2
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus stacks (1, d_a, d_a) and (n_b_ops, d_b, d_b) of a random U_a (x)
-    {B_j}, with the draws of random_iuo and random_kraus_ops, in that order."""
-    u_a = iuo_matrix(rng.permutation(d_a), rng.uniform(0.0, 2.0 * np.pi, d_a))
-    return u_a[None], random_kraus_ops(d_b, n_b_ops, rng)
-
-
 def random_physically_free(
     d_a: int, d_b: int, rng: np.random.Generator, n_b_ops: int = 2
-) -> ProductChannel:
-    """Random U_a (x) {B_j}: a random IUO on A and a random n_b_ops-operator
-    channel on B."""
-    return ProductChannel(*map(KrausChannel, random_physically_free_ops(d_a, d_b, rng, n_b_ops)))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus stacks (1, d_a, d_a) and (n_b_ops, d_b, d_b) of a random
+    U_a (x) {B_j}: a random IUO on A, then a random channel on B."""
+    return random_iuo(d_a, rng), random_kraus_ops(d_b, n_b_ops, rng)

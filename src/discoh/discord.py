@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    LABEL_RANK_ONE_PPIO, KrausChannel, classify, random_iuo, random_rank_one_ppio_ops
+    LABEL_RANK_ONE_PPIO, KrausChannel, classify, dephasing_channel, random_iuo,
+    random_rank_one_ppio
 )
 from .linalg import MAX_OPT_DIM, apply_local, dephase_local, partial_trace
 from .measures import (
@@ -341,6 +342,11 @@ def coherence_discord(rho: DensityMatrix, basis_a=None) -> float:
     return float(_table(rho, basis_a) @ _DAC)
 
 
+def _check_count(name: str, n) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+
+
 def coherence_discord_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> float:
     """Max deviation of the literal drop from the closed form over random
     non-merging rank-one PPIOs.
@@ -350,9 +356,8 @@ def coherence_discord_invariance(rho: DensityMatrix, trials: int = 50, seed: int
     the sampler is restricted accordingly.  The PPIOs are drawn as one Kraus
     stack and act on rho together, in one _ppio_drops pass.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    ops = random_rank_one_ppio_ops(rho.d_a, rng_from_seed(seed), trials, injective=True)
+    _check_count("trials", trials)
+    ops = random_rank_one_ppio(rho.d_a, rng_from_seed(seed), trials, injective=True)
     return float(np.max(np.abs(_ppio_drops(rho, ops)[0] - coherence_discord(rho))))
 
 
@@ -398,8 +403,7 @@ def _ppio_drops(rho: DensityMatrix, ops: np.ndarray) -> tuple[np.ndarray, float]
     one pass: the PPIOs and the dephasing {|k><k|} act on A of rho in one
     apply_local call, all outputs are validated in one call, and one _entropies
     call covers rho and the outputs."""
-    eye = np.eye(rho.d_a)
-    deph = eye[None, :, :, None] * eye[None, :, None, :]  # one channel, {|k><k|}
+    deph = dephasing_channel(rho.d_a)[None]
     outs = apply_local(rho.mat, rho.dims, np.concatenate([ops, deph]))
     spectra = np.concatenate([rho.spectrum[None], validate_density(outs)])
     h = _entropies(np.concatenate([rho.mat[None], outs]), spectra, rho.dims)[0]
@@ -497,4 +501,4 @@ def in_zero_set(
 def random_local_iuo_conjugation(rho: DensityMatrix, rng) -> DensityMatrix:
     """Conjugate by a random product IUO U_a (x) U_b (suite plumbing)."""
     u_a, u_b = random_iuo(rho.d_a, rng), random_iuo(rho.d_b, rng)
-    return DensityMatrix(apply_local(rho.mat, rho.dims, u_a.ops, u_b.ops), rho.dims)
+    return DensityMatrix(apply_local(rho.mat, rho.dims, u_a, u_b), rho.dims)

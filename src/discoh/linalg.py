@@ -84,24 +84,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
     raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
 
 
-def dephase(m: np.ndarray, basis=None) -> np.ndarray:
-    """Zero all off-diagonal entries of ``m`` in the reference basis.
-
-    With a non-computational basis the matrix is conjugated into the frame,
-    its off-diagonals dropped, and conjugated back; this keeps the map exactly
-    idempotent and trace preserving.
-    """
-    m = as_complex_matrix(m)
-    d = m.shape[0]
-    if m.shape[1] != d:
-        raise ValueError("dephase requires a square matrix")
-    frame = as_frame(basis, d)
-    if frame is None:
-        return np.diag(np.diag(m))
-    inner = dag(frame) @ m @ frame
-    return frame @ np.diag(np.diag(inner)) @ dag(frame)
-
-
 def conditional_blocks(m: np.ndarray, dims: tuple[int, int], frame=None) -> np.ndarray:
     """Unnormalized conditional B blocks M_k = <u_k| m |u_k>_A, shape (..., d_a,
     d_b, d_b) for m of shape (..., d, d).

@@ -46,7 +46,9 @@ def validate_density(mats, hermitian_tol=HERMITIAN_TOL, trace_tol=TRACE_TOL, psd
     """Check that a matrix, or each matrix of a stack (..., d, d), is Hermitian,
     unit-trace and PSD within the tolerances, naming the worst value if not.
     Returns the ascending spectra (..., d) the positivity check computes."""
-    # a non-finite entry makes an error nan, which fails each check too
+    # checked first, so that no arithmetic below sees inf or nan
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix contains non-finite entries")
     herm_err = float(np.abs(mats - mats.conj().swapaxes(-1, -2)).max())
     if not herm_err <= hermitian_tol:
         raise ValueError(f"matrix is not Hermitian: max |M - M†| = {herm_err:.3e} > "

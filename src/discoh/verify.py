@@ -13,12 +13,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .channels import random_physically_free_ops, random_rank_one_ppio_ops
+from .channels import random_physically_free, random_rank_one_ppio
 from .discord import (
     OptimizerConfig,
+    _check_count,
     _ppio_drops,
     coherence_discord,
-    coherence_discord_invariance,
     discord,
     discord_at_basis,
     discord_via_coherence,
@@ -54,8 +54,7 @@ class SuiteResult:
 
 
 def _trial_rngs(seed: int, trials: int):
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_count("trials", trials)
     return [rng_from_seed(int(s)) for s in spawn_seeds(seed, trials)]
 
 
@@ -95,7 +94,7 @@ def verify_theorem1(
 
     def check(i, rng):
         rho = random_state_from(rng, *dims, "ginibre-mixed")
-        (gap,), mi_drop = _ppio_drops(rho, random_rank_one_ppio_ops(dims[0], rng, 1))
+        (gap,), mi_drop = _ppio_drops(rho, random_rank_one_ppio(dims[0], rng, 1))
         return max(-gap, mi_drop - gap), {"min_gap": gap}
 
     return _run_trials(
@@ -153,7 +152,7 @@ def verify_theorem3(
     mixture of two such channels: the weighted sum of their outputs."""
 
     def free_ops(rng):
-        return random_physically_free_ops(*dims, rng, n_b_ops=int(rng.integers(1, 4)))
+        return random_physically_free(*dims, rng, n_b_ops=int(rng.integers(1, 4)))
 
     def check(i, rng):
         cq = random_cq_state(rng, *dims)
@@ -195,15 +194,18 @@ def verify_invariance(
     progress=None,
 ) -> SuiteResult:
     """Representation independence of the closed form over random non-merging
-    rank-one PPIOs, plus invariance under local IUO conjugation."""
+    rank-one PPIOs (the coherence_discord_invariance check), plus invariance
+    under local IUO conjugation; the closed form of rho is computed once."""
+    _check_count("ppio_samples", ppio_samples)
 
     def check(i, rng):
         rho = random_state_from(rng, *dims, "ginibre-mixed")
-        dev = coherence_discord_invariance(
-            rho, trials=ppio_samples, seed=int(rng.integers(0, 2**63))
-        )
+        ppio_rng = rng_from_seed(int(rng.integers(0, 2**63)))
+        ops = random_rank_one_ppio(dims[0], ppio_rng, ppio_samples, injective=True)
+        drops, _ = _ppio_drops(rho, ops)
         conj = random_local_iuo_conjugation(rho, rng)
-        return max(dev, abs(coherence_discord(conj) - coherence_discord(rho))), {}
+        dac = coherence_discord(rho)
+        return float(np.max(np.abs(np.append(drops, coherence_discord(conj)) - dac))), {}
 
     return _run_trials("invariance", trials, dims, seed, 1e-9, check, progress)
 

@@ -5,31 +5,30 @@ from numpy.testing import assert_allclose
 from discoh.channels import (
     ChannelMixture,
     KrausChannel,
-    PIOSpec,
-    PPIOSpec,
     ProductChannel,
     apply,
     classify,
     dephasing_channel,
     make_iuo,
     make_physically_free,
-    make_pio,
     make_ppio,
     make_rank_one_ppio,
     random_iuo,
     random_kraus_ops,
     random_physically_free,
-    random_physically_free_ops,
     random_rank_one_ppio,
-    random_rank_one_ppio_ops,
 )
 from discoh.discord import coherence_discord
-from discoh.linalg import apply_local, dephase
+from discoh.linalg import apply_local
 from discoh.states import classical_quantum, random_state, rng_from_seed
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def plain_dephase(m):
+    return np.diag(np.diag(m))
 
 
 def test_identity_channel_is_noop():
@@ -39,9 +38,9 @@ def test_identity_channel_is_noop():
 
 
 def test_full_dephasing_channel_matches_dephase():
-    chan = dephasing_channel(2)
+    chan = KrausChannel(dephasing_channel(2))
     rho = random_state(2, 1, "ginibre-mixed", seed=2)
-    assert_allclose(apply(chan, rho).mat, dephase(rho.mat), atol=1e-12)
+    assert_allclose(apply(chan, rho).mat, plain_dephase(rho.mat), atol=1e-12)
 
 
 def test_bit_flip_channel():
@@ -63,8 +62,9 @@ def test_apply_dimension_mismatch():
 
 def test_make_iuo_identity_and_swap():
     ident = make_iuo([0, 1], [0.0, 0.0])
-    assert_allclose(ident.ops[0], np.eye(2))
-    swap = make_iuo([1, 0], [0.0, 0.0])
+    assert ident.shape == (1, 2, 2)
+    assert_allclose(ident[0], np.eye(2))
+    swap = KrausChannel(make_iuo([1, 0], [0.0, 0.0]))
     rho = random_state(2, 1, "ginibre-mixed", seed=3)
     assert_allclose(apply(swap, rho).mat, PAULI_X @ rho.mat @ PAULI_X, atol=1e-12)
 
@@ -72,7 +72,7 @@ def test_make_iuo_identity_and_swap():
 def test_make_iuo_preserves_diagonal_states():
     rng = np.random.default_rng(4)
     for _ in range(5):
-        chan = make_iuo(rng.permutation(3), rng.uniform(0, 2 * np.pi, 3))
+        chan = KrausChannel(make_iuo(rng.permutation(3), rng.uniform(0, 2 * np.pi, 3)))
         d = rng.dirichlet(np.ones(3))
         out = apply(chan, np.diag(d).astype(complex))
         assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-12
@@ -84,30 +84,32 @@ def test_make_iuo_rejects_bad_permutation():
 
 
 def test_rank_one_ppio_all_identity_is_dephasing():
-    chan = make_rank_one_ppio(2, [np.eye(2), np.eye(2)])
+    ops = make_rank_one_ppio(2, [np.eye(2), np.eye(2)])
+    assert np.array_equal(ops, dephasing_channel(2))
     rho = random_state(2, 1, "ginibre-mixed", seed=5)
-    assert_allclose(apply(chan, rho).mat, dephase(rho.mat), atol=1e-12)
+    assert_allclose(apply(KrausChannel(ops), rho).mat, plain_dephase(rho.mat), atol=1e-12)
 
 
 def test_rank_one_ppio_dim3_level_swap_kraus_set():
     # the level-merging example: U_0 swaps levels 0 and 1, the rest identity
     u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    chan = make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)])
+    ops = make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)])
     k0 = np.zeros((3, 3))
     k0[1, 0] = 1.0
-    assert_allclose(chan.ops[0], k0)
-    assert_allclose(chan.ops[1], np.diag([0.0, 1.0, 0.0]))
-    assert_allclose(chan.ops[2], np.diag([0.0, 0.0, 1.0]))
+    assert ops.shape == (3, 3, 3)
+    assert_allclose(ops[0], k0)
+    assert_allclose(ops[1], np.diag([0.0, 1.0, 0.0]))
+    assert_allclose(ops[2], np.diag([0.0, 0.0, 1.0]))
     # it merges the first two diagonal blocks
     rho = random_state(3, 1, "ginibre-mixed", seed=6)
-    out = apply(chan, rho).mat
+    out = apply(KrausChannel(ops), rho).mat
     assert_allclose(out, np.diag([0.0, rho.mat[0, 0] + rho.mat[1, 1], rho.mat[2, 2]]), atol=1e-12)
 
 
 def test_rank_one_ppio_output_always_incoherent():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        chan = random_rank_one_ppio(2, rng)
+        chan = KrausChannel(random_rank_one_ppio(2, rng, 1)[0])
         rho = random_state(2, 1, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
         out = apply(chan, rho).mat
         assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-12
@@ -124,55 +126,69 @@ def test_rank_one_ppio_rejects_non_iuo():
 
 
 def test_ppio_coarse_projectors_not_rank_one():
-    spec = PPIOSpec(
-        dim=3,
-        supports=((0, 1), (2,)),
-        perms=((0, 1, 2), (0, 1, 2)),
-        phases=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-    )
-    chan = make_ppio(spec)
-    labels = classify(chan)
+    ops = make_ppio(3, supports=((0, 1), (2,)), perms=((0, 1, 2), (0, 1, 2)),
+                    phases=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    assert ops.shape == (2, 3, 3)
+    assert_allclose(ops, [np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
+    labels = classify(KrausChannel(ops))
     assert "ppio" in labels
     assert "rank-one-ppio" not in labels
 
 
 def test_ppio_all_rank_one_projectors():
-    spec = PPIOSpec(
-        dim=3,
-        supports=((0,), (1,), (2,)),
-        perms=((0, 1, 2), (1, 0, 2), (0, 1, 2)),
-        phases=((0.1, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 2.0)),
-    )
-    labels = classify(make_ppio(spec))
-    assert "rank-one-ppio" in labels
+    ops = make_ppio(3, supports=((0,), (1,), (2,)),
+                    perms=((0, 1, 2), (1, 0, 2), (0, 1, 2)),
+                    phases=((0.1, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 2.0)))
+    # K_j = U_j |j><j| keeps e^{i phases[j][j]} at row perms[j][j]
+    expected = np.zeros((3, 3, 3), dtype=complex)
+    expected[[0, 1, 2], [0, 0, 2], [0, 1, 2]] = np.exp(1j * np.array([0.1, 0.5, 2.0]))
+    assert_allclose(ops, expected)
+    assert "rank-one-ppio" in classify(KrausChannel(ops))
 
 
 def test_ppio_spec_validation():
     with pytest.raises(ValueError, match="partition"):
-        PPIOSpec(dim=3, supports=((0,), (2,)), perms=((0, 1, 2),) * 2,
-                 phases=((0.0,) * 3,) * 2).validate()
+        make_ppio(3, supports=((0,), (2,)), perms=((0, 1, 2),) * 2, phases=((0.0,) * 3,) * 2)
     with pytest.raises(ValueError, match="disjoint"):
-        PPIOSpec(dim=2, supports=((0, 1), (1,)), perms=((0, 1),) * 2,
-                 phases=((0.0,) * 2,) * 2).validate()
+        make_ppio(2, supports=((0, 1), (1,)), perms=((0, 1),) * 2, phases=((0.0,) * 2,) * 2)
+    with pytest.raises(ValueError, match="one permutation and one phase vector"):
+        make_ppio(2, supports=((0,), (1,)), perms=((0, 1),), phases=((0.0,) * 2,) * 2)
+    with pytest.raises(ValueError, match="permutation of range"):
+        make_ppio(2, supports=((0, 1),), perms=((1, 1),), phases=((0.0,) * 2,))
+    with pytest.raises(ValueError, match="length 2"):
+        make_ppio(2, supports=((0, 1),), perms=((1, 0),), phases=((0.0,) * 3,))
+
+
+def test_builders_return_trace_preserving_stacks():
+    u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    stacks = [
+        make_iuo([2, 0, 1], [0.1, 0.2, 0.3]),
+        make_ppio(3, ((0, 2), (1,)), ((1, 0, 2), (2, 0, 1)), ((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))),
+        make_rank_one_ppio(3, [u_swap, np.eye(3), u_swap]),
+        dephasing_channel(3),
+    ]
+    for ops in stacks:
+        assert ops.ndim == 3 and ops.shape[1:] == (3, 3)
+        assert_allclose(KrausChannel(ops).ops, ops, rtol=0, atol=0)
 
 
 def test_pio_mixture_of_two_ppios():
-    one = PPIOSpec(dim=2, supports=((0,), (1,)), perms=((0, 1), (0, 1)),
-                   phases=((0.0, 0.0), (0.0, 0.0)))
-    other = PPIOSpec(dim=2, supports=((0, 1),), perms=((1, 0),),
-                     phases=((0.0, 0.0),))
-    pio = make_pio(PIOSpec(weights=(0.5, 0.5), components=(one, other)))
+    # a PIO is a convex mixture of PPIOs: a ChannelMixture of their stacks
+    one = make_ppio(2, supports=((0,), (1,)), perms=((0, 1), (0, 1)),
+                    phases=((0.0, 0.0), (0.0, 0.0)))
+    other = make_ppio(2, supports=((0, 1),), perms=((1, 0),), phases=((0.0, 0.0),))
+    pio = ChannelMixture((0.5, 0.5), [KrausChannel(one), KrausChannel(other)])
     assert len(pio.components) == 2
     rho = random_state(2, 1, "ginibre-mixed", seed=8)
-    expected = 0.5 * apply(make_ppio(one), rho).mat + 0.5 * apply(make_ppio(other), rho).mat
+    expected = 0.5 * apply(KrausChannel(one), rho).mat + 0.5 * apply(KrausChannel(other), rho).mat
     assert_allclose(apply(pio, rho).mat, expected, atol=1e-12)
 
 
 def test_pio_weights_must_sum_to_one():
-    one = PPIOSpec(dim=2, supports=((0,), (1,)), perms=((0, 1), (0, 1)),
-                   phases=((0.0, 0.0), (0.0, 0.0)))
+    one = KrausChannel(make_ppio(2, supports=((0,), (1,)), perms=((0, 1), (0, 1)),
+                                 phases=((0.0, 0.0), (0.0, 0.0))))
     with pytest.raises(ValueError, match="sum"):
-        make_pio(PIOSpec(weights=(0.5, 0.4), components=(one, one)))
+        ChannelMixture((0.5, 0.4), (one, one))
 
 
 def test_physically_free_identity():
@@ -212,7 +228,7 @@ def test_physically_free_requires_iuo_on_a():
 
 
 def test_classify_dephasing():
-    assert classify(dephasing_channel(2)) == frozenset(
+    assert classify(KrausChannel(dephasing_channel(2))) == frozenset(
         {"incoherent", "ppio", "rank-one-ppio"}
     )
 
@@ -222,7 +238,7 @@ def test_classify_hadamard_is_coherent():
 
 
 def test_classify_iuo():
-    labels = classify(make_iuo([1, 0], [0.3, 1.7]))
+    labels = classify(KrausChannel(make_iuo([1, 0], [0.3, 1.7])))
     # a unitary IUO is an m=1 PIO whose single projector is the identity,
     # which is full rank, so the rank-one label must not appear
     assert labels == frozenset({"incoherent", "iuo", "ppio"})
@@ -230,7 +246,7 @@ def test_classify_iuo():
 
 def test_classify_factorizable_free():
     rng = np.random.default_rng(10)
-    chan = random_physically_free(2, 2, rng, n_b_ops=3)
+    chan = ProductChannel(*map(KrausChannel, random_physically_free(2, 2, rng, n_b_ops=3)))
     assert "physically-free" in classify(chan, dims=(2, 2))
     # remixing the Kraus set by a unitary keeps the common-IUO structure
     ops = chan.ops
@@ -242,7 +258,7 @@ def test_classify_factorizable_free():
 def test_classify_ppio_needs_nonzero_operators_on_disjoint_columns():
     # a zero operator, or two operators on one column (admitted as unit-modulus
     # by a loose tolerance), make an incoherent channel but not a PPIO
-    padded = KrausChannel([*dephasing_channel(2).ops, np.zeros((2, 2))])
+    padded = KrausChannel([*dephasing_channel(2), np.zeros((2, 2))])
     assert classify(padded) == frozenset({"incoherent"})
     shared = KrausChannel([np.eye(2) / np.sqrt(2.0)] * 2)
     assert classify(shared, tol=0.5) == frozenset({"incoherent"})
@@ -261,7 +277,7 @@ def test_classify_non_factorizable():
 
 def test_classify_in_rotated_frame():
     # dephasing conjugated into the Hadamard frame is incoherent w.r.t. it
-    chan = KrausChannel([HADAMARD @ k @ HADAMARD.conj().T for k in dephasing_channel(2).ops])
+    chan = KrausChannel([HADAMARD @ k @ HADAMARD.conj().T for k in dephasing_channel(2)])
     assert "rank-one-ppio" in classify(chan, basis=HADAMARD)
     assert "rank-one-ppio" not in classify(chan)
 
@@ -269,25 +285,25 @@ def test_classify_in_rotated_frame():
 def test_incoherent_channels_preserve_diagonals():
     rng = np.random.default_rng(12)
     for _ in range(10):
-        chan = random_rank_one_ppio(3, rng)
-        assert "incoherent" in classify(chan)
+        ops = random_rank_one_ppio(3, rng, 1)[0]
+        assert "incoherent" in classify(KrausChannel(ops))
         d = np.diag(rng.dirichlet(np.ones(3))).astype(complex)
-        for k in chan.ops:
+        for k in ops:
             out = k @ d @ k.conj().T
             assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-10
 
 
 def test_apply_local_dephasing_on_a_is_dephase_local():
     rho = random_state(2, 2, "ginibre-mixed", seed=13)
-    from discoh.linalg import apply_local, dephase_local
+    from discoh.linalg import dephase_local
 
-    out = apply_local(rho.mat, rho.dims, dephasing_channel(2).ops)
+    out = apply_local(rho.mat, rho.dims, dephasing_channel(2))
     assert_allclose(out, dephase_local(rho.mat, (2, 2)), atol=1e-12)
 
 
 def test_product_channel_matches_its_joint_kraus_set():
     rng = np.random.default_rng(14)
-    chan = random_physically_free(2, 3, rng, n_b_ops=2)
+    chan = ProductChannel(*map(KrausChannel, random_physically_free(2, 3, rng, n_b_ops=2)))
     rho = random_state(2, 3, "ginibre-mixed", seed=14)
     joint = KrausChannel([np.kron(k, b) for k in chan.a.ops for b in chan.b.ops])
     assert_allclose(chan.ops, joint.ops, atol=0)
@@ -313,9 +329,7 @@ def test_sampled_rank_one_ppios_are_certified(d):
     rng = rng_from_seed(200 + d)
     merging = 0
     for injective in (True, False):
-        stacks = [random_rank_one_ppio(d, rng, injective).ops for _ in range(40)]
-        stacks += list(random_rank_one_ppio_ops(d, rng, 40, injective))
-        for ops in stacks:
+        for ops in random_rank_one_ppio(d, rng, 80, injective):
             assert "rank-one-ppio" in classify(KrausChannel(ops))
             assert not (injective and merges(ops))
             merging += merges(ops)
@@ -325,31 +339,30 @@ def test_sampled_rank_one_ppios_are_certified(d):
 def test_rank_one_ppio_stack_draws_as_single_samples_do():
     for injective in (True, False):
         one, many = rng_from_seed(21), rng_from_seed(21)
-        singles = [random_rank_one_ppio(3, one, injective).ops for _ in range(5)]
-        assert_allclose(random_rank_one_ppio_ops(3, many, 5, injective), singles, rtol=0, atol=0)
+        singles = [random_rank_one_ppio(3, one, 1, injective)[0] for _ in range(5)]
+        assert_allclose(random_rank_one_ppio(3, many, 5, injective), singles, rtol=0, atol=0)
+        assert one.integers(1 << 62) == many.integers(1 << 62)  # the same draws were used
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 def test_sampled_physically_free_channels_are_certified(dims):
     rng = rng_from_seed(210 + sum(dims))
     for n_b_ops in (1, 2, 3) * 20:
-        chan = random_physically_free(*dims, rng, n_b_ops=n_b_ops)
-        joint = [np.kron(u, b) for u in chan.a.ops for b in chan.b.ops]
+        u_a, b_ops = random_physically_free(*dims, rng, n_b_ops=n_b_ops)
+        assert u_a.shape == (1, dims[0], dims[0]) and b_ops.shape == (n_b_ops, dims[1], dims[1])
+        joint = [np.kron(u, b) for u in u_a for b in b_ops]
         assert "physically-free" in classify(KrausChannel(joint), dims=dims)
 
 
 def test_physically_free_stacks_draw_as_random_physically_free_does():
+    # the IUO on A is drawn first, then the channel on B
     for dims in [(2, 2), (2, 3), (3, 2)]:
         for n_b_ops in (1, 2, 3):
-            rngs = [rng_from_seed(23 + n_b_ops) for _ in range(3)]
-            u_a, b_ops = random_physically_free_ops(*dims, rngs[0], n_b_ops=n_b_ops)
-            chan = random_physically_free(*dims, rngs[1], n_b_ops=n_b_ops)
-            # the factors drawn one after the other, as channels
-            iuo, kraus = random_iuo(dims[0], rngs[2]), random_kraus_ops(dims[1], n_b_ops, rngs[2])
-            for ops in (chan.a.ops, iuo.ops):
-                assert np.array_equal(u_a, ops)
-            for ops in (chan.b.ops, kraus):
-                assert np.array_equal(b_ops, ops)
+            rngs = [rng_from_seed(23 + n_b_ops) for _ in range(2)]
+            u_a, b_ops = random_physically_free(*dims, rngs[0], n_b_ops=n_b_ops)
+            iuo, kraus = random_iuo(dims[0], rngs[1]), random_kraus_ops(dims[1], n_b_ops, rngs[1])
+            assert np.array_equal(u_a, iuo) and np.array_equal(b_ops, kraus)
+            assert "iuo" in classify(KrausChannel(u_a))
             assert len({int(rng.integers(1 << 62)) for rng in rngs}) == 1
 
 
@@ -370,12 +383,12 @@ def test_apply_local_matches_the_kron_formula(dims):
     m = random_state(d_a, d_b, "ginibre-mixed", seed=d_a * d_b).mat
     eye_b = np.eye(d_b)[None]
     # one channel on A
-    ppio = random_rank_one_ppio(d_a, rng).ops
+    ppio = random_rank_one_ppio(d_a, rng, 1)[0]
     assert_allclose(apply_local(m, dims, ppio), kron_reference(m, ppio, eye_b), atol=1e-12)
     general = random_kraus_ops(d_a, 3, rng)
     assert_allclose(apply_local(m, dims, general), kron_reference(m, general, eye_b), atol=1e-12)
     # a stack of channels on A
-    stack = random_rank_one_ppio_ops(d_a, rng, 7, injective=True)
+    stack = random_rank_one_ppio(d_a, rng, 7, injective=True)
     expected = [kron_reference(m, ops, eye_b) for ops in stack]
     assert_allclose(apply_local(m, dims, stack), expected, atol=1e-12)
     # a channel on B alone, and U_a (x) {B_j} given as its two factors
@@ -384,9 +397,9 @@ def test_apply_local_matches_the_kron_formula(dims):
         apply_local(m, dims, ops_b=b_ops), kron_reference(m, np.eye(d_a)[None], b_ops),
         atol=1e-12,
     )
-    free = random_physically_free(d_a, d_b, rng, n_b_ops=3)
+    u_a, b_ops = random_physically_free(d_a, d_b, rng, n_b_ops=3)
     assert_allclose(
-        apply_local(m, dims, free.a.ops, free.b.ops),
-        kron_reference(m, free.a.ops, free.b.ops),
+        apply_local(m, dims, u_a, b_ops),
+        kron_reference(m, u_a, b_ops),
         atol=1e-12,
     )

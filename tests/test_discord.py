@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from discoh.channels import dephasing_channel, make_rank_one_ppio
+from discoh.channels import KrausChannel, dephasing_channel, make_rank_one_ppio
 from discoh.discord import (
     OptimizerConfig,
     coherence_discord,
@@ -464,7 +464,7 @@ def test_coherence_discord_closed_form_matches_literal_drop():
     # dual route: the closed form equals the correlated-coherence drop under
     # the canonical rank-one PPIO (plain dephasing)
     for rho in random_states(10, seed=8):
-        literal, _ = ppio_monotonicity_gap(rho, dephasing_channel(2))
+        literal, _ = ppio_monotonicity_gap(rho, KrausChannel(dephasing_channel(2)))
         assert abs(coherence_discord(rho) - literal) < 1e-12
 
 
@@ -571,13 +571,13 @@ def test_coherence_discord_upper_bounds_discord():
 
 
 def test_gap_cq_canonical_zero():
-    gap, rhs = ppio_monotonicity_gap(cq_example(), dephasing_channel(2))
+    gap, rhs = ppio_monotonicity_gap(cq_example(), KrausChannel(dephasing_channel(2)))
     assert abs(gap) < 1e-12
     assert abs(rhs) < 1e-12
 
 
 def test_gap_bell_equality_case():
-    gap, rhs = ppio_monotonicity_gap(bell_phi_plus(), dephasing_channel(2))
+    gap, rhs = ppio_monotonicity_gap(bell_phi_plus(), KrausChannel(dephasing_channel(2)))
     assert_allclose(gap, 1.0, atol=1e-12)
     assert_allclose(rhs, 1.0, atol=1e-12)
 
@@ -586,12 +586,12 @@ def test_gap_requires_rank_one_ppio():
     from discoh.channels import make_iuo
 
     with pytest.raises(ValueError, match="rank-one"):
-        ppio_monotonicity_gap(bell_phi_plus(), make_iuo([1, 0], [0.0, 0.0]))
+        ppio_monotonicity_gap(bell_phi_plus(), KrausChannel(make_iuo([1, 0], [0.0, 0.0])))
 
 
 def test_gap_dim3_level_swap_nonnegative():
     u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    ppio = make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)])
+    ppio = KrausChannel(make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)]))
     rng = np.random.default_rng(15)
     for _ in range(10):
         rho = random_state(3, 2, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
@@ -606,7 +606,7 @@ def test_gap_equality_for_non_merging_ppios():
 
     rng = np.random.default_rng(16)
     for rho in random_states(10, seed=17):
-        ppio = random_rank_one_ppio(2, rng, injective=True)
+        ppio = KrausChannel(random_rank_one_ppio(2, rng, 1, injective=True)[0])
         gap, rhs = ppio_monotonicity_gap(rho, ppio)
         assert abs(gap - rhs) < 1e-9
 
@@ -616,7 +616,7 @@ def test_stacked_ppio_drops_are_the_scalar_route(dims):
     # the stacked pass of the Theorem 1 and invariance trials against the
     # measures of the lifted outputs sum_k (K_k (x) 1) rho (K_k (x) 1)†, one
     # state at a time
-    from discoh.channels import KrausChannel, random_rank_one_ppio_ops
+    from discoh.channels import random_rank_one_ppio
     from discoh.discord import _ppio_drops
 
     d_a, d_b = dims
@@ -631,7 +631,7 @@ def test_stacked_ppio_drops_are_the_scalar_route(dims):
     for injective in (True, False):
         for _ in range(4):
             rho = random_state(d_a, d_b, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
-            stack = random_rank_one_ppio_ops(d_a, rng, 3, injective)
+            stack = random_rank_one_ppio(d_a, rng, 3, injective)
             drops, mi_drop = _ppio_drops(rho, stack)
             deph = lifted(rho, eye[:, :, None] * eye[:, None, :])
             assert abs(mi_drop - (mutual_information(rho) - mutual_information(deph))) <= 1e-12
@@ -649,18 +649,18 @@ def test_stacked_ppio_drops_are_the_scalar_route(dims):
 
 def test_balance_zero_for_shared_unitary():
     rng = np.random.default_rng(18)
-    from discoh.channels import iuo_matrix
+    from discoh.channels import make_iuo
 
     for rho in random_states(5, seed=19):
-        u = iuo_matrix(rng.permutation(2), rng.uniform(0, 2 * np.pi, 2))
-        ppio = make_rank_one_ppio(2, [u, u])
+        u = make_iuo(rng.permutation(2), rng.uniform(0, 2 * np.pi, 2))[0]
+        ppio = KrausChannel(make_rank_one_ppio(2, [u, u]))
         assert abs(dephasing_balance(rho, ppio)) < 1e-10
 
 
 def test_balance_zero_on_product_states():
     rho = product_state(PLUS, PLUS)
     u_swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    ppio = make_rank_one_ppio(2, [u_swap, np.eye(2)])
+    ppio = KrausChannel(make_rank_one_ppio(2, [u_swap, np.eye(2)]))
     assert abs(dephasing_balance(rho, ppio)) < 1e-10
 
 
@@ -668,7 +668,7 @@ def test_balance_matches_blockwise_decomposition():
     # level-merging in dim 3: the balance reduces to
     # q0 S[D(s0)] + q1 S[D(s1)] - p1 S[D((B00+B11)/p1)] with D = B dephasing
     u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    ppio = make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)])
+    ppio = KrausChannel(make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)]))
     rng = np.random.default_rng(20)
     for _ in range(5):
         rho = random_state(3, 2, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
@@ -687,7 +687,7 @@ def test_balance_matches_blockwise_decomposition():
 def test_monotonicity_drop_under_merging_exceeds_closed_form():
     # a merging PPIO can only drop more correlated coherence than dephasing
     u_swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    merging = make_rank_one_ppio(2, [u_swap, np.eye(2)])
+    merging = KrausChannel(make_rank_one_ppio(2, [u_swap, np.eye(2)]))
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
     rho = classical_quantum([0.5, 0.5], [PLUS, minus])
     drop, _ = ppio_monotonicity_gap(rho, merging)

@@ -4,8 +4,11 @@ runs the full campaigns."""
 import numpy as np
 import pytest
 
-from discoh.channels import random_rank_one_ppio
-from discoh.discord import coherence_discord, coherence_discord_invariance, ppio_monotonicity_gap
+from discoh.channels import KrausChannel, random_rank_one_ppio
+from discoh.discord import (
+    coherence_discord, coherence_discord_invariance, ppio_monotonicity_gap,
+    random_local_iuo_conjugation,
+)
 from discoh.linalg import apply_local
 from discoh.states import (
     DensityMatrix, random_cq_state, random_state_from, rng_from_seed, spawn_seeds
@@ -128,8 +131,8 @@ def test_rank_one_ppio_output_in_zero_set():
     rng = rng_from_seed(110)
     for _ in range(50):
         rho = random_state_from(rng, 2, 2)
-        ppio = random_rank_one_ppio(2, rng)
-        out = DensityMatrix(apply_local(rho.mat, rho.dims, ppio.ops), rho.dims)
+        ppio = random_rank_one_ppio(2, rng, 1)[0]
+        out = DensityMatrix(apply_local(rho.mat, rho.dims, ppio), rho.dims)
         assert coherence_discord(out) <= 1e-10
 
 
@@ -261,15 +264,44 @@ def test_run_suite_rejects_invalid_search_options_before_any_trial(name, option,
 def test_invariance_check_catches_a_shifted_closed_form(monkeypatch):
     import sys
 
-    module = sys.modules["discoh.discord"]  # the package's name discord is the function
+    import discoh.verify
+
     rho = random_state_from(rng_from_seed(117), 2, 2)
-    monkeypatch.setattr(
-        module, "coherence_discord", lambda rho, basis_a=None: coherence_discord(rho, basis_a) + 1e-6
-    )
+
+    def shifted(rho, basis_a=None):
+        return coherence_discord(rho, basis_a) + 1e-6
+
+    # the library function and the suite trial each read the closed form
+    # through their own module; the package's name discord is the function
+    monkeypatch.setattr(sys.modules["discoh.discord"], "coherence_discord", shifted)
+    monkeypatch.setattr(discoh.verify, "coherence_discord", shifted)
     assert abs(coherence_discord_invariance(rho, trials=50, seed=1) - 1e-6) <= 1e-12
     result = verify_invariance(trials=3, seed=117)
     assert not result.passed and result.failures == 3
     assert abs(result.max_violation - 1e-6) <= 1e-12
+
+
+def test_invariance_trial_computes_the_closed_form_of_two_states(monkeypatch):
+    # rho's closed form serves both the PPIO and the IUO-conjugation check
+    import sys
+
+    import discoh.verify
+
+    seen = []
+
+    def spy(rho, basis_a=None):
+        seen.append(rho)
+        return coherence_discord(rho, basis_a)
+
+    monkeypatch.setattr(sys.modules["discoh.discord"], "coherence_discord", spy)
+    monkeypatch.setattr(discoh.verify, "coherence_discord", spy)
+    # the trial's draws: rho, the PPIO seed, then the product IUO
+    rng = rng_from_seed(int(spawn_seeds(123, 1)[0]))
+    rho = random_state_from(rng, 2, 2, "ginibre-mixed")
+    rng.integers(0, 2**63)
+    conj = random_local_iuo_conjugation(rho, rng)
+    assert verify_invariance(trials=1, seed=123).passed
+    assert [state.mat.tolist() for state in seen] == [rho.mat.tolist(), conj.mat.tolist()]
 
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -282,7 +314,7 @@ def test_theorem1_check_catches_a_coherent_channel(monkeypatch):
         # the Hadamard channel as a stack of d_a = 2 operators, one of them zero
         return np.stack([HADAMARD, np.zeros((2, 2))])[None]
 
-    monkeypatch.setattr(discoh.verify, "random_rank_one_ppio_ops", hadamard_on_a)
+    monkeypatch.setattr(discoh.verify, "random_rank_one_ppio", hadamard_on_a)
     result = verify_theorem1(trials=8, seed=118)
     assert not result.passed and result.failures == 8
     assert result.max_violation > 1e-3
@@ -294,7 +326,7 @@ def test_theorem3_check_catches_a_coherent_channel(monkeypatch):
     def hadamard_on_a(d_a, d_b, rng, n_b_ops=2):
         return HADAMARD[None], np.eye(d_b)[None]
 
-    monkeypatch.setattr(discoh.verify, "random_physically_free_ops", hadamard_on_a)
+    monkeypatch.setattr(discoh.verify, "random_physically_free", hadamard_on_a)
     result = verify_theorem3(trials=8, seed=118)
     assert not result.passed and result.failures == 8
     assert result.max_violation > 1e-3
@@ -306,12 +338,12 @@ def test_sampled_merging_ppios_drop_more_than_the_closed_form():
     merging = 0
     while merging < 20:
         rho = random_state_from(rng, 3, 2)
-        ppio = random_rank_one_ppio(3, rng)
-        rows = np.abs(ppio.ops).sum(axis=0).argmax(axis=0)
+        ppio = random_rank_one_ppio(3, rng, 1)[0]
+        rows = np.abs(ppio).sum(axis=0).argmax(axis=0)
         if len(set(rows.tolist())) == 3:
             continue
         merging += 1
-        assert ppio_monotonicity_gap(rho, ppio)[0] > coherence_discord(rho) + 1e-6
+        assert ppio_monotonicity_gap(rho, KrausChannel(ppio))[0] > coherence_discord(rho) + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +392,34 @@ def test_campaign_trial_decomposes_four_times(monkeypatch, name):
     # four theorem3 trials include one with a mixture of two channels
     assert run_suite(name, trials=4, seed=122).passed
     assert len(values) + len(systems) == 4 * 4
+
+
+# ---------------------------------------------------------------------------
+# Recorded results: run_suite(name, trials=8, seed=7) as the channel samplers
+# and the suite trials produce them.  A change that draws differently, or in
+# another order, moves the worst trial or its values.
+# ---------------------------------------------------------------------------
+
+RECORDED = {
+    "theorem1": dict(max_violation=4.440892098500626e-16, failures=0, worst_trial=2,
+                     worst_seed=7078124019849193311, min_gap=0.1933038314593487),
+    "theorem3": dict(max_violation=2.220446049250313e-16, failures=0, worst_trial=5,
+                     worst_seed=12242414004113001224),
+    "superadditivity": dict(max_violation=-0.1933038314593487, failures=0, worst_trial=0,
+                            worst_seed=16920295385781661272),
+    "invariance": dict(max_violation=1.1102230246251565e-15, failures=0, worst_trial=2,
+                       worst_seed=7078124019849193311),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDED))
+def test_suite_results_match_the_recorded_values(name):
+    result = run_suite(name, trials=8, seed=7).to_dict()
+    want = RECORDED[name]
+    details = result["details"]
+    assert (result["failures"], details["worst_trial"], details["worst_seed"]) == (
+        want["failures"], want["worst_trial"], want["worst_seed"]
+    )
+    assert abs(result["max_violation"] - want["max_violation"]) <= 1e-15
+    if "min_gap" in want:
+        assert abs(details["min_gap"] - want["min_gap"]) <= 1e-15

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -249,11 +250,12 @@ def test_validate_density_names_the_worst_matrix_of_a_stack(bad, match):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_validate_density_rejects_a_non_finite_stack(value):
-    with pytest.raises(ValueError):
-        validate_density(np.full((1, 2, 2), value + 0j))
     stack = np.stack([np.eye(2) / 2, np.diag([value, 0.0])]).astype(complex)
-    with pytest.raises(ValueError):
-        validate_density(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # finiteness is checked before any arithmetic
+        for mats in (np.full((1, 2, 2), value + 0j), stack):
+            with pytest.raises(ValueError, match="non-finite"):
+                validate_density(mats)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -39,7 +39,7 @@ class KrausChannel:
 
     __slots__ = ("ops", "in_dim", "out_dim")
 
-    def __init__(self, ops, tol: float = KRAUS_TOL):
+    def __init__(self, ops):
         ops = np.array(ops, dtype=complex)  # raises if the shapes differ
         if ops.ndim != 3 or not len(ops):
             raise ValueError("a channel needs at least one Kraus operator, all 2-D of one shape")
@@ -48,9 +48,9 @@ class KrausChannel:
         # a non-finite entry makes err nan, which fails the check too
         flat = ops.reshape(-1, in_dim)
         err = float(np.abs(dag(flat) @ flat - np.eye(in_dim)).max())
-        if not err <= tol:
+        if not err <= KRAUS_TOL:
             raise ValueError(
-                f"channel is not trace preserving: max |sum K†K - I| = {err:.3e} > {tol:g}"
+                f"channel is not trace preserving: max |sum K†K - I| = {err:.3e} > {KRAUS_TOL:g}"
             )
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
@@ -192,8 +192,11 @@ def make_iuo(perm, phases) -> np.ndarray:
 
 
 def _require_iuo(u, what: str) -> np.ndarray:
-    chan = KrausChannel([u], tol=np.inf)  # classify's IUO test implies unitarity
-    if LABEL_IUO not in classify(chan) or chan.in_dim != chan.out_dim:
+    try:
+        chan = KrausChannel([u])  # raises for every matrix that is not an isometry
+    except ValueError:
+        chan = None
+    if chan is None or LABEL_IUO not in classify(chan) or chan.in_dim != chan.out_dim:
         raise ValueError(f"{what} is not a phase-decorated permutation of the reference basis")
     return chan.ops[0]
 
@@ -223,7 +226,7 @@ def dephasing_channel(dim: int) -> np.ndarray:
     return eye[:, :, None] * eye[:, None, :]
 
 
-def make_physically_free(u_a, b_ops, tol: float = KRAUS_TOL) -> ProductChannel:
+def make_physically_free(u_a, b_ops) -> ProductChannel:
     """Bipartite channel with Kraus set {U_a (x) B_j}, kept as its factors.
 
     u_a must be an IUO on A; the B-side operators must satisfy
@@ -231,7 +234,7 @@ def make_physically_free(u_a, b_ops, tol: float = KRAUS_TOL) -> ProductChannel:
     """
     u = _require_iuo(u_a, "u_a")
     try:
-        b = KrausChannel(b_ops, tol)
+        b = KrausChannel(b_ops)
     except ValueError as exc:
         raise ValueError(f"B-side Kraus set incomplete: {exc}") from exc
     return ProductChannel(KrausChannel([u]), b)

@@ -96,15 +96,12 @@ def _state_tolerances(args) -> dict:
     return tols
 
 
-def _config_dict(args, tols: dict) -> dict:
-    cfg = {"seed": getattr(args, "seed", 0), "format": getattr(args, "format", "json")}
-    if hasattr(args, "restarts"):
-        cfg["restarts"] = args.restarts
-        cfg["max_iter"] = args.max_iter
-    if hasattr(args, "trials") and args.trials is not None:
-        cfg["trials"] = args.trials
-    if tols:
-        cfg["tolerances"] = {k.replace("_tol", ""): v for k, v in tols.items()}
+def _config_dict(args, **extra) -> dict:
+    """The run configuration echoed in JSON output: the flags compute and
+    verify share, then each extra entry that is set."""
+    cfg = {"seed": args.seed, "format": args.format, "restarts": args.restarts,
+           "max_iter": args.max_iter}
+    cfg.update((key, value) for key, value in extra.items() if value)
     return cfg
 
 
@@ -167,7 +164,9 @@ def cmd_compute(args) -> int:
     else:
         payload = {
             "version": __version__,
-            "config": _config_dict(args, tols),
+            "config": _config_dict(
+                args, tolerances={k.replace("_tol", ""): v for k, v in tols.items()}
+            ),
             "state_file": args.state,
             "dims": list(rho.dims),
             "measures": {n: _round12(values[n]) for n in names},
@@ -176,9 +175,6 @@ def cmd_compute(args) -> int:
             payload["trace"] = trace.to_dict()
         _emit(json.dumps(payload, indent=2, sort_keys=False), args.out)
     return 0
-
-
-SWEEP_FAMILIES = ("werner", "cq-angle")
 
 
 def _cq_angle_state(theta: float) -> DensityMatrix:
@@ -192,21 +188,22 @@ def _cq_angle_state(theta: float) -> DensityMatrix:
     return classical_quantum([0.5, 0.5], [zero, plus], basis_a=ReferenceBasis(frame))
 
 
+# family -> (parameter name, last parameter value, state builder); sweeps start at 0
+_SWEEPS = {
+    "werner": ("p", 1.0, werner),
+    "cq-angle": ("theta", np.pi / 4.0, _cq_angle_state),
+}
+SWEEP_FAMILIES = tuple(_SWEEPS)
+
+
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError("sweep needs at least 2 steps")
     names = parse_measures(args.measures)
     opt_config = OptimizerConfig(restarts=args.restarts, max_iter=args.max_iter, seed=args.seed)
-    if args.family == "werner":
-        param_name = "p"
-        params = np.linspace(0.0, 1.0, args.steps)
-        states = [werner(float(p)) for p in params]
-    elif args.family == "cq-angle":
-        param_name = "theta"
-        params = np.linspace(0.0, np.pi / 4.0, args.steps)
-        states = [_cq_angle_state(float(t)) for t in params]
-    else:
-        raise ValueError(f"unknown family {args.family!r}; expected one of {SWEEP_FAMILIES}")
+    param_name, last, family = _SWEEPS[args.family]
+    params = np.linspace(0.0, last, args.steps)
+    states = [family(float(p)) for p in params]
 
     lines = [",".join([param_name] + names)]
     for p, rho in zip(params, states):
@@ -234,7 +231,7 @@ def cmd_verify(args) -> int:
     )
     summary = result.to_dict()
     summary["max_violation"] = _round12(summary["max_violation"])
-    payload = {"version": __version__, "config": _config_dict(args, {}), **summary}
+    payload = {"version": __version__, "config": _config_dict(args, trials=args.trials), **summary}
     if args.format == "csv":
         keys = ["suite", "trials", "seed", "tolerance", "max_violation", "failures", "passed"]
         _emit(
@@ -255,16 +252,17 @@ def cmd_random(args) -> int:
     return 0
 
 
-def _add_common(p, optimizer: bool = False):
+def _add_common(p, fmt: bool = False, search: bool = False):
+    """The flags shared by several commands; each command takes only those it reads."""
     p.add_argument("--seed", type=int, default=0, help="root seed (always echoed in output)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    p.add_argument("--tol-hermitian", type=float, default=None, dest="tol_hermitian")
-    p.add_argument("--tol-trace", type=float, default=None, dest="tol_trace")
-    p.add_argument("--tol-psd", type=float, default=None, dest="tol_psd")
-    if optimizer:
-        p.add_argument("--restarts", type=int, default=16, help="optimizer restarts")
-        p.add_argument("--max-iter", type=int, default=500, dest="max_iter")
+    if fmt:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    if search:
+        defaults = OptimizerConfig()
+        p.add_argument("--restarts", type=int, default=defaults.restarts,
+                       help="optimizer restarts")
+        p.add_argument("--max-iter", type=int, default=defaults.max_iter, dest="max_iter")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,22 +281,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--part", choices=("a", "b"), default="a",
                    help="swap subsystems first to measure up to part B")
     p.add_argument("--trace", action="store_true", help="attach the optimizer trace (JSON only)")
-    _add_common(p, optimizer=True)
+    p.add_argument("--tol-hermitian", type=float, default=None, dest="tol_hermitian")
+    p.add_argument("--tol-trace", type=float, default=None, dest="tol_trace")
+    p.add_argument("--tol-psd", type=float, default=None, dest="tol_psd")
+    _add_common(p, fmt=True, search=True)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("sweep", help="sweep a state family, one CSV row per parameter")
     p.add_argument("family", choices=SWEEP_FAMILIES)
     p.add_argument("--steps", type=int, default=11)
     p.add_argument("--measures", default="all")
-    _add_common(p, optimizer=True)
-    p.set_defaults(func=cmd_sweep, format="csv")
+    _add_common(p, search=True)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run a randomized verification suite")
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--trials", type=int, default=None, help="override the suite default")
     p.add_argument("--dims", type=parse_dims, default=None,
                    help="AxB, e.g. 2x3 (default: 2x2; superadditivity cycles 2x2/2x3/3x3)")
-    _add_common(p, optimizer=True)
+    _add_common(p, fmt=True, search=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="write a random state file")

@@ -45,30 +45,24 @@ from .states import (
 )
 
 
+def _check_count(name: str, n, least: int = 1) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Multi-start settings for the basis search, tuned for d_a <= 4; all
-    randomness is driven by the explicit seed.  A restart stops once its
-    Riemannian gradient norm reaches x_tol, or when its line search can lower
-    its value no further (converged if its last step changed the value by at
-    most f_tol).  max_iter caps the steps of each restart."""
+    randomness is driven by the explicit seed.  max_iter caps the steps of
+    each restart; X_TOL and F_TOL decide when a restart has converged."""
 
     restarts: int = 16
     max_iter: int = 500
-    f_tol: float = 1e-9
-    x_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("f_tol", "x_tol"):
-            value = getattr(self, name)
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        _check_count("restarts", self.restarts)
+        _check_count("max_iter", self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,7 @@ class RestartRecord:
 @dataclass(frozen=True)
 class OptimizationTrace:
     """The search's result: converged says whether the best restart converged,
-    restarts_at_best how many restarts ended within f_tol of the best value."""
+    restarts_at_best how many restarts ended within F_TOL of the best value."""
 
     best_value: float
     best_basis: ReferenceBasis
@@ -152,6 +146,10 @@ def discord_at_basis(rho: DensityMatrix, basis) -> float:
 # restart near its minimum keeps following the (still exact) gradient.
 ROUNDOFF = 1e-14
 ARMIJO, MAX_BACKTRACKS = 1e-4, 40
+# A restart stops once its Riemannian gradient norm reaches X_TOL, or when its
+# line search can lower its value no further (converged if its last step
+# changed the value by at most F_TOL).
+X_TOL, F_TOL = 1e-9, 1e-9
 
 
 def _basis_objective(rho: DensityMatrix):
@@ -211,7 +209,7 @@ def minimize(objective, frames, config: OptimizerConfig):
     f, g = objective(u)
     a = _riemannian(g, u)
     step, drop, iters = np.ones(len(u)), np.full(len(u), math.inf), np.zeros(len(u), dtype=int)
-    converged = _inner(a, a) <= config.x_tol**2
+    converged = _inner(a, a) <= X_TOL**2
     active = np.flatnonzero(~converged)
     while active.size:
         d, f0 = a[active], f[active]
@@ -232,7 +230,7 @@ def minimize(objective, frames, config: OptimizerConfig):
             if not pending.size:
                 break
             mu[pending] *= 0.5
-        converged[active[pending]] = drop[active[pending]] <= config.f_tol
+        converged[active[pending]] = drop[active[pending]] <= F_TOL
         moved = np.ones(active.size, dtype=bool)
         moved[pending] = False
         r = active[moved]
@@ -243,7 +241,7 @@ def minimize(objective, frames, config: OptimizerConfig):
         step[r] = np.clip(bb, 1e-10, 1e10)
         drop[r] = f0[moved] - f[r]
         iters[r] += 1
-        converged[r] = _inner(a[r], a[r]) <= config.x_tol**2
+        converged[r] = _inner(a[r], a[r]) <= X_TOL**2
         active = r[~converged[r] & (iters[r] < config.max_iter)]
     return u, f, iters, converged
 
@@ -265,7 +263,7 @@ def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationT
         for s, v, i in zip(starts, values, iters)
     )
     best_basis = ReferenceBasis(frames[best])
-    at_best = int(np.count_nonzero(values - values[best] <= config.f_tol))
+    at_best = int(np.count_nonzero(values - values[best] <= F_TOL))
     return OptimizationTrace(
         float(values[best]), best_basis, records, bool(converged[best]), at_best
     )
@@ -299,9 +297,8 @@ def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400)
     d_a, d_b = rho.dims
     if d_a != 2:
         raise ValueError("the grid oracle only covers d_a = 2")
-    for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-            raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
+    _check_count("n_theta", n_theta, least=2)
+    _check_count("n_phi", n_phi, least=2)
     t = rho.mat.reshape(2, d_b, 2, d_b)
     pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     r_x, r_y, r_z = np.einsum("xki,ijkl->xjl", pauli, t) / 2.0
@@ -340,11 +337,6 @@ def coherence_discord(rho: DensityMatrix, basis_a=None) -> float:
     built in the A reference basis.  Equal to MeasureReport's C_r_upper - C_r_a.
     """
     return float(_table(rho, basis_a) @ _DAC)
-
-
-def _check_count(name: str, n) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
 
 
 def coherence_discord_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> float:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Global numerical tolerances (see README).  Hermiticity/trace checks sit at
-# 1e-10, unitarity checks at 1e-9; both can be overridden per call.
+# Global numerical tolerances (see README).  Hermiticity/trace/PSD checks sit
+# at 1e-10 and can be overridden per state; unitarity checks sit at 1e-9.
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -56,11 +56,11 @@ def as_frame(basis, dim: int) -> np.ndarray | None:
     return frame
 
 
-def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> None:
+def check_unitary(u: np.ndarray) -> None:
     d = u.shape[0]
     err = np.max(np.abs(dag(u) @ u - np.eye(d)))
-    if err > tol:
-        raise ValueError(f"frame is not unitary: max |U†U - I| = {err:.3e} > {tol:g}")
+    if err > UNITARY_TOL:
+        raise ValueError(f"frame is not unitary: max |U†U - I| = {err:.3e} > {UNITARY_TOL:g}")
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from .linalg import (
     HERMITIAN_TOL,
     PSD_TOL,
     TRACE_TOL,
-    UNITARY_TOL,
     as_complex_matrix,
     check_unitary,
     dag,
@@ -25,11 +24,11 @@ class ReferenceBasis:
 
     __slots__ = ("dim", "frame")
 
-    def __init__(self, frame: np.ndarray, tol: float = UNITARY_TOL):
+    def __init__(self, frame: np.ndarray):
         frame = as_complex_matrix(frame)
         if frame.shape[0] != frame.shape[1]:
             raise ValueError("basis frame must be square")
-        check_unitary(frame, tol)
+        check_unitary(frame)
         frame = frame.copy()
         frame.setflags(write=False)
         object.__setattr__(self, "dim", frame.shape[0])

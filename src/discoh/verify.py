@@ -62,8 +62,8 @@ def _run_trials(suite, trials, dims, seed, tol, check, progress, reduce=None, li
     """The trial protocol of every suite.  Trial i runs check(i, rng) on its
     own child stream and returns (violation, row).  A trial fails when its
     violation exceeds tol, and counts one more failure for each row value above
-    its entry in limits.  reduce maps a row key to (fn, start), and details
-    carry fn([start] + that key's values over the trials that report it).
+    its entry in limits.  reduce maps a row key to fn, and details carry fn of
+    that key's values over the trials that report it, if any trial does.
     Details also name the worst trial and its child seed; child seeds are
     prefix-stable, so rerunning with trials=worst_trial + 1 reproduces it."""
     rows = []
@@ -78,8 +78,10 @@ def _run_trials(suite, trials, dims, seed, tol, check, progress, reduce=None, li
         if key in row and row[key] > limit
     )
     details = {"worst_trial": worst, "worst_seed": int(spawn_seeds(seed, trials)[worst])}
-    for key, (fn, start) in (reduce or {}).items():
-        details[key] = float(fn([start] + [row[key] for _, row in rows if key in row]))
+    for key, fn in (reduce or {}).items():
+        values = [row[key] for _, row in rows if key in row]
+        if values:
+            details[key] = float(fn(values))
     return SuiteResult(
         suite, trials, dims, seed, tol, float(violations[worst]), failures, failures == 0, details
     )
@@ -98,7 +100,7 @@ def verify_theorem1(
         return max(-gap, mi_drop - gap), {"min_gap": gap}
 
     return _run_trials(
-        "theorem1", trials, dims, seed, 1e-9, check, progress, reduce={"min_gap": (min, np.inf)}
+        "theorem1", trials, dims, seed, 1e-9, check, progress, reduce={"min_gap": min}
     )
 
 
@@ -137,7 +139,7 @@ def verify_theorem2(
     keys = ("max_discord_at_basis_dev", "max_ico_drop_dev", "max_grid_dev")
     return _run_trials(
         "theorem2", trials, dims, seed, 1e-4, check, progress,
-        reduce=dict.fromkeys(keys, (max, 0.0)),
+        reduce=dict.fromkeys(keys, max),
     )
 
 
@@ -247,11 +249,12 @@ def verify_zero_sets(
         if i >= member_discord_checks:
             return v, {}
         dv, _ = discord(mixture, search(int(rng.integers(0, 2**63))))
-        return v, {"member_discord_max": dv}
+        # discord is nonnegative; the search's roundoff below zero reports as 0
+        return v, {"member_discord_max": max(dv, 0.0)}
 
     result = _run_trials(
         "zero-sets", trials, dims, seed, 1e-10, check, progress,
-        reduce={"member_discord_max": (max, 0.0)}, limits={"member_discord_max": 1e-6},
+        reduce={"member_discord_max": max}, limits={"member_discord_max": 1e-6},
     )
     witness = nonconvexity_witness()
     w_opt, _ = discord(witness, search(seed))

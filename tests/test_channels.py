@@ -121,8 +121,10 @@ def test_rank_one_ppio_requires_one_unitary_per_level():
 
 
 def test_rank_one_ppio_rejects_non_iuo():
-    with pytest.raises(ValueError, match="permutation"):
-        make_rank_one_ppio(2, [HADAMARD, np.eye(2)])
+    # a unitary that is not an IUO, and a matrix that is not even unitary
+    for u in (HADAMARD, 2.0 * np.eye(2)):
+        with pytest.raises(ValueError, match="permutation"):
+            make_rank_one_ppio(2, [u, np.eye(2)])
 
 
 def test_ppio_coarse_projectors_not_rank_one():

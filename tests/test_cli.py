@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from discoh.cli import ALL_MEASURES, _measure_values, main, parse_measures
+from discoh.cli import ALL_MEASURES, _measure_values, build_parser, main, parse_measures
 from discoh.discord import OptimizerConfig, coherence_discord, coherence_discord_symmetric
 from discoh.states import (
     ReferenceBasis,
@@ -420,6 +421,53 @@ def test_verify_superadditivity_runs_an_explicit_dims_split(capsys):
     assert code == 0
     assert payload["dims"] == [2, 2]
     assert payload["details"]["dims_list"] == [[2, 2], [2, 3], [3, 3]]
+
+
+def test_verify_theorem2_reports_grid_deviation_only_when_measured(capsys):
+    from discoh.verify import verify_theorem2
+
+    code, out, _ = run_cli(capsys, "verify", "theorem2", "--trials", "2")
+    assert code == 0
+    assert "max_grid_dev" not in json.loads(out)["details"]
+    assert "max_grid_dev" in verify_theorem2(trials=2, grid_checks=1).details
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    shared = {"--seed", "--out", "--restarts", "--max-iter"}
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {flag for a in p._actions if a.dest != "help" for flag in a.option_strings}
+        for name, p in commands.choices.items()
+    }
+    assert flags == {
+        "compute": shared | {"--measures", "--basis", "--part", "--trace", "--format",
+                             "--tol-hermitian", "--tol-trace", "--tol-psd"},
+        "sweep": shared | {"--steps", "--measures"},
+        "verify": shared | {"--trials", "--dims", "--format"},
+        "random": {"--seed", "--out", "--dims", "--ensemble"},
+    }
+
+
+COMMANDS = {
+    "sweep": ["sweep", "werner", "--steps", "2", "--measures", "ico"],
+    "verify": ["verify", "theorem3", "--trials", "1"],
+    "random": ["random"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("sweep", "--format json"), ("random", "--format csv")]
+    + [(command, f"--tol-{name} 1") for command in COMMANDS
+       for name in ("hermitian", "trace", "psd")],
+)
+def test_commands_reject_flags_they_do_not_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(COMMANDS[command] + flag.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_verify_unknown_suite_is_input_error(capsys):

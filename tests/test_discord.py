@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -100,13 +102,15 @@ def test_riemannian_gradient_matches_finite_differences():
             assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
 
 
-def test_geodesic_steps_keep_frames_unitary():
+def test_geodesic_steps_keep_frames_unitary(monkeypatch):
     from discoh.discord import _basis_objective
 
+    # a gradient-norm threshold no restart reaches keeps every restart stepping
+    monkeypatch.setattr(sys.modules["discoh.discord"], "X_TOL", 1e-300)
     rng = np.random.default_rng(2)
     rho = random_state(4, 2, "ginibre-mixed", seed=3)
     starts = np.stack([haar_unitary(4, rng) for _ in range(4)])
-    frames, _, iters, _ = minimize(_basis_objective(rho), starts, OptimizerConfig(x_tol=1e-300))
+    frames, _, iters, _ = minimize(_basis_objective(rho), starts, OptimizerConfig())
     assert iters.min() > 10
     for u in frames:
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
@@ -146,19 +150,7 @@ def test_search_on_pure_states_returns_entanglement_entropy(dims):
     assert trace.converged
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("restarts", 0),
-        ("max_iter", 0),
-        ("f_tol", 0.0),
-        ("x_tol", -1e-9),
-        ("f_tol", float("nan")),
-        ("x_tol", float("inf")),
-        ("f_tol", True),
-        ("x_tol", True),
-    ],
-)
+@pytest.mark.parametrize("field, value", [("restarts", 0), ("max_iter", 0)])
 def test_optimizer_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         OptimizerConfig(**{field: value})
@@ -355,7 +347,7 @@ def test_grid_oracle_requires_qubit_a():
 @pytest.mark.parametrize("n_theta, n_phi, name", [(0, 0, "n_theta"), (1, 40, "n_theta"),
                                                   (41, 1, "n_phi"), (41, True, "n_phi")])
 def test_grid_oracle_rejects_resolutions_below_two(n_theta, n_phi, name):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 2, got"):
         qubit_discord_grid(werner(0.5), n_theta, n_phi)
 
 

@@ -26,15 +26,11 @@ from .channels import (
 from .discord import (
     OptimizationTrace,
     OptimizerConfig,
-    ZeroSetCertificate,
     coherence_discord,
-    coherence_discord_invariance,
     coherence_discord_symmetric,
-    dephasing_balance,
     discord,
     discord_at_basis,
     discord_via_coherence,
-    in_zero_set,
     measured_conditional_info,
     ppio_monotonicity_gap,
     qubit_discord_grid,

@@ -245,7 +245,7 @@ def make_physically_free(u_a, b_ops) -> ProductChannel:
 # ---------------------------------------------------------------------------
 
 
-def classify(chan, basis=None, dims=None, tol: float = CLASSIFY_TOL) -> frozenset:
+def classify(chan, basis=None, dims=None) -> frozenset:
     """Structural labels of a Kraus representation (a KrausChannel, or a
     ProductChannel through its joint Kraus set).
 
@@ -261,13 +261,13 @@ def classify(chan, basis=None, dims=None, tol: float = CLASSIFY_TOL) -> frozense
         ops = dag(frame) @ ops @ frame
 
     labels = set()
-    nz = np.abs(ops) > tol  # (n, d_out, d)
+    nz = np.abs(ops) > CLASSIFY_TOL  # (n, d_out, d)
     if nz.sum(axis=1).max() <= 1:  # no column of any operator holds two entries
         labels.add(LABEL_INCOHERENT)
         cols = nz.any(axis=1)  # the columns each operator keeps
         if (
             nz.sum(axis=2).max() <= 1  # ... each sent to its own row
-            and np.all(np.abs(np.abs(ops[nz]) - 1.0) <= tol)  # with a unit-modulus entry
+            and np.all(np.abs(np.abs(ops[nz]) - 1.0) <= CLASSIFY_TOL)  # with a unit-modulus entry
             and cols.any(axis=1).all()  # no operator is zero
             and np.all(cols.sum(axis=0) == 1)  # the kept columns partition range(d)
         ):
@@ -277,12 +277,12 @@ def classify(chan, basis=None, dims=None, tol: float = CLASSIFY_TOL) -> frozense
             if len(ops) == d and np.all(cols.sum(axis=1) == 1):
                 labels.add(LABEL_RANK_ONE_PPIO)
 
-    if dims is not None and _is_factorizable_free(ops, dims, tol):
+    if dims is not None and _is_factorizable_free(ops, dims):
         labels.add(LABEL_PHYSICALLY_FREE)
     return frozenset(labels)
 
 
-def _is_factorizable_free(ops: np.ndarray, dims, tol: float) -> bool:
+def _is_factorizable_free(ops: np.ndarray, dims) -> bool:
     """Does every Kraus operator factor as U_a (x) B_j with one common IUO?
 
     Writes each operator as a d_a x d_a grid of d_b x d_b blocks; for a
@@ -294,7 +294,7 @@ def _is_factorizable_free(ops: np.ndarray, dims, tol: float) -> bool:
     if ops.shape[1:] != (d_a * d_b, d_a * d_b):
         return False
     grids = ops.reshape(-1, d_a, d_b, d_a, d_b).transpose(0, 1, 3, 2, 4)
-    nz = np.abs(grids).max(axis=(3, 4)).sum(axis=0) > tol
+    nz = np.abs(grids).max(axis=(3, 4)).sum(axis=0) > CLASSIFY_TOL
     if not np.all(nz.sum(axis=0) == 1):
         return False
     perm, cols = nz.argmax(axis=0), np.arange(d_a)
@@ -304,12 +304,12 @@ def _is_factorizable_free(ops: np.ndarray, dims, tol: float) -> bool:
     # the operator with the largest column-0 block fixes the ratios
     ref = kept[int(np.abs(kept[:, 0]).max(axis=(1, 2)).argmax())]
     denom = np.vdot(ref[0], ref[0]).real
-    if denom <= tol**2:
+    if denom <= CLASSIFY_TOL**2:
         return False
     ratios = np.einsum("jl,cjl->c", ref[0].conj(), ref) / denom
-    if np.max(np.abs(np.abs(ratios) - 1.0)) > 10 * tol:
+    if np.max(np.abs(np.abs(ratios) - 1.0)) > 10 * CLASSIFY_TOL:
         return False
-    return bool(np.max(np.abs(kept - ratios[:, None, None] * kept[:, :1])) <= 10 * tol)
+    return bool(np.max(np.abs(kept - ratios[:, None, None] * kept[:, :1])) <= 10 * CLASSIFY_TOL)
 
 
 # ---------------------------------------------------------------------------

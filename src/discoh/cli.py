@@ -85,6 +85,18 @@ def parse_dims(text: str) -> tuple:
     return dims
 
 
+def parse_tolerance(text: str) -> float:
+    """A --tol-* value: a finite number >= 0, since NaN or inf would switch
+    the check off."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}")
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _state_tolerances(args) -> dict:
     tols = {}
     if args.tol_hermitian is not None:
@@ -281,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--part", choices=("a", "b"), default="a",
                    help="swap subsystems first to measure up to part B")
     p.add_argument("--trace", action="store_true", help="attach the optimizer trace (JSON only)")
-    p.add_argument("--tol-hermitian", type=float, default=None, dest="tol_hermitian")
-    p.add_argument("--tol-trace", type=float, default=None, dest="tol_trace")
-    p.add_argument("--tol-psd", type=float, default=None, dest="tol_psd")
+    p.add_argument("--tol-hermitian", type=parse_tolerance, default=None, dest="tol_hermitian")
+    p.add_argument("--tol-trace", type=parse_tolerance, default=None, dest="tol_trace")
+    p.add_argument("--tol-psd", type=parse_tolerance, default=None, dest="tol_psd")
     _add_common(p, fmt=True, search=True)
     p.set_defaults(func=cmd_compute)
 

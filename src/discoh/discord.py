@@ -19,20 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    LABEL_RANK_ONE_PPIO, KrausChannel, classify, dephasing_channel, random_iuo,
-    random_rank_one_ppio
-)
+from .channels import LABEL_RANK_ONE_PPIO, KrausChannel, classify, dephasing_channel
 from .linalg import MAX_OPT_DIM, apply_local, dephase_local, partial_trace
 from .measures import (
-    _C_R_A,
-    _C_R_AB,
     _DAC,
     _I_CO,
     _J_U,
     _MI,
-    _S_A,
-    _S_AB,
     _entropies,
     _table,
     correlated_coherence,
@@ -339,20 +332,6 @@ def coherence_discord(rho: DensityMatrix, basis_a=None) -> float:
     return float(_table(rho, basis_a) @ _DAC)
 
 
-def coherence_discord_invariance(rho: DensityMatrix, trials: int = 50, seed: int = 0) -> float:
-    """Max deviation of the literal drop from the closed form over random
-    non-merging rank-one PPIOs.
-
-    Merging PPIOs (two levels mapped to one) drop strictly more coherence by
-    convexity, so representation independence holds on the non-merging class;
-    the sampler is restricted accordingly.  The PPIOs are drawn as one Kraus
-    stack and act on rho together, in one _ppio_drops pass.
-    """
-    _check_count("trials", trials)
-    ops = random_rank_one_ppio(rho.d_a, rng_from_seed(seed), trials, injective=True)
-    return float(np.max(np.abs(_ppio_drops(rho, ops)[0] - coherence_discord(rho))))
-
-
 def coherence_discord_symmetric(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:
     """Both-sided variant: correlated-coherence drop under full dephasing of
     A and B in the (product) reference basis.
@@ -380,15 +359,6 @@ def discord_via_coherence(rho: DensityMatrix, config: OptimizerConfig | None = N
 # ---------------------------------------------------------------------------
 
 
-def _rank_one_ppio_ops(rho: DensityMatrix, ppio: KrausChannel) -> np.ndarray:
-    """The Kraus stack of ppio, checked to be a rank-one PPIO on A of rho."""
-    if not isinstance(ppio, KrausChannel) or ppio.in_dim != rho.d_a:
-        raise ValueError(f"expected a channel on A (dim {rho.d_a})")
-    if LABEL_RANK_ONE_PPIO not in classify(ppio):
-        raise ValueError("channel is not a rank-one PPIO in the reference basis")
-    return ppio.ops
-
-
 def _ppio_drops(rho: DensityMatrix, ops: np.ndarray) -> tuple[np.ndarray, float]:
     """The I_co drops of rho under each trusted rank-one PPIO of a Kraus stack
     (n, d_a, d_a, d_a), and its mutual-information drop under dephasing A, in
@@ -403,94 +373,21 @@ def _ppio_drops(rho: DensityMatrix, ops: np.ndarray) -> tuple[np.ndarray, float]
     return ico[0] - ico[1:-1], float(mi[0] - mi[-1])
 
 
-def ppio_monotonicity_gap(
-    rho: DensityMatrix, ppio: KrausChannel, strict: bool = True
-) -> tuple[float, float]:
+def ppio_monotonicity_gap(rho: DensityMatrix, ppio: KrausChannel) -> tuple[float, float]:
     """Correlated-coherence drop under a local rank-one PPIO, paired with the
     mutual-information drop under the bare reference measurement.
 
     Returns (gap, mi_drop).  The gap is nonnegative and dominates mi_drop for
-    every bipartite state; with strict=True a violation beyond 1e-9 raises
-    ArithmeticError (it would signal a numerical bug, not physics).
+    every bipartite state; a violation beyond 1e-9 raises ArithmeticError (it
+    would signal a numerical bug, not physics).
     """
-    (gap,), mi_drop = _ppio_drops(rho, _rank_one_ppio_ops(rho, ppio)[None])
-    if strict and (gap < -1e-9 or gap < mi_drop - 1e-9):
+    if not isinstance(ppio, KrausChannel) or ppio.in_dim != rho.d_a:
+        raise ValueError(f"expected a channel on A (dim {rho.d_a})")
+    if LABEL_RANK_ONE_PPIO not in classify(ppio):
+        raise ValueError("channel is not a rank-one PPIO in the reference basis")
+    (gap,), mi_drop = _ppio_drops(rho, ppio.ops[None])
+    if gap < -1e-9 or gap < mi_drop - 1e-9:
         raise ArithmeticError(
             f"monotonicity violated: gap={gap:.3e}, mi_drop={mi_drop:.3e}"
         )
     return float(gap), mi_drop
-
-
-def dephasing_balance(rho: DensityMatrix, ppio: KrausChannel) -> float:
-    """Dephased-entropy balance of a rank-one PPIO:
-    S[D(rho)] - S[D(rho_a)] - S[D(rho')] + S[D(rho'_a)], with D the
-    (joint resp. local) reference dephasing and rho' the channel output.
-
-    Vanishes whenever all the per-level unitaries of the PPIO coincide.
-    """
-    out = DensityMatrix(apply_local(rho.mat, rho.dims, _rank_one_ppio_ops(rho, ppio)), rho.dims)
-    h = _entropies(np.stack([rho.mat, out.mat]), np.stack([rho.spectrum, out.spectrum]), rho.dims)[0]
-    # S[D(.)] - S[D(._a)], of rho and of rho'
-    gap = h @ (_C_R_AB + _S_AB - _C_R_A - _S_A)
-    return float(gap[0] - gap[1])
-
-
-# ---------------------------------------------------------------------------
-# Zero sets
-# ---------------------------------------------------------------------------
-
-ZERO_SET_KINDS = ("dac", "dac-symmetric", "discord")
-
-
-@dataclass(frozen=True)
-class ZeroSetCertificate:
-    which: str
-    member: bool
-    value: float
-    threshold: float
-    basis: ReferenceBasis | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "which": self.which,
-            "member": self.member,
-            "value": self.value,
-            "threshold": self.threshold,
-        }
-        if self.basis is not None:
-            out["best_frame"] = matrix_to_json(self.basis.frame)
-        return out
-
-
-def in_zero_set(
-    rho: DensityMatrix, which: str, config: OptimizerConfig | None = None
-) -> ZeroSetCertificate:
-    """Decide membership in a zero set by evaluating the measure.
-
-    dac / dac-symmetric are decided by their closed forms at 1e-9; discord
-    membership via the basis minimization at 1e-6.  The search value is an
-    upper bound, so a value at or below the threshold proves membership; a
-    value above it from an unconverged search proves nothing and raises
-    RuntimeError.
-    """
-    if which == "dac":
-        v = coherence_discord(rho)
-        return ZeroSetCertificate("dac", v <= 1e-9, v, 1e-9)
-    if which == "dac-symmetric":
-        v = correlated_coherence(rho)
-        return ZeroSetCertificate("dac-symmetric", v <= 1e-9, v, 1e-9)
-    if which == "discord":
-        v, basis, trace = discord_via_coherence(rho, config)
-        if v > 1e-6 and not trace.converged:
-            raise RuntimeError(
-                f"discord search did not converge; its best value {v:.6g} is only an upper "
-                "bound, so membership is undecided (raise max_iter or restarts)"
-            )
-        return ZeroSetCertificate("discord", v <= 1e-6, v, 1e-6, basis=basis)
-    raise ValueError(f"unknown zero set {which!r}; expected one of {ZERO_SET_KINDS}")
-
-
-def random_local_iuo_conjugation(rho: DensityMatrix, rng) -> DensityMatrix:
-    """Conjugate by a random product IUO U_a (x) U_b (suite plumbing)."""
-    u_a, u_b = random_iuo(rho.d_a, rng), random_iuo(rho.d_b, rng)
-    return DensityMatrix(apply_local(rho.mat, rho.dims, u_a, u_b), rho.dims)

@@ -258,12 +258,15 @@ def test_classify_factorizable_free():
 
 
 def test_classify_ppio_needs_nonzero_operators_on_disjoint_columns():
-    # a zero operator, or two operators on one column (admitted as unit-modulus
-    # by a loose tolerance), make an incoherent channel but not a PPIO
+    # a zero operator, or two operators sharing a column, make an incoherent
+    # channel but not a PPIO; shared columns hold no unit-modulus entries,
+    # since two such entries in one column would break trace preservation
     padded = KrausChannel([*dephasing_channel(2), np.zeros((2, 2))])
     assert classify(padded) == frozenset({"incoherent"})
     shared = KrausChannel([np.eye(2) / np.sqrt(2.0)] * 2)
-    assert classify(shared, tol=0.5) == frozenset({"incoherent"})
+    assert classify(shared) == frozenset({"incoherent"})
+    with pytest.raises(ValueError, match="not trace preserving"):
+        KrausChannel([np.eye(2)] * 2)
 
 
 def test_classify_non_factorizable():

@@ -103,6 +103,19 @@ def test_compute_tolerance_override(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--tol-hermitian", "--tol-trace", "--tol-psd"])
+def test_compute_rejects_bad_tolerances_at_parse_time(capsys, tmp_path, flag, value):
+    # NaN or inf would switch a validation check off; the state file does not
+    # exist, so an error that names it would show the flag was read too late
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", str(tmp_path / "unread.json"), flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err and "unread.json" not in captured.err
+
+
 def test_compute_missing_file(capsys):
     code, _, err = run_cli(capsys, "compute", "no-such-state.json")
     assert code == 2

@@ -13,6 +13,7 @@ import numpy as np
 from discoh import (
     DensityMatrix,
     KrausChannel,
+    ProductChannel,
     apply_local,
     bell_phi_plus,
     classical_quantum,
@@ -30,7 +31,8 @@ from discoh.channels import random_physically_free
 from discoh.states import random_state, rng_from_seed
 
 # 1. Channel zoo and structural classification.  Builders and samplers return
-# Kraus stacks (n, d, d); classify takes them wrapped as a checked KrausChannel.
+# Kraus stacks (n, d, d); classify takes them wrapped as a checked KrausChannel,
+# and U_a (x) {B_j} as a ProductChannel of its two factor stacks.
 print("classification (structural, on the given Kraus representation):")
 swap = make_iuo([1, 0], [0.0, np.pi / 3])
 print("  phase-decorated swap:", sorted(classify(KrausChannel(swap))))
@@ -39,7 +41,7 @@ hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 print("  Hadamard unitary:    ", sorted(classify(KrausChannel([hadamard]))), "(coherent)")
 rng = rng_from_seed(7)
 u_a, b_ops = random_physically_free(2, 2, rng)
-free = make_physically_free(u_a[0], b_ops)
+free = ProductChannel(*map(KrausChannel, make_physically_free(u_a[0], b_ops)))
 print("  U_a x {B_j} channel: ", sorted(classify(free, dims=(2, 2))))
 
 # 2. Rank-one PPIOs only ever destroy correlated coherence.

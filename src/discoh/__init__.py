@@ -31,11 +31,10 @@ from .discord import (
     discord,
     discord_at_basis,
     discord_via_coherence,
-    measured_conditional_info,
     ppio_monotonicity_gap,
     qubit_discord_grid,
 )
-from .linalg import apply_local, dephase_local, partial_trace, tensor
+from .linalg import apply_local, dephase_local, partial_trace
 from .measures import (
     CSV_COLUMNS,
     MeasureReport,
@@ -44,7 +43,6 @@ from .measures import (
     cq_coherence,
     entropy,
     l1_coherence,
-    l1_correlated_coherence,
     mutual_information,
     relative_entropy,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_local, as_complex_matrix, as_frame, dag, tensor
+from .linalg import apply_local, as_complex_matrix, as_frame, dag
 from .states import DensityMatrix
 
 KRAUS_TOL = 1e-9
@@ -34,63 +34,59 @@ LABEL_PHYSICALLY_FREE = "physically-free"
 
 
 class KrausChannel:
-    """A CPTP map given by its Kraus operators, kept as one read-only stack
-    ``ops`` of shape (n, d_out, d_in)."""
+    """A CPTP map of a system into itself, given by its square Kraus
+    operators, kept as one read-only stack ``ops`` of shape (n, dim, dim)."""
 
-    __slots__ = ("ops", "in_dim", "out_dim")
+    __slots__ = ("ops", "dim")
 
     def __init__(self, ops):
         ops = np.array(ops, dtype=complex)  # raises if the shapes differ
-        if ops.ndim != 3 or not len(ops):
-            raise ValueError("a channel needs at least one Kraus operator, all 2-D of one shape")
-        _, out_dim, in_dim = ops.shape
+        if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
+            raise ValueError("a channel needs at least one Kraus operator, all square of one shape")
+        dim = ops.shape[2]
         # sum_n K_n† K_n = F† F for the operators stacked into one column F;
         # a non-finite entry makes err nan, which fails the check too
-        flat = ops.reshape(-1, in_dim)
-        err = float(np.abs(dag(flat) @ flat - np.eye(in_dim)).max())
+        flat = ops.reshape(-1, dim)
+        err = float(np.abs(dag(flat) @ flat - np.eye(dim)).max())
         if not err <= KRAUS_TOL:
             raise ValueError(
                 f"channel is not trace preserving: max |sum K†K - I| = {err:.3e} > {KRAUS_TOL:g}"
             )
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "in_dim", in_dim)
-        object.__setattr__(self, "out_dim", out_dim)
+        object.__setattr__(self, "dim", dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("KrausChannel is immutable")
 
     def __repr__(self):
-        return f"KrausChannel(n_ops={len(self.ops)}, dim={self.in_dim})"
+        return f"KrausChannel(n_ops={len(self.ops)}, dim={self.dim})"
 
 
 @dataclass(frozen=True)
 class ProductChannel:
-    """The local channel Phi_A (x) Phi_B, kept as its factors: KrausChannels on
-    A and on B that keep their dimensions.  ``ops`` forms the joint Kraus set
-    {K_i (x) L_j} on demand, for ``classify``; ``apply`` never needs it."""
+    """The local channel Phi_A (x) Phi_B, kept as its factors, KrausChannels on
+    A and on B.  ``ops`` forms the joint Kraus set {K_i (x) L_j} on demand, for
+    ``classify``; ``apply`` never needs it."""
 
     a: KrausChannel
     b: KrausChannel
 
     def __post_init__(self):
-        for part in (self.a, self.b):
-            if not isinstance(part, KrausChannel) or part.in_dim != part.out_dim:
-                raise ValueError("the factors must be KrausChannels that keep their dimension")
+        if not (isinstance(self.a, KrausChannel) and isinstance(self.b, KrausChannel)):
+            raise ValueError("the factors must be KrausChannels")
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.a.in_dim, self.b.in_dim
+        return self.a.dim, self.b.dim
 
     @property
-    def in_dim(self) -> int:
-        return self.a.in_dim * self.b.in_dim
-
-    out_dim = in_dim
+    def dim(self) -> int:
+        return self.a.dim * self.b.dim
 
     @property
     def ops(self) -> np.ndarray:
-        return np.array([tensor(k, l) for k in self.a.ops for l in self.b.ops])
+        return np.array([np.kron(k, l) for k in self.a.ops for l in self.b.ops])
 
 
 class ChannelMixture:
@@ -112,8 +108,7 @@ class ChannelMixture:
             raise ValueError("mixture weights must be positive")
         if abs(sum(weights) - 1.0) > 1e-10:
             raise ValueError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
-        dims = {(c.in_dim, c.out_dim) for c in components}
-        if len(dims) != 1:
+        if len({c.dim for c in components}) != 1:
             raise ValueError("mixture components must share dimensions")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "components", components)
@@ -132,11 +127,9 @@ def apply(chan, rho):
     weights, parts = (chan.weights, chan.components) if mixture else ((1.0,), (chan,))
     state = isinstance(rho, DensityMatrix)
     m = rho.mat if state else as_complex_matrix(rho)
-    in_dim = parts[0].in_dim
-    if m.shape[0] != in_dim:
-        raise ValueError(f"state dimension {m.shape[0]} does not match channel ({in_dim})")
-    if state and in_dim != parts[0].out_dim:
-        raise ValueError("dimension-changing channels cannot return a DensityMatrix")
+    dim = parts[0].dim
+    if m.shape[0] != dim:
+        raise ValueError(f"state dimension {m.shape[0]} does not match channel ({dim})")
     for c in parts:
         if state and isinstance(c, ProductChannel) and c.dims != rho.dims:
             raise ValueError(f"channel factors {c.dims} do not match state dims {rho.dims}")
@@ -193,10 +186,10 @@ def make_iuo(perm, phases) -> np.ndarray:
 
 def _require_iuo(u, what: str) -> np.ndarray:
     try:
-        chan = KrausChannel([u])  # raises for every matrix that is not an isometry
+        chan = KrausChannel([u])  # raises for every matrix that is not unitary
     except ValueError:
         chan = None
-    if chan is None or LABEL_IUO not in classify(chan) or chan.in_dim != chan.out_dim:
+    if chan is None or LABEL_IUO not in classify(chan):
         raise ValueError(f"{what} is not a phase-decorated permutation of the reference basis")
     return chan.ops[0]
 
@@ -226,8 +219,9 @@ def dephasing_channel(dim: int) -> np.ndarray:
     return eye[:, :, None] * eye[:, None, :]
 
 
-def make_physically_free(u_a, b_ops) -> ProductChannel:
-    """Bipartite channel with Kraus set {U_a (x) B_j}, kept as its factors.
+def make_physically_free(u_a, b_ops) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus stacks (1, d_a, d_a) and (n, d_b, d_b) of the bipartite channel
+    {U_a (x) B_j}, as its two checked factors.
 
     u_a must be an IUO on A; the B-side operators must satisfy
     sum_j B_j† B_j = I_b.
@@ -237,7 +231,7 @@ def make_physically_free(u_a, b_ops) -> ProductChannel:
         b = KrausChannel(b_ops)
     except ValueError as exc:
         raise ValueError(f"B-side Kraus set incomplete: {exc}") from exc
-    return ProductChannel(KrausChannel([u]), b)
+    return u[None], b.ops
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +248,14 @@ def classify(chan, basis=None, dims=None) -> frozenset:
     is only attempted when ``dims`` is given; detection is best-effort up to
     Kraus gauge freedom.  An empty set means no structure was recognized.
     """
-    d = chan.in_dim
+    d = chan.dim
     frame = as_frame(basis, d)
     ops = chan.ops
     if frame is not None:
         ops = dag(frame) @ ops @ frame
 
     labels = set()
-    nz = np.abs(ops) > CLASSIFY_TOL  # (n, d_out, d)
+    nz = np.abs(ops) > CLASSIFY_TOL  # (n, d, d)
     if nz.sum(axis=1).max() <= 1:  # no column of any operator holds two entries
         labels.add(LABEL_INCOHERENT)
         cols = nz.any(axis=1)  # the columns each operator keeps

@@ -21,6 +21,7 @@ from .measures import CSV_COLUMNS, MeasureReport
 from .states import (
     DensityMatrix,
     ReferenceBasis,
+    check_tolerance,
     classical_quantum,
     ket_projector,
     load_bases,
@@ -86,15 +87,15 @@ def parse_dims(text: str) -> tuple:
 
 
 def parse_tolerance(text: str) -> float:
-    """A --tol-* value: a finite number >= 0, since NaN or inf would switch
-    the check off."""
+    """A --tol-* value, checked by the rule validate_density applies."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}")
-    if not (np.isfinite(value) and value >= 0.0):
+    try:
+        return check_tolerance("tolerance", value)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
-    return value
 
 
 def _state_tolerances(args) -> dict:

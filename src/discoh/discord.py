@@ -24,7 +24,6 @@ from .linalg import MAX_OPT_DIM, apply_local, dephase_local, partial_trace
 from .measures import (
     _DAC,
     _I_CO,
-    _J_U,
     _MI,
     _entropies,
     _table,
@@ -110,22 +109,12 @@ def _eigvalsh_psd_batch(mats: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def measured_conditional_info(rho: DensityMatrix, basis) -> float:
-    """S(rho_b) - sum_k p_k S(rho_k) for the local measurement on A.
-
-    With M_k = p_k rho_k the conditional blocks, sum_k p_k S(rho_k) is
-    S_union - H(p): the entropy of their joint spectrum minus that of their
-    traces, so a zero-probability branch adds nothing.  The value lies in
-    [0, S(rho_b)].
-    """
-    return float(_table(rho, basis) @ _J_U)
-
-
 def discord_at_basis(rho: DensityMatrix, basis) -> float:
     """I(rho) - I(post-measurement state): the discord candidate at one basis.
 
     Built from the full post-measurement state, the A-dephased rho, so it
-    cross-checks measured_conditional_info through an independent route.
+    cross-checks the closed form coherence_discord(rho, basis), which is
+    I(rho) - J_U(rho), through an independent route.
     """
     post = DensityMatrix(dephase_local(rho.mat, rho.dims, basis), rho.dims)
     return mutual_information(rho) - mutual_information(post)
@@ -381,7 +370,7 @@ def ppio_monotonicity_gap(rho: DensityMatrix, ppio: KrausChannel) -> tuple[float
     every bipartite state; a violation beyond 1e-9 raises ArithmeticError (it
     would signal a numerical bug, not physics).
     """
-    if not isinstance(ppio, KrausChannel) or ppio.in_dim != rho.d_a:
+    if not isinstance(ppio, KrausChannel) or ppio.dim != rho.d_a:
         raise ValueError(f"expected a channel on A (dim {rho.d_a})")
     if LABEL_RANK_ONE_PPIO not in classify(ppio):
         raise ValueError("channel is not a rank-one PPIO in the reference basis")

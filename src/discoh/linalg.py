@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: tensor products, partial traces, conditional
-blocks, dephasing maps and local channels.
+"""Dense complex-matrix kernel: partial traces, conditional blocks, dephasing
+maps and local channels.
 
 Everything here works on plain ``numpy`` arrays (complex128, row-major).
 Functions accepting a ``basis`` argument take either ``None`` (computational
@@ -61,11 +61,6 @@ def check_unitary(u: np.ndarray) -> None:
     err = np.max(np.abs(dag(u) @ u - np.eye(d)))
     if err > UNITARY_TOL:
         raise ValueError(f"frame is not unitary: max |U†U - I| = {err:.3e} > {UNITARY_TOL:g}")
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the row index of ``a`` on the slow axis."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -118,9 +118,6 @@ _I_CO = _C_R_AB - _C_R_A - _C_R_B
 # its spectrum is the union of the conditional blocks' spectra
 _C_R_UPPER = _signs(S_union=1, S_ab=-1)
 _DAC = _C_R_UPPER - _C_R_A
-# S(rho_b) - sum_k p_k S(rho_k) = S(rho_b) - S_union + H(p), and the outcome
-# probabilities p_k = <u_k|rho_a|u_k> are the diagonal of rho_a in the frame
-_J_U = _signs(S_b=1, S_union=-1, H_a=1)
 
 
 def _entropies(m: np.ndarray, w: np.ndarray, dims, fa=None, fb=None):
@@ -202,13 +199,6 @@ def _l1_correlated(rho: DensityMatrix, ra, rb, fa, fb) -> float:
                 m = dag(fb) @ m.reshape(rho.d_a, rho.d_b, -1)
             m = dag(m.reshape(rho.dim, rho.dim))
     return _l1_of(m, None) - _l1_of(ra, fa) - _l1_of(rb, fb)
-
-
-def l1_correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:
-    """l1-norm analogue of the correlated coherence (comparison measure)."""
-    fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
-    ra, rb = partial_trace(rho.mat, rho.dims, keep="a"), partial_trace(rho.mat, rho.dims, keep="b")
-    return _l1_correlated(rho, ra, rb, fa, fb)
 
 
 # Stable column order of the report (documented in the README; the CSV and

@@ -5,6 +5,7 @@ random ensembles, plus the JSON state and basis formats.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from .linalg import (
     PSD_TOL,
     TRACE_TOL,
     as_complex_matrix,
+    as_frame,
     check_unitary,
     dag,
 )
@@ -41,10 +43,22 @@ class ReferenceBasis:
         return f"ReferenceBasis(dim={self.dim})"
 
 
+def check_tolerance(name: str, value) -> float:
+    """A validation tolerance must be a finite number >= 0: NaN or inf would
+    switch its check off, and a negative one would reject every state."""
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
+
+
 def validate_density(mats, hermitian_tol=HERMITIAN_TOL, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
     """Check that a matrix, or each matrix of a stack (..., d, d), is Hermitian,
     unit-trace and PSD within the tolerances, naming the worst value if not.
     Returns the ascending spectra (..., d) the positivity check computes."""
+    check_tolerance("hermitian_tol", hermitian_tol)
+    check_tolerance("trace_tol", trace_tol)
+    check_tolerance("psd_tol", psd_tol)
     # checked first, so that no arithmetic below sees inf or nan
     if not np.isfinite(mats).all():
         raise ValueError("matrix contains non-finite entries")
@@ -156,17 +170,13 @@ def werner(p: float) -> DensityMatrix:
     return DensityMatrix(mat, (2, 2))
 
 
-def classical_quantum(
-    probs,
-    blocks,
-    basis_a: ReferenceBasis | None = None,
-    d_a: int | None = None,
-) -> DensityMatrix:
-    """Build sum_i p_i |i><i| (x) rho_i^b with |i> drawn from ``basis_a``.
+def classical_quantum(probs, blocks, basis_a=None) -> DensityMatrix:
+    """Build sum_i p_i |i><i| (x) rho_i^b, with |i> the columns of ``basis_a``
+    (a ReferenceBasis or a raw unitary frame; None is the computational
+    basis), so d_a = len(probs).
 
     When built in the global reference basis these states are exactly the
-    zero set of the discordlike coherence correlation.  ``len(probs)`` may be
-    smaller than d_a; the remaining levels get zero weight.
+    zero set of the discordlike coherence correlation.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or len(probs) != len(blocks):
@@ -179,16 +189,12 @@ def classical_quantum(
     d_b = block_mats.shape[-1]
     if block_mats.shape[1:] != (d_b, d_b):
         raise ValueError("all B blocks must share one dimension")
-    if basis_a is not None:
-        dim_a = basis_a.dim
-    else:
-        dim_a = d_a if d_a is not None else len(probs)
-    if len(probs) > dim_a:
-        raise ValueError(f"{len(probs)} blocks do not fit in d_a = {dim_a}")
-    f = (basis_a.frame if basis_a is not None else np.eye(dim_a))[:, : len(probs)]
+    d_a = len(probs)
+    f = as_frame(basis_a, d_a)
+    f = np.eye(d_a) if f is None else f
     # mat[a, j, c, l] = sum_i f_i[a] conj(f_i[c]) p_i b_i[j, l]
     mat = np.einsum("ai,ci,ijl->ajcl", f, f.conj(), probs[:, None, None] * block_mats)
-    return DensityMatrix(mat.reshape(dim_a * d_b, -1), (dim_a, d_b))
+    return DensityMatrix(mat.reshape(d_a * d_b, -1), (d_a, d_b))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +255,7 @@ def random_cq_state(rng: np.random.Generator, d_a: int, d_b: int) -> DensityMatr
     """Random classical-quantum state in the computational reference basis."""
     probs = rng.dirichlet(np.ones(d_a))
     blocks = [_random_state_mat(d_b, "ginibre-mixed", rng) for _ in range(d_a)]
-    return classical_quantum(probs, blocks, d_a=d_a)
+    return classical_quantum(probs, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +274,20 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
-        raise ValueError(f"{what} must be a non-empty list of rows")
+        raise ValueError("matrix must be a non-empty list of rows")
     rows = len(obj)
     cols = None
     out = None
     for i, row in enumerate(obj):
         if not isinstance(row, list):
-            raise ValueError(f"{what} row {i} is not a list")
+            raise ValueError(f"matrix row {i} is not a list")
         if cols is None:
             cols = len(row)
             out = np.zeros((rows, cols), dtype=complex)
         elif len(row) != cols:
-            raise ValueError(f"{what} row {i} has {len(row)} entries, expected {cols}")
+            raise ValueError(f"matrix row {i} has {len(row)} entries, expected {cols}")
         for j, entry in enumerate(row):
             if (
                 not isinstance(entry, list)
@@ -289,12 +295,12 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
                 or not all(_is_number(x) for x in entry)
             ):
                 raise ValueError(
-                    f"{what} entry at row {i}, column {j} is not a [re, im] pair"
+                    f"matrix entry at row {i}, column {j} is not a [re, im] pair"
                 )
             out[i, j] = entry[0] + 1j * entry[1]
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         bad = np.argwhere(~(np.isfinite(out.real) & np.isfinite(out.imag)))[0]
-        raise ValueError(f"{what} entry at row {bad[0]}, column {bad[1]} is not finite")
+        raise ValueError(f"matrix entry at row {bad[0]}, column {bad[1]} is not finite")
     return out
 
 

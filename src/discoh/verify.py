@@ -35,6 +35,15 @@ from .states import (
     spawn_seeds,
 )
 
+# The suites' fixed sizes: every fourth theorem3 trial applies a mixture of two
+# channels, superadditivity cycles through these splits when no dims is given,
+# an invariance trial applies PPIO_SAMPLES rank-one PPIOs, and the first
+# MEMBER_DISCORD_CHECKS zero-sets trials also run a discord search.
+MIXTURE_EVERY = 4
+SUPERADDITIVITY_DIMS = ((2, 2), (2, 3), (3, 3))
+PPIO_SAMPLES = 50
+MEMBER_DISCORD_CHECKS = 20
+
 
 @dataclass
 class SuiteResult:
@@ -142,9 +151,6 @@ def verify_theorem2(
     )
 
 
-MIXTURE_EVERY = 4
-
-
 def verify_theorem3(
     trials: int = 500, dims: tuple = (2, 2), seed: int = 0, progress=None
 ) -> SuiteResult:
@@ -165,17 +171,13 @@ def verify_theorem3(
 
 
 def verify_superadditivity(
-    trials: int = 1000,
-    dims_list: tuple = ((2, 2), (2, 3), (3, 3)),
-    seed: int = 0,
-    progress=None,
-    dims: tuple | None = None,
+    trials: int = 1000, dims: tuple | None = None, seed: int = 0, progress=None
 ) -> SuiteResult:
     """C_r(rho_ab) >= C_r(rho_a) + C_r(rho_b), i.e. the correlated coherence
     is nonnegative, on random mixed and pure states across dimensions.  The
-    trials cycle through dims_list; an explicit dims runs that one split."""
-    if dims is not None:
-        dims_list = (dims,)
+    trials cycle through SUPERADDITIVITY_DIMS; an explicit dims runs that one
+    split."""
+    dims_list = SUPERADDITIVITY_DIMS if dims is None else (dims,)
 
     def check(i, rng):
         ensemble = "haar-pure" if i % 5 == 4 else "ginibre-mixed"
@@ -188,25 +190,20 @@ def verify_superadditivity(
 
 
 def verify_invariance(
-    trials: int = 100,
-    dims: tuple = (2, 2),
-    seed: int = 0,
-    ppio_samples: int = 50,
-    progress=None,
+    trials: int = 100, dims: tuple = (2, 2), seed: int = 0, progress=None
 ) -> SuiteResult:
-    """Representation independence of the closed form over random non-merging
-    rank-one PPIOs, plus invariance under local IUO conjugation; the closed
-    form of rho is computed once.
+    """Representation independence of the closed form over PPIO_SAMPLES random
+    non-merging rank-one PPIOs, plus invariance under local IUO conjugation;
+    the closed form of rho is computed once.
 
     Merging PPIOs (two levels mapped to one) drop strictly more coherence by
     convexity, so representation independence holds on the non-merging class
     only, and the sampler draws from it."""
-    _check_count("ppio_samples", ppio_samples)
 
     def check(i, rng):
         rho = random_state_from(rng, *dims, "ginibre-mixed")
         ppio_rng = rng_from_seed(int(rng.integers(0, 2**63)))
-        ops = random_rank_one_ppio(dims[0], ppio_rng, ppio_samples, injective=True)
+        ops = random_rank_one_ppio(dims[0], ppio_rng, PPIO_SAMPLES, injective=True)
         drops, _ = _ppio_drops(rho, ops)
         u_a, u_b = random_iuo(dims[0], rng), random_iuo(dims[1], rng)
         conj = DensityMatrix(apply_local(rho.mat, dims, u_a, u_b), dims)
@@ -233,13 +230,13 @@ def verify_zero_sets(
     trials: int = 200,
     dims: tuple = (2, 2),
     seed: int = 0,
-    member_discord_checks: int = 20,
     restarts: int = 16,
     progress=None,
     max_iter: int = 500,
 ) -> SuiteResult:
     """Convex mixtures of zero-correlation states stay in the zero set; the
-    zero set sits inside the discord-free set; and the two-basis mixture
+    zero set sits inside the discord-free set (checked by a discord search on
+    the first MEMBER_DISCORD_CHECKS mixtures); and the two-basis mixture
     witness has discord > 0.01 (non-convexity of the discord-free set)."""
 
     def search(search_seed):
@@ -250,7 +247,7 @@ def verify_zero_sets(
         weights = rng.dirichlet(np.ones(n))
         mixture = DensityMatrix(sum(w * random_cq_state(rng, *dims).mat for w in weights), dims)
         v = coherence_discord(mixture)
-        if i >= member_discord_checks:
+        if i >= MEMBER_DISCORD_CHECKS:
             return v, {}
         dv, _ = discord(mixture, search(int(rng.integers(0, 2**63))))
         # discord is nonnegative; the search's roundoff below zero reports as 0

@@ -105,9 +105,7 @@ def test_criterion_4_theorem3_closure():
 
 
 def test_criterion_5_superadditivity():
-    result = verify_superadditivity(
-        trials=1000, dims_list=((2, 2), (2, 3), (3, 3)), seed=20260813
-    )
+    result = verify_superadditivity(trials=1000, seed=20260813)
     ok = result.passed and result.max_violation <= 1e-9
     report(
         5,
@@ -118,7 +116,7 @@ def test_criterion_5_superadditivity():
 
 
 def test_criterion_6_representation_independence():
-    result = verify_invariance(trials=100, dims=(2, 2), seed=20260814, ppio_samples=50)
+    result = verify_invariance(trials=100, dims=(2, 2), seed=20260814)
     ok = result.passed and result.max_violation <= 1e-9
     report(
         6,
@@ -129,9 +127,7 @@ def test_criterion_6_representation_independence():
 
 
 def test_criterion_7_zero_set_structure():
-    result = verify_zero_sets(
-        trials=200, dims=(2, 2), seed=20260815, member_discord_checks=20
-    )
+    result = verify_zero_sets(trials=200, dims=(2, 2), seed=20260815)
     d = result.details
     ok = (
         result.passed

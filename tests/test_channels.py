@@ -54,6 +54,14 @@ def test_kraus_validation_rejects_incomplete_set():
         KrausChannel([np.diag([1.0, 0.0])])
 
 
+def test_kraus_channel_rejects_non_square_operators():
+    # an isometry C^2 -> C^3 is trace preserving, but no free operation
+    # changes the dimension of its system
+    with pytest.raises(ValueError, match="square"):
+        KrausChannel([np.eye(3)[:, :2]])
+    assert KrausChannel([np.eye(3)]).dim == 3
+
+
 def test_apply_dimension_mismatch():
     chan = KrausChannel([np.eye(2)])
     with pytest.raises(ValueError, match="dimension"):
@@ -193,8 +201,15 @@ def test_pio_weights_must_sum_to_one():
         ChannelMixture((0.5, 0.4), (one, one))
 
 
+def physically_free(u_a, b_ops) -> ProductChannel:
+    return ProductChannel(*map(KrausChannel, make_physically_free(u_a, b_ops)))
+
+
 def test_physically_free_identity():
-    chan = make_physically_free(np.eye(2), [np.eye(2)])
+    u_a, b_ops = make_physically_free(np.eye(2), [np.eye(2)])
+    assert_allclose(u_a, np.eye(2)[None], rtol=0, atol=0)
+    assert_allclose(b_ops, np.eye(2)[None], rtol=0, atol=0)
+    chan = physically_free(np.eye(2), [np.eye(2)])
     rho = random_state(2, 2, "ginibre-mixed", seed=9)
     assert_allclose(apply(chan, rho).mat, rho.mat, atol=1e-12)
 
@@ -204,14 +219,14 @@ def test_physically_free_depolarizing_b_keeps_cq_free():
     b_ops = [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5 / 3) * PAULI_X,
              np.sqrt(0.5 / 3) * np.array([[0, -1j], [1j, 0]]),
              np.sqrt(0.5 / 3) * np.diag([1.0, -1.0])]
-    chan = make_physically_free(np.eye(2), b_ops)
+    chan = physically_free(np.eye(2), b_ops)
     cq = classical_quantum([0.3, 0.7], [PLUS, np.diag([0.2, 0.8])])
     out = apply(chan, cq)
     assert abs(coherence_discord(out)) < 1e-10
 
 
 def test_physically_free_level_swap_permutes_cq():
-    chan = make_physically_free(PAULI_X, [np.eye(2)])
+    chan = physically_free(PAULI_X, [np.eye(2)])
     cq = classical_quantum([0.3, 0.7], [PLUS, np.diag([0.2, 0.8])])
     out = apply(chan, cq)
     assert abs(coherence_discord(out)) < 1e-12

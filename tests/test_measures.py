@@ -14,7 +14,6 @@ from discoh.measures import (
     entropy,
     entropy_of_probs,
     l1_coherence,
-    l1_correlated_coherence,
     mutual_information,
     relative_entropy,
 )
@@ -173,9 +172,9 @@ def test_cq_coherence_equals_relative_entropy_to_dephased():
 
 def test_l1_coherence_cases():
     assert l1_coherence(np.diag([0.4, 0.6])) == 0.0
-    assert_allclose(l1_correlated_coherence(bell_phi_plus()), 1.0, atol=1e-12)
+    assert_allclose(MeasureReport.compute(bell_phi_plus()).l1_cc, 1.0, atol=1e-12)
     rho = product_state(np.diag([0.3, 0.7]), np.diag([0.1, 0.9]))
-    assert abs(l1_correlated_coherence(rho)) < 1e-12
+    assert abs(MeasureReport.compute(rho).l1_cc) < 1e-12
 
 
 def l1_in_frame(m, frame):
@@ -196,7 +195,6 @@ def test_l1_correlated_coherence_matches_joint_frame_formula(dims, sides):
         - l1_in_frame(partial_trace(rho.mat, dims, "a"), ua)
         - l1_in_frame(partial_trace(rho.mat, dims, "b"), ub)
     )
-    assert abs(l1_correlated_coherence(rho, fa, fb) - want) <= 1e-12
     assert abs(MeasureReport.compute(rho, fa, fb).l1_cc - want) <= 1e-12
 
 
@@ -256,9 +254,7 @@ def test_spectrum_is_kept_read_only():
 def test_measures_never_decompose_the_full_state(monkeypatch, dims, framed):
     # each closed form reads one entropy table: rho_a, and rho_b stacked with
     # the conditional blocks, are decomposed once each
-    from discoh.discord import (
-        coherence_discord, coherence_discord_symmetric, measured_conditional_info
-    )
+    from discoh.discord import coherence_discord, coherence_discord_symmetric
 
     rho, rng = seeded_state(dims, dims[0] * dims[1], sum(dims))
     fa = fb = None
@@ -278,7 +274,6 @@ def test_measures_never_decompose_the_full_state(monkeypatch, dims, framed):
         "correlated_coherence": lambda: correlated_coherence(rho, fa, fb),
         "cq_coherence": lambda: cq_coherence(rho, fa),
         "mutual_information": lambda: mutual_information(rho),
-        "measured_conditional_info": lambda: measured_conditional_info(rho, fa),
     }
     d = rho.dim
     for name, call in calls.items():
@@ -336,7 +331,7 @@ def plain_report(rho, fa, fb):
 @pytest.mark.parametrize("dims, rank", [((2, 2), 1), ((2, 3), 2), ((3, 3), 2), ((4, 2), 3)])
 @pytest.mark.parametrize("framed", [False, True])
 def test_report_and_dac_match_plain_definitions_on_rank_deficient_states(dims, rank, framed):
-    from discoh.discord import coherence_discord, measured_conditional_info
+    from discoh.discord import coherence_discord
 
     rho, rng = seeded_state(dims, rank, 10 * rank + dims[0])
     fa = fb = None
@@ -347,7 +342,8 @@ def test_report_and_dac_match_plain_definitions_on_rank_deficient_states(dims, r
     got = {**MeasureReport.compute(rho, fa, fb).to_dict(), "dac": coherence_discord(rho, fa)}
     # the standalone closed forms, each against its plain definition
     got.update(C_r_upper=cq_coherence(rho, fa), I=mutual_information(rho),
-               I_co=correlated_coherence(rho, fa, fb), J_U=measured_conditional_info(rho, fa))
+               I_co=correlated_coherence(rho, fa, fb))
+    got["J_U"] = got["I"] - got["dac"]  # the information measuring A in fa keeps
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-12, (key, got[key], value)
 

@@ -97,14 +97,20 @@ def test_superadditivity_suite_small():
     assert result.max_violation <= 1e-9
 
 
-def test_invariance_suite_small():
-    result = verify_invariance(trials=20, ppio_samples=25, seed=108)
+def test_invariance_suite_small(monkeypatch):
+    import discoh.verify
+
+    monkeypatch.setattr(discoh.verify, "PPIO_SAMPLES", 25)
+    result = verify_invariance(trials=20, seed=108)
     assert result.passed
     assert result.max_violation <= 1e-9
 
 
-def test_zero_sets_suite_small():
-    result = verify_zero_sets(trials=40, member_discord_checks=5, seed=109)
+def test_zero_sets_suite_small(monkeypatch):
+    import discoh.verify
+
+    monkeypatch.setattr(discoh.verify, "MEMBER_DISCORD_CHECKS", 5)
+    result = verify_zero_sets(trials=40, seed=109)
     assert result.passed
     assert result.details["witness_discord_optimizer"] > 0.01
     assert result.details["witness_discord_grid"] > 0.01
@@ -116,7 +122,8 @@ def test_zero_sets_counts_member_and_witness_checks(monkeypatch, value, failures
     import discoh.verify
 
     monkeypatch.setattr(discoh.verify, "discord", lambda rho, config=None: (value, None))
-    result = verify_zero_sets(trials=3, member_discord_checks=2, seed=109)
+    monkeypatch.setattr(discoh.verify, "MEMBER_DISCORD_CHECKS", 2)
+    result = verify_zero_sets(trials=3, seed=109)
     assert result.failures == failures and not result.passed
     assert result.max_violation <= 1e-10
     assert result.details["member_discord_max"] == value
@@ -359,11 +366,14 @@ def test_campaign_trials_form_no_kron(monkeypatch, name):
 
 
 def test_invariance_trial_decomposes_as_often_at_5_and_50_samples(monkeypatch):
+    import discoh.verify
+
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     counts = []
     for samples in (5, 50):
+        monkeypatch.setattr(discoh.verify, "PPIO_SAMPLES", samples)
         calls.clear()
-        assert verify_invariance(trials=1, seed=121, ppio_samples=samples).passed
+        assert verify_invariance(trials=1, seed=121).passed
         counts.append(len(calls))
     assert counts[0] == counts[1]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -70,7 +71,7 @@ def test_density_matrix_immutable():
 
 def test_classical_quantum_degenerate_mixture_is_product():
     zero = np.diag([1.0, 0.0])
-    rho = classical_quantum([1.0], [zero], d_a=2)
+    rho = classical_quantum([1.0, 0.0], [zero, zero])
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     assert_allclose(rho.mat, expected)
@@ -95,6 +96,19 @@ def test_classical_quantum_rotated_basis():
         minus, np.diag([0.0, 1.0])
     )
     assert_allclose(rho.mat, expected, atol=1e-12)
+
+
+def test_classical_quantum_takes_a_raw_frame():
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    probs, blocks = [0.3, 0.7], [np.diag([1.0, 0.0]), PLUS]
+    raw = classical_quantum(probs, blocks, basis_a=hadamard)
+    wrapped = classical_quantum(probs, blocks, basis_a=ReferenceBasis(hadamard))
+    assert_allclose(raw.mat, wrapped.mat, rtol=0, atol=0)
+    with pytest.raises(ValueError, match="unitary"):
+        classical_quantum(probs, blocks, basis_a=2.0 * np.eye(2))
+    # the A dimension is len(probs), and a given frame must have it
+    with pytest.raises(ValueError, match=r"expected \(2, 2\)"):
+        classical_quantum(probs, blocks, basis_a=np.eye(3))
 
 
 def test_werner_endpoints():
@@ -256,6 +270,19 @@ def test_validate_density_rejects_a_non_finite_stack(value):
         for mats in (np.full((1, 2, 2), value + 0j), stack):
             with pytest.raises(ValueError, match="non-finite"):
                 validate_density(mats)
+
+
+@pytest.mark.parametrize("value", [-1, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["hermitian_tol", "trace_tol", "psd_tol"])
+def test_tolerances_must_be_finite_and_nonnegative(name, value):
+    # inf would switch a check off and -1 would blame the state; each state
+    # here fails one check, so only the tolerance check can name the tolerance
+    bad = {"hermitian_tol": [[0.5, 0.3], [0, 0.5]], "trace_tol": np.diag([0.7, 0.5]),
+           "psd_tol": np.diag([1.2, -0.2])}[name]
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0"):
+        DensityMatrix(bad, (2, 1), **{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0"):
+        validate_density(np.eye(2)[None] / 2, **{name: value})
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -110,6 +110,8 @@ class ChannelMixture:
             raise ValueError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
         if len({c.dim for c in components}) != 1:
             raise ValueError("mixture components must share dimensions")
+        if len({c.dims for c in components if isinstance(c, ProductChannel)}) > 1:
+            raise ValueError("product components must share one split (d_a, d_b)")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "components", components)
 
@@ -326,18 +328,18 @@ def random_rank_one_ppio(
     permutation, so the level map j -> perm(j) is a permutation (no two levels
     merge): the class on which the coherence correlation is representation
     independent; merging PPIOs can only drop it further."""
-    ops = np.zeros((n, dim, dim, dim), dtype=complex)
-    levels = np.arange(dim)
+    rows, phases = np.empty((n, dim), dtype=int), np.empty((n, dim, dim))
     for k in range(n):
         if injective:
-            rows = rng.permutation(dim)
-            phases = np.diagonal(rng.uniform(0.0, 2.0 * np.pi, (dim, dim)))
+            rows[k] = rng.permutation(dim)
+            phases[k] = rng.uniform(0.0, 2.0 * np.pi, (dim, dim))
         else:
-            rows, phases = np.empty(dim, dtype=int), np.empty(dim)
-            for j in levels:
-                rows[j] = rng.permutation(dim)[j]
-                phases[j] = rng.uniform(0.0, 2.0 * np.pi, dim)[j]
-        ops[k, levels, rows, levels] = np.exp(1j * phases)
+            for j in range(dim):
+                rows[k, j] = rng.permutation(dim)[j]
+                phases[k, j] = rng.uniform(0.0, 2.0 * np.pi, dim)
+    levels = np.arange(dim)
+    ops = np.zeros((n, dim, dim, dim), dtype=complex)
+    ops[np.arange(n)[:, None], levels, rows, levels] = np.exp(1j * phases[:, levels, levels])
     return ops
 
 

@@ -26,6 +26,7 @@ from .measures import (
     _I_CO,
     _MI,
     _entropies,
+    _read,
     _table,
     correlated_coherence,
     entropy,
@@ -348,18 +349,19 @@ def discord_via_coherence(rho: DensityMatrix, config: OptimizerConfig | None = N
 # ---------------------------------------------------------------------------
 
 
-def _ppio_drops(rho: DensityMatrix, ops: np.ndarray) -> tuple[np.ndarray, float]:
-    """The I_co drops of rho under each trusted rank-one PPIO of a Kraus stack
-    (n, d_a, d_a, d_a), and its mutual-information drop under dephasing A, in
-    one pass: the PPIOs and the dephasing {|k><k|} act on A of rho in one
-    apply_local call, all outputs are validated in one call, and one _entropies
-    call covers rho and the outputs."""
-    deph = dephasing_channel(rho.d_a)[None]
-    outs = apply_local(rho.mat, rho.dims, np.concatenate([ops, deph]))
-    spectra = np.concatenate([rho.spectrum[None], validate_density(outs)])
-    h = _entropies(np.concatenate([rho.mat[None], outs]), spectra, rho.dims)[0]
-    ico, mi = h @ _I_CO, h @ _MI
-    return ico[0] - ico[1:-1], float(mi[0] - mi[-1])
+def _ppio_drops(m: np.ndarray, w: np.ndarray, dims, ops: np.ndarray):
+    """The I_co drops (..., n) of each trusted state of m (..., d, d), spectra w,
+    under each rank-one PPIO of its Kraus stack (..., n, d_a, d_a, d_a), and its
+    mutual-information drop under dephasing A, in one pass: one apply_local
+    call, one validate_density call for all outputs, and one _entropies call,
+    with no S_union row, for the states and the outputs."""
+    deph = np.broadcast_to(dephasing_channel(dims[0]), (*ops.shape[:-4], 1, *ops.shape[-3:]))
+    outs = apply_local(m[..., None, :, :], dims, np.concatenate([ops, deph], axis=-4))
+    spectra = np.concatenate([w[..., None, :], validate_density(outs)], axis=-2)
+    h = _entropies(np.concatenate([m[..., None, :, :], outs], axis=-3), spectra, dims,
+                   union=False)[0]
+    ico, mi = _read(h, _I_CO), _read(h, _MI)
+    return ico[..., :1] - ico[..., 1:-1], mi[..., 0] - mi[..., -1]
 
 
 def ppio_monotonicity_gap(rho: DensityMatrix, ppio: KrausChannel) -> tuple[float, float]:
@@ -374,9 +376,9 @@ def ppio_monotonicity_gap(rho: DensityMatrix, ppio: KrausChannel) -> tuple[float
         raise ValueError(f"expected a channel on A (dim {rho.d_a})")
     if LABEL_RANK_ONE_PPIO not in classify(ppio):
         raise ValueError("channel is not a rank-one PPIO in the reference basis")
-    (gap,), mi_drop = _ppio_drops(rho, ppio.ops[None])
+    (gap,), mi_drop = _ppio_drops(rho.mat, rho.spectrum, rho.dims, ppio.ops[None])
     if gap < -1e-9 or gap < mi_drop - 1e-9:
         raise ArithmeticError(
             f"monotonicity violated: gap={gap:.3e}, mi_drop={mi_drop:.3e}"
         )
-    return float(gap), mi_drop
+    return float(gap), float(mi_drop)

@@ -107,12 +107,13 @@ def _transfer(ops: np.ndarray) -> np.ndarray:
 
 def apply_local(m: np.ndarray, dims: tuple[int, int], ops_a=None, ops_b=None) -> np.ndarray:
     """(Phi_A (x) Phi_B)(m) for Kraus stacks ops_a on A and ops_b on B (None is
-    the identity), with no operator on A (x) B formed.  A stack of channels,
-    (..., n, d, d), gives a stack of outputs (..., d_a d_b, d_a d_b).  On the
-    realigned R[(i, k), (j, l)] = m[(i, j), (k, l)] a channel on A acts on the
-    rows and one on B on the columns: one matrix product per side."""
+    the identity), with no operator on A (x) B formed; stacks of states (..., d, d)
+    and of channels (..., n, d, d) broadcast.  On the realigned R[(i, k), (j, l)]
+    = m[(i, j), (k, l)] a channel on A acts on the rows and one on B on the
+    columns: one matrix product per side."""
     d_a, d_b = dims
-    r = m.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    lead = m.shape[:-2]
+    r = m.reshape(*lead, d_a, d_b, d_a, d_b).swapaxes(-2, -3).reshape(*lead, d_a**2, d_b**2)
     if ops_a is not None:
         r = _transfer(ops_a) @ r
     if ops_b is not None:

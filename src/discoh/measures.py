@@ -120,28 +120,43 @@ _C_R_UPPER = _signs(S_union=1, S_ab=-1)
 _DAC = _C_R_UPPER - _C_R_A
 
 
-def _entropies(m: np.ndarray, w: np.ndarray, dims, fa=None, fb=None):
+def _entropies(m: np.ndarray, w: np.ndarray, dims, fa=None, fb=None, union=True):
     """The entropy table (..., 7) of a trusted state, or of each state of a
     stack m (..., d, d) with spectra w (..., d), in checked frames; its rows
     are _ROWS.  Their distributions are the zero-padded rows of one array, so
-    one entropy call covers them all.  Also returns the marginals."""
+    one entropy call covers them all.  Also returns the marginals.  With
+    union=False no block is decomposed and the table stops before S_union."""
     lead = m.shape[:-2]
     ra, rb = partial_trace(m, dims, keep="a"), partial_trace(m, dims, keep="b")
     # the diagonal of rho in the frame fa (x) fb is the diagonal, in fb, of its
     # conditional blocks in fa
     blocks = conditional_blocks(m, dims, fa)
-    # rho_b and the blocks are all d_b x d_b: one decomposition covers them
-    lam = np.linalg.eigvalsh(np.concatenate([rb[..., None, :, :], blocks], axis=-3))
+    # rho_b and, for S_union, the blocks are all d_b x d_b: one decomposition covers them
+    lam = np.linalg.eigvalsh(np.concatenate([rb[..., None, :, :], blocks][: 1 + union], axis=-3))
     parts = (
         frame_diagonal(blocks, fb).reshape(*lead, -1), w,
         frame_diagonal(ra, fa), np.linalg.eigvalsh(ra),
         frame_diagonal(rb, fb), lam[..., 0, :],
-        lam[..., 1:, :].reshape(*lead, -1),
+        *([lam[..., 1:, :].reshape(*lead, -1)] if union else ()),
     )
     table = np.zeros((*lead, len(parts), m.shape[-1]))
     for k, part in enumerate(parts):
         table[..., k, : part.shape[-1]] = part
     return entropy_of_probs(table, axis=-1), ra, rb
+
+
+def _read(h: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """A quantity from entropy tables h; one built without S_union has no such row."""
+    if signs[h.shape[-1]:].any():
+        raise ValueError("the quantity reads S_union, which this entropy table skipped")
+    return h @ signs[: h.shape[-1]]
+
+
+def _closed_form(m: np.ndarray, w: np.ndarray, dims, signs: np.ndarray) -> np.ndarray:
+    """A sign vector's quantity for each trusted state of a stack, bit for bit as
+    from _table: one product per table, as one over several tables sums differently."""
+    h = _entropies(m[..., None, :, :], w[..., None, :], dims, union=bool(signs[-1]))[0]
+    return _read(h, signs)[..., 0]
 
 
 def _table(rho: DensityMatrix, basis_a=None, basis_b=None) -> np.ndarray:

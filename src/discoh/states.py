@@ -52,6 +52,10 @@ def check_tolerance(name: str, value) -> float:
     return value
 
 
+def _is_dim(d) -> bool:  # bool counts as an int in Python
+    return isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+
+
 def validate_density(mats, hermitian_tol=HERMITIAN_TOL, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
     """Check that a matrix, or each matrix of a stack (..., d, d), is Hermitian,
     unit-trace and PSD within the tolerances, naming the worst value if not.
@@ -101,9 +105,9 @@ class DensityMatrix:
         psd_tol: float = PSD_TOL,
     ):
         mat = as_complex_matrix(mat)
+        if len(dims) != 2 or not all(map(_is_dim, dims)):
+            raise ValueError(f"dims must be a pair of positive integers, got {dims!r}")
         d_a, d_b = int(dims[0]), int(dims[1])
-        if d_a < 1 or d_b < 1:
-            raise ValueError(f"dims must be positive, got ({d_a}, {d_b})")
         d = d_a * d_b
         if mat.shape != (d, d):
             raise ValueError(
@@ -191,10 +195,15 @@ def classical_quantum(probs, blocks, basis_a=None) -> DensityMatrix:
         raise ValueError("all B blocks must share one dimension")
     d_a = len(probs)
     f = as_frame(basis_a, d_a)
-    f = np.eye(d_a) if f is None else f
+    return DensityMatrix(_cq_mat(probs, block_mats, f), (d_a, d_b))
+
+
+def _cq_mat(probs: np.ndarray, block_mats: np.ndarray, f=None) -> np.ndarray:
+    """classical_quantum's matrix, unvalidated; f is a checked frame or None."""
+    f = np.eye(len(probs)) if f is None else f
     # mat[a, j, c, l] = sum_i f_i[a] conj(f_i[c]) p_i b_i[j, l]
     mat = np.einsum("ai,ci,ijl->ajcl", f, f.conj(), probs[:, None, None] * block_mats)
-    return DensityMatrix(mat.reshape(d_a * d_b, -1), (d_a, d_b))
+    return mat.reshape(len(probs) * block_mats.shape[-1], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +260,15 @@ def random_state_from(
     return DensityMatrix(_random_state_mat(d_a * d_b, ensemble, rng), (d_a, d_b))
 
 
+def _random_cq_mat(rng: np.random.Generator, d_a: int, d_b: int) -> np.ndarray:
+    probs = rng.dirichlet(np.ones(d_a))
+    blocks = np.array([_random_state_mat(d_b, "ginibre-mixed", rng) for _ in range(d_a)])
+    return _cq_mat(probs, blocks)
+
+
 def random_cq_state(rng: np.random.Generator, d_a: int, d_b: int) -> DensityMatrix:
     """Random classical-quantum state in the computational reference basis."""
-    probs = rng.dirichlet(np.ones(d_a))
-    blocks = [_random_state_mat(d_b, "ginibre-mixed", rng) for _ in range(d_a)]
-    return classical_quantum(probs, blocks)
+    return DensityMatrix(_random_cq_mat(rng, d_a, d_b), (d_a, d_b))
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +327,7 @@ def state_from_json(obj, **tolerances) -> DensityMatrix:
     if "dims" not in obj or "matrix" not in obj:
         raise ValueError("state JSON needs 'dims' and 'matrix' fields")
     dims = obj["dims"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 2
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
-    ):
+    if not isinstance(dims, list) or len(dims) != 2 or not all(map(_is_dim, dims)):
         raise ValueError("'dims' must be a pair of positive integers")
     mat = matrix_from_json(obj["matrix"])
     return DensityMatrix(mat, (dims[0], dims[1]), **tolerances)

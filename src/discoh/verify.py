@@ -1,15 +1,17 @@
 """Randomized verification suites for the structural theorems and the
 invariants behind the coherence correlation (see README for the statements).
 
-Every suite is one per-trial check run by _run_trials: each trial draws from
-its own child seed of the root seed, so results are reproducible and
-independent of evaluation order, and the trials' rows reduce to a SuiteResult
-that names the worst trial and its child seed.
+Every suite runs _run_trials in two phases: draw(i, rng) makes trial i's draws
+from its own child seed and returns arrays, and measure checks up to CHUNK (64)
+draws in one stacked pass; then progress fires once per trial of the chunk, in
+order.  theorem2 and zero-sets search per trial, so their draw is the whole
+check.  The rows reduce to a SuiteResult naming the worst trial and its seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -25,14 +27,17 @@ from .discord import (
     qubit_discord_grid,
 )
 from .linalg import apply_local, dephase_local
-from .measures import correlated_coherence
+from .measures import _DAC, _I_CO, _closed_form, correlated_coherence
 from .states import (
     DensityMatrix,
+    _random_cq_mat,
+    _random_state_mat,
     ket_projector,
     random_cq_state,
     random_state_from,
     rng_from_seed,
     spawn_seeds,
+    validate_density,
 )
 
 # The suites' fixed sizes: every fourth theorem3 trial applies a mixture of two
@@ -43,6 +48,8 @@ MIXTURE_EVERY = 4
 SUPERADDITIVITY_DIMS = ((2, 2), (2, 3), (3, 3))
 PPIO_SAMPLES = 50
 MEMBER_DISCORD_CHECKS = 20
+# Trials per stacked pass: it bounds peak memory, whatever the trial count.
+CHUNK = 64
 
 
 @dataclass
@@ -61,23 +68,20 @@ class SuiteResult:
         return {**asdict(self), "dims": list(self.dims)}
 
 
-def _trial_rngs(seed: int, trials: int):
-    _check_count("trials", trials)
-    return [rng_from_seed(int(s)) for s in spawn_seeds(seed, trials)]
-
-
-def _run_trials(suite, trials, dims, seed, tol, check, progress, reduce=None, limits=None):
-    """The trial protocol of every suite.  Trial i runs check(i, rng) on its
-    own child stream and returns (violation, row).  A trial fails when its
-    violation exceeds tol, and counts one more failure for each row value above
-    its entry in limits.  reduce maps a row key to fn, and details carry fn of
-    that key's values over the trials that report it, if any trial does.
-    Details also name the worst trial and its child seed; child seeds are
+def _run_trials(suite, trials, dims, seed, tol, draw, measure, progress, reduce=None,
+                limits=None):
+    """Trial i draws draw(i, rng) on its own child stream; measure maps a chunk of draws
+    to one (violation, row) each.  A trial fails when its violation exceeds tol, and
+    counts one more failure for each row value above its entry in limits.  reduce maps a
+    row key to fn, and details carry fn of that key's values over the trials that report
+    it, if any.  Details also name the worst trial and its child seed; child seeds are
     prefix-stable, so rerunning with trials=worst_trial + 1 reproduces it."""
-    rows = []
-    for i, rng in enumerate(_trial_rngs(seed, trials)):
-        rows.append(check(i, rng))
-        if progress:
+    _check_count("trials", trials)
+    rows, seeds = [], spawn_seeds(seed, trials)
+    for start in range(0, trials, CHUNK):
+        chunk = range(start, min(start + CHUNK, trials))
+        rows += measure([draw(i, rng_from_seed(int(seeds[i]))) for i in chunk])
+        for i in chunk if progress else ():
             progress(i + 1, trials)
     violations = [v for v, _ in rows]
     worst = max(range(trials), key=violations.__getitem__)
@@ -85,7 +89,7 @@ def _run_trials(suite, trials, dims, seed, tol, check, progress, reduce=None, li
         1 for _, row in rows for key, limit in (limits or {}).items()
         if key in row and row[key] > limit
     )
-    details = {"worst_trial": worst, "worst_seed": int(spawn_seeds(seed, trials)[worst])}
+    details = {"worst_trial": worst, "worst_seed": int(seeds[worst])}
     for key, fn in (reduce or {}).items():
         values = [row[key] for _, row in rows if key in row]
         if values:
@@ -102,13 +106,17 @@ def verify_theorem1(
     the drop dominates the mutual-information drop of the bare measurement.
     The tests, not a classify call per trial, certify the PPIO sampler."""
 
-    def check(i, rng):
-        rho = random_state_from(rng, *dims, "ginibre-mixed")
-        (gap,), mi_drop = _ppio_drops(rho, random_rank_one_ppio(dims[0], rng, 1))
-        return max(-gap, mi_drop - gap), {"min_gap": gap}
+    def draw(i, rng):
+        mat = _random_state_mat(dims[0] * dims[1], "ginibre-mixed", rng)
+        return mat, random_rank_one_ppio(dims[0], rng, 1)
+
+    def measure(chunk):
+        mats, ops = map(np.array, zip(*chunk))
+        gaps, mi = _ppio_drops(mats, validate_density(mats), dims, ops)
+        return [(max(-g, m - g), {"min_gap": g}) for (g,), m in zip(gaps.tolist(), mi.tolist())]
 
     return _run_trials(
-        "theorem1", trials, dims, seed, 1e-9, check, progress, reduce={"min_gap": min}
+        "theorem1", trials, dims, seed, 1e-9, draw, measure, progress, reduce={"min_gap": min}
     )
 
 
@@ -146,7 +154,7 @@ def verify_theorem2(
 
     keys = ("max_discord_at_basis_dev", "max_ico_drop_dev", "max_grid_dev")
     return _run_trials(
-        "theorem2", trials, dims, seed, 1e-4, check, progress,
+        "theorem2", trials, dims, seed, 1e-4, check, list, progress,
         reduce=dict.fromkeys(keys, max),
     )
 
@@ -155,19 +163,27 @@ def verify_theorem3(
     trials: int = 500, dims: tuple = (2, 2), seed: int = 0, progress=None
 ) -> SuiteResult:
     """Physically free channels U_a (x) {B_j} map the zero set into itself
-    (free operations generate no resource); every fourth trial uses a convex
-    mixture of two such channels: the weighted sum of their outputs."""
+    (free operations generate no resource); every fourth trial mixes two such
+    channels, as the weighted sum of their outputs.  Zero channels pad the stack."""
+    d_a, d_b = dims
 
-    def free_ops(rng):
-        return random_physically_free(*dims, rng, n_b_ops=int(rng.integers(1, 4)))
+    def draw(i, rng):
+        cq = _random_cq_mat(rng, d_a, d_b)
+        mixed = i % MIXTURE_EVERY == MIXTURE_EVERY - 1
+        weights = rng.dirichlet(np.ones(2)) if mixed else np.array([1.0, 0.0])
+        ops_a, ops_b = np.zeros((2, 1, d_a, d_a), complex), np.zeros((2, 3, d_b, d_b), complex)
+        for k in range(1 + mixed):
+            u_a, b_ops = random_physically_free(d_a, d_b, rng, n_b_ops=int(rng.integers(1, 4)))
+            ops_a[k], ops_b[k, : len(b_ops)] = u_a, b_ops
+        return cq, weights, ops_a, ops_b
 
-    def check(i, rng):
-        cq = random_cq_state(rng, *dims)
-        weights = rng.dirichlet(np.ones(2)) if i % MIXTURE_EVERY == MIXTURE_EVERY - 1 else [1.0]
-        out = sum(w * apply_local(cq.mat, dims, *free_ops(rng)) for w in weights)
-        return coherence_discord(DensityMatrix(out, dims)), {}
+    def measure(chunk):
+        cq, weights, ops_a, ops_b = map(np.array, zip(*chunk))
+        validate_density(cq)
+        outs = (weights[..., None, None] * apply_local(cq[:, None], dims, ops_a, ops_b)).sum(1)
+        return zip(_closed_form(outs, validate_density(outs), dims, _DAC).tolist(), repeat({}))
 
-    return _run_trials("theorem3", trials, dims, seed, 1e-10, check, progress)
+    return _run_trials("theorem3", trials, dims, seed, 1e-10, draw, measure, progress)
 
 
 def verify_superadditivity(
@@ -176,15 +192,24 @@ def verify_superadditivity(
     """C_r(rho_ab) >= C_r(rho_a) + C_r(rho_b), i.e. the correlated coherence
     is nonnegative, on random mixed and pure states across dimensions.  The
     trials cycle through SUPERADDITIVITY_DIMS; an explicit dims runs that one
-    split."""
+    split, and a chunk is measured one split at a time."""
     dims_list = SUPERADDITIVITY_DIMS if dims is None else (dims,)
 
-    def check(i, rng):
+    def draw(i, rng):
         ensemble = "haar-pure" if i % 5 == 4 else "ginibre-mixed"
-        rho = random_state_from(rng, *dims_list[i % len(dims_list)], ensemble)
-        return -correlated_coherence(rho), {}
+        split = dims_list[i % len(dims_list)]
+        return split, _random_state_mat(split[0] * split[1], ensemble, rng)
 
-    result = _run_trials("superadditivity", trials, dims_list[0], seed, 1e-9, check, progress)
+    def measure(chunk):
+        violations = np.empty(len(chunk))
+        for split in {s for s, _ in chunk}:
+            group = [j for j, (s, _) in enumerate(chunk) if s == split]
+            mats = np.array([chunk[j][1] for j in group])
+            violations[group] = -_closed_form(mats, validate_density(mats), split, _I_CO)
+        return zip(violations.tolist(), repeat({}))
+
+    result = _run_trials("superadditivity", trials, dims_list[0], seed, 1e-9, draw, measure,
+                         progress)
     result.details["dims_list"] = [list(d) for d in dims_list]
     return result
 
@@ -200,17 +225,23 @@ def verify_invariance(
     convexity, so representation independence holds on the non-merging class
     only, and the sampler draws from it."""
 
-    def check(i, rng):
-        rho = random_state_from(rng, *dims, "ginibre-mixed")
+    def draw(i, rng):
+        mat = _random_state_mat(dims[0] * dims[1], "ginibre-mixed", rng)
         ppio_rng = rng_from_seed(int(rng.integers(0, 2**63)))
         ops = random_rank_one_ppio(dims[0], ppio_rng, PPIO_SAMPLES, injective=True)
-        drops, _ = _ppio_drops(rho, ops)
-        u_a, u_b = random_iuo(dims[0], rng), random_iuo(dims[1], rng)
-        conj = DensityMatrix(apply_local(rho.mat, dims, u_a, u_b), dims)
-        dac = coherence_discord(rho)
-        return float(np.max(np.abs(np.append(drops, coherence_discord(conj)) - dac))), {}
+        return mat, ops, random_iuo(dims[0], rng), random_iuo(dims[1], rng)
 
-    return _run_trials("invariance", trials, dims, seed, 1e-9, check, progress)
+    def measure(chunk):
+        mats, ops, u_a, u_b = map(np.array, zip(*chunk))
+        spectra = validate_density(mats)
+        drops, _ = _ppio_drops(mats, spectra, dims, ops)
+        conj = apply_local(mats, dims, u_a, u_b)
+        both = np.stack([spectra, validate_density(conj)], 1)
+        dac = _closed_form(np.stack([mats, conj], 1), both, dims, _DAC)
+        devs = np.abs(np.concatenate([drops, dac[:, 1:]], axis=1) - dac[:, :1]).max(axis=1)
+        return zip(devs.tolist(), repeat({}))
+
+    return _run_trials("invariance", trials, dims, seed, 1e-9, draw, measure, progress)
 
 
 def nonconvexity_witness() -> DensityMatrix:
@@ -254,7 +285,7 @@ def verify_zero_sets(
         return v, {"member_discord_max": max(dv, 0.0)}
 
     result = _run_trials(
-        "zero-sets", trials, dims, seed, 1e-10, check, progress,
+        "zero-sets", trials, dims, seed, 1e-10, check, list, progress,
         reduce={"member_discord_max": max}, limits={"member_discord_max": 1e-6},
     )
     witness = nonconvexity_witness()

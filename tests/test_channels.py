@@ -201,6 +201,15 @@ def test_pio_weights_must_sum_to_one():
         ChannelMixture((0.5, 0.4), (one, one))
 
 
+def test_mixture_rejects_product_components_of_two_splits():
+    # 2x3 and 3x2 both act on dimension 6, but split it differently
+    two_three = ProductChannel(KrausChannel([np.eye(2)]), KrausChannel([np.eye(3)]))
+    three_two = ProductChannel(KrausChannel([np.eye(3)]), KrausChannel([np.eye(2)]))
+    with pytest.raises(ValueError, match="split"):
+        ChannelMixture((0.5, 0.5), (two_three, three_two))
+    assert len(ChannelMixture((0.5, 0.5), (two_three, two_three)).components) == 2
+
+
 def physically_free(u_a, b_ops) -> ProductChannel:
     return ProductChannel(*map(KrausChannel, make_physically_free(u_a, b_ops)))
 
@@ -364,6 +373,31 @@ def test_rank_one_ppio_stack_draws_as_single_samples_do():
         assert one.integers(1 << 62) == many.integers(1 << 62)  # the same draws were used
 
 
+# random_rank_one_ppio(3, rng_from_seed(2016), 2, injective): the (sample, level,
+# row) of each nonzero entry, and its value.  A sampler that draws differently,
+# or in another order, moves them.
+RECORDED_PPIOS = {
+    False: ([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2], [2, 0, 0, 0, 2, 0], [
+        0.5783387519429225 - 0.8157967197783421j, -0.5595723016251009 - 0.8287815389196281j,
+        -0.9989170387253679 + 0.046526871205164896j, 0.24831007379240114 - 0.9686806012578203j,
+        0.17927561114239673 + 0.9837988896362508j, 0.22984680693044793 + 0.9732268211182208j]),
+    True: ([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2], [2, 0, 1, 2, 1, 0], [
+        0.5783387519429225 - 0.8157967197783421j, 0.32680905446610925 + 0.9450903882269504j,
+        -0.029608524325521766 + 0.9995615715338725j, 0.850269819082064 - 0.5263470668277292j,
+        -0.12477956646147646 + 0.9921844887890992j, 0.9245764199725127 - 0.3809966451700222j]),
+}
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_rank_one_ppio_stacks_are_the_recorded_draws(injective):
+    ops = random_rank_one_ppio(3, rng_from_seed(2016), 2, injective)
+    sample, level, row, col = np.nonzero(ops)
+    want_sample, want_level, want_row, want_values = RECORDED_PPIOS[injective]
+    assert sample.tolist() == want_sample and level.tolist() == want_level
+    assert row.tolist() == want_row and col.tolist() == want_level
+    assert ops[sample, level, row, col].tolist() == want_values
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 def test_sampled_physically_free_channels_are_certified(dims):
     rng = rng_from_seed(210 + sum(dims))
@@ -423,3 +457,21 @@ def test_apply_local_matches_the_kron_formula(dims):
         kron_reference(m, u_a, b_ops),
         atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_apply_local_on_a_stack_of_states_is_the_per_state_loop(dims):
+    # states (n, d, d) against channels stacked per state, or shared by all
+    d_a, d_b = dims
+    rng = rng_from_seed(230 + d_a * d_b)
+    mats = np.array([random_state(d_a, d_b, "ginibre-mixed", seed=s).mat for s in range(5)])
+    u_a = np.array([random_iuo(d_a, rng) for _ in mats])
+    b_ops = np.array([random_kraus_ops(d_b, 2, rng) for _ in mats])
+    loop = [apply_local(m, dims, a, b) for m, a, b in zip(mats, u_a, b_ops)]
+    assert np.array_equal(apply_local(mats, dims, u_a, b_ops), loop)
+    ppios = random_rank_one_ppio(d_a, rng, 15).reshape(5, 3, d_a, d_a, d_a)
+    loop = [apply_local(m, dims, ops) for m, ops in zip(mats, ppios)]
+    assert np.array_equal(apply_local(mats[:, None], dims, ppios), loop)
+    shared = random_kraus_ops(d_a, 2, rng)
+    loop = [apply_local(m, dims, shared) for m in mats]
+    assert np.array_equal(apply_local(mats, dims, shared), loop)

@@ -478,7 +478,8 @@ def invariance_deviation(rho, samples, seed):
     # the invariance trial's PPIO check: the literal drops under a seeded stack
     # of non-merging rank-one PPIOs against the closed form
     ops = random_rank_one_ppio(rho.d_a, rng_from_seed(seed), samples, injective=True)
-    return np.max(np.abs(_ppio_drops(rho, ops)[0] - coherence_discord(rho)))
+    drops = _ppio_drops(rho.mat, rho.spectrum, rho.dims, ops)[0]
+    return np.max(np.abs(drops - coherence_discord(rho)))
 
 
 def test_invariance_check_bell_and_diagonal():
@@ -585,7 +586,7 @@ def test_gap_violation_raises(monkeypatch, gap, mi_drop):
     # a negative gap, or one below the mutual-information drop, is a numerical
     # bug; the package's name discord is the function, so patch the module
     monkeypatch.setattr(sys.modules["discoh.discord"], "_ppio_drops",
-                        lambda rho, ops: (np.array([gap]), mi_drop))
+                        lambda m, w, dims, ops: (np.array([gap]), mi_drop))
     with pytest.raises(ArithmeticError, match="monotonicity violated"):
         ppio_monotonicity_gap(bell_phi_plus(), KrausChannel(dephasing_channel(2)))
 
@@ -635,7 +636,7 @@ def test_stacked_ppio_drops_are_the_scalar_route(dims):
         for _ in range(4):
             rho = random_state(d_a, d_b, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
             stack = random_rank_one_ppio(d_a, rng, 3, injective)
-            drops, mi_drop = _ppio_drops(rho, stack)
+            drops, mi_drop = _ppio_drops(rho.mat, rho.spectrum, dims, stack)
             deph = lifted(rho, eye[:, :, None] * eye[:, None, :])
             assert abs(mi_drop - (mutual_information(rho) - mutual_information(deph))) <= 1e-12
             for ops, drop in zip(stack, drops):
@@ -647,7 +648,7 @@ def test_stacked_ppio_drops_are_the_scalar_route(dims):
                 merging[injective] += len(set(rows.tolist())) < d_a
     assert merging[True] == 0 < merging[False]
     with pytest.raises(ValueError, match="trace"):  # the outputs are validated
-        _ppio_drops(rho, 1.1 * stack)
+        _ppio_drops(rho.mat, rho.spectrum, dims, 1.1 * stack)
 
 
 def test_monotonicity_drop_under_merging_exceeds_closed_form():

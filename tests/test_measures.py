@@ -362,3 +362,28 @@ def test_correlated_coherence_of_a_stack_is_per_state():
             expected = [correlated_coherence(rho, basis_a, basis_b) for rho in states]
             got = _entropies(stack, spectra, dims, basis_a, basis_b)[0] @ _I_CO
             assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+
+def test_a_table_without_s_union_refuses_the_quantities_that_read_it():
+    from discoh.measures import _DAC, _I_CO, _MI, _entropies, _read
+
+    rho = random_state(2, 3, "ginibre-mixed", seed=41)
+    full = _entropies(rho.mat, rho.spectrum, rho.dims)[0]
+    short = _entropies(rho.mat, rho.spectrum, rho.dims, union=False)[0]
+    assert short.shape == (6,)
+    for signs in (_I_CO, _MI):
+        assert _read(short, signs) == _read(full, signs)
+    with pytest.raises(ValueError, match="S_union"):
+        _read(short, _DAC)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_closed_form_of_a_stack_is_the_one_state_value_bit_for_bit(dims):
+    from discoh.measures import _DAC, _I_CO, _MI, _closed_form, _table
+
+    states = [random_state(*dims, "ginibre-mixed", seed=50 + s) for s in range(6)]
+    mats = np.stack([rho.mat for rho in states]).reshape(3, 2, *states[0].mat.shape)
+    spectra = np.stack([rho.spectrum for rho in states]).reshape(3, 2, -1)
+    for signs in (_I_CO, _DAC, _MI):
+        want = [float(_table(rho) @ signs) for rho in states]
+        assert _closed_form(mats, spectra, dims, signs).ravel().tolist() == want

@@ -223,11 +223,22 @@ def test_run_suite_is_the_direct_call_with_one_progress_call_per_trial(name):
     assert result.to_dict() == DIRECT[name](trials=3, seed=114).to_dict()
 
 
+@pytest.mark.parametrize("name", ["theorem1", "theorem3", "superadditivity", "invariance"])
+def test_stacked_results_do_not_depend_on_the_chunk_size(monkeypatch, name):
+    import discoh.verify
+
+    whole = run_suite(name, trials=11, seed=125).to_dict()
+    monkeypatch.setattr(discoh.verify, "CHUNK", 4)
+    assert run_suite(name, trials=11, seed=125).to_dict() == whole
+
+
 def test_worst_trial_is_the_first_largest_violation(monkeypatch):
     import discoh.verify
 
+    # the closed form of each trial's output, computed for the whole stack
     values = iter([1e-12, 5e-10, -3e-11, 5e-10])
-    monkeypatch.setattr(discoh.verify, "coherence_discord", lambda rho: next(values))
+    monkeypatch.setattr(discoh.verify, "_closed_form",
+                        lambda mats, spectra, dims, signs: np.array([next(values) for _ in mats]))
     result = verify_theorem3(trials=4, seed=116)
     assert result.max_violation == 5e-10
     assert result.failures == 2 and not result.passed
@@ -268,10 +279,12 @@ def test_run_suite_rejects_invalid_search_options_before_any_trial(name, option,
 def test_invariance_check_catches_a_shifted_closed_form(monkeypatch):
     import discoh.verify
 
-    def shifted(rho, basis_a=None):
-        return coherence_discord(rho, basis_a) + 1e-6
+    closed_form = discoh.verify._closed_form
 
-    monkeypatch.setattr(discoh.verify, "coherence_discord", shifted)
+    def shifted(mats, spectra, dims, signs):
+        return closed_form(mats, spectra, dims, signs) + 1e-6
+
+    monkeypatch.setattr(discoh.verify, "_closed_form", shifted)
     result = verify_invariance(trials=3, seed=117)
     assert not result.passed and result.failures == 3
     assert abs(result.max_violation - 1e-6) <= 1e-12
@@ -282,12 +295,13 @@ def test_invariance_trial_computes_the_closed_form_of_two_states(monkeypatch):
     import discoh.verify
 
     seen = []
+    closed_form = discoh.verify._closed_form
 
-    def spy(rho, basis_a=None):
-        seen.append(rho)
-        return coherence_discord(rho, basis_a)
+    def spy(mats, spectra, dims, signs):
+        seen.extend(mats.reshape(-1, *mats.shape[-2:]))
+        return closed_form(mats, spectra, dims, signs)
 
-    monkeypatch.setattr(discoh.verify, "coherence_discord", spy)
+    monkeypatch.setattr(discoh.verify, "_closed_form", spy)
     # the trial's draws: rho, the PPIO seed, then the product IUO
     rng = rng_from_seed(int(spawn_seeds(123, 1)[0]))
     rho = random_state_from(rng, 2, 2, "ginibre-mixed")
@@ -295,7 +309,7 @@ def test_invariance_trial_computes_the_closed_form_of_two_states(monkeypatch):
     u_a, u_b = random_iuo(2, rng), random_iuo(2, rng)
     conj = DensityMatrix(apply_local(rho.mat, rho.dims, u_a, u_b), rho.dims)
     assert verify_invariance(trials=1, seed=123).passed
-    assert [state.mat.tolist() for state in seen] == [rho.mat.tolist(), conj.mat.tolist()]
+    assert [mat.tolist() for mat in seen] == [rho.mat.tolist(), conj.mat.tolist()]
 
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -378,45 +392,86 @@ def test_invariance_trial_decomposes_as_often_at_5_and_50_samples(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_invariance_trial_decomposes_no_conditional_block_of_a_ppio_output(monkeypatch):
+    # at 3x2 the d_b x d_b decompositions are the B marginals of rho, its 50
+    # PPIO outputs and its dephasing, then the B marginals and the three
+    # conditional blocks of rho and its IUO conjugate for the closed form
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    assert verify_invariance(trials=1, dims=(3, 2), seed=121).passed
+    b_side = sum(int(np.prod(shape[:-2])) for shape in calls if shape[-2:] == (2, 2))
+    assert b_side == (50 + 2) + 2 * (1 + 3)
+
+
+def test_progress_fires_once_per_trial_after_its_chunk_is_measured(monkeypatch):
+    import discoh.verify
+
+    measured, calls = [], []
+    ppio_drops = discoh.verify._ppio_drops
+
+    def counting(m, *args):
+        measured.append(len(m))
+        return ppio_drops(m, *args)
+
+    monkeypatch.setattr(discoh.verify, "_ppio_drops", counting)
+    trials = discoh.verify.CHUNK + 5
+    verify_theorem1(trials=trials, seed=124,
+                    progress=lambda i, n: calls.append((i, n, sum(measured))))
+    assert measured == [discoh.verify.CHUNK, 5]
+    assert [(i, n) for i, n, _ in calls] == [(i, trials) for i in range(1, trials + 1)]
+    assert all(i <= done for i, _, done in calls)
+
+
 @pytest.mark.parametrize("name", ["theorem1", "theorem3"])
 def test_campaign_trial_decomposes_four_times(monkeypatch, name):
-    # theorem1: rho, its PPIO and dephasing outputs (one stacked call), the A
-    # marginals of all three, and their B marginals with their conditional
-    # blocks (one stacked call each); theorem3: the cq state, the channel
-    # output, its A marginal, and its B marginal with its conditional blocks
+    # theorem1: rho, its PPIO and dephasing outputs, the A marginals of all
+    # three, and their B marginals; theorem3: the cq state, the channel output,
+    # its A marginal, and its B marginal with its conditional blocks.  Each is
+    # one stacked call for all the trials of a chunk.
     values = count_calls(monkeypatch, np.linalg, "eigvalsh")
     systems = count_calls(monkeypatch, np.linalg, "eigh")
     # four theorem3 trials include one with a mixture of two channels
     assert run_suite(name, trials=4, seed=122).passed
-    assert len(values) + len(systems) == 4 * 4
+    assert len(values) + len(systems) == 4
+    assert [shape[0] for shape in values + systems] == [4] * 4
 
 
 # ---------------------------------------------------------------------------
-# Recorded results: run_suite(name, trials=8, seed=7) as the channel samplers
-# and the suite trials produce them.  A change that draws differently, or in
-# another order, moves the worst trial or its values.
+# Recorded results: run_suite(name, trials=t, seed=s).  The counts beyond 8 span
+# two stacked chunks (verify.CHUNK is 64).  A change that draws differently, or
+# in another order, or that measures a trial apart from its chunk in another
+# summation order, moves the worst trial or its values.
 # ---------------------------------------------------------------------------
 
+# (seed, trials): (max_violation, failures, worst_trial, worst_seed[, min_gap])
 RECORDED = {
-    "theorem1": dict(max_violation=4.440892098500626e-16, failures=0, worst_trial=2,
-                     worst_seed=7078124019849193311, min_gap=0.1933038314593487),
-    "theorem3": dict(max_violation=2.220446049250313e-16, failures=0, worst_trial=5,
-                     worst_seed=12242414004113001224),
-    "superadditivity": dict(max_violation=-0.1933038314593487, failures=0, worst_trial=0,
-                            worst_seed=16920295385781661272),
-    "invariance": dict(max_violation=1.1102230246251565e-15, failures=0, worst_trial=2,
-                       worst_seed=7078124019849193311),
+    "theorem1": {
+        (7, 8): (4.440892098500626e-16, 0, 2, 7078124019849193311, 0.1933038314593487),
+        (0, 130): (2.220446049250313e-16, 0, 10, 12426324003838119764, 0.08926856088011548),
+        (7, 130): (6.661338147750939e-16, 0, 30, 10662670176723430074, 0.09316699658763394),
+    },
+    "theorem3": {
+        (7, 8): (2.220446049250313e-16, 0, 5, 12242414004113001224),
+        (0, 130): (4.440892098500626e-16, 0, 43, 797829054873436191),
+        (7, 130): (6.661338147750939e-16, 0, 18, 4335859634209406619),
+    },
+    "superadditivity": {
+        (7, 8): (-0.1933038314593487, 0, 0, 16920295385781661272),
+        (0, 130): (-0.12424214058006577, 0, 3, 3188717715514472916),
+        (7, 130): (-0.13112051057593319, 0, 69, 13285551925594234729),
+    },
+    "invariance": {
+        (7, 8): (1.1102230246251565e-15, 0, 2, 7078124019849193311),
+        (0, 70): (1.5543122344752192e-15, 0, 60, 7789158707010503658),
+        (7, 70): (1.7763568394002505e-15, 0, 14, 3307404742530723846),
+    },
 }
 
 
 @pytest.mark.parametrize("name", list(RECORDED))
 def test_suite_results_match_the_recorded_values(name):
-    result = run_suite(name, trials=8, seed=7).to_dict()
-    want = RECORDED[name]
-    details = result["details"]
-    assert (result["failures"], details["worst_trial"], details["worst_seed"]) == (
-        want["failures"], want["worst_trial"], want["worst_seed"]
-    )
-    assert abs(result["max_violation"] - want["max_violation"]) <= 1e-15
-    if "min_gap" in want:
-        assert abs(details["min_gap"] - want["min_gap"]) <= 1e-15
+    for (seed, trials), want in RECORDED[name].items():
+        result = run_suite(name, trials=trials, seed=seed).to_dict()
+        details = result["details"]
+        got = (result["max_violation"], result["failures"], details["worst_trial"],
+               details["worst_seed"], *([details["min_gap"]] if "min_gap" in details else []))
+        assert got == want, (seed, trials)

@@ -57,6 +57,15 @@ def test_from_raw_rejects_dimension_mismatch():
         DensityMatrix(np.eye(4) / 4, (2, 3))
 
 
+@pytest.mark.parametrize("dims", [(2.7, 2), (True, 4)])
+def test_dims_must_be_integers(dims):
+    # int() would read them as (2, 2) and (1, 4)
+    with pytest.raises(ValueError, match="positive integers"):
+        DensityMatrix(np.eye(4) / 4, dims)
+    rho = DensityMatrix(np.eye(4) / 4, (np.int64(2), np.int64(2)))
+    assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+
+
 def test_bell_projector_valid():
     rho = bell_phi_plus()
     assert_allclose(np.trace(rho.mat), 1.0)

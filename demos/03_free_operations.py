@@ -12,8 +12,6 @@ import numpy as np
 
 from discoh import (
     DensityMatrix,
-    KrausChannel,
-    ProductChannel,
     apply_local,
     bell_phi_plus,
     classical_quantum,
@@ -31,22 +29,23 @@ from discoh.channels import random_physically_free
 from discoh.states import random_state, rng_from_seed
 
 # 1. Channel zoo and structural classification.  Builders and samplers return
-# Kraus stacks (n, d, d); classify takes them wrapped as a checked KrausChannel,
-# and U_a (x) {B_j} as a ProductChannel of its two factor stacks.
+# Kraus stacks (n, d, d), and classify checks and labels a stack; U_a (x) {B_j}
+# comes as its two factor stacks, and classify takes their joint stack.
 print("classification (structural, on the given Kraus representation):")
 swap = make_iuo([1, 0], [0.0, np.pi / 3])
-print("  phase-decorated swap:", sorted(classify(KrausChannel(swap))))
-print("  full dephasing:      ", sorted(classify(KrausChannel(dephasing_channel(2)))))
+print("  phase-decorated swap:", sorted(classify(swap)))
+print("  full dephasing:      ", sorted(classify(dephasing_channel(2))))
 hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-print("  Hadamard unitary:    ", sorted(classify(KrausChannel([hadamard]))), "(coherent)")
+print("  Hadamard unitary:    ", sorted(classify([hadamard])), "(coherent)")
 rng = rng_from_seed(7)
 u_a, b_ops = random_physically_free(2, 2, rng)
-free = ProductChannel(*map(KrausChannel, make_physically_free(u_a[0], b_ops)))
-print("  U_a x {B_j} channel: ", sorted(classify(free, dims=(2, 2))))
+u_a, b_ops = make_physically_free(u_a[0], b_ops)  # the checked factor stacks
+joint = np.array([np.kron(u, b) for u in u_a for b in b_ops])  # {U_a (x) B_j} on A (x) B
+print("  U_a x {B_j} channel: ", sorted(classify(joint, dims=(2, 2))))
 
 # 2. Rank-one PPIOs only ever destroy correlated coherence.
 bell = bell_phi_plus()
-gap, mi_drop = ppio_monotonicity_gap(bell, KrausChannel(dephasing_channel(2)))
+gap, mi_drop = ppio_monotonicity_gap(bell, dephasing_channel(2))
 print("\nBell state under plain dephasing of A:")
 print(f"  I_co drop = {gap:.6f}, mutual-information drop = {mi_drop:.6f} (equality case)")
 
@@ -54,7 +53,7 @@ print("\nrandom states under random rank-one PPIOs (drop, floor):")
 for _ in range(5):
     rho = random_state(2, 2, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
     (ppio,) = random_rank_one_ppio(2, rng, 1)
-    gap, mi_drop = ppio_monotonicity_gap(rho, KrausChannel(ppio))
+    gap, mi_drop = ppio_monotonicity_gap(rho, ppio)
     print(f"  drop = {gap:+.6f}  >=  mi drop = {mi_drop:+.6f}")
 
 # A level-merging rank-one PPIO in dimension 3: the first unitary swaps

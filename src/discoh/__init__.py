@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .channels import (
     ChannelMixture,
     KrausChannel,
-    ProductChannel,
     apply,
     classify,
     dephasing_channel,

@@ -4,10 +4,11 @@ operations (PPIOs), their rank-one special case, and the factorizable
 physically free channels U_a (x) B_j.  A channel is one (n, d, d) stack of
 Kraus operators: each family has one builder and one sampler, and both return
 stacks (U_a (x) B_j as its two factors), which act on the reshaped bipartite
-state (linalg.apply_local), never lifted to A (x) B.  KrausChannel,
-ProductChannel and ChannelMixture are the checked wrappers that classify and
-apply take; a PIO, a convex mixture of PPIOs, is a ChannelMixture of
-KrausChannels.
+state (linalg.apply_local), never lifted to A (x) B.  classify takes a stack
+(U_a (x) B_j as its joint stack) and checks it through KrausChannel, the one
+trace-preservation check.  A PIO, a convex mixture of PPIOs, is a
+ChannelMixture of KrausChannels, which ``apply`` applies to a state of their
+own system.
 
 Classification is structural: it inspects the Kraus representation it is
 given.  Labels are sound but detection of equivalence under Kraus gauge
@@ -16,11 +17,9 @@ freedom is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import apply_local, as_complex_matrix, as_frame, dag
+from .linalg import as_complex_matrix, dag
 from .states import DensityMatrix
 
 KRAUS_TOL = 1e-9
@@ -63,32 +62,6 @@ class KrausChannel:
         return f"KrausChannel(n_ops={len(self.ops)}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class ProductChannel:
-    """The local channel Phi_A (x) Phi_B, kept as its factors, KrausChannels on
-    A and on B.  ``ops`` forms the joint Kraus set {K_i (x) L_j} on demand, for
-    ``classify``; ``apply`` never needs it."""
-
-    a: KrausChannel
-    b: KrausChannel
-
-    def __post_init__(self):
-        if not (isinstance(self.a, KrausChannel) and isinstance(self.b, KrausChannel)):
-            raise ValueError("the factors must be KrausChannels")
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.a.dim, self.b.dim
-
-    @property
-    def dim(self) -> int:
-        return self.a.dim * self.b.dim
-
-    @property
-    def ops(self) -> np.ndarray:
-        return np.array([np.kron(k, l) for k in self.a.ops for l in self.b.ops])
-
-
 class ChannelMixture:
     """Convex combination of channels, kept as a weighted list.
 
@@ -104,14 +77,12 @@ class ChannelMixture:
         components = tuple(components)
         if len(weights) != len(components) or not components:
             raise ValueError("weights and components must be equal-length and non-empty")
-        if any(w <= 0 for w in weights):
-            raise ValueError("mixture weights must be positive")
+        if not all(0 < w < np.inf for w in weights):  # a nan weight fails too
+            raise ValueError("mixture weights must be finite and positive")
         if abs(sum(weights) - 1.0) > 1e-10:
             raise ValueError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
         if len({c.dim for c in components}) != 1:
             raise ValueError("mixture components must share dimensions")
-        if len({c.dims for c in components if isinstance(c, ProductChannel)}) > 1:
-            raise ValueError("product components must share one split (d_a, d_b)")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "components", components)
 
@@ -120,10 +91,11 @@ class ChannelMixture:
 
 
 def apply(chan, rho):
-    """Apply a KrausChannel, a ProductChannel or a mixture of them to a state.
+    """Apply a KrausChannel, or a mixture of them, to a state of its own system.
 
     DensityMatrix in, DensityMatrix out (revalidated); plain matrices pass
-    through as matrices.
+    through as matrices.  A channel on one side of a bipartite state, such as
+    U_a (x) {B_j}, acts through linalg.apply_local instead.
     """
     mixture = isinstance(chan, ChannelMixture)
     weights, parts = (chan.weights, chan.components) if mixture else ((1.0,), (chan,))
@@ -132,17 +104,9 @@ def apply(chan, rho):
     dim = parts[0].dim
     if m.shape[0] != dim:
         raise ValueError(f"state dimension {m.shape[0]} does not match channel ({dim})")
-    for c in parts:
-        if state and isinstance(c, ProductChannel) and c.dims != rho.dims:
-            raise ValueError(f"channel factors {c.dims} do not match state dims {rho.dims}")
-    out = sum(w * _apply_mat(c, m) for w, c in zip(weights, parts))
+    out = sum(w * (c.ops @ m @ c.ops.conj().swapaxes(-1, -2)).sum(axis=0)
+              for w, c in zip(weights, parts))
     return DensityMatrix(out, rho.dims) if state else out
-
-
-def _apply_mat(chan, m: np.ndarray) -> np.ndarray:
-    if isinstance(chan, ProductChannel):
-        return apply_local(m, chan.dims, chan.a.ops, chan.b.ops)
-    return (chan.ops @ m @ chan.ops.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +137,8 @@ def make_ppio(dim: int, supports, perms, phases) -> np.ndarray:
         perm, ph = np.asarray(perm, dtype=int), np.asarray(ph, dtype=float)
         if perm.shape != (dim,) or sorted(perm.tolist()) != list(range(dim)):
             raise ValueError(f"not a permutation of range({dim}): {perm.tolist()}")
-        if ph.shape != (dim,):
-            raise ValueError(f"phase vectors must have length {dim}")
+        if ph.shape != (dim,) or not np.isfinite(ph).all():
+            raise ValueError(f"phase vectors must be finite and of length {dim}")
         cols = np.array([int(y) for y in support])
         ops[k, perm[cols], cols] = np.exp(1j * ph[cols])
     return ops
@@ -188,12 +152,12 @@ def make_iuo(perm, phases) -> np.ndarray:
 
 def _require_iuo(u, what: str) -> np.ndarray:
     try:
-        chan = KrausChannel([u])  # raises for every matrix that is not unitary
+        iuo = LABEL_IUO in classify([u])  # raises for every matrix that is not unitary
     except ValueError:
-        chan = None
-    if chan is None or LABEL_IUO not in classify(chan):
+        iuo = False
+    if not iuo:
         raise ValueError(f"{what} is not a phase-decorated permutation of the reference basis")
-    return chan.ops[0]
+    return np.array(u, dtype=complex)
 
 
 def make_rank_one_ppio(dim: int, unitaries) -> np.ndarray:
@@ -241,21 +205,18 @@ def make_physically_free(u_a, b_ops) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def classify(chan, basis=None, dims=None) -> frozenset:
-    """Structural labels of a Kraus representation (a KrausChannel, or a
-    ProductChannel through its joint Kraus set).
+def classify(ops, dims=None) -> frozenset:
+    """Structural labels of a Kraus stack (n, d, d) in the reference basis,
+    checked through KrausChannel (U_a (x) {B_j} is classified by its joint
+    stack {U_a (x) B_j}).
 
     Returns any of {incoherent, iuo, ppio, rank-one-ppio, physically-free}.
     The physically-free (factorizable) label needs the bipartite split, so it
     is only attempted when ``dims`` is given; detection is best-effort up to
     Kraus gauge freedom.  An empty set means no structure was recognized.
     """
-    d = chan.dim
-    frame = as_frame(basis, d)
-    ops = chan.ops
-    if frame is not None:
-        ops = dag(frame) @ ops @ frame
-
+    ops = KrausChannel(ops).ops
+    d = ops.shape[-1]
     labels = set()
     nz = np.abs(ops) > CLASSIFY_TOL  # (n, d, d)
     if nz.sum(axis=1).max() <= 1:  # no column of any operator holds two entries

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LABEL_RANK_ONE_PPIO, KrausChannel, classify, dephasing_channel
+from .channels import LABEL_RANK_ONE_PPIO, classify, dephasing_channel
 from .linalg import MAX_OPT_DIM, apply_local, dephase_local, partial_trace
 from .measures import (
     _DAC,
@@ -364,19 +364,22 @@ def _ppio_drops(m: np.ndarray, w: np.ndarray, dims, ops: np.ndarray):
     return ico[..., :1] - ico[..., 1:-1], mi[..., 0] - mi[..., -1]
 
 
-def ppio_monotonicity_gap(rho: DensityMatrix, ppio: KrausChannel) -> tuple[float, float]:
-    """Correlated-coherence drop under a local rank-one PPIO, paired with the
-    mutual-information drop under the bare reference measurement.
+def ppio_monotonicity_gap(rho: DensityMatrix, ops) -> tuple[float, float]:
+    """Correlated-coherence drop under a local rank-one PPIO, given as its Kraus
+    stack (n, d_a, d_a) on A, paired with the mutual-information drop under
+    the bare reference measurement.
 
     Returns (gap, mi_drop).  The gap is nonnegative and dominates mi_drop for
     every bipartite state; a violation beyond 1e-9 raises ArithmeticError (it
     would signal a numerical bug, not physics).
     """
-    if not isinstance(ppio, KrausChannel) or ppio.dim != rho.d_a:
+    labels = classify(ops)  # checks the stack
+    ops = np.asarray(ops, dtype=complex)
+    if ops.shape[-1] != rho.d_a:
         raise ValueError(f"expected a channel on A (dim {rho.d_a})")
-    if LABEL_RANK_ONE_PPIO not in classify(ppio):
+    if LABEL_RANK_ONE_PPIO not in labels:
         raise ValueError("channel is not a rank-one PPIO in the reference basis")
-    (gap,), mi_drop = _ppio_drops(rho.mat, rho.spectrum, rho.dims, ppio.ops[None])
+    (gap,), mi_drop = _ppio_drops(rho.mat, rho.spectrum, rho.dims, ops[None])
     if gap < -1e-9 or gap < mi_drop - 1e-9:
         raise ArithmeticError(
             f"monotonicity violated: gap={gap:.3e}, mi_drop={mi_drop:.3e}"

@@ -112,6 +112,10 @@ def apply_local(m: np.ndarray, dims: tuple[int, int], ops_a=None, ops_b=None) ->
     = m[(i, j), (k, l)] a channel on A acts on the rows and one on B on the
     columns: one matrix product per side."""
     d_a, d_b = dims
+    for side, ops, d in (("A", ops_a, d_a), ("B", ops_b, d_b)):
+        if ops is not None and (ops.ndim < 3 or ops.shape[-2:] != (d, d)):
+            raise ValueError(f"ops_{side.lower()} for side {side} of dims {dims} must be a Kraus "
+                             f"stack (..., n, {d}, {d}), got shape {ops.shape}")
     lead = m.shape[:-2]
     r = m.reshape(*lead, d_a, d_b, d_a, d_b).swapaxes(-2, -3).reshape(*lead, d_a**2, d_b**2)
     if ops_a is not None:

@@ -5,7 +5,8 @@ Every suite runs _run_trials in two phases: draw(i, rng) makes trial i's draws
 from its own child seed and returns arrays, and measure checks up to CHUNK (64)
 draws in one stacked pass; then progress fires once per trial of the chunk, in
 order.  theorem2 and zero-sets search per trial, so their draw is the whole
-check.  The rows reduce to a SuiteResult naming the worst trial and its seed.
+check, and their chunks hold one trial each: progress follows every search.
+The rows reduce to a SuiteResult naming the worst trial and its seed.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ def _run_trials(suite, trials, dims, seed, tol, draw, measure, progress, reduce=
     prefix-stable, so rerunning with trials=worst_trial + 1 reproduces it."""
     _check_count("trials", trials)
     rows, seeds = [], spawn_seeds(seed, trials)
-    for start in range(0, trials, CHUNK):
-        chunk = range(start, min(start + CHUNK, trials))
+    step = 1 if suite in _SEARCHING else CHUNK
+    for start in range(0, trials, step):
+        chunk = range(start, min(start + step, trials))
         rows += measure([draw(i, rng_from_seed(int(seeds[i]))) for i in chunk])
         for i in chunk if progress else ():
             progress(i + 1, trials)

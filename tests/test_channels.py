@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from discoh.channels import (
     ChannelMixture,
     KrausChannel,
-    ProductChannel,
     apply,
     classify,
     dephasing_channel,
@@ -20,7 +19,7 @@ from discoh.channels import (
 )
 from discoh.discord import coherence_discord
 from discoh.linalg import apply_local
-from discoh.states import classical_quantum, random_state, rng_from_seed
+from discoh.states import DensityMatrix, classical_quantum, random_state, rng_from_seed
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -91,6 +90,15 @@ def test_make_iuo_rejects_bad_permutation():
         make_iuo([0, 0], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_iuo_rejects_non_finite_phases(bad):
+    # a nan phase would pass into the stack, and an infinite one warns in exp
+    with pytest.raises(ValueError, match="finite"):
+        make_iuo([1, 0], [bad, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        make_ppio(2, supports=((0,), (1,)), perms=((0, 1),) * 2, phases=((0.0, 0.0), (0.0, bad)))
+
+
 def test_rank_one_ppio_all_identity_is_dephasing():
     ops = make_rank_one_ppio(2, [np.eye(2), np.eye(2)])
     assert np.array_equal(ops, dephasing_channel(2))
@@ -140,7 +148,7 @@ def test_ppio_coarse_projectors_not_rank_one():
                     phases=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
     assert ops.shape == (2, 3, 3)
     assert_allclose(ops, [np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
-    labels = classify(KrausChannel(ops))
+    labels = classify(ops)
     assert "ppio" in labels
     assert "rank-one-ppio" not in labels
 
@@ -153,7 +161,7 @@ def test_ppio_all_rank_one_projectors():
     expected = np.zeros((3, 3, 3), dtype=complex)
     expected[[0, 1, 2], [0, 0, 2], [0, 1, 2]] = np.exp(1j * np.array([0.1, 0.5, 2.0]))
     assert_allclose(ops, expected)
-    assert "rank-one-ppio" in classify(KrausChannel(ops))
+    assert "rank-one-ppio" in classify(ops)
 
 
 def test_ppio_spec_validation():
@@ -201,26 +209,37 @@ def test_pio_weights_must_sum_to_one():
         ChannelMixture((0.5, 0.4), (one, one))
 
 
-def test_mixture_rejects_product_components_of_two_splits():
-    # 2x3 and 3x2 both act on dimension 6, but split it differently
-    two_three = ProductChannel(KrausChannel([np.eye(2)]), KrausChannel([np.eye(3)]))
-    three_two = ProductChannel(KrausChannel([np.eye(3)]), KrausChannel([np.eye(2)]))
-    with pytest.raises(ValueError, match="split"):
-        ChannelMixture((0.5, 0.5), (two_three, three_two))
-    assert len(ChannelMixture((0.5, 0.5), (two_three, two_three)).components) == 2
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.5])
+def test_mixture_weights_must_be_finite_and_positive(bad):
+    # nan <= 0 and abs(nan - 1) > 1e-10 are both false: a check built from
+    # them alone lets a nan weight through to an all-nan output
+    one = KrausChannel(dephasing_channel(2))
+    with pytest.raises(ValueError, match="finite and positive"):
+        ChannelMixture((bad, 1.0), (one, one))
 
 
-def physically_free(u_a, b_ops) -> ProductChannel:
-    return ProductChannel(*map(KrausChannel, make_physically_free(u_a, b_ops)))
+def test_mixture_components_must_share_one_dimension():
+    with pytest.raises(ValueError, match="share dimensions"):
+        ChannelMixture((0.5, 0.5), (KrausChannel([np.eye(2)]), KrausChannel([np.eye(3)])))
+
+
+def apply_free(u_a, b_ops, rho) -> DensityMatrix:
+    """U_a (x) {B_j} on rho, from its checked factor stacks."""
+    return DensityMatrix(apply_local(rho.mat, rho.dims, *make_physically_free(u_a, b_ops)),
+                         rho.dims)
+
+
+def joint(u_a, b_ops) -> np.ndarray:
+    """The joint Kraus stack {U_a (x) B_j} on A (x) B."""
+    return np.array([np.kron(u, b) for u in u_a for b in b_ops])
 
 
 def test_physically_free_identity():
     u_a, b_ops = make_physically_free(np.eye(2), [np.eye(2)])
     assert_allclose(u_a, np.eye(2)[None], rtol=0, atol=0)
     assert_allclose(b_ops, np.eye(2)[None], rtol=0, atol=0)
-    chan = physically_free(np.eye(2), [np.eye(2)])
     rho = random_state(2, 2, "ginibre-mixed", seed=9)
-    assert_allclose(apply(chan, rho).mat, rho.mat, atol=1e-12)
+    assert_allclose(apply_free(np.eye(2), [np.eye(2)], rho).mat, rho.mat, atol=1e-12)
 
 
 def test_physically_free_depolarizing_b_keeps_cq_free():
@@ -228,16 +247,14 @@ def test_physically_free_depolarizing_b_keeps_cq_free():
     b_ops = [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5 / 3) * PAULI_X,
              np.sqrt(0.5 / 3) * np.array([[0, -1j], [1j, 0]]),
              np.sqrt(0.5 / 3) * np.diag([1.0, -1.0])]
-    chan = physically_free(np.eye(2), b_ops)
     cq = classical_quantum([0.3, 0.7], [PLUS, np.diag([0.2, 0.8])])
-    out = apply(chan, cq)
+    out = apply_free(np.eye(2), b_ops, cq)
     assert abs(coherence_discord(out)) < 1e-10
 
 
 def test_physically_free_level_swap_permutes_cq():
-    chan = physically_free(PAULI_X, [np.eye(2)])
     cq = classical_quantum([0.3, 0.7], [PLUS, np.diag([0.2, 0.8])])
-    out = apply(chan, cq)
+    out = apply_free(PAULI_X, [np.eye(2)], cq)
     assert abs(coherence_discord(out)) < 1e-12
     expected = classical_quantum([0.7, 0.3], [np.diag([0.2, 0.8]), PLUS])
     assert_allclose(out.mat, expected.mat, atol=1e-12)
@@ -254,17 +271,17 @@ def test_physically_free_requires_iuo_on_a():
 
 
 def test_classify_dephasing():
-    assert classify(KrausChannel(dephasing_channel(2))) == frozenset(
+    assert classify(dephasing_channel(2)) == frozenset(
         {"incoherent", "ppio", "rank-one-ppio"}
     )
 
 
 def test_classify_hadamard_is_coherent():
-    assert classify(KrausChannel([HADAMARD])) == frozenset()
+    assert classify([HADAMARD]) == frozenset()
 
 
 def test_classify_iuo():
-    labels = classify(KrausChannel(make_iuo([1, 0], [0.3, 1.7])))
+    labels = classify(make_iuo([1, 0], [0.3, 1.7]))
     # a unitary IUO is an m=1 PIO whose single projector is the identity,
     # which is full rank, so the rank-one label must not appear
     assert labels == frozenset({"incoherent", "iuo", "ppio"})
@@ -272,12 +289,11 @@ def test_classify_iuo():
 
 def test_classify_factorizable_free():
     rng = np.random.default_rng(10)
-    chan = ProductChannel(*map(KrausChannel, random_physically_free(2, 2, rng, n_b_ops=3)))
-    assert "physically-free" in classify(chan, dims=(2, 2))
+    ops = joint(*random_physically_free(2, 2, rng, n_b_ops=3))
+    assert "physically-free" in classify(ops, dims=(2, 2))
     # remixing the Kraus set by a unitary keeps the common-IUO structure
-    ops = chan.ops
     mix = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-    remixed = KrausChannel([sum(mix[i, j] * ops[j] for j in range(3)) for i in range(3)])
+    remixed = [sum(mix[i, j] * ops[j] for j in range(3)) for i in range(3)]
     assert "physically-free" in classify(remixed, dims=(2, 2))
 
 
@@ -285,37 +301,37 @@ def test_classify_ppio_needs_nonzero_operators_on_disjoint_columns():
     # a zero operator, or two operators sharing a column, make an incoherent
     # channel but not a PPIO; shared columns hold no unit-modulus entries,
     # since two such entries in one column would break trace preservation
-    padded = KrausChannel([*dephasing_channel(2), np.zeros((2, 2))])
+    padded = [*dephasing_channel(2), np.zeros((2, 2))]
     assert classify(padded) == frozenset({"incoherent"})
-    shared = KrausChannel([np.eye(2) / np.sqrt(2.0)] * 2)
+    shared = [np.eye(2) / np.sqrt(2.0)] * 2
     assert classify(shared) == frozenset({"incoherent"})
     with pytest.raises(ValueError, match="not trace preserving"):
-        KrausChannel([np.eye(2)] * 2)
+        classify([np.eye(2)] * 2)
 
 
 def test_classify_non_factorizable():
     rng = np.random.default_rng(11)
     ops = random_kraus_ops(4, 2, rng)
-    assert "physically-free" not in classify(KrausChannel(ops), dims=(2, 2))
+    assert "physically-free" not in classify(ops, dims=(2, 2))
     # dephasing A by {I, Z}: each operator has the IUO pattern, but no single
     # U_a serves both (the second one's blocks have the opposite ratio)
     ops = [np.kron(np.eye(2), np.eye(2)), np.kron(np.diag([1.0, -1.0]), np.eye(2))]
-    chan = KrausChannel([k / np.sqrt(2.0) for k in ops])
-    assert "physically-free" not in classify(chan, dims=(2, 2))
+    assert "physically-free" not in classify([k / np.sqrt(2.0) for k in ops], dims=(2, 2))
 
 
 def test_classify_in_rotated_frame():
-    # dephasing conjugated into the Hadamard frame is incoherent w.r.t. it
-    chan = KrausChannel([HADAMARD @ k @ HADAMARD.conj().T for k in dephasing_channel(2)])
-    assert "rank-one-ppio" in classify(chan, basis=HADAMARD)
-    assert "rank-one-ppio" not in classify(chan)
+    # dephasing conjugated into the Hadamard frame is incoherent w.r.t. it:
+    # the stack rotated back, F† K F, carries the labels in that frame
+    ops = HADAMARD @ dephasing_channel(2) @ HADAMARD.conj().T
+    assert "rank-one-ppio" in classify(HADAMARD.conj().T @ ops @ HADAMARD)
+    assert "rank-one-ppio" not in classify(ops)
 
 
 def test_incoherent_channels_preserve_diagonals():
     rng = np.random.default_rng(12)
     for _ in range(10):
         ops = random_rank_one_ppio(3, rng, 1)[0]
-        assert "incoherent" in classify(KrausChannel(ops))
+        assert "incoherent" in classify(ops)
         d = np.diag(rng.dirichlet(np.ones(3))).astype(complex)
         for k in ops:
             out = k @ d @ k.conj().T
@@ -331,14 +347,27 @@ def test_apply_local_dephasing_on_a_is_dephase_local():
 
 
 def test_product_channel_matches_its_joint_kraus_set():
+    # U_a (x) {B_j} from its factors through apply_local, and through apply
+    # as its joint stack on A (x) B
     rng = np.random.default_rng(14)
-    chan = ProductChannel(*map(KrausChannel, random_physically_free(2, 3, rng, n_b_ops=2)))
+    u_a, b_ops = random_physically_free(2, 3, rng, n_b_ops=2)
     rho = random_state(2, 3, "ginibre-mixed", seed=14)
-    joint = KrausChannel([np.kron(k, b) for k in chan.a.ops for b in chan.b.ops])
-    assert_allclose(chan.ops, joint.ops, atol=0)
-    assert_allclose(apply(chan, rho).mat, apply(joint, rho).mat, atol=1e-12)
-    with pytest.raises(ValueError, match="do not match"):
-        apply(chan, random_state(3, 2, "ginibre-mixed", seed=14))
+    assert_allclose(apply_local(rho.mat, rho.dims, u_a, b_ops),
+                    apply(KrausChannel(joint(u_a, b_ops)), rho).mat, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_apply_local_names_the_side_of_a_mismatched_stack(side):
+    # a 2x2 stack on the 3-dimensional side of a 3x2 (or 2x3) state, and a
+    # bare 2-D matrix, which is no stack at all
+    dims = (3, 2) if side == "a" else (2, 3)
+    m = random_state(*dims, "ginibre-mixed", seed=15).mat
+    for ops in (np.eye(2)[None], np.eye(3)):
+        with pytest.raises(ValueError) as err:
+            apply_local(m, dims, **{f"ops_{side}": ops})
+        message = str(err.value)
+        assert f"side {side.upper()} of dims {dims}" in message
+        assert "(..., n, 3, 3)" in message and str(ops.shape) in message
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +388,7 @@ def test_sampled_rank_one_ppios_are_certified(d):
     merging = 0
     for injective in (True, False):
         for ops in random_rank_one_ppio(d, rng, 80, injective):
-            assert "rank-one-ppio" in classify(KrausChannel(ops))
+            assert "rank-one-ppio" in classify(ops)
             assert not (injective and merges(ops))
             merging += merges(ops)
     assert merging > 0
@@ -404,8 +433,7 @@ def test_sampled_physically_free_channels_are_certified(dims):
     for n_b_ops in (1, 2, 3) * 20:
         u_a, b_ops = random_physically_free(*dims, rng, n_b_ops=n_b_ops)
         assert u_a.shape == (1, dims[0], dims[0]) and b_ops.shape == (n_b_ops, dims[1], dims[1])
-        joint = [np.kron(u, b) for u in u_a for b in b_ops]
-        assert "physically-free" in classify(KrausChannel(joint), dims=dims)
+        assert "physically-free" in classify(joint(u_a, b_ops), dims=dims)
 
 
 def test_physically_free_stacks_draw_as_random_physically_free_does():
@@ -416,7 +444,7 @@ def test_physically_free_stacks_draw_as_random_physically_free_does():
             u_a, b_ops = random_physically_free(*dims, rngs[0], n_b_ops=n_b_ops)
             iuo, kraus = random_iuo(dims[0], rngs[1]), random_kraus_ops(dims[1], n_b_ops, rngs[1])
             assert np.array_equal(u_a, iuo) and np.array_equal(b_ops, kraus)
-            assert "iuo" in classify(KrausChannel(u_a))
+            assert "iuo" in classify(u_a)
             assert len({int(rng.integers(1 << 62)) for rng in rngs}) == 1
 
 

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from discoh.channels import (
-    KrausChannel, dephasing_channel, make_rank_one_ppio, random_rank_one_ppio
-)
+from discoh.channels import dephasing_channel, make_rank_one_ppio, random_rank_one_ppio
 from discoh.discord import (
     OptimizerConfig,
     _ppio_drops,
@@ -460,7 +458,7 @@ def test_coherence_discord_closed_form_matches_literal_drop():
     # dual route: the closed form equals the correlated-coherence drop under
     # the canonical rank-one PPIO (plain dephasing)
     for rho in random_states(10, seed=8):
-        literal, _ = ppio_monotonicity_gap(rho, KrausChannel(dephasing_channel(2)))
+        literal, _ = ppio_monotonicity_gap(rho, dephasing_channel(2))
         assert abs(coherence_discord(rho) - literal) < 1e-12
 
 
@@ -570,13 +568,13 @@ def test_coherence_discord_upper_bounds_discord():
 
 
 def test_gap_cq_canonical_zero():
-    gap, rhs = ppio_monotonicity_gap(cq_example(), KrausChannel(dephasing_channel(2)))
+    gap, rhs = ppio_monotonicity_gap(cq_example(), dephasing_channel(2))
     assert abs(gap) < 1e-12
     assert abs(rhs) < 1e-12
 
 
 def test_gap_bell_equality_case():
-    gap, rhs = ppio_monotonicity_gap(bell_phi_plus(), KrausChannel(dephasing_channel(2)))
+    gap, rhs = ppio_monotonicity_gap(bell_phi_plus(), dephasing_channel(2))
     assert_allclose(gap, 1.0, atol=1e-12)
     assert_allclose(rhs, 1.0, atol=1e-12)
 
@@ -588,19 +586,26 @@ def test_gap_violation_raises(monkeypatch, gap, mi_drop):
     monkeypatch.setattr(sys.modules["discoh.discord"], "_ppio_drops",
                         lambda m, w, dims, ops: (np.array([gap]), mi_drop))
     with pytest.raises(ArithmeticError, match="monotonicity violated"):
-        ppio_monotonicity_gap(bell_phi_plus(), KrausChannel(dephasing_channel(2)))
+        ppio_monotonicity_gap(bell_phi_plus(), dephasing_channel(2))
 
 
 def test_gap_requires_rank_one_ppio():
     from discoh.channels import make_iuo
 
     with pytest.raises(ValueError, match="rank-one"):
-        ppio_monotonicity_gap(bell_phi_plus(), KrausChannel(make_iuo([1, 0], [0.0, 0.0])))
+        ppio_monotonicity_gap(bell_phi_plus(), make_iuo([1, 0], [0.0, 0.0]))
+
+
+def test_gap_checks_the_stack_and_its_side():
+    with pytest.raises(ValueError, match="trace preserving"):
+        ppio_monotonicity_gap(bell_phi_plus(), 0.5 * dephasing_channel(2))
+    with pytest.raises(ValueError, match=r"channel on A \(dim 3\)"):
+        ppio_monotonicity_gap(random_state(3, 2, "ginibre-mixed", seed=18), dephasing_channel(2))
 
 
 def test_gap_dim3_level_swap_nonnegative():
     u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    ppio = KrausChannel(make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)]))
+    ppio = make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)])
     rng = np.random.default_rng(15)
     for _ in range(10):
         rho = random_state(3, 2, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
@@ -613,7 +618,7 @@ def test_gap_equality_for_non_merging_ppios():
     # when no two levels merge, the drop equals the mutual-information drop
     rng = np.random.default_rng(16)
     for rho in random_states(10, seed=17):
-        ppio = KrausChannel(random_rank_one_ppio(2, rng, 1, injective=True)[0])
+        ppio = random_rank_one_ppio(2, rng, 1, injective=True)[0]
         gap, rhs = ppio_monotonicity_gap(rho, ppio)
         assert abs(gap - rhs) < 1e-9
 
@@ -642,7 +647,7 @@ def test_stacked_ppio_drops_are_the_scalar_route(dims):
             for ops, drop in zip(stack, drops):
                 gap = correlated_coherence(rho) - correlated_coherence(lifted(rho, ops))
                 assert abs(drop - gap) <= 1e-12
-                assert_allclose(ppio_monotonicity_gap(rho, KrausChannel(ops)), (gap, mi_drop),
+                assert_allclose(ppio_monotonicity_gap(rho, ops), (gap, mi_drop),
                                 rtol=0, atol=1e-12)
                 rows = np.abs(ops).sum(axis=0).argmax(axis=0)  # level j goes to row rows[j]
                 merging[injective] += len(set(rows.tolist())) < d_a
@@ -654,7 +659,7 @@ def test_stacked_ppio_drops_are_the_scalar_route(dims):
 def test_monotonicity_drop_under_merging_exceeds_closed_form():
     # a merging PPIO can only drop more correlated coherence than dephasing
     u_swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    merging = KrausChannel(make_rank_one_ppio(2, [u_swap, np.eye(2)]))
+    merging = make_rank_one_ppio(2, [u_swap, np.eye(2)])
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
     rho = classical_quantum([0.5, 0.5], [PLUS, minus])
     drop, _ = ppio_monotonicity_gap(rho, merging)

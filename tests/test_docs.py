@@ -57,8 +57,8 @@ def test_readme_quickstart_runs():
         checked.append(expr)
     assert checked == [
         "coherence_discord(bell)", "value", "coherence_discord(cq)",
-        "coherence_discord(dephased)", "classify(KrausChannel(swap))",
-        "apply(pio, np.ones((2, 2)) / 2)", "coherence_discord(apply(free, cq))",
+        "coherence_discord(dephased)", "classify(swap)",
+        "apply(pio, np.ones((2, 2)) / 2)", "coherence_discord(freed)",
     ]
 
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from discoh.linalg import dephase_local, partial_trace
+from discoh.channels import random_physically_free
+from discoh.linalg import apply_local, dephase_local, partial_trace
 from discoh.measures import (
     CSV_COLUMNS,
     MeasureReport,
@@ -18,11 +21,16 @@ from discoh.measures import (
     relative_entropy,
 )
 from discoh.states import (
+    ENSEMBLES,
     DensityMatrix,
     bell_phi_plus,
     classical_quantum,
     haar_unitary,
+    random_cq_state,
     random_state,
+    random_state_from,
+    rng_from_seed,
+    swap_subsystems,
     werner,
 )
 
@@ -387,3 +395,102 @@ def test_closed_form_of_a_stack_is_the_one_state_value_bit_for_bit(dims):
     for signs in (_I_CO, _DAC, _MI):
         want = [float(_table(rho) @ signs) for rho in states]
         assert _closed_form(mats, spectra, dims, signs).ravel().tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# The relative entropy measure that dac induces, C^r = cq_coherence (the
+# distance to the classical-quantum states), is a bipartite coherence measure,
+# and so is C~^r = C_r_ab, the distance to the diagonal states.  Each property
+# runs on derandomized draws at 2x2 to 4x4, and a fault-injected measure shows
+# that it can fail.
+# ---------------------------------------------------------------------------
+
+CASES = st.tuples(st.integers(2, 4), st.integers(2, 4), st.sampled_from(ENSEMBLES),
+                  st.integers(0, 2**32 - 1))
+BOUNDED = settings(derandomize=True, max_examples=20, deadline=None)
+
+
+def drawn(case):
+    d_a, d_b, ensemble, seed = case
+    rng = rng_from_seed(seed)
+    return random_state_from(rng, d_a, d_b, ensemble), rng
+
+
+def c_r_tilde(rho):
+    return MeasureReport.compute(rho).C_r_ab
+
+
+# each measure, its nearest free state, and a sampler of other free states
+FREE_SETS = {
+    "C^r": (cq_coherence, lambda rho: dephase_local(rho.mat, rho.dims),
+            lambda rho, rng: random_cq_state(rng, rho.d_a, rho.d_b)),
+    "C~^r": (c_r_tilde, lambda rho: np.diag(np.diag(rho.mat)),
+             lambda rho, rng: np.diag(rng.dirichlet(np.ones(rho.dim)))),
+}
+
+
+def check_variational(measure, nearest, sample, rho, rng):
+    value = measure(rho)
+    assert abs(relative_entropy(rho, nearest(rho)) - value) <= 1e-12
+    for _ in range(3):
+        assert relative_entropy(rho, sample(rho, rng)) >= value - 1e-12
+
+
+def check_monotone(measure, rho, rng):
+    # one channel U_a (x) {B_j}, then a mixture of two
+    for n in (1, 2):
+        out = sum(
+            w * apply_local(rho.mat, rho.dims, *random_physically_free(
+                rho.d_a, rho.d_b, rng, n_b_ops=int(rng.integers(1, 4))))
+            for w in rng.dirichlet(np.ones(n))
+        )
+        assert measure(DensityMatrix(out, rho.dims)) <= measure(rho) + 1e-12
+
+
+def check_convex(measure, rho, rng):
+    tau, p = random_state_from(rng, rho.d_a, rho.d_b), rng.uniform()
+    mix = DensityMatrix(p * rho.mat + (1 - p) * tau.mat, rho.dims)
+    assert measure(mix) <= p * measure(rho) + (1 - p) * measure(tau) + 1e-12
+
+
+@pytest.mark.parametrize("name", list(FREE_SETS))
+@BOUNDED
+@given(CASES)
+def test_measure_is_the_least_relative_entropy_to_its_free_states(name, case):
+    check_variational(*FREE_SETS[name], *drawn(case))
+
+
+@BOUNDED
+@given(CASES)
+def test_cq_coherence_does_not_grow_under_physically_free_channels(case):
+    check_monotone(cq_coherence, *drawn(case))
+
+
+@BOUNDED
+@given(CASES)
+def test_cq_coherence_is_convex(case):
+    check_convex(cq_coherence, *drawn(case))
+
+
+MUTANTS = {
+    # the distance to the diagonal states in place of the classical-quantum ones
+    "variational-C^r": (check_variational, c_r_tilde, *FREE_SETS["C^r"][1:]),
+    # C~^r without its -S(rho) term
+    "variational-C~^r": (check_variational, lambda rho: c_r_tilde(rho) + entropy(rho),
+                         *FREE_SETS["C~^r"][1:]),
+    # B dephased in place of A: the distance to the quantum-classical states
+    "monotone": (check_monotone, lambda rho: cq_coherence(swap_subsystems(rho))),
+    # C^r without its -S(rho) term: the entropy of the A-dephased state, concave
+    "convex": (check_convex, lambda rho: cq_coherence(rho) + entropy(rho)),
+}
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_each_measure_property_catches_its_mutant(name):
+    check, *args = MUTANTS[name]
+    for seed in range(20):
+        try:
+            check(*args, *drawn((2 + seed % 2, 2, "ginibre-mixed", seed)))
+        except AssertionError:
+            return
+    pytest.fail(f"no seeded case caught the {name} mutant")

@@ -4,7 +4,7 @@ runs the full campaigns."""
 import numpy as np
 import pytest
 
-from discoh.channels import KrausChannel, random_iuo, random_rank_one_ppio
+from discoh.channels import random_iuo, random_rank_one_ppio
 from discoh.discord import coherence_discord, ppio_monotonicity_gap
 from discoh.linalg import apply_local
 from discoh.states import (
@@ -351,7 +351,7 @@ def test_sampled_merging_ppios_drop_more_than_the_closed_form():
         if len(set(rows.tolist())) == 3:
             continue
         merging += 1
-        assert ppio_monotonicity_gap(rho, KrausChannel(ppio))[0] > coherence_discord(rho) + 1e-6
+        assert ppio_monotonicity_gap(rho, ppio)[0] > coherence_discord(rho) + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +419,24 @@ def test_progress_fires_once_per_trial_after_its_chunk_is_measured(monkeypatch):
     assert measured == [discoh.verify.CHUNK, 5]
     assert [(i, n) for i, n, _ in calls] == [(i, trials) for i in range(1, trials + 1)]
     assert all(i <= done for i, _, done in calls)
+
+
+@pytest.mark.parametrize("name,search", [("theorem2", "discord_via_coherence"),
+                                         ("zero-sets", "discord")])
+def test_each_search_is_followed_by_its_own_progress_call(monkeypatch, name, search):
+    # the searching suites report each trial as it ends, not in bursts of
+    # CHUNK; zero-sets searches once more, for its witness, after the trials
+    import discoh.verify
+
+    events, inner = [], getattr(discoh.verify, search)
+
+    def recording(*args):
+        events.append("search")
+        return inner(*args)
+
+    monkeypatch.setattr(discoh.verify, search, recording)
+    run_suite(name, trials=3, seed=126, restarts=2, progress=lambda i, n: events.append(i))
+    assert events[:6] == ["search", 1, "search", 2, "search", 3]
 
 
 @pytest.mark.parametrize("name", ["theorem1", "theorem3"])

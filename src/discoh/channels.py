@@ -2,9 +2,10 @@
 incoherently unitary operations (IUOs), projective physically incoherent
 operations (PPIOs), their rank-one special case, and the factorizable
 physically free channels U_a (x) B_j.  A channel is one (n, d, d) stack of
-Kraus operators: each family has one builder and one sampler, and both return
-stacks (U_a (x) B_j as its two factors), which act on the reshaped bipartite
-state (linalg.apply_local), never lifted to A (x) B.  classify takes a stack
+Kraus operators: each family has one construction, which its builder and its
+sampler (a raw draw, then the build) share, and both return stacks (U_a (x) B_j
+as its two factors), which act on the reshaped bipartite state
+(linalg.apply_local), never lifted to A (x) B.  classify takes a stack
 (U_a (x) B_j as its joint stack) and checks it through KrausChannel, the one
 trace-preservation check.  A PIO, a convex mixture of PPIOs, is a
 ChannelMixture of KrausChannels, which ``apply`` applies to a state of their
@@ -39,6 +40,8 @@ class KrausChannel:
     __slots__ = ("ops", "dim")
 
     def __init__(self, ops):
+        if isinstance(ops, KrausChannel):
+            raise TypeError("expected a Kraus stack, got a KrausChannel: pass its .ops")
         ops = np.array(ops, dtype=complex)  # raises if the shapes differ
         if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
             raise ValueError("a channel needs at least one Kraus operator, all square of one shape")
@@ -122,9 +125,8 @@ def make_ppio(dim: int, supports, perms, phases) -> np.ndarray:
     must partition range(dim)); perms[j] and phases[j] define the incoherent
     unitary U_j = sum_y e^{i phases[j][y]} |perms[j][y]><y| attached to P_j.
     """
-    seen: set[int] = set()
-    for s in supports:
-        s_set = {int(y) for y in s}
+    sets, seen = [{int(y) for y in s} for s in supports], set()
+    for s_set in sets:
         if not s_set or (s_set & seen):
             raise ValueError("projector supports must be disjoint and non-empty")
         seen |= s_set
@@ -132,22 +134,31 @@ def make_ppio(dim: int, supports, perms, phases) -> np.ndarray:
         raise ValueError("projector supports must partition the basis index set")
     if len(perms) != len(supports) or len(phases) != len(supports):
         raise ValueError("need one permutation and one phase vector per projector")
-    ops = np.zeros((len(supports), dim, dim), dtype=complex)
-    for k, (support, perm, ph) in enumerate(zip(supports, perms, phases)):
-        perm, ph = np.asarray(perm, dtype=int), np.asarray(ph, dtype=float)
-        if perm.shape != (dim,) or sorted(perm.tolist()) != list(range(dim)):
-            raise ValueError(f"not a permutation of range({dim}): {perm.tolist()}")
-        if ph.shape != (dim,) or not np.isfinite(ph).all():
-            raise ValueError(f"phase vectors must be finite and of length {dim}")
-        cols = np.array([int(y) for y in support])
-        ops[k, perm[cols], cols] = np.exp(1j * ph[cols])
-    return ops
+    perms, phases = np.asarray(perms, dtype=int), np.asarray(phases, dtype=float)
+    if perms.shape != (len(supports), dim):
+        raise ValueError(f"not a permutation of range({dim}): {perms.tolist()}")
+    kept = np.array([[[y in s_set for y in range(dim)]] for s_set in sets])  # P_j's columns
+    return np.where(kept, _iuo_mats(perms, phases), 0)
+
+
+def _iuo_mats(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """IUO matrices sum_y e^{i phases[y]} |perms[y]><y| of stacked perms and phases (..., d),
+    checked and written for the whole stack at once."""
+    *lead, d = perms.shape
+    if phases.shape != perms.shape or not np.isfinite(phases).all():
+        raise ValueError(f"phase vectors must be finite and of length {d}")
+    bad = ~(perms[..., None] == np.arange(d)).any(axis=-2).all(axis=-1)  # a value never hit
+    if bad.any():
+        raise ValueError(f"not a permutation of range({d}): {perms[bad][0].tolist()}")
+    u, n = np.zeros((perms.size // d, d, d), dtype=complex), np.arange(perms.size // d)
+    u[n[:, None], perms.reshape(-1, d), np.arange(d)] = np.exp(1j * phases.reshape(-1, d))
+    return u.reshape(*lead, d, d)
 
 
 def make_iuo(perm, phases) -> np.ndarray:
     """Kraus stack (1, d, d) of the incoherently unitary operation
     sum_y e^{i th_y} |perm(y)><y|: the PPIO with one projector, the identity."""
-    return make_ppio(len(perm), [range(len(perm))], [perm], [phases])
+    return _iuo_mats(np.asarray(perm, dtype=int), np.asarray(phases, dtype=float))[None]
 
 
 def _require_iuo(u, what: str) -> np.ndarray:
@@ -169,13 +180,15 @@ def make_rank_one_ppio(dim: int, unitaries) -> np.ndarray:
     """
     if len(unitaries) != dim:
         raise ValueError(f"need {dim} unitaries (one per level), got {len(unitaries)}")
-    ops = np.zeros((dim, dim, dim), dtype=complex)
     for j, u in enumerate(unitaries):
-        u = _require_iuo(u, f"unitary #{j}")
-        if u.shape != (dim, dim):
-            raise ValueError(f"unitary #{j} is {u.shape}, expected ({dim}, {dim})")
-        ops[j, :, j] = u[:, j]
-    return ops
+        if _require_iuo(u, f"unitary #{j}").shape != (dim, dim):
+            raise ValueError(f"unitary #{j} is {np.shape(u)}, expected ({dim}, {dim})")
+    return _own_columns(np.array(unitaries, dtype=complex))
+
+
+def _own_columns(u: np.ndarray) -> np.ndarray:
+    """Rank-one PPIO stacks (..., d, d, d) {U_j |j><j|}: column j of each level's U_j."""
+    return np.where(np.eye(u.shape[-1], dtype=bool)[:, None, :], u, 0)
 
 
 def dephasing_channel(dim: int) -> np.ndarray:
@@ -270,14 +283,38 @@ def _is_factorizable_free(ops: np.ndarray, dims) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Random sampling (suite plumbing)
+# Random sampling: a raw draw (_draw_*), then a build that takes stacks, which
+# the suites run on whole chunks of draws.
 # ---------------------------------------------------------------------------
+
+
+def _draw_iuo(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """An IUO's raw draw: a permutation and a phase vector (dim,)."""
+    return rng.permutation(dim), rng.uniform(0.0, 2.0 * np.pi, dim)
 
 
 def random_iuo(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Kraus stack (1, dim, dim) of a uniformly random permutation with i.i.d.
     uniform phases in [0, 2pi)."""
-    return make_iuo(rng.permutation(dim), rng.uniform(0.0, 2.0 * np.pi, dim))
+    return _iuo_mats(*_draw_iuo(dim, rng))[None]
+
+
+def _draw_rank_one_ppio(dim: int, rng, n: int, injective: bool) -> tuple[np.ndarray, np.ndarray]:
+    """n rank-one PPIOs' raw draws, (n, dim, dim) each: the permutation and phases of each
+    level's IUO; injective levels share one permutation."""
+    perms, phases = np.empty((n, dim, dim), dtype=int), np.empty((n, dim, dim))
+    for k in range(n):
+        if injective:
+            perms[k], phases[k] = rng.permutation(dim), rng.uniform(0.0, 2.0 * np.pi, (dim, dim))
+        else:
+            for j in range(dim):
+                perms[k, j], phases[k, j] = _draw_iuo(dim, rng)
+    return perms, phases
+
+
+def _rank_one_ppio_ops(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Rank-one PPIO stacks (..., d, d, d) of their raw draws (..., d, d)."""
+    return _own_columns(_iuo_mats(perms, phases))
 
 
 def random_rank_one_ppio(
@@ -289,27 +326,24 @@ def random_rank_one_ppio(
     permutation, so the level map j -> perm(j) is a permutation (no two levels
     merge): the class on which the coherence correlation is representation
     independent; merging PPIOs can only drop it further."""
-    rows, phases = np.empty((n, dim), dtype=int), np.empty((n, dim, dim))
-    for k in range(n):
-        if injective:
-            rows[k] = rng.permutation(dim)
-            phases[k] = rng.uniform(0.0, 2.0 * np.pi, (dim, dim))
-        else:
-            for j in range(dim):
-                rows[k, j] = rng.permutation(dim)[j]
-                phases[k, j] = rng.uniform(0.0, 2.0 * np.pi, dim)
-    levels = np.arange(dim)
-    ops = np.zeros((n, dim, dim, dim), dtype=complex)
-    ops[np.arange(n)[:, None], levels, rows, levels] = np.exp(1j * phases[:, levels, levels])
-    return ops
+    return _rank_one_ppio_ops(*_draw_rank_one_ppio(dim, rng, n, injective))
+
+
+def _draw_kraus(dim: int, n_ops: int, rng: np.random.Generator) -> np.ndarray:
+    """A channel's raw draw: the real, then the imaginary normals (2, n_ops * dim, dim)."""
+    return rng.standard_normal((2, n_ops * dim, dim))
+
+
+def _kraus_ops(g: np.ndarray) -> np.ndarray:
+    """Kraus stacks (..., n, d, d) of Haar isometries: Q of raw normals (..., 2, n * d, d)."""
+    q, _ = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    return q.reshape(*q.shape[:-2], -1, q.shape[-1], q.shape[-1])
 
 
 def random_kraus_ops(dim: int, n_ops: int, rng: np.random.Generator) -> np.ndarray:
     """Random trace-preserving Kraus stack (n_ops, dim, dim) via a Haar-random
     isometry."""
-    g = rng.standard_normal((n_ops * dim, dim)) + 1j * rng.standard_normal((n_ops * dim, dim))
-    q, _ = np.linalg.qr(g)
-    return q.reshape(n_ops, dim, dim)
+    return _kraus_ops(_draw_kraus(dim, n_ops, rng))
 
 
 def random_physically_free(

@@ -112,6 +112,10 @@ def apply_local(m: np.ndarray, dims: tuple[int, int], ops_a=None, ops_b=None) ->
     = m[(i, j), (k, l)] a channel on A acts on the rows and one on B on the
     columns: one matrix product per side."""
     d_a, d_b = dims
+    m, dim = np.asarray(m), d_a * d_b
+    if m.shape[-2:] != (dim, dim):
+        raise ValueError(f"state for dims {dims} must be (..., {dim}, {dim}), got shape {m.shape}")
+    ops_a, ops_b = (None if o is None else np.asarray(o, dtype=complex) for o in (ops_a, ops_b))
     for side, ops, d in (("A", ops_a, d_a), ("B", ops_b, d_b)):
         if ops is not None and (ops.ndim < 3 or ops.shape[-2:] != (d, d)):
             raise ValueError(f"ops_{side.lower()} for side {side} of dims {dims} must be a Kraus "

@@ -16,7 +16,6 @@ from .linalg import (
     as_complex_matrix,
     as_frame,
     check_unitary,
-    dag,
 )
 
 
@@ -199,11 +198,15 @@ def classical_quantum(probs, blocks, basis_a=None) -> DensityMatrix:
 
 
 def _cq_mat(probs: np.ndarray, block_mats: np.ndarray, f=None) -> np.ndarray:
-    """classical_quantum's matrix, unvalidated; f is a checked frame or None."""
-    f = np.eye(len(probs)) if f is None else f
-    # mat[a, j, c, l] = sum_i f_i[a] conj(f_i[c]) p_i b_i[j, l]
-    mat = np.einsum("ai,ci,ijl->ajcl", f, f.conj(), probs[:, None, None] * block_mats)
-    return mat.reshape(len(probs) * block_mats.shape[-1], -1)
+    """classical_quantum's matrix, unvalidated, or a stack of them for probs (..., d_a) and
+    blocks (..., d_a, d_b, d_b): f is a checked frame (one state), or None to place p_i b_i."""
+    *lead, d_a, d_b, _ = block_mats.shape
+    weighted = probs[..., None, None] * block_mats
+    if f is not None:  # mat[a, j, c, l] = sum_i f_i[a] conj(f_i[c]) p_i b_i[j, l]
+        return np.einsum("ai,ci,ijl->ajcl", f, f.conj(), weighted).reshape(d_a * d_b, -1)
+    mat = np.zeros((*lead, d_a, d_a, d_b, d_b), dtype=complex)  # axes (i, k, j, l)
+    mat[..., range(d_a), range(d_a), :, :] = weighted
+    return mat.swapaxes(-2, -3).reshape(*lead, d_a * d_b, d_a * d_b)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +220,25 @@ ENSEMBLES = ("haar-pure", "ginibre-mixed")
 def rng_from_seed(seed) -> np.random.Generator:
     """One explicit Philox stream per seed (int or SeedSequence)."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+# SeedSequence.generate_state hashes pool word k with c_k and c_k+1, c_k = C * M**k mod 2**32
+_OUT_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & 0xFFFFFFFF for k in range(5)],
+                     dtype=np.uint32)
+
+
+def _restarts(rng: np.random.Generator, seeds):
+    """Restart rng, for each seed s in turn, on the stream rng_from_seed(s) starts, and yield
+    it; no generator is built.  A Philox stream is a zero counter and a key, the
+    SeedSequence(s).generate_state(2, np.uint64) hash, whose last step runs for all seeds."""
+    v = np.array([np.random.SeedSequence(int(s)).pool for s in seeds]) ^ _OUT_HASH[:-1]
+    v *= _OUT_HASH[1:]
+    for key in (v ^ v >> 16).astype("<u4").view("<u8").tolist():
+        rng.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        yield rng
 
 
 def spawn_seeds(seed: int, n: int) -> np.ndarray:
@@ -234,17 +256,25 @@ def haar_unitary(dim: int, rng: np.random.Generator, n: int | None = None) -> np
     return u[0] if n is None else u
 
 
-def _random_state_mat(d: int, ensemble: str, rng: np.random.Generator) -> np.ndarray:
+def _draw_state(d: int, ensemble: str, rng: np.random.Generator) -> np.ndarray:
+    """A state's raw draw: real, then imaginary normals, (2, d) haar-pure, else (2, d, d)."""
+    if ensemble not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}; expected one of {ENSEMBLES}")
+    return rng.standard_normal((2, d) if ensemble == "haar-pure" else (2, d, d))
+
+
+def _state_mats(ensemble: str, g: np.ndarray) -> np.ndarray:
+    """The states (..., d, d), unvalidated, of raw draws g (..., 2, d[, d]): the projector
+    on v/|v| (haar-pure) or g g†/tr (ginibre-mixed), for v or g = re + i im."""
     if ensemble == "haar-pure":
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        return ket_projector(v)
-    if ensemble == "ginibre-mixed":
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m = g @ dag(g)
-        m /= np.trace(m).real
-        return (m + dag(m)) / 2.0
-    raise ValueError(f"unknown ensemble {ensemble!r}; expected one of {ENSEMBLES}")
+        v = (g[..., 0, :] + 1j * g[..., 1, :])[..., None, :]
+        re, im = v.real, v.imag  # np.linalg.norm's dot products, so a stack gets its bits
+        v /= np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
+        return v.swapaxes(-1, -2) * v.conj()
+    g = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    m = g @ g.conj().swapaxes(-1, -2)
+    m /= m.trace(axis1=-2, axis2=-1).real[..., None, None]
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def random_state(d_a: int, d_b: int, ensemble: str, seed) -> DensityMatrix:
@@ -257,18 +287,18 @@ def random_state_from(
     rng: np.random.Generator, d_a: int, d_b: int, ensemble: str = "ginibre-mixed"
 ) -> DensityMatrix:
     """Draw a random state from an existing generator (suite plumbing)."""
-    return DensityMatrix(_random_state_mat(d_a * d_b, ensemble, rng), (d_a, d_b))
+    return DensityMatrix(_state_mats(ensemble, _draw_state(d_a * d_b, ensemble, rng)), (d_a, d_b))
 
 
-def _random_cq_mat(rng: np.random.Generator, d_a: int, d_b: int) -> np.ndarray:
-    probs = rng.dirichlet(np.ones(d_a))
-    blocks = np.array([_random_state_mat(d_b, "ginibre-mixed", rng) for _ in range(d_a)])
-    return _cq_mat(probs, blocks)
+def _draw_cq(rng: np.random.Generator, d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """A cq state's raw draw: its probabilities (d_a,), its blocks' draws (d_a, 2, d_b, d_b)."""
+    return rng.dirichlet(np.ones(d_a)), rng.standard_normal((d_a, 2, d_b, d_b))
 
 
 def random_cq_state(rng: np.random.Generator, d_a: int, d_b: int) -> DensityMatrix:
     """Random classical-quantum state in the computational reference basis."""
-    return DensityMatrix(_random_cq_mat(rng, d_a, d_b), (d_a, d_b))
+    probs, g = _draw_cq(rng, d_a, d_b)
+    return DensityMatrix(_cq_mat(probs, _state_mats("ginibre-mixed", g)), (d_a, d_b))
 
 
 # ---------------------------------------------------------------------------

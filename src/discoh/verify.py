@@ -1,12 +1,12 @@
 """Randomized verification suites for the structural theorems and the
 invariants behind the coherence correlation (see README for the statements).
 
-Every suite runs _run_trials in two phases: draw(i, rng) makes trial i's draws
-from its own child seed and returns arrays, and measure checks up to CHUNK (64)
-draws in one stacked pass; then progress fires once per trial of the chunk, in
-order.  theorem2 and zero-sets search per trial, so their draw is the whole
-check, and their chunks hold one trial each: progress follows every search.
-The rows reduce to a SuiteResult naming the worst trial and its seed.
+Every suite runs _run_trials in two phases: draw(i, rng) makes trial i's RNG calls
+on its own child stream (one Philox generator, re-keyed per trial) and returns the
+raw output; measure builds up to CHUNK (64) draws with the samplers' own stacked
+builders and checks them in one pass, then progress fires per trial, in order.
+theorem2 and zero-sets search per trial: their draw is the whole check, and their
+chunks hold one trial.  The rows reduce to a SuiteResult naming the worst trial.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .channels import random_iuo, random_physically_free, random_rank_one_ppio
+from .channels import (
+    _draw_iuo, _draw_kraus, _draw_rank_one_ppio, _iuo_mats, _kraus_ops, _rank_one_ppio_ops,
+)
 from .discord import (
     OptimizerConfig,
     _check_count,
@@ -30,15 +32,8 @@ from .discord import (
 from .linalg import apply_local, dephase_local
 from .measures import _DAC, _I_CO, _closed_form, correlated_coherence
 from .states import (
-    DensityMatrix,
-    _random_cq_mat,
-    _random_state_mat,
-    ket_projector,
-    random_cq_state,
-    random_state_from,
-    rng_from_seed,
-    spawn_seeds,
-    validate_density,
+    DensityMatrix, _cq_mat, _draw_cq, _draw_state, _restarts, _state_mats, ket_projector,
+    random_cq_state, random_state_from, rng_from_seed, spawn_seeds, validate_density,
 )
 
 # The suites' fixed sizes: every fourth theorem3 trial applies a mixture of two
@@ -78,11 +73,11 @@ def _run_trials(suite, trials, dims, seed, tol, draw, measure, progress, reduce=
     it, if any.  Details also name the worst trial and its child seed; child seeds are
     prefix-stable, so rerunning with trials=worst_trial + 1 reproduces it."""
     _check_count("trials", trials)
-    rows, seeds = [], spawn_seeds(seed, trials)
+    rows, seeds, rng = [], spawn_seeds(seed, trials), rng_from_seed(0)
     step = 1 if suite in _SEARCHING else CHUNK
     for start in range(0, trials, step):
         chunk = range(start, min(start + step, trials))
-        rows += measure([draw(i, rng_from_seed(int(seeds[i]))) for i in chunk])
+        rows += measure([draw(i, r) for i, r in zip(chunk, _restarts(rng, seeds[chunk]))])
         for i in chunk if progress else ():
             progress(i + 1, trials)
     violations = [v for v, _ in rows]
@@ -101,6 +96,14 @@ def _run_trials(suite, trials, dims, seed, tol, draw, measure, progress, reduce=
     )
 
 
+def _groups(keys):
+    """(key, indices) of each distinct key: the trials of a chunk that share one build."""
+    groups = {}
+    for j, key in enumerate(keys):
+        groups.setdefault(key, []).append(j)
+    return groups.items()
+
+
 def verify_theorem1(
     trials: int = 1000, dims: tuple = (2, 2), seed: int = 0, progress=None
 ) -> SuiteResult:
@@ -109,11 +112,12 @@ def verify_theorem1(
     The tests, not a classify call per trial, certify the PPIO sampler."""
 
     def draw(i, rng):
-        mat = _random_state_mat(dims[0] * dims[1], "ginibre-mixed", rng)
-        return mat, random_rank_one_ppio(dims[0], rng, 1)
+        g = _draw_state(dims[0] * dims[1], "ginibre-mixed", rng)
+        return g, *_draw_rank_one_ppio(dims[0], rng, 1, injective=False)
 
     def measure(chunk):
-        mats, ops = map(np.array, zip(*chunk))
+        g, perms, phases = map(np.array, zip(*chunk))
+        mats, ops = _state_mats("ginibre-mixed", g), _rank_one_ppio_ops(perms, phases)
         gaps, mi = _ppio_drops(mats, validate_density(mats), dims, ops)
         return [(max(-g, m - g), {"min_gap": g}) for (g,), m in zip(gaps.tolist(), mi.tolist())]
 
@@ -170,19 +174,30 @@ def verify_theorem3(
     d_a, d_b = dims
 
     def draw(i, rng):
-        cq = _random_cq_mat(rng, d_a, d_b)
+        probs, g = _draw_cq(rng, d_a, d_b)
         mixed = i % MIXTURE_EVERY == MIXTURE_EVERY - 1
         weights = rng.dirichlet(np.ones(2)) if mixed else np.array([1.0, 0.0])
-        ops_a, ops_b = np.zeros((2, 1, d_a, d_a), complex), np.zeros((2, 3, d_b, d_b), complex)
-        for k in range(1 + mixed):
-            u_a, b_ops = random_physically_free(d_a, d_b, rng, n_b_ops=int(rng.integers(1, 4)))
-            ops_a[k], ops_b[k, : len(b_ops)] = u_a, b_ops
-        return cq, weights, ops_a, ops_b
+        free = []  # per channel, in draw order: a Kraus count, U_a's draw, the B channel's
+        for _ in range(1 + mixed):
+            n_b_ops = int(rng.integers(1, 4))
+            free.append((*_draw_iuo(d_a, rng), _draw_kraus(d_b, n_b_ops, rng)))
+        return probs, g, weights, free
 
     def measure(chunk):
-        cq, weights, ops_a, ops_b = map(np.array, zip(*chunk))
+        probs, g, weights, frees = zip(*chunk)
+        cq = _cq_mat(np.array(probs), _state_mats("ginibre-mixed", np.array(g)))
         validate_density(cq)
-        outs = (weights[..., None, None] * apply_local(cq[:, None], dims, ops_a, ops_b)).sum(1)
+        # channel k of trial t fills slot (t, k) of the stacks; zero channels pad the rest
+        slots = [(t, k) for t, free in enumerate(frees) for k in range(len(free))]
+        perms, phases, kraus = zip(*(channel for free in frees for channel in free))
+        ops_a = np.zeros((len(chunk), 2, 1, d_a, d_a), complex)
+        ops_b = np.zeros((len(chunk), 2, 3, d_b, d_b), complex)
+        ops_a[tuple(np.transpose(slots))] = _iuo_mats(np.array(perms), np.array(phases))[:, None]
+        for shape, group in _groups(raw.shape for raw in kraus):  # one QR per Kraus count
+            t, k = np.transpose([slots[j] for j in group])
+            ops_b[t, k, : shape[1] // d_b] = _kraus_ops(np.array([kraus[j] for j in group]))
+        weights = np.array(weights)[..., None, None]
+        outs = (weights * apply_local(cq[:, None], dims, ops_a, ops_b)).sum(1)
         return zip(_closed_form(outs, validate_density(outs), dims, _DAC).tolist(), repeat({}))
 
     return _run_trials("theorem3", trials, dims, seed, 1e-10, draw, measure, progress)
@@ -200,14 +215,15 @@ def verify_superadditivity(
     def draw(i, rng):
         ensemble = "haar-pure" if i % 5 == 4 else "ginibre-mixed"
         split = dims_list[i % len(dims_list)]
-        return split, _random_state_mat(split[0] * split[1], ensemble, rng)
+        return split, ensemble, _draw_state(split[0] * split[1], ensemble, rng)
 
     def measure(chunk):
-        violations = np.empty(len(chunk))
-        for split in {s for s, _ in chunk}:
-            group = [j for j, (s, _) in enumerate(chunk) if s == split]
-            mats = np.array([chunk[j][1] for j in group])
-            violations[group] = -_closed_form(mats, validate_density(mats), split, _I_CO)
+        mats, violations = {}, np.empty(len(chunk))
+        for (_, ensemble), group in _groups(trial[:2] for trial in chunk):
+            mats.update(zip(group, _state_mats(ensemble, np.array([chunk[j][2] for j in group]))))
+        for split, group in _groups(trial[0] for trial in chunk):
+            stack = np.array([mats[j] for j in group])
+            violations[group] = -_closed_form(stack, validate_density(stack), split, _I_CO)
         return zip(violations.tolist(), repeat({}))
 
     result = _run_trials("superadditivity", trials, dims_list[0], seed, 1e-9, draw, measure,
@@ -227,19 +243,22 @@ def verify_invariance(
     convexity, so representation independence holds on the non-merging class
     only, and the sampler draws from it."""
 
+    ppio_rng = rng_from_seed(0)  # restarted by each trial, on a seed it draws
+
     def draw(i, rng):
-        mat = _random_state_mat(dims[0] * dims[1], "ginibre-mixed", rng)
-        ppio_rng = rng_from_seed(int(rng.integers(0, 2**63)))
-        ops = random_rank_one_ppio(dims[0], ppio_rng, PPIO_SAMPLES, injective=True)
-        return mat, ops, random_iuo(dims[0], rng), random_iuo(dims[1], rng)
+        g = _draw_state(dims[0] * dims[1], "ginibre-mixed", rng)
+        (restarted,) = _restarts(ppio_rng, [rng.integers(0, 2**63)])
+        ppio = _draw_rank_one_ppio(dims[0], restarted, PPIO_SAMPLES, injective=True)
+        return g, *ppio, *_draw_iuo(dims[0], rng), *_draw_iuo(dims[1], rng)
 
     def measure(chunk):
-        mats, ops, u_a, u_b = map(np.array, zip(*chunk))
-        spectra = validate_density(mats)
-        drops, _ = _ppio_drops(mats, spectra, dims, ops)
-        conj = apply_local(mats, dims, u_a, u_b)
-        both = np.stack([spectra, validate_density(conj)], 1)
-        dac = _closed_form(np.stack([mats, conj], 1), both, dims, _DAC)
+        g, perms, phases, perm_a, phase_a, perm_b, phase_b = map(np.array, zip(*chunk))
+        mats = _state_mats("ginibre-mixed", g)
+        u_a, u_b = _iuo_mats(perm_a, phase_a)[:, None], _iuo_mats(perm_b, phase_b)[:, None]
+        both = np.stack([mats, apply_local(mats, dims, u_a, u_b)], 1)  # rho and its conjugate
+        spectra = validate_density(both)
+        drops, _ = _ppio_drops(mats, spectra[:, 0], dims, _rank_one_ppio_ops(perms, phases))
+        dac = _closed_form(both, spectra, dims, _DAC)
         devs = np.abs(np.concatenate([drops, dac[:, 1:]], axis=1) - dac[:, :1]).max(axis=1)
         return zip(devs.tolist(), repeat({}))
 

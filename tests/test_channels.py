@@ -17,9 +17,11 @@ from discoh.channels import (
     random_physically_free,
     random_rank_one_ppio,
 )
-from discoh.discord import coherence_discord
+from discoh.discord import coherence_discord, ppio_monotonicity_gap
 from discoh.linalg import apply_local
-from discoh.states import DensityMatrix, classical_quantum, random_state, rng_from_seed
+from discoh.states import (
+    DensityMatrix, bell_phi_plus, classical_quantum, random_state, rng_from_seed,
+)
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -368,6 +370,30 @@ def test_apply_local_names_the_side_of_a_mismatched_stack(side):
         message = str(err.value)
         assert f"side {side.upper()} of dims {dims}" in message
         assert "(..., n, 3, 3)" in message and str(ops.shape) in message
+
+
+def test_apply_local_names_the_shape_of_a_state_that_does_not_fit():
+    # a 6x6 matrix is no state of dims (2, 2); numpy's reshape error said so before
+    with pytest.raises(ValueError) as err:
+        apply_local(np.eye(6) / 6, (2, 2), dephasing_channel(2))
+    assert "dims (2, 2) must be (..., 4, 4), got shape (6, 6)" in str(err.value)
+
+
+def test_apply_local_takes_a_list_of_kraus_matrices():
+    m = random_state(2, 3, "ginibre-mixed", seed=16).mat
+    ops_a, ops_b = random_physically_free(2, 3, rng_from_seed(16), n_b_ops=2)
+    as_lists = apply_local(m, (2, 3), list(ops_a), [op.tolist() for op in ops_b])
+    assert np.array_equal(as_lists, apply_local(m, (2, 3), ops_a, ops_b))
+
+
+def test_a_kraus_channel_is_not_taken_for_its_stack():
+    # classify and the gap check their stack through KrausChannel, which names the fix
+    chan = KrausChannel(dephasing_channel(2))
+    for call in (lambda: KrausChannel(chan), lambda: classify(chan),
+                 lambda: ppio_monotonicity_gap(bell_phi_plus(), chan)):
+        with pytest.raises(TypeError, match=r"pass its \.ops"):
+            call()
+    assert "rank-one-ppio" in classify(chan.ops)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ runs the full campaigns."""
 import numpy as np
 import pytest
 
-from discoh.channels import random_iuo, random_rank_one_ppio
+from discoh.channels import (
+    _draw_iuo, _draw_kraus, _draw_rank_one_ppio, _iuo_mats, _kraus_ops, _rank_one_ppio_ops,
+    random_iuo, random_physically_free, random_rank_one_ppio,
+)
 from discoh.discord import coherence_discord, ppio_monotonicity_gap
 from discoh.linalg import apply_local
 from discoh.states import (
-    DensityMatrix, random_cq_state, random_state_from, rng_from_seed, spawn_seeds
+    DensityMatrix, _cq_mat, _draw_cq, _draw_state, _restarts, _state_mats, random_cq_state,
+    random_state, random_state_from, rng_from_seed, spawn_seeds,
 )
 from discoh.verify import (
     SUITES,
@@ -318,11 +322,12 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 def test_theorem1_check_catches_a_coherent_channel(monkeypatch):
     import discoh.verify
 
-    def hadamard_on_a(dim, rng, n, injective=False):
-        # the Hadamard channel as a stack of d_a = 2 operators, one of them zero
-        return np.stack([HADAMARD, np.zeros((2, 2))])[None]
+    def hadamard_on_a(perms, phases):
+        # each trial's PPIO built as the Hadamard channel: a stack of d_a = 2
+        # operators, one of them zero
+        return np.broadcast_to([HADAMARD, np.zeros((2, 2))], (*perms.shape[:-2], 2, 2, 2))
 
-    monkeypatch.setattr(discoh.verify, "random_rank_one_ppio", hadamard_on_a)
+    monkeypatch.setattr(discoh.verify, "_rank_one_ppio_ops", hadamard_on_a)
     result = verify_theorem1(trials=8, seed=118)
     assert not result.passed and result.failures == 8
     assert result.max_violation > 1e-3
@@ -331,10 +336,16 @@ def test_theorem1_check_catches_a_coherent_channel(monkeypatch):
 def test_theorem3_check_catches_a_coherent_channel(monkeypatch):
     import discoh.verify
 
-    def hadamard_on_a(d_a, d_b, rng, n_b_ops=2):
-        return HADAMARD[None], np.eye(d_b)[None]
+    # every U_a (x) {B_j} built as the Hadamard on A and the identity channel on B
+    def hadamard_on_a(perms, phases):
+        return np.broadcast_to(HADAMARD, (*perms.shape, 2))
 
-    monkeypatch.setattr(discoh.verify, "random_physically_free", hadamard_on_a)
+    def identity_on_b(g):
+        n, d_b = g.shape[-2] // g.shape[-1], g.shape[-1]
+        return np.broadcast_to(np.eye(d_b) / np.sqrt(n), (len(g), n, d_b, d_b))
+
+    monkeypatch.setattr(discoh.verify, "_iuo_mats", hadamard_on_a)
+    monkeypatch.setattr(discoh.verify, "_kraus_ops", identity_on_b)
     result = verify_theorem3(trials=8, seed=118)
     assert not result.passed and result.failures == 8
     assert result.max_violation > 1e-3
@@ -493,3 +504,157 @@ def test_suite_results_match_the_recorded_values(name):
         got = (result["max_violation"], result["failures"], details["worst_trial"],
                details["worst_seed"], *([details["min_gap"]] if "min_gap" in details else []))
         assert got == want, (seed, trials)
+
+
+# ---------------------------------------------------------------------------
+# Draw-only trials.  A closed-form suite's draw makes only its RNG calls; its
+# measure builds the whole chunk with the builders the library samplers use
+# (each sampler is its draw, then its build over a leading axis of one), and one
+# generator is restarted on each trial's child stream.
+# ---------------------------------------------------------------------------
+
+CHUNK_SIZES = [1, 7, 64]
+
+
+def same_bits(a, b) -> bool:
+    """Equal to the last bit, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def stacked(draws):
+    """The raw draws of a chunk, one stack per returned array."""
+    return map(np.array, zip(*draws))
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+@pytest.mark.parametrize("ensemble", ["ginibre-mixed", "haar-pure"])
+def test_chunk_built_states_are_the_sampled_states(n, ensemble):
+    for dims in [(2, 1), (2, 2), (2, 3), (3, 3)]:
+        d = dims[0] * dims[1]
+        singles = [random_state(*dims, ensemble, seed=s).mat for s in range(n)]
+        g = np.array([_draw_state(d, ensemble, rng_from_seed(s)) for s in range(n)])
+        assert same_bits(_state_mats(ensemble, g), singles), dims
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_chunk_built_cq_states_are_the_sampled_cq_states(n):
+    for dims in [(2, 2), (3, 2), (2, 3)]:
+        singles = [random_cq_state(rng_from_seed(s), *dims).mat for s in range(n)]
+        probs, g = stacked(_draw_cq(rng_from_seed(s), *dims) for s in range(n))
+        assert same_bits(_cq_mat(probs, _state_mats("ginibre-mixed", g)), singles), dims
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_chunk_built_iuos_and_ppios_are_the_sampled_ones(n):
+    for d in (2, 3, 4):
+        singles = [random_iuo(d, rng_from_seed(s)) for s in range(n)]
+        perms, phases = stacked(_draw_iuo(d, rng_from_seed(s)) for s in range(n))
+        assert same_bits(_iuo_mats(perms, phases)[:, None], singles), d
+        for injective in (False, True):
+            singles = [random_rank_one_ppio(d, rng_from_seed(s), 3, injective) for s in range(n)]
+            perms, phases = stacked(
+                _draw_rank_one_ppio(d, rng_from_seed(s), 3, injective) for s in range(n))
+            assert same_bits(_rank_one_ppio_ops(perms, phases), singles), (d, injective)
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_chunk_built_physically_free_channels_are_the_sampled_ones(n):
+    # as theorem3 builds them: the IUOs in one pass, the B channels one QR per Kraus count
+    d_a, d_b = 2, 3
+    counts = [1 + s % 3 for s in range(n)]
+    singles = [random_physically_free(d_a, d_b, rng_from_seed(s), k) for s, k in enumerate(counts)]
+    draws = []
+    for s, k in enumerate(counts):
+        rng = rng_from_seed(s)
+        draws.append((*_draw_iuo(d_a, rng), _draw_kraus(d_b, k, rng)))
+    perms, phases = stacked((p, ph) for p, ph, _ in draws)
+    u_a = _iuo_mats(perms, phases)[:, None]
+    for k in (1, 2, 3):
+        group = [s for s in range(n) if counts[s] == k]
+        b_ops = _kraus_ops(np.array([draws[s][2] for s in group])) if group else []
+        for s, ops in zip(group, b_ops):
+            assert same_bits(u_a[s], singles[s][0]) and same_bits(ops, singles[s][1]), s
+
+
+def test_state_builds_keep_the_per_state_arithmetic():
+    # the formulas the samplers used one state at a time, before stacks
+    for d in (2, 4, 6, 9, 64):
+        for s in range(8):
+            g = _draw_state(d, "ginibre-mixed", rng_from_seed(s))
+            z = g[0] + 1j * g[1]
+            m = z @ z.conj().T
+            m /= np.trace(m).real
+            assert same_bits(_state_mats("ginibre-mixed", g[None])[0], (m + m.conj().T) / 2.0)
+            g = _draw_state(d, "haar-pure", rng_from_seed(s))
+            v = g[0] + 1j * g[1]
+            v /= np.linalg.norm(v)
+            assert same_bits(_state_mats("haar-pure", g[None])[0], np.outer(v, v.conj()))
+
+
+def raw_leaves(x):
+    if isinstance(x, (tuple, list)):
+        for item in x:
+            yield from raw_leaves(item)
+    elif not isinstance(x, str):
+        yield np.asarray(x)
+
+
+@pytest.mark.parametrize("name", ["theorem1", "theorem3", "superadditivity", "invariance"])
+def test_a_closed_form_draw_returns_raw_rng_output_only(monkeypatch, name):
+    # no validation, QR, PPIO construction or build runs while a trial draws, and
+    # what a draw returns is real: normals, permutations, phases, weights, counts
+    import discoh.channels
+    import discoh.states
+    import discoh.verify
+
+    drawing = []
+
+    def forbid_while_drawing(owner, attr):
+        original = getattr(owner, attr)
+
+        def spy(*args, **kwargs):
+            assert not drawing, f"trial {drawing[0]} called {attr} while drawing"
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, spy)
+
+    for owner, attr in [
+        (np.linalg, "qr"), (discoh.channels, "make_ppio"), (discoh.states, "validate_density"),
+        (discoh.verify, "validate_density"), (discoh.channels, "_iuo_mats"),
+        *((discoh.verify, builder) for builder in
+          ("_state_mats", "_cq_mat", "_iuo_mats", "_kraus_ops", "_rank_one_ppio_ops")),
+    ]:
+        forbid_while_drawing(owner, attr)
+    run_trials = discoh.verify._run_trials
+
+    def watched(suite, trials, dims, seed, tol, draw, *args, **kwargs):
+        def watched_draw(i, rng):
+            drawing.append(i)
+            out = draw(i, rng)
+            drawing.pop()
+            assert all(leaf.dtype.kind in "iuf" for leaf in raw_leaves(out)), (suite, i)
+            return out
+
+        return run_trials(suite, trials, dims, seed, tol, watched_draw, *args, **kwargs)
+
+    monkeypatch.setattr(discoh.verify, "_run_trials", watched)
+    assert run_suite(name, trials=12, seed=126).passed
+
+
+def test_restarted_streams_are_the_seeded_streams():
+    # the keys are numpy's SeedSequence(s).generate_state(2, np.uint64), and the
+    # generator restarts clean even after a draw left half a 64-bit word buffered
+    edges = np.array([0, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+    seeds = np.concatenate([edges, spawn_seeds(127, 10**4)])
+    rng = rng_from_seed(1)
+    for k, (s, restarted) in enumerate(zip(seeds, _restarts(rng, seeds))):
+        assert restarted is rng
+        want = np.random.SeedSequence(int(s)).generate_state(2, np.uint64)
+        assert restarted.bit_generator.state["state"]["key"].tolist() == want.tolist(), int(s)
+        if k < 40:
+            draws = [[gen.standard_normal(3), gen.integers(1, 4), gen.permutation(3),
+                      gen.dirichlet(np.ones(3)), gen.integers(0, 2**63)]
+                     for gen in (rng_from_seed(int(s)), restarted)]
+            assert all(same_bits(a, b) for a, b in zip(*draws)), int(s)
+        restarted.integers(1, 4)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_complex_matrix, dag
-from .states import DensityMatrix
+from .linalg import dag
+from .states import DensityMatrix, _checked_state
 
 KRAUS_TOL = 1e-9
 CLASSIFY_TOL = 1e-9
@@ -96,14 +96,14 @@ class ChannelMixture:
 def apply(chan, rho):
     """Apply a KrausChannel, or a mixture of them, to a state of its own system.
 
-    DensityMatrix in, DensityMatrix out (revalidated); plain matrices pass
-    through as matrices.  A channel on one side of a bipartite state, such as
-    U_a (x) {B_j}, acts through linalg.apply_local instead.
+    DensityMatrix in, DensityMatrix out (revalidated); a plain matrix, checked
+    on entry, comes out as a matrix.  A channel on one side of a bipartite
+    state, such as U_a (x) {B_j}, acts through linalg.apply_local instead.
     """
     mixture = isinstance(chan, ChannelMixture)
     weights, parts = (chan.weights, chan.components) if mixture else ((1.0,), (chan,))
     state = isinstance(rho, DensityMatrix)
-    m = rho.mat if state else as_complex_matrix(rho)
+    m = _checked_state(rho)[0]
     dim = parts[0].dim
     if m.shape[0] != dim:
         raise ValueError(f"state dimension {m.shape[0]} does not match channel ({dim})")

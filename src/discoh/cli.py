@@ -16,9 +16,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .discord import OptimizerConfig, discord
+from .discord import OptimizerConfig, _check_count, discord
 from .measures import CSV_COLUMNS, MeasureReport
 from .states import (
+    ENSEMBLES,
     DensityMatrix,
     ReferenceBasis,
     check_tolerance,
@@ -96,6 +97,16 @@ def parse_tolerance(text: str) -> float:
         return check_tolerance("tolerance", value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+
+
+def parse_seed(text: str) -> int:
+    """A --seed value, checked by the rule OptimizerConfig and the suites apply."""
+    try:
+        seed = int(text)
+        _check_count("seed", seed, least=0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return seed
 
 
 def _state_tolerances(args) -> dict:
@@ -267,7 +278,7 @@ def cmd_random(args) -> int:
 
 def _add_common(p, fmt: bool = False, search: bool = False):
     """The flags shared by several commands; each command takes only those it reads."""
-    p.add_argument("--seed", type=int, default=0, help="root seed (always echoed in output)")
+    p.add_argument("--seed", type=parse_seed, default=0, help="root seed (always echoed in output)")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
     if fmt:
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="write a random state file")
     p.add_argument("--dims", type=parse_dims, default=(2, 2))
-    p.add_argument("--ensemble", choices=("haar-pure", "ginibre-mixed"), default="ginibre-mixed")
+    p.add_argument("--ensemble", choices=ENSEMBLES, default="ginibre-mixed")
     _add_common(p)
     p.set_defaults(func=cmd_random)
     return parser

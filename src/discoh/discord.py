@@ -29,7 +29,6 @@ from .measures import (
     _read,
     _table,
     correlated_coherence,
-    entropy,
     entropy_of_probs,
     mutual_information,
 )
@@ -56,6 +55,7 @@ class OptimizerConfig:
     def __post_init__(self):
         _check_count("restarts", self.restarts)
         _check_count("max_iter", self.max_iter)
+        _check_count("seed", self.seed, least=0)
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,9 @@ def _basis_objective(rho: DensityMatrix):
     d_a, d_b = rho.dims
     # tm[(i, j, l), m] = rho[i, j, m, l], so (tm @ U)[(i, j, l), a] = y[i, j, l, a]
     tm = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(0, 1, 3, 2).reshape(-1, d_a)
-    const = entropy(partial_trace(rho.mat, rho.dims, keep="a")) - entropy(rho)
+    # the marginal is trusted as rho is, not rechecked at tolerances rho may have loosened
+    ra = partial_trace(rho.mat, rho.dims, keep="a")
+    const = entropy_of_probs(np.linalg.eigvalsh(ra)) - entropy_of_probs(rho.spectrum)
 
     def objective(frames):
         y = (tm @ frames).reshape(-1, d_a, d_b, d_b, d_a)
@@ -301,7 +303,7 @@ def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400)
     cond = s_union_minus_h_p(block)
     np.subtract(rb, block, out=block)  # the other outcome: rho_b/2 - H
     cond += s_union_minus_h_p(block)
-    mci = entropy(rb) - cond
+    mci = entropy_of_probs(np.linalg.eigvalsh(rb)) - cond
     return float(np.min(mutual_information(rho) - mci))
 
 

@@ -6,7 +6,8 @@ defaults to the computational basis of each subsystem; pass a
 
 Each public function checks its basis arguments once, on entry; the private
 helpers below take the checked frames.  A ``DensityMatrix`` was validated when
-it was built and carries its spectrum, so S(rho) costs no decomposition.
+it was built and carries its spectrum, so S(rho) costs no decomposition; a
+plain matrix is validated on entry, by the same check (states._checked_state).
 
 Every closed form is a signed sum of seven entropies of rho, its marginals
 and its dephasings, which ``_entropies`` tabulates for one state or a stack:
@@ -25,10 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    as_complex_matrix, as_frame, conditional_blocks, dag, frame_diagonal, partial_trace
-)
-from .states import DensityMatrix, state_mat
+from .linalg import as_frame, conditional_blocks, dag, frame_diagonal, partial_trace
+from .states import DensityMatrix, _checked_state
 
 # Eigenvalues of a state below this are treated as exactly zero; anything
 # more negative signals an invalid state and raises.
@@ -58,18 +57,9 @@ def entropy_of_probs(p: np.ndarray, axis=None):
     return -(safe * np.log2(safe)).sum(axis=axis)
 
 
-def _state(rho) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, eigenvalues) of a DensityMatrix, which keeps its spectrum, or
-    of a plain matrix."""
-    if isinstance(rho, DensityMatrix):
-        return rho.mat, rho.spectrum
-    m = as_complex_matrix(rho)
-    return m, np.linalg.eigvalsh(m)
-
-
 def entropy(rho) -> float:
     """Von Neumann entropy -Tr(rho log2 rho)."""
-    return entropy_of_probs(_state(rho)[1])
+    return entropy_of_probs(_checked_state(rho)[1])
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -78,8 +68,8 @@ def relative_entropy(rho, sigma) -> float:
     Returns math.inf when the support of rho is not contained in the support
     of sigma (rank decided with eigenvalue cutoff 1e-10).
     """
-    r = state_mat(rho)
-    s = state_mat(sigma)
+    r, w_r = _checked_state(rho)
+    s = _checked_state(sigma)[0]
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
     w_s, v_s = np.linalg.eigh(s)
@@ -90,12 +80,12 @@ def relative_entropy(rho, sigma) -> float:
         return math.inf
     keep = ~kernel
     cross = float(np.dot(mass[keep], np.log2(w_s[keep])))
-    return -entropy(rho) - cross
+    return -entropy_of_probs(w_r) - cross
 
 
 def coherence_rel_ent(rho, basis=None) -> float:
     """Relative entropy of coherence: S[dephased rho] - S(rho)."""
-    m, w = _state(rho)
+    m, w = _checked_state(rho)
     return entropy_of_probs(frame_diagonal(m, as_frame(basis, m.shape[0]))) - entropy_of_probs(w)
 
 
@@ -198,7 +188,7 @@ def _l1_of(m: np.ndarray, frame) -> float:
 
 def l1_coherence(rho, basis=None) -> float:
     """Sum of moduli of the off-diagonal entries in the reference frame."""
-    m = state_mat(rho)
+    m = _checked_state(rho)[0]
     return _l1_of(m, as_frame(basis, m.shape[0]))
 
 

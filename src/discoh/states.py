@@ -139,11 +139,15 @@ class DensityMatrix:
         return self.dims[0] * self.dims[1]
 
 
-def state_mat(rho) -> np.ndarray:
-    """Accept a DensityMatrix or a plain (already square) matrix."""
+def _checked_state(rho) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, ascending spectrum) of a DensityMatrix, or of a plain square matrix
+    that validate_density accepts at the default tolerances."""
     if isinstance(rho, DensityMatrix):
-        return rho.mat
-    return as_complex_matrix(rho)
+        return rho.mat, rho.spectrum
+    m = as_complex_matrix(rho)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"a state must be a square matrix, got shape {m.shape}")
+    return m, validate_density(m)
 
 
 def swap_subsystems(rho: DensityMatrix) -> DensityMatrix:
@@ -188,7 +192,7 @@ def classical_quantum(probs, blocks, basis_a=None) -> DensityMatrix:
         raise ValueError("probabilities must be nonnegative")
     if abs(probs.sum() - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {probs.sum():.12g}, expected 1")
-    block_mats = np.array([state_mat(b) for b in blocks])  # raises on ragged shapes
+    block_mats = np.array([_checked_state(b)[0] for b in blocks])  # raises on ragged shapes
     d_b = block_mats.shape[-1]
     if block_mats.shape[1:] != (d_b, d_b):
         raise ValueError("all B blocks must share one dimension")

@@ -73,6 +73,7 @@ def _run_trials(suite, trials, dims, seed, tol, draw, measure, progress, reduce=
     it, if any.  Details also name the worst trial and its child seed; child seeds are
     prefix-stable, so rerunning with trials=worst_trial + 1 reproduces it."""
     _check_count("trials", trials)
+    _check_count("seed", seed, least=0)
     rows, seeds, rng = [], spawn_seeds(seed, trials), rng_from_seed(0)
     step = 1 if suite in _SEARCHING else CHUNK
     for start in range(0, trials, step):

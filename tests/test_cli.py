@@ -116,6 +116,36 @@ def test_compute_rejects_bad_tolerances_at_parse_time(capsys, tmp_path, flag, va
     assert flag in captured.err and "unread.json" not in captured.err
 
 
+@pytest.mark.parametrize("value", ["-1", "1.5", "seven"])
+@pytest.mark.parametrize("command", ["compute", "sweep", "verify", "random"])
+def test_seed_must_be_an_integer_of_at_least_zero_at_parse_time(capsys, tmp_path, command, value):
+    # the state file does not exist, so an error that names it would show the flag was read late
+    positional = {"compute": [str(tmp_path / "unread.json")], "sweep": ["werner"],
+                  "verify": ["theorem1"], "random": []}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *positional, "--seed", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --seed: seed must be an integer >= 0, got '{value}'" in captured.err
+    assert "unread.json" not in captured.err
+
+
+def test_search_reads_a_state_loaded_with_a_looser_hermiticity_tolerance(capsys, tmp_path):
+    # rho_a inherits the Hermiticity error 1e-8; the search's S(rho_a) trusts it as it
+    # trusts rho, rather than checking it again at the default 1e-10
+    mat = random_state(2, 2, "ginibre-mixed", seed=3).mat.copy()
+    mat[0, 2] += 1e-8
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix_to_json(mat)}))
+    code, _, err = run_cli(capsys, "compute", str(path), "--measures", "discord,dac")
+    assert code == 2 and "not Hermitian" in err
+    code, out, _ = run_cli(capsys, "compute", str(path), "--measures", "discord,dac",
+                           "--tol-hermitian", "1e-6")
+    assert code == 0
+    assert set(json.loads(out)["measures"]) == {"dac", "discord"}
+
+
 def test_compute_missing_file(capsys):
     code, _, err = run_cli(capsys, "compute", "no-such-state.json")
     assert code == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from discoh.channels import random_physically_free
+from discoh.channels import KrausChannel, apply, dephasing_channel, random_physically_free
 from discoh.linalg import apply_local, dephase_local, partial_trace
 from discoh.measures import (
     CSV_COLUMNS,
@@ -64,6 +64,63 @@ def test_entropy_of_probs_of_a_stack_is_each_row():
                     rtol=0, atol=1e-15)
     with pytest.raises(ValueError, match="negative"):
         entropy_of_probs(np.array([[0.5, 0.5], [1.1, -0.1]]), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# One state check: a plain matrix is validated on entry, a DensityMatrix is not
+# checked or decomposed again
+# ---------------------------------------------------------------------------
+
+ENTRY_POINTS = {
+    "entropy": entropy,
+    "relative_entropy(rho)": lambda m: relative_entropy(m, np.eye(2) / 2),
+    "relative_entropy(sigma)": lambda m: relative_entropy(np.eye(2) / 2, m),
+    "coherence_rel_ent": coherence_rel_ent,
+    "l1_coherence": l1_coherence,
+    "classical_quantum": lambda m: classical_quantum([0.5, 0.5], [m, np.eye(2) / 2]),
+    "apply": lambda m: apply(KrausChannel(dephasing_channel(2)), m),
+}
+INVALID_STATES = {
+    "non-Hermitian": (np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian"),
+    "trace 1.5": (np.diag([0.75, 0.75]), r"trace = 1\.5 exceeds tolerance"),
+    "negative eigenvalue": (np.diag([1.1, -0.1]), "negative eigenvalue"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_STATES)
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_plain_matrices_are_validated_on_entry(name, case):
+    m, message = INVALID_STATES[case]
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[name](m)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_a_plain_state_must_be_square(name):
+    with pytest.raises(ValueError, match="square"):
+        ENTRY_POINTS[name](np.ones((2, 3)) / 3)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_a_density_matrix_argument_is_not_decomposed_again(monkeypatch, name):
+    rho = DensityMatrix(np.array([[0.7, 0.3j], [-0.3j, 0.3]]), (1, 2))
+    eigvalsh, seen = np.linalg.eigvalsh, []
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    ENTRY_POINTS[name](rho)
+    assert not any(a.shape == rho.mat.shape and np.array_equal(a, rho.mat) for a in seen)
+
+
+def test_a_plain_state_gives_the_bits_of_its_density_matrix():
+    m = random_state(2, 3, "ginibre-mixed", seed=12).mat
+    rho, sigma = DensityMatrix(m, (2, 3)), random_state(2, 3, "ginibre-mixed", seed=13)
+    for fn in (entropy, coherence_rel_ent, l1_coherence):
+        assert fn(m) == fn(rho)
+    assert relative_entropy(m, sigma.mat) == relative_entropy(rho, sigma)
 
 
 def test_relative_entropy_identical_is_zero():

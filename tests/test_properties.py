@@ -275,6 +275,14 @@ def test_run_suite_rejects_invalid_search_options_before_any_trial(name, option,
     assert calls == []
 
 
+@pytest.mark.parametrize("name", SUITES)
+def test_a_negative_seed_is_rejected_before_any_trial(name):
+    calls = []
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+        run_suite(name, trials=2, seed=-1, progress=lambda i, n: calls.append(i))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # The stacked campaign checks still catch wrong values
 # ---------------------------------------------------------------------------

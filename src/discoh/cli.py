@@ -16,12 +16,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .discord import OptimizerConfig, _check_count, discord
+from .discord import OptimizerConfig, discord
 from .measures import CSV_COLUMNS, MeasureReport
 from .states import (
     ENSEMBLES,
     DensityMatrix,
     ReferenceBasis,
+    _check_count,
     check_tolerance,
     classical_quantum,
     ket_projector,

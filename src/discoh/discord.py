@@ -3,13 +3,14 @@ correlation in closed form, and the machinery that checks the structural
 theorems relating the two (see README, Theorems 1-3).
 
 The basis search minimizes one objective, I(rho) - J_U(rho) (equally the
-coherence correlation against the frame U), over unitary frames U on A.  All
-restarts move in lock-step on U(d_a): one stacked evaluation gives every
-value and analytic gradient, each restart follows a geodesic with a
-Barzilai-Borwein step and Armijo backtracking, and retires on its own once its
-Riemannian gradient is small (Abrudan, Eriksson & Koivunen, IEEE TSP 56, 1134
-(2008); Wen & Yin, Math. Program. 142, 397 (2013)).  The value is an upper
-bound on the true minimum, with per-restart statistics attached.
+coherence correlation against the frame U), over unitary frames U on A.  Each
+restart follows a geodesic on U(d_a) with a Barzilai-Borwein step and Armijo
+backtracking, and retires on its own once its Riemannian gradient is small
+(Abrudan, Eriksson & Koivunen, IEEE TSP 56, 1134 (2008); Wen & Yin, Math.
+Program. 142, 397 (2013)).  One stacked evaluation gives the value and
+analytic gradient at the next trial point of every live restart, a new step or
+a halved backtrack, so no restart waits on another's line search.  The value
+is an upper bound on the true minimum, with per-restart statistics attached.
 """
 
 from __future__ import annotations
@@ -33,13 +34,9 @@ from .measures import (
     mutual_information,
 )
 from .states import (
-    DensityMatrix, ReferenceBasis, haar_unitary, matrix_to_json, rng_from_seed, validate_density
+    DensityMatrix, ReferenceBasis, _check_count, haar_unitary, matrix_to_json, rng_from_seed,
+    validate_density,
 )
-
-
-def _check_count(name: str, n, least: int = 1) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +57,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
+    """One restart: stop is "gradient", "line-search" or "budget", and evaluations
+    counts the objective rows it took, its initial point included."""
+
     initial_frame: tuple
     final_value: float
     iterations: int
+    stop: str
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -84,25 +86,10 @@ class OptimizationTrace:
             "restarts_at_best": self.restarts_at_best,
             "restarts": [
                 {"initial_frame": matrix_to_json(r.initial_frame), "final_value": r.final_value,
-                 "iterations": r.iterations}
+                 "iterations": r.iterations, "stop": r.stop, "evaluations": r.evaluations}
                 for r in self.restarts
             ],
         }
-
-
-def _eigvalsh_psd_batch(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of small Hermitian PSD matrices.
-
-    2x2 blocks use the closed form; larger blocks go through LAPACK.
-    """
-    if mats.shape[-1] == 2:
-        a = mats[..., 0, 0].real
-        d = mats[..., 1, 1].real
-        b = mats[..., 0, 1]
-        half = 0.5 * (a + d)
-        r = np.sqrt(0.25 * (a - d) ** 2 + b.real**2 + b.imag**2)
-        return np.stack([half - r, half + r], axis=-1)
-    return np.linalg.eigvalsh(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +122,28 @@ ARMIJO, MAX_BACKTRACKS = 1e-4, 40
 X_TOL, F_TOL = 1e-9, 1e-9
 
 
+def _log2_or_0(x):
+    """log2 with the pseudo-log convention log 0 := 0."""
+    return np.log2(np.where(x > 0.0, x, 1.0))
+
+
+def _qubit_spectra(a, d, b):
+    """Eigenvalues lo <= hi of Hermitian PSD 2x2 blocks [[a, b], [b*, d]] in
+    closed form, lo clipped at 0, and r, half their gap before the clip."""
+    half, r = 0.5 * (a + d), np.sqrt((0.5 * (a - d)) ** 2 + np.abs(b) ** 2)
+    return np.maximum(half - r, 0.0), half + r, r
+
+
+def _log2_slope(lo, hi, r):
+    """c1 with log2 M = c1 (M - lo 1) + log2(lo) 1 (log 0 := 0) for 2x2 spectra
+    from _qubit_spectra: log2(hi / lo) / 2r, taken through log1p so that
+    near-degenerate blocks keep their digits, and log2(hi) / hi when lo = 0."""
+    safe = np.where(lo > 0.0, lo, 1.0)
+    x = np.maximum(2.0 * r / safe, 1e-300)
+    return np.where(lo > 0.0, np.log1p(x) / x / (safe * math.log(2.0)),
+                    _log2_or_0(hi) / np.maximum(hi, 1e-300))
+
+
 def _basis_objective(rho: DensityMatrix):
     """f(U) = I(rho) - J_U(rho) = S(rho_a) - S(rho) + S_union - H(p) on a
     stack of frames U, shape (R, d_a, d_a), with its gradient wrt conj(U).
@@ -143,7 +152,8 @@ def _basis_objective(rho: DensityMatrix):
     traces and S_union the entropy of their joint spectrum.  The same f is the
     coherence correlation against the frame U, S[(Delta_U x 1)rho] - S(rho) -
     C_r(rho_a).  df = sum_k Tr[W_k dM_k] with W_k = log2(p_k) 1 - log2 M_k:
-    the 1/ln2 terms cancel because Tr dM_k = dp_k.
+    the 1/ln2 terms cancel because Tr dM_k = dp_k.  Qubit blocks (d_b = 2) take
+    their spectra and log2 M_k in closed form, larger ones from eigh.
     """
     d_a, d_b = rho.dims
     # tm[(i, j, l), m] = rho[i, j, m, l], so (tm @ U)[(i, j, l), a] = y[i, j, l, a]
@@ -151,20 +161,30 @@ def _basis_objective(rho: DensityMatrix):
     # the marginal is trusted as rho is, not rechecked at tolerances rho may have loosened
     ra = partial_trace(rho.mat, rho.dims, keep="a")
     const = entropy_of_probs(np.linalg.eigvalsh(ra)) - entropy_of_probs(rho.spectrum)
+    eye = np.eye(d_b)
 
     def objective(frames):
         y = (tm @ frames).reshape(-1, d_a, d_b, d_b, d_a)
         blocks = np.einsum("ria,rijla->rajl", frames.conj(), y)
-        lam, vec = np.linalg.eigh(blocks)
-        lam = np.clip(lam, 0.0, None)
+        if d_b == 2:
+            lo, hi, r = _qubit_spectra(blocks[..., 0, 0].real, blocks[..., 1, 1].real,
+                                       blocks[..., 0, 1])
+            lam = np.concatenate([lo[..., None], hi[..., None]], axis=-1)
+        else:
+            lam, vec = np.linalg.eigh(blocks)
+            lam = np.clip(lam, 0.0, None)
         p = lam.sum(axis=-1)
         # pseudo-log, log 0 := 0: a zero eigenvalue of a PSD block moves only at
         # second order, so its weight in W adds nothing to the gradient
-        log_lam = np.log2(np.where(lam > 0.0, lam, 1.0))
-        log_p = np.log2(np.where(p > 0.0, p, 1.0))
+        log_lam, log_p = _log2_or_0(lam), _log2_or_0(p)
         f = const - (lam * log_lam).sum(axis=(1, 2)) + (p * log_p).sum(axis=1)
-        w = log_p[..., None] - log_lam
-        wmat = (vec * w[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+        if d_b == 2:
+            c1 = _log2_slope(lo, hi, r)
+            w0 = log_p - log_lam[..., 0] + c1 * lo
+            wmat = w0[..., None, None] * eye - c1[..., None, None] * blocks
+        else:
+            w = log_p[..., None] - log_lam
+            wmat = (vec * w[..., None, :]) @ vec.conj().swapaxes(-1, -2)
         return f, np.einsum("rijla,ralj->ria", y, wmat)
 
     return objective
@@ -180,55 +200,67 @@ def _inner(a, b):
     return np.einsum("rij,rij->r", a.conj(), b).real
 
 
+class _Minimized(tuple):
+    """minimize's (frames, values, iterations, converged), with each restart's
+    stop reason and objective evaluations as .stop and .evaluations."""
+
+
 def minimize(objective, frames, config: OptimizerConfig):
-    """Riemannian gradient descent on U(d), every restart in lock-step.
+    """Riemannian gradient descent on U(d), each restart on its own path.
 
     objective(frames) maps an (n, d, d) stack to the values and the gradients
     wrt conj(frames).  Each step moves a restart along the geodesic
     exp(-mu A) U, A its Lie-algebra gradient, with mu a Barzilai-Borwein step
     (capped at a half turn) that an Armijo line search halves until the value
-    drops; all pending restarts share each stacked call.
-    Returns (frames, values, iterations, converged), one entry per restart.
+    drops.  Each stacked call carries the next trial point of every live
+    restart, a new step or a halved one, so no restart waits on another's line
+    search and each follows the path it would follow alone.
+    Returns (frames, values, iterations, converged), one entry per restart,
+    with .stop and .evaluations attached.
     """
     u = np.array(frames, dtype=complex)
+    n = len(u)
     f, g = objective(u)
     a = _riemannian(g, u)
-    step, drop, iters = np.ones(len(u)), np.full(len(u), math.inf), np.zeros(len(u), dtype=int)
-    converged = _inner(a, a) <= X_TOL**2
-    active = np.flatnonzero(~converged)
-    while active.size:
-        d, f0 = a[active], f[active]
-        # exp(-mu D) = V exp(i mu w) V^H from the eigensystem of the Hermitian iD
-        w, v = np.linalg.eigh(1j * d)
-        vu = v.conj().swapaxes(-1, -2) @ u[active]
-        mu = np.minimum(step[active], np.pi / np.abs(w).max(axis=-1))
-        decrease = ARMIJO * _inner(d, d)
-        pending = np.arange(active.size)
-        for _ in range(MAX_BACKTRACKS):
-            rot = np.exp(1j * mu[pending, None] * w[pending])
-            trial = v[pending] @ (rot[..., None] * vu[pending])
-            ft, gt = objective(trial)
-            ok = ft <= f0[pending] - mu[pending] * decrease[pending] + ROUNDOFF
-            r = active[pending[ok]]
-            u[r], f[r], a[r] = trial[ok], ft[ok], _riemannian(gt[ok], trial[ok])
-            pending = pending[~ok]
-            if not pending.size:
-                break
-            mu[pending] *= 0.5
-        converged[active[pending]] = drop[active[pending]] <= F_TOL
-        moved = np.ones(active.size, dtype=bool)
-        moved[pending] = False
-        r = active[moved]
-        # BB steps from s = -mu D and y = A_new - A_old, alternating the two forms
-        s, y = -mu[moved, None, None] * d[moved], a[r] - d[moved]
+    step, drop, mu, decrease = np.ones(n), np.full(n, math.inf), np.zeros(n), np.zeros(n)
+    iters, tries, evals = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.ones(n, dtype=int)
+    w, v, vu = np.zeros(u.shape[:2]), np.zeros_like(u), np.zeros_like(u)
+    live = fresh = np.flatnonzero(_inner(a, a) > X_TOL**2)
+    while live.size:
+        if fresh.size:
+            # exp(-mu A) = V exp(i mu w) V^H from the eigensystem of the Hermitian iA
+            af = a[fresh]
+            w[fresh], v[fresh] = np.linalg.eigh(1j * af)
+            vu[fresh] = v[fresh].conj().swapaxes(-1, -2) @ u[fresh]
+            mu[fresh] = np.minimum(step[fresh], np.pi / np.abs(w[fresh]).max(axis=-1))
+            decrease[fresh] = ARMIJO * _inner(af, af)
+        m = mu[live]
+        trial = v[live] @ (np.exp(1j * m[:, None] * w[live])[..., None] * vu[live])
+        ft, gt = objective(trial)
+        evals[live] += 1
+        tries[live] += 1
+        ok = ft <= f[live] - m * decrease[live] + ROUNDOFF
+        r, ft, ut = live[ok], ft[ok], trial[ok]
+        at = _riemannian(gt[ok], ut)
+        # BB steps from s = -mu A_old and y = A_new - A_old, alternating the two forms
+        s, y = -m[ok, None, None] * a[r], at - a[r]
         sy, ss, yy = np.abs(_inner(s, y)), _inner(s, s), _inner(y, y)
         bb = np.where(iters[r] % 2 == 0, ss / np.maximum(sy, 1e-300), sy / np.maximum(yy, 1e-300))
-        step[r] = np.clip(bb, 1e-10, 1e10)
-        drop[r] = f0[moved] - f[r]
+        step[r], drop[r] = np.clip(bb, 1e-10, 1e10), f[r] - ft
+        u[r], f[r], a[r], tries[r] = ut, ft, at, 0
         iters[r] += 1
-        converged[r] = _inner(a[r], a[r]) <= X_TOL**2
-        active = r[~converged[r] & (iters[r] < config.max_iter)]
-    return u, f, iters, converged
+        back = live[~ok]
+        mu[back] *= 0.5
+        fresh = r[(_inner(at, at) > X_TOL**2) & (iters[r] < config.max_iter)]
+        live = np.concatenate([fresh, back[tries[back] < MAX_BACKTRACKS]])
+    # tries restart at every accepted step, so only a restart whose line search
+    # ran out ends at MAX_BACKTRACKS; it converged if its last step changed the
+    # value by at most F_TOL
+    at_gradient, failed = _inner(a, a) <= X_TOL**2, tries >= MAX_BACKTRACKS
+    found = _Minimized((u, f, iters, at_gradient | failed & (drop <= F_TOL)))
+    found.stop = np.where(failed, "line-search", np.where(at_gradient, "gradient", "budget"))
+    found.evaluations = evals
+    return found
 
 
 def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationTrace:
@@ -241,11 +273,12 @@ def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationT
     rng = rng_from_seed(config.seed)
     eye = np.eye(rho.d_a, dtype=complex)[None]
     starts = np.concatenate([eye, haar_unitary(rho.d_a, rng, config.restarts - 1)])
-    frames, values, iters, converged = minimize(_basis_objective(rho), starts, config)
+    found = minimize(_basis_objective(rho), starts, config)
+    frames, values, iters, converged = found
     best = int(np.argmin(values))
     records = tuple(
-        RestartRecord(tuple(map(tuple, s)), float(v), int(i))
-        for s, v, i in zip(starts, values, iters)
+        RestartRecord(tuple(map(tuple, s)), float(v), int(i), str(why), int(e))
+        for s, v, i, why, e in zip(starts, values, iters, found.stop, found.evaluations)
     )
     best_basis = ReferenceBasis(frames[best])
     at_best = int(np.count_nonzero(values - values[best] <= F_TOL))
@@ -286,22 +319,25 @@ def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400)
     _check_count("n_phi", n_phi, least=2)
     t = rho.mat.reshape(2, d_b, 2, d_b)
     pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-    r_x, r_y, r_z = np.einsum("xki,ijkl->xjl", pauli, t) / 2.0
+    r_x, r_y, r_z = np.einsum("xki,ijkl->xjl", pauli, t)[..., None, None] / 2.0
     rb = partial_trace(rho.mat, rho.dims, keep="b")
 
-    theta = np.linspace(0.0, np.pi / 2.0, n_theta)[:, None, None, None]
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)[:, None, None]
-    # block = rho_b/2 + H, shape (n_theta, n_phi, d_b, d_b)
+    theta = np.linspace(0.0, np.pi / 2.0, n_theta)[:, None]
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    # block = rho_b/2 + H, shape (d_b, d_b, n_theta, n_phi): each entry one grid
     block = np.sin(2.0 * theta) * (np.cos(phi) * r_x + np.sin(phi) * r_y)
-    block += np.cos(2.0 * theta) * r_z + rb / 2.0
+    block += np.cos(2.0 * theta) * r_z + rb[..., None, None] / 2.0
 
     def s_union_minus_h_p(block):
-        lam = _eigvalsh_psd_batch(block)
+        if d_b == 2:
+            lo, hi, _ = _qubit_spectra(block[0, 0].real, block[1, 1].real, block[0, 1])
+            return (lo + hi) * _log2_or_0(lo + hi) - lo * _log2_or_0(lo) - hi * _log2_or_0(hi)
+        lam = np.linalg.eigvalsh(np.moveaxis(block, (0, 1), (-2, -1)))
         p = lam.sum(axis=-1, keepdims=True)
         return entropy_of_probs(lam, axis=-1) - entropy_of_probs(p, axis=-1)
 
     cond = s_union_minus_h_p(block)
-    np.subtract(rb, block, out=block)  # the other outcome: rho_b/2 - H
+    np.subtract(rb[..., None, None], block, out=block)  # the other outcome: rho_b/2 - H
     cond += s_union_minus_h_p(block)
     mci = entropy_of_probs(np.linalg.eigvalsh(rb)) - cond
     return float(np.min(mutual_information(rho) - mci))

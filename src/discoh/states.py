@@ -221,8 +221,14 @@ def _cq_mat(probs: np.ndarray, block_mats: np.ndarray, f=None) -> np.ndarray:
 ENSEMBLES = ("haar-pure", "ginibre-mixed")
 
 
+def _check_count(name: str, n, least: int = 1) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 def rng_from_seed(seed) -> np.random.Generator:
-    """One explicit Philox stream per seed (int or SeedSequence)."""
+    """One explicit Philox stream per seed, an integer >= 0."""
+    _check_count("seed", seed, least=0)
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -21,7 +21,6 @@ from .channels import (
 )
 from .discord import (
     OptimizerConfig,
-    _check_count,
     _ppio_drops,
     coherence_discord,
     discord,
@@ -32,8 +31,9 @@ from .discord import (
 from .linalg import apply_local, dephase_local
 from .measures import _DAC, _I_CO, _closed_form, correlated_coherence
 from .states import (
-    DensityMatrix, _cq_mat, _draw_cq, _draw_state, _restarts, _state_mats, ket_projector,
-    random_cq_state, random_state_from, rng_from_seed, spawn_seeds, validate_density,
+    DensityMatrix, _check_count, _cq_mat, _draw_cq, _draw_state, _restarts, _state_mats,
+    ket_projector, random_cq_state, random_state_from, rng_from_seed, spawn_seeds,
+    validate_density,
 )
 
 # The suites' fixed sizes: every fourth theorem3 trial applies a mixture of two

@@ -149,6 +149,152 @@ def test_search_on_pure_states_returns_entanglement_entropy(dims):
     assert trace.converged
 
 
+@pytest.mark.parametrize("d_b", [2, 3])
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+def test_a_restart_follows_the_path_it_takes_alone(d_a, d_b):
+    from discoh.discord import _basis_objective
+
+    # d_b = 2 runs the closed-form qubit blocks, d_b = 3 the eigh ones
+    objective = _basis_objective(random_state(d_a, d_b, "ginibre-mixed", seed=10 * d_a + d_b))
+    starts = np.concatenate([np.eye(d_a)[None], haar_unitary(d_a, rng_from_seed(d_a), 15)])
+    stacked = minimize(objective, starts, OptimizerConfig())
+    for k in range(len(starts)):
+        alone = minimize(objective, starts[k:k + 1], OptimizerConfig())
+        for together, by_itself in zip(stacked, alone):
+            assert np.array_equal(together[k:k + 1], by_itself)
+        assert stacked.stop[k] == alone.stop[0]
+        assert stacked.evaluations[k] == alone.evaluations[0]
+
+
+def test_stacked_calls_follow_the_longest_restart():
+    calls = []
+
+    def counting(objective, frames, config):
+        def counted(x):
+            calls.append(len(x))
+            return objective(x)
+
+        return minimize(counted, frames, config)
+
+    rho = hidden_basis_state(np.random.default_rng(44), 4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules["discoh.discord"], "minimize", counting)
+        value, trace = discord(rho)
+    assert abs(value) <= 1e-9 and trace.converged
+    evaluations = [r.evaluations for r in trace.restarts]
+    # every call carries each live restart once, the first call all of them
+    assert len(calls) == max(evaluations) and sum(calls) == sum(evaluations)
+    assert calls[0] == len(trace.restarts)
+    # restarts that waited on each other's backtracks took 141 calls on this state
+    assert 1.5 * len(calls) <= 141
+
+
+def test_stop_reasons_name_the_budget_and_the_line_search():
+    from discoh.discord import _basis_objective
+
+    objective = _basis_objective(random_state(3, 2, "ginibre-mixed", seed=5))
+    starts = np.stack([haar_unitary(3, np.random.default_rng(k)) for k in range(3)])
+    cut = minimize(objective, starts, OptimizerConfig(max_iter=2))
+    assert list(cut.stop) == ["budget"] * 3 and list(cut[2]) == [2] * 3
+
+    def uphill(frames):
+        f, g = objective(frames)
+        return f, -g
+
+    # the initial point and every halving of the one step that never drops
+    stuck = minimize(uphill, starts, OptimizerConfig())
+    assert list(stuck.stop) == ["line-search"] * 3
+    assert list(stuck.evaluations) == [41] * 3
+
+
+def eigh_objective(rho, frames):
+    """The basis objective and its gradient wrt conj(U) with every block
+    spectrum and block logarithm from LAPACK."""
+    d_a, d_b = rho.dims
+    t = rho.mat.reshape(d_a, d_b, d_a, d_b)
+    lam, vec = np.linalg.eigh(np.einsum("ria,ijml,rma->rajl", frames.conj(), t, frames))
+    lam = lam.clip(0.0, None)
+    p = lam.sum(axis=-1)
+
+    def log2(x):
+        return np.log2(np.where(x > 0.0, x, 1.0))
+
+    wmat = (vec * (log2(p)[..., None] - log2(lam))[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+    const = entropy(partial_trace(rho.mat, rho.dims, keep="a")) - entropy(rho)
+    f = const - (lam * log2(lam)).sum(axis=(1, 2)) + (p * log2(p)).sum(axis=1)
+    return f, np.einsum("ijml,rma,ralj->ria", t, frames, wmat)
+
+
+def with_blocks(blocks, seed):
+    """A state whose conditional blocks in the computational frame of A are the
+    given PSD blocks (trace 1 in all), joined through a random correlation
+    matrix: rho = S (C x 1) S^H with S the block diagonal of the roots."""
+    d_a, d_b = len(blocks), blocks[0].shape[0]
+    g = rng_from_seed(seed).standard_normal((d_a, d_a)) + 0j
+    c = g @ g.T
+    c /= np.sqrt(np.outer(np.diag(c), np.diag(c)))
+    roots = []
+    for m in blocks:
+        w, v = np.linalg.eigh(m)
+        roots.append((v * np.sqrt(w.clip(0.0, None))) @ v.conj().T)
+    s = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+    for k, root in enumerate(roots):
+        s[k * d_b:(k + 1) * d_b, k * d_b:(k + 1) * d_b] = root
+    return DensityMatrix(s @ np.kron(c, np.eye(d_b)) @ s.conj().T, (d_a, d_b))
+
+
+def qubit_kernel_cases():
+    rng = np.random.default_rng(17)
+    v = haar_unitary(2, rng)
+    near = (v * [0.2 - 1e-11, 0.2 + 1e-11]) @ v.conj().T  # eigenvalues 1e-10 apart, relative
+    return {
+        "full rank": random_state(3, 2, "ginibre-mixed", seed=1),
+        "rank one": random_state(3, 2, "haar-pure", seed=2),
+        "degenerate": with_blocks([0.4 * np.eye(2) / 2, 0.6 * ginibre(rng, 2, 2)], seed=3),
+        "zero": DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2)),
+        "near-degenerate": with_blocks([near, 0.6 * ginibre(rng, 2, 2)], seed=4),
+    }
+
+
+@pytest.mark.parametrize("case", ["full rank", "rank one", "degenerate", "zero", "near-degenerate"])
+def test_qubit_block_kernel_matches_eigh(case):
+    from discoh.discord import _basis_objective
+
+    rho = qubit_kernel_cases()[case]
+    d_a = rho.d_a
+    # the computational frame holds the case's blocks; the Haar frames mix them
+    frames = np.concatenate([np.eye(d_a)[None], haar_unitary(d_a, rng_from_seed(5), 3)]) + 0j
+    f, g = _basis_objective(rho)(frames)
+    f_ref, g_ref = eigh_objective(rho, frames)
+    assert np.max(np.abs(f - f_ref)) <= 1e-12
+    assert np.max(np.abs(g - g_ref)) <= 1e-12
+
+
+def test_qubit_block_log_slope_keeps_its_digits():
+    from decimal import Decimal, localcontext
+
+    from discoh.discord import _log2_slope
+
+    # (lo, r): rank two at relative gaps 2e-10, 1e-13, 1e-6 and 1, degenerate,
+    # rank one and zero
+    lo = np.array([0.3, 0.3, 1e-3, 0.25, 0.5, 0.0, 0.0])
+    r = np.array([3e-11, 1.5e-14, 5e-10, 0.125, 0.0, 0.5, 0.0])
+    hi = lo + 2.0 * r
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ln2 = Decimal(2).ln()
+        want = []
+        for a, b, h in zip(lo.tolist(), r.tolist(), hi.tolist()):
+            a, b, h = Decimal(a), Decimal(b), Decimal(h)
+            if a == 0:
+                want.append(float(h.ln() / ln2 / h) if h else 0.0)
+            elif b == 0:
+                want.append(float(1 / (a * ln2)))
+            else:
+                want.append(float(((a + 2 * b) / a).ln() / ln2 / (2 * b)))
+    assert_allclose(_log2_slope(lo, hi, r), want, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("field, value", [("restarts", 0), ("max_iter", 0), ("seed", -1)])
 def test_optimizer_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -378,9 +524,9 @@ def test_x_state_discord_is_below_the_candidate_and_at_the_grid():
 
 def test_x_state_oracles_catch_a_search_pinned_to_the_reference_frame(monkeypatch):
     def pinned(objective, frames, config):
-        u = np.broadcast_to(np.eye(2, dtype=complex), frames.shape).copy()
-        values, _ = objective(u)
-        return u, values, np.zeros(len(u), dtype=int), np.ones(len(u), dtype=bool)
+        # the search itself, from the reference frame, with every gradient zeroed
+        u = np.broadcast_to(np.eye(2, dtype=complex), frames.shape)
+        return minimize(lambda x: (objective(x)[0], np.zeros_like(x)), u, config)
 
     monkeypatch.setattr(sys.modules["discoh.discord"], "minimize", pinned)
     # caught on every state but the two whose minimum is at the reference frame
@@ -463,7 +609,9 @@ def test_trace_serialization():
     assert len(d["restarts"]) == 3
     # every basis gives the Bell state's discord, so every restart ends at the best value
     assert d["restarts_at_best"] == 3
-    assert {"initial_frame", "final_value", "iterations"} == set(d["restarts"][0])
+    assert {"initial_frame", "final_value", "iterations", "stop", "evaluations"} == set(
+        d["restarts"][0])
+    assert [r["stop"] for r in d["restarts"]] == ["gradient"] * 3
 
 
 def test_restarts_at_best_counts_restarts_within_f_tol():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -158,6 +159,15 @@ def test_random_state_deterministic():
 def test_random_state_unknown_ensemble():
     with pytest.raises(ValueError, match="ensemble"):
         random_state(2, 2, "uniform", seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_seeds_must_be_integers_of_at_least_zero(seed):
+    message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+    with pytest.raises(ValueError, match=message):
+        rng_from_seed(seed)
+    with pytest.raises(ValueError, match=message):
+        random_state(2, 2, "ginibre-mixed", seed)
 
 
 def marginals(rho):

@@ -16,7 +16,10 @@ S(rho_b) and S_union, the entropy of the joint spectrum of the A-conditional
 blocks (S of the A-dephased state).  A table costs two small decompositions:
 rho_a, and rho_b stacked with the blocks, which are all d_b x d_b.  Each
 quantity is one sign vector over the rows (``_I_CO``, ``_DAC``, ...); only this
-module knows the row order.
+module knows the row order.  A DensityMatrix keeps each table built for it, with
+its marginals, for up to four frame pairs: a report, dac and dac_sym of one state
+in the same frames read one table.  The kept arrays are read-only pure functions
+of the immutable matrix, so a state stays safe to share across workers.
 """
 
 from __future__ import annotations
@@ -149,10 +152,29 @@ def _closed_form(m: np.ndarray, w: np.ndarray, dims, signs: np.ndarray) -> np.nd
     return _read(h, signs)[..., 0]
 
 
+# A state keeps the tables of at most this many frame pairs; a full memo is cleared.
+_KEPT_PAIRS = 4
+
+
+def _state_entropies(rho: DensityMatrix, fa, fb):
+    """_entropies of a state in checked frames, kept read-only on the state.  The key is
+    the frames' content, not their id(), as a raw frame array can change in place; one
+    clear() empties a full memo, so a concurrent reader sees a whole entry or none."""
+    key = (None if fa is None else fa.tobytes(), None if fb is None else fb.tobytes())
+    kept = rho._tables.get(key)
+    if kept is None:
+        kept = _entropies(rho.mat, rho.spectrum, rho.dims, fa, fb)
+        for a in kept:
+            a.setflags(write=False)
+        if len(rho._tables) >= _KEPT_PAIRS:
+            rho._tables.clear()
+        rho._tables[key] = kept
+    return kept
+
+
 def _table(rho: DensityMatrix, basis_a=None, basis_b=None) -> np.ndarray:
     """The entropy table of one state, its basis arguments checked here."""
-    fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
-    return _entropies(rho.mat, rho.spectrum, rho.dims, fa, fb)[0]
+    return _state_entropies(rho, as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b))[0]
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -249,7 +271,7 @@ class MeasureReport:
         """One pass over the state: one entropy table gives every entropy
         field, and l1_cc reuses its marginals."""
         fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
-        h, ra, rb = _entropies(rho.mat, rho.spectrum, rho.dims, fa, fb)
+        h, ra, rb = _state_entropies(rho, fa, fb)
         return cls(*(h @ _REPORT_SIGNS).tolist(), l1_cc=_l1_correlated(rho, ra, rb, fa, fb))
 
     @property

@@ -88,11 +88,14 @@ class DensityMatrix:
     Validation (``validate_density``: Hermiticity, trace, positivity) happens
     at construction, and only there: the measures trust a DensityMatrix.  The
     eigenvalues the positivity check computes are kept, ascending, as the
-    read-only ``spectrum``, so no measure decomposes the state again.
-    Instances are immutable, so they can be shared freely across workers.
+    read-only ``spectrum``, so no measure decomposes the state again; the
+    measures keep the entropy tables they build on the state too, read-only,
+    for a few frame pairs (measures._state_entropies).  Instances are immutable,
+    and the kept tables are pure functions of the matrix, so they can be
+    shared freely across workers.
     """
 
-    __slots__ = ("mat", "dims", "spectrum")
+    __slots__ = ("mat", "dims", "spectrum", "_tables")
 
     def __init__(
         self,
@@ -103,7 +106,9 @@ class DensityMatrix:
         trace_tol: float = TRACE_TOL,
         psd_tol: float = PSD_TOL,
     ):
-        mat = as_complex_matrix(mat)
+        mat = np.array(mat, dtype=complex)  # a copy; validate_density checks finiteness
+        if mat.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got ndim={mat.ndim}")
         if len(dims) != 2 or not all(map(_is_dim, dims)):
             raise ValueError(f"dims must be a pair of positive integers, got {dims!r}")
         d_a, d_b = int(dims[0]), int(dims[1])
@@ -112,13 +117,13 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix is {mat.shape} but dims ({d_a}, {d_b}) require ({d}, {d})"
             )
-        mat = mat.copy()
         spectrum = validate_density(mat, hermitian_tol, trace_tol, psd_tol)
         mat.setflags(write=False)
         spectrum.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", (d_a, d_b))
         object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "_tables", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")

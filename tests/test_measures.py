@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from discoh.measures import (
 from discoh.states import (
     ENSEMBLES,
     DensityMatrix,
+    ReferenceBasis,
     bell_phi_plus,
     classical_quantum,
     haar_unitary,
@@ -314,13 +317,27 @@ def test_spectrum_is_kept_read_only():
         rho.spectrum = np.zeros(6)
 
 
+def closed_forms(fa, fb):
+    """Each public closed form of one state, by name, in the frames fa and fb."""
+    from discoh.discord import coherence_discord, coherence_discord_symmetric
+
+    return {
+        "MeasureReport": lambda rho: MeasureReport.compute(rho, fa, fb).to_dict(),
+        "coherence_discord": lambda rho: coherence_discord(rho, fa),
+        "coherence_discord_symmetric": lambda rho: coherence_discord_symmetric(rho, fa, fb),
+        "correlated_coherence": lambda rho: correlated_coherence(rho, fa, fb),
+        "cq_coherence": lambda rho: cq_coherence(rho, fa),
+        "mutual_information": mutual_information,
+    }
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (8, 8)])
 @pytest.mark.parametrize("framed", [False, True])
 def test_measures_never_decompose_the_full_state(monkeypatch, dims, framed):
     # each closed form reads one entropy table: rho_a, and rho_b stacked with
-    # the conditional blocks, are decomposed once each
-    from discoh.discord import coherence_discord, coherence_discord_symmetric
-
+    # the conditional blocks, are decomposed once each.  The state keeps the
+    # table, so a repeat in the same frames decomposes nothing, and a new
+    # frame pair builds its own table.
     rho, rng = seeded_state(dims, dims[0] * dims[1], sum(dims))
     fa = fb = None
     if framed:
@@ -332,20 +349,84 @@ def test_measures_never_decompose_the_full_state(monkeypatch, dims, framed):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    calls = {
-        "MeasureReport": lambda: MeasureReport.compute(rho, fa, fb),
-        "coherence_discord": lambda: coherence_discord(rho, fa),
-        "coherence_discord_symmetric": lambda: coherence_discord_symmetric(rho, fa, fb),
-        "correlated_coherence": lambda: correlated_coherence(rho, fa, fb),
-        "cq_coherence": lambda: cq_coherence(rho, fa),
-        "mutual_information": lambda: mutual_information(rho),
-    }
     d = rho.dim
-    for name, call in calls.items():
+    for name, call in closed_forms(fa, fb).items():
+        fresh = DensityMatrix(rho.mat, rho.dims)
         shapes.clear()
-        call()
+        call(fresh)
         assert len(shapes) == 2, (name, shapes)
         assert all(shape[-2:] != (d, d) for shape in shapes), (name, shapes)
+        shapes.clear()
+        call(fresh)
+        assert shapes == [], (name, shapes)
+    shapes.clear()
+    correlated_coherence(fresh, haar_unitary(dims[0], rng), haar_unitary(dims[1], rng))
+    assert len(shapes) == 2 and all(shape[-2:] != (d, d) for shape in shapes), shapes
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_kept_tables_give_a_fresh_states_values(dims):
+    # a warm state answers every closed form bit for bit as a fresh one does,
+    # with no frames, raw frame arrays, or the same frames as ReferenceBasis
+    rho, rng = seeded_state(dims, 3, 7 + sum(dims))
+    fa, fb = haar_unitary(dims[0], rng), haar_unitary(dims[1], rng)
+    frame_sets = [(None, None), (fa, fb), (ReferenceBasis(fa), ReferenceBasis(fb)), (fa, None)]
+    for frames in frame_sets * 2:  # the second pass reads kept tables only
+        for name, call in closed_forms(*frames).items():
+            assert call(rho) == call(DensityMatrix(rho.mat, rho.dims)), (name, frames)
+
+
+def test_a_frame_changed_in_place_gets_its_own_table():
+    # the memo keys on a frame's content: an id()-keyed memo would return the
+    # old frame's value here
+    rho, rng = seeded_state((2, 2), 4, 11)
+    fa, other = haar_unitary(2, rng), haar_unitary(2, rng)
+    before = correlated_coherence(rho, fa)
+    fa[...] = other
+    after = correlated_coherence(rho, fa)
+    assert after == correlated_coherence(DensityMatrix(rho.mat, rho.dims), other)
+    assert after != before
+
+
+def test_kept_tables_stay_few_and_read_only():
+    rho, rng = seeded_state((2, 3), 6, 12)
+    for _ in range(10):
+        correlated_coherence(rho, haar_unitary(2, rng))
+        assert 1 <= len(rho._tables) <= 4
+    for kept in rho._tables.values():
+        for a in kept:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
+def test_threads_sharing_a_state_read_whole_tables():
+    # more threads than cores, switching often, over more frame pairs than the
+    # memo keeps: each value must be the fresh state's, whatever the interleaving
+    rho, rng = seeded_state((2, 3), 6, 13)
+    pairs = [(haar_unitary(2, rng), haar_unitary(3, rng)) for _ in range(6)]
+    want = [correlated_coherence(DensityMatrix(rho.mat, rho.dims), *p) for p in pairs]
+    wrong, n_threads = [], 6
+
+    def work(k):
+        for i in range(60):
+            j = (i + k) % len(pairs)
+            if correlated_coherence(rho, *pairs[j]) != want[j]:
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(rho._tables) <= 4 + n_threads  # a racing insert can pass one clear()
 
 
 def plain_entropy(m):

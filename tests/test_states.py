@@ -58,6 +58,31 @@ def test_from_raw_rejects_dimension_mismatch():
         DensityMatrix(np.eye(4) / 4, (2, 3))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_state_is_checked_for_finiteness_once(monkeypatch, value):
+    # validate_density's check is the only one: as_complex_matrix's would repeat it
+    calls = []
+
+    def counting(a, *args, _original=np.isfinite, **kwargs):
+        calls.append(np.shape(a))
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    DensityMatrix(np.eye(4) / 4, (2, 2))
+    assert calls == [(4, 4)]
+    m = np.eye(4) / 4
+    m[1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            DensityMatrix(m, (2, 2))
+
+
+def test_a_state_must_be_a_matrix():
+    with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=1"):
+        DensityMatrix(np.full(4, 0.25), (2, 2))
+
+
 @pytest.mark.parametrize("dims", [(2.7, 2), (True, 4)])
 def test_dims_must_be_integers(dims):
     # int() would read them as (2, 2) and (1, 4)

@@ -27,8 +27,8 @@ from .measures import (
     _I_CO,
     _MI,
     _entropies,
+    _quantity,
     _read,
-    _table,
     correlated_coherence,
     entropy_of_probs,
     mutual_information,
@@ -357,7 +357,7 @@ def coherence_discord(rho: DensityMatrix, basis_a=None) -> float:
     B-side reference basis.  Zero exactly on the classical-quantum states
     built in the A reference basis.  Equal to MeasureReport's C_r_upper - C_r_a.
     """
-    return float(_table(rho, basis_a) @ _DAC)
+    return _quantity(rho, _DAC, basis_a)
 
 
 def coherence_discord_symmetric(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:

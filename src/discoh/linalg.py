@@ -4,10 +4,10 @@ maps and local channels.
 Everything here works on plain ``numpy`` arrays (complex128, row-major).
 Functions accepting a ``basis`` argument take either ``None`` (computational
 basis), a unitary frame matrix whose columns are the basis vectors, or any
-object with a ``.frame`` attribute (see ``discoh.states.ReferenceBasis``), and
-check it with ``as_frame``.  The inner kernels ``conditional_blocks`` and
-``frame_diagonal`` take a ``frame`` that is None or already checked, and trust
-their input.
+object with a ``.frame`` attribute, and check it with ``as_frame``; the frame of
+a ``ReferenceBasis`` was checked when it was built.  The inner kernels
+``conditional_blocks`` and ``frame_diagonal`` take a ``frame`` that is None or
+already checked, and trust their input.
 """
 
 from __future__ import annotations
@@ -40,19 +40,50 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+class ReferenceBasis:
+    """A unitary frame over one (sub)system; its columns are the basis vectors
+    that count as incoherent.  Checked once, here, and frozen."""
+
+    __slots__ = ("dim", "frame")
+
+    def __init__(self, frame: np.ndarray):
+        frame = as_complex_matrix(frame)
+        if frame.shape[0] != frame.shape[1]:
+            raise ValueError("basis frame must be square")
+        check_unitary(frame)
+        frame = frame.copy()
+        frame.setflags(write=False)
+        object.__setattr__(self, "dim", frame.shape[0])
+        object.__setattr__(self, "frame", frame)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ReferenceBasis is immutable")
+
+    def __repr__(self):
+        return f"ReferenceBasis(dim={self.dim})"
+
+
+def _frame(basis, dim: int) -> tuple[np.ndarray | None, bool]:
+    """A basis argument as (frame or None, whether it is known unitary), its shape
+    checked; a raw frame is coerced to a finite complex matrix but not checked."""
+    if basis is None:
+        return None, True
+    trusted = isinstance(basis, ReferenceBasis)
+    frame = basis.frame if trusted else as_complex_matrix(getattr(basis, "frame", basis))
+    if frame.shape != (dim, dim):
+        raise ValueError(f"basis frame is {frame.shape}, expected ({dim}, {dim})")
+    return frame, trusted
+
+
 def as_frame(basis, dim: int) -> np.ndarray | None:
     """Normalize a basis argument to a unitary frame matrix (or None).
 
     ``None`` means the computational basis.  Raises if the frame is not
     unitary within UNITARY_TOL or has the wrong dimension.
     """
-    if basis is None:
-        return None
-    frame = getattr(basis, "frame", basis)
-    frame = as_complex_matrix(frame)
-    if frame.shape != (dim, dim):
-        raise ValueError(f"basis frame is {frame.shape}, expected ({dim}, {dim})")
-    check_unitary(frame)
+    frame, trusted = _frame(basis, dim)
+    if not trusted:
+        check_unitary(frame)
     return frame
 
 

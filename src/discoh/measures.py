@@ -4,10 +4,11 @@ All logarithms are base 2; every value is in bits.  The reference basis
 defaults to the computational basis of each subsystem; pass a
 ``ReferenceBasis`` (or raw unitary frame) to move it.
 
-Each public function checks its basis arguments once, on entry; the private
-helpers below take the checked frames.  A ``DensityMatrix`` was validated when
-it was built and carries its spectrum, so S(rho) costs no decomposition; a
-plain matrix is validated on entry, by the same check (states._checked_state).
+Each public function checks its basis arguments on entry, but for a frame that
+passed check_unitary before: a ReferenceBasis's, or one whose bytes key a kept
+table of the state.  A ``DensityMatrix`` was validated when it was built and
+carries its spectrum, so S(rho) costs no decomposition; a plain matrix is
+validated on entry, by the same check (states._checked_state).
 
 Every closed form is a signed sum of seven entropies of rho, its marginals
 and its dephasings, which ``_entropies`` tabulates for one state or a stack:
@@ -17,9 +18,10 @@ blocks (S of the A-dephased state).  A table costs two small decompositions:
 rho_a, and rho_b stacked with the blocks, which are all d_b x d_b.  Each
 quantity is one sign vector over the rows (``_I_CO``, ``_DAC``, ...); only this
 module knows the row order.  A DensityMatrix keeps each table built for it, with
-its marginals, for up to four frame pairs: a report, dac and dac_sym of one state
-in the same frames read one table.  The kept arrays are read-only pure functions
-of the immutable matrix, so a state stays safe to share across workers.
+its marginals, for up to four frame pairs.  A quantity reads any kept table whose
+frames match on the sides its rows depend on (dac and cq_coherence: A; I: none),
+so a report, dac and dac_sym in (fa, fb) read one table.  The kept arrays are
+read-only pure functions of the immutable matrix, safe to share across workers.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_frame, conditional_blocks, dag, frame_diagonal, partial_trace
+from .linalg import _frame, as_frame, check_unitary, conditional_blocks, dag, frame_diagonal
+from .linalg import partial_trace
 from .states import DensityMatrix, _checked_state
 
 # Eigenvalues of a state below this are treated as exactly zero; anything
@@ -147,7 +150,7 @@ def _read(h: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 def _closed_form(m: np.ndarray, w: np.ndarray, dims, signs: np.ndarray) -> np.ndarray:
     """A sign vector's quantity for each trusted state of a stack, bit for bit as
-    from _table: one product per table, as one over several tables sums differently."""
+    from _quantity: one product per table, as one over several tables sums differently."""
     h = _entropies(m[..., None, :, :], w[..., None, :], dims, union=bool(signs[-1]))[0]
     return _read(h, signs)[..., 0]
 
@@ -155,31 +158,43 @@ def _closed_form(m: np.ndarray, w: np.ndarray, dims, signs: np.ndarray) -> np.nd
 # A state keeps the tables of at most this many frame pairs; a full memo is cleared.
 _KEPT_PAIRS = 4
 
+# The rows each side's frame enters (fa: H_ab, H_a and, via the blocks, S_union; fb: H_ab, H_b)
+_FRAME_ROWS = (_signs(H_ab=1, H_a=1, S_union=1) != 0, _signs(H_ab=1, H_b=1) != 0)
 
-def _state_entropies(rho: DensityMatrix, fa, fb):
-    """_entropies of a state in checked frames, kept read-only on the state.  The key is
-    the frames' content, not their id(), as a raw frame array can change in place; one
-    clear() empties a full memo, so a concurrent reader sees a whole entry or none."""
+
+def _state_entropies(rho: DensityMatrix, basis_a=None, basis_b=None, signs=None):
+    """_entropies of a state, kept read-only on the state, and its checked frames.  The
+    key is the frames' content, not their id(), as a raw frame array can change in place;
+    one clear() empties a full memo, so a concurrent reader sees a whole entry or none."""
+    (fa, trusted_a), (fb, trusted_b) = _frame(basis_a, rho.dims[0]), _frame(basis_b, rho.dims[1])
     key = (None if fa is None else fa.tobytes(), None if fb is None else fb.tobytes())
-    kept = rho._tables.get(key)
-    if kept is None:
-        kept = _entropies(rho.mat, rho.spectrum, rho.dims, fa, fb)
-        for a in kept:
+    tables = rho._tables.get(key)
+    if tables is None:
+        kept = list(rho._tables.items())  # a snapshot: another thread may clear() the memo
+        for side, frame, trusted in ((0, fa, trusted_a), (1, fb, trusted_b)):
+            if not trusted and all(key[side] != k[side] for k, _ in kept):  # kept keys passed it
+                check_unitary(frame)
+        if signs is not None:  # each row is computed on its own: an unread side may differ
+            tables = next((t for k, t in kept if all(a == b or not signs[rows].any()
+                           for a, b, rows in zip(k, key, _FRAME_ROWS))), None)
+    if tables is None:
+        tables = _entropies(rho.mat, rho.spectrum, rho.dims, fa, fb)
+        for a in tables:
             a.setflags(write=False)
         if len(rho._tables) >= _KEPT_PAIRS:
             rho._tables.clear()
-        rho._tables[key] = kept
-    return kept
+        rho._tables[key] = tables
+    return tables, (fa, fb)
 
 
-def _table(rho: DensityMatrix, basis_a=None, basis_b=None) -> np.ndarray:
-    """The entropy table of one state, its basis arguments checked here."""
-    return _state_entropies(rho, as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b))[0]
+def _quantity(rho: DensityMatrix, signs: np.ndarray, basis_a=None, basis_b=None) -> float:
+    """A sign vector's quantity for one state, its basis arguments checked here."""
+    return float(_state_entropies(rho, basis_a, basis_b, signs)[0][0] @ signs)
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """S(rho_a) + S(rho_b) - S(rho_ab)."""
-    return float(_table(rho) @ _MI)
+    return _quantity(rho, _MI)
 
 
 def correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> float:
@@ -188,7 +203,7 @@ def correlated_coherence(rho: DensityMatrix, basis_a=None, basis_b=None) -> floa
     Nonnegative by superadditivity of the relative entropy of coherence, and
     zero on product states and on diagonal bipartite states.
     """
-    return float(_table(rho, basis_a, basis_b) @ _I_CO)
+    return _quantity(rho, _I_CO, basis_a, basis_b)
 
 
 def cq_coherence(rho: DensityMatrix, basis_a=None) -> float:
@@ -198,7 +213,7 @@ def cq_coherence(rho: DensityMatrix, basis_a=None) -> float:
     Not faithful: it vanishes on every classical-quantum state in the
     reference basis, not only on incoherent states.
     """
-    return float(_table(rho, basis_a) @ _C_R_UPPER)
+    return _quantity(rho, _C_R_UPPER, basis_a)
 
 
 def _l1_of(m: np.ndarray, frame) -> float:
@@ -270,8 +285,7 @@ class MeasureReport:
     def compute(cls, rho: DensityMatrix, basis_a=None, basis_b=None) -> "MeasureReport":
         """One pass over the state: one entropy table gives every entropy
         field, and l1_cc reuses its marginals."""
-        fa, fb = as_frame(basis_a, rho.d_a), as_frame(basis_b, rho.d_b)
-        h, ra, rb = _state_entropies(rho, fa, fb)
+        (h, ra, rb), (fa, fb) = _state_entropies(rho, basis_a, basis_b)
         return cls(*(h @ _REPORT_SIGNS).tolist(), l1_cc=_l1_correlated(rho, ra, rb, fa, fb))
 
     @property

@@ -13,33 +13,9 @@ from .linalg import (
     HERMITIAN_TOL,
     PSD_TOL,
     TRACE_TOL,
-    as_complex_matrix,
+    ReferenceBasis,
     as_frame,
-    check_unitary,
 )
-
-
-class ReferenceBasis:
-    """A unitary frame over one (sub)system; its columns are the basis vectors
-    that count as incoherent."""
-
-    __slots__ = ("dim", "frame")
-
-    def __init__(self, frame: np.ndarray):
-        frame = as_complex_matrix(frame)
-        if frame.shape[0] != frame.shape[1]:
-            raise ValueError("basis frame must be square")
-        check_unitary(frame)
-        frame = frame.copy()
-        frame.setflags(write=False)
-        object.__setattr__(self, "dim", frame.shape[0])
-        object.__setattr__(self, "frame", frame)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReferenceBasis is immutable")
-
-    def __repr__(self):
-        return f"ReferenceBasis(dim={self.dim})"
 
 
 def check_tolerance(name: str, value) -> float:
@@ -90,7 +66,8 @@ class DensityMatrix:
     eigenvalues the positivity check computes are kept, ascending, as the
     read-only ``spectrum``, so no measure decomposes the state again; the
     measures keep the entropy tables they build on the state too, read-only,
-    for a few frame pairs (measures._state_entropies).  Instances are immutable,
+    for a few frame pairs (measures._state_entropies); a quantity reads any kept
+    table whose frames match on the sides it depends on.  Instances are immutable,
     and the kept tables are pure functions of the matrix, so they can be
     shared freely across workers.
     """
@@ -149,7 +126,9 @@ def _checked_state(rho) -> tuple[np.ndarray, np.ndarray]:
     that validate_density accepts at the default tolerances."""
     if isinstance(rho, DensityMatrix):
         return rho.mat, rho.spectrum
-    m = as_complex_matrix(rho)
+    m = np.asarray(rho, dtype=complex)  # validate_density checks finiteness
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"a state must be a square matrix, got shape {m.shape}")
     return m, validate_density(m)

@@ -388,6 +388,108 @@ def test_a_frame_changed_in_place_gets_its_own_table():
     assert after != before
 
 
+def count_calls(monkeypatch, owner_names):
+    """Record the shape of each call's first argument to each (owner, name) pair."""
+    calls = []
+    for owner, name in owner_names:
+        def counting(a, *args, _original=getattr(owner, name), **kwargs):
+            calls.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def count_decompositions(monkeypatch):
+    return count_calls(monkeypatch, [(np.linalg, "eigvalsh"), (np.linalg, "eigh")])
+
+
+def count_unitarity_checks(monkeypatch):
+    import discoh.linalg
+    import discoh.measures
+
+    return count_calls(monkeypatch, [(m, "check_unitary") for m in (discoh.linalg, discoh.measures)])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_a_report_serves_what_reads_only_its_a_frame(monkeypatch, dims):
+    # dac and cq_coherence read no row through the B frame, and I none through
+    # either frame: after a framed report they read its table, decompose nothing,
+    # check no frame again, and give a fresh state's bits; I_co reads H_ab and H_b
+    # through the B frame, and cq_coherence S_union through the A frame
+    from discoh.discord import coherence_discord
+
+    rho, rng = seeded_state(dims, 2, 17 + sum(dims))
+    fa, fb = haar_unitary(dims[0], rng), haar_unitary(dims[1], rng)
+    quantities = (lambda r: coherence_discord(r, fa), lambda r: cq_coherence(r, fa),
+                  mutual_information)
+    want = [f(DensityMatrix(rho.mat, rho.dims)) for f in quantities]
+    checks, eig = count_unitarity_checks(monkeypatch), count_decompositions(monkeypatch)
+    MeasureReport.compute(rho, fa, fb)
+    assert len(checks) == 2 and len(eig) == 2
+    checks.clear()
+    eig.clear()
+    assert [f(rho) for f in quantities] == want
+    assert checks == [] and eig == []
+    assert len(rho._tables) == 1
+    # a quantity that reads a row through a frame the report used builds its own table
+    others = (lambda r: correlated_coherence(r, fa), cq_coherence)
+    want = [f(DensityMatrix(rho.mat, rho.dims)) for f in others]
+    eig.clear()
+    assert [f(rho) for f in others] == want
+    assert len(eig) == 4 and len(rho._tables) == 3
+
+
+def test_each_row_reads_a_kept_table_only_where_its_frames_match():
+    # each row alone, read on a state that keeps one table in other frames, is a
+    # fresh state's: the table serves it only if no frame it depends on differs
+    from discoh.measures import _ROWS, _quantity, _signs
+
+    rho, rng = seeded_state((2, 3), 3, 29)
+    fa, fb = haar_unitary(2, rng), haar_unitary(3, rng)
+    pairs = [(None, None), (fa, None), (None, fb), (fa, fb)]
+    for kept, asked in ((k, a) for k in pairs for a in pairs):
+        for row in _ROWS:
+            warm = DensityMatrix(rho.mat, rho.dims)
+            MeasureReport.compute(warm, *kept)
+            fresh = DensityMatrix(rho.mat, rho.dims)
+            signs = _signs(**{row: 1})
+            assert _quantity(warm, signs, *asked) == _quantity(fresh, signs, *asked), (row, asked)
+
+
+def test_a_kept_frame_is_not_checked_again_and_a_new_one_is(monkeypatch):
+    # a frame whose bytes key a kept table passed the check when it was built;
+    # any other frame is checked, whatever the state keeps
+    from discoh.discord import coherence_discord
+
+    rho, rng = seeded_state((2, 3), 3, 19)
+    fa, fb = haar_unitary(2, rng), haar_unitary(3, rng)
+    checks = count_unitarity_checks(monkeypatch)
+    correlated_coherence(rho, fa, fb)
+    assert checks == [(2, 2), (3, 3)]
+    checks.clear()
+    correlated_coherence(rho, fa.copy(), fb)
+    correlated_coherence(rho, fa, None)  # a new pair, but fa is known
+    assert checks == []
+    for call in (lambda: correlated_coherence(rho, 1.1 * fa, fb),
+                 lambda: MeasureReport.compute(rho, fa, 1.1 * fb),
+                 lambda: coherence_discord(rho, 1.1 * fa)):
+        with pytest.raises(ValueError, match="^frame is not unitary: max"):
+            call()
+    assert len(checks) == 3
+
+
+def test_a_reference_basis_is_not_checked_again(monkeypatch):
+    rho, rng = seeded_state((3, 3), 4, 23)
+    b = ReferenceBasis(haar_unitary(3, rng))
+    checks = count_unitarity_checks(monkeypatch)
+    values = [correlated_coherence(rho, b, b) for _ in range(3)]
+    assert checks == []
+    assert values == [correlated_coherence(DensityMatrix(rho.mat, rho.dims), b.frame, b.frame)] * 3
+    with pytest.raises(ValueError, match=r"basis frame is \(3, 3\), expected \(2, 2\)"):
+        correlated_coherence(seeded_state((2, 2), 2, 1)[0], b)
+
+
 def test_kept_tables_stay_few_and_read_only():
     rho, rng = seeded_state((2, 3), 6, 12)
     for _ in range(10):
@@ -525,13 +627,13 @@ def test_a_table_without_s_union_refuses_the_quantities_that_read_it():
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 def test_closed_form_of_a_stack_is_the_one_state_value_bit_for_bit(dims):
-    from discoh.measures import _DAC, _I_CO, _MI, _closed_form, _table
+    from discoh.measures import _DAC, _I_CO, _MI, _closed_form, _quantity
 
     states = [random_state(*dims, "ginibre-mixed", seed=50 + s) for s in range(6)]
     mats = np.stack([rho.mat for rho in states]).reshape(3, 2, *states[0].mat.shape)
     spectra = np.stack([rho.spectrum for rho in states]).reshape(3, 2, -1)
     for signs in (_I_CO, _DAC, _MI):
-        want = [float(_table(rho) @ signs) for rho in states]
+        want = [_quantity(rho, signs) for rho in states]
         assert _closed_form(mats, spectra, dims, signs).ravel().tolist() == want
 
 

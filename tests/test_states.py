@@ -78,6 +78,29 @@ def test_a_state_is_checked_for_finiteness_once(monkeypatch, value):
             DensityMatrix(m, (2, 2))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_plain_state_is_checked_for_finiteness_once(monkeypatch, value):
+    # the measures' entry check coerces a plain matrix and leaves the finiteness
+    # check to validate_density
+    calls = []
+
+    def counting(a, *args, _original=np.isfinite, **kwargs):
+        calls.append(np.shape(a))
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    assert entropy(np.eye(4) / 4) == 2.0
+    assert calls == [(4, 4)]
+    m = np.eye(4) / 4
+    m[1, 2] = value
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        entropy(m)
+    with pytest.raises(ValueError, match="^expected a 2-D matrix, got ndim=1$"):
+        entropy(np.full(4, 0.25))
+    with pytest.raises(ValueError, match=r"^a state must be a square matrix, got shape \(2, 3\)$"):
+        entropy(np.ones((2, 3)) / 3)
+
+
 def test_a_state_must_be_a_matrix():
     with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=1"):
         DensityMatrix(np.full(4, 0.25), (2, 2))

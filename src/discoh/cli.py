@@ -54,6 +54,12 @@ _ALIASES = {
 _CANONICAL = {name.lower(): name for name in ALL_MEASURES}
 
 
+# The theory makes these nonnegative, so a value in [-1e-12, 0] is roundoff and
+# prints as 0; l1_cc may be negative and prints as computed
+_NONNEGATIVE = ("I", "C_r_ab", "C_r_a", "C_r_b", "I_co", "C_r_upper", "C_r_sym", "dac", "dac_sym",
+                "discord")
+
+
 def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
@@ -162,7 +168,8 @@ def _measure_values(rho, names, basis_a, basis_b, opt_config):
     if "discord" in names:
         # discord minimizes over all bases, so any basis file is irrelevant to it
         values["discord"], trace = discord(rho, opt_config)
-    return values, trace
+    return {n: 0.0 if n in _NONNEGATIVE and -1e-12 <= v <= 0.0 else v
+            for n, v in values.items()}, trace
 
 
 def cmd_compute(args) -> int:

@@ -305,40 +305,50 @@ def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400)
     phi = linspace(0, 2 pi, n_phi, endpoint=False).
 
     Bloch form: psi0 has Bloch vector n = (sin 2theta cos phi,
-    sin 2theta sin phi, cos 2theta) and psi1 has -n, so the two outcomes'
-    conditional B blocks rho_b/2 + H and rho_b/2 - H share one half-block
-    H = sum_j n_j R_j / 2, with R_j = Tr_A[(sigma_j x 1) rho].  H is
-    broadcast over the separable grid: an equatorial part per phi times
-    sin 2theta, plus cos 2theta R_z.  Beyond the block spectra and entropy
-    sums, the oracle shares no code with the basis search.
+    sin 2theta sin phi, cos 2theta) and psi1 has -n, with conditional B blocks
+    rho_b/2 + H(+-n), H(n) = sum_j n_j R_j / 2, R_j = Tr_A[(sigma_j x 1) rho],
+    broadcast over the separable grid.  The antipode -n(theta_i, phi_k) is
+    n(theta_{n_theta-1-i}, phi_{k+n_phi/2}), a grid point as n_phi must be
+    even, so psi0's term on the grid gives psi1's.  Qubit blocks (d_b = 2) are
+    taken in real closed form.  Beyond the block spectra and entropy sums, the
+    oracle shares no code with the basis search.
     """
     d_a, d_b = rho.dims
     if d_a != 2:
         raise ValueError("the grid oracle only covers d_a = 2")
     _check_count("n_theta", n_theta, least=2)
     _check_count("n_phi", n_phi, least=2)
+    if n_phi % 2:
+        raise ValueError(f"n_phi must be even, got {n_phi}")
     t = rho.mat.reshape(2, d_b, 2, d_b)
     pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-    r_x, r_y, r_z = np.einsum("xki,ijkl->xjl", pauli, t)[..., None, None] / 2.0
     rb = partial_trace(rho.mat, rho.dims, keep="b")
-
+    # terms rho_b/2, R_x/2, R_y/2, R_z/2; at d_b = 2, each as half-trace and Bloch vector
+    coef = np.concatenate([rb[None] / 2.0, np.einsum("xki,ijkl->xjl", pauli, t) / 2.0])
+    if d_b == 2:
+        coef = np.einsum("mjl,xlj->xm", np.concatenate([np.eye(2)[None], pauli]), coef).real / 2.0
+    const, c_x, c_y, c_z = coef[..., None, None]
     theta = np.linspace(0.0, np.pi / 2.0, n_theta)[:, None]
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    # block = rho_b/2 + H, shape (d_b, d_b, n_theta, n_phi): each entry one grid
-    block = np.sin(2.0 * theta) * (np.cos(phi) * r_x + np.sin(phi) * r_y)
-    block += np.cos(2.0 * theta) * r_z + rb[..., None, None] / 2.0
+    equator = np.cos(phi) * c_x + np.sin(phi) * c_y
 
-    def s_union_minus_h_p(block):
-        if d_b == 2:
-            lo, hi, _ = _qubit_spectra(block[0, 0].real, block[1, 1].real, block[0, 1])
-            return (lo + hi) * _log2_or_0(lo + hi) - lo * _log2_or_0(lo) - hi * _log2_or_0(hi)
-        lam = np.linalg.eigvalsh(np.moveaxis(block, (0, 1), (-2, -1)))
-        p = lam.sum(axis=-1, keepdims=True)
-        return entropy_of_probs(lam, axis=-1) - entropy_of_probs(p, axis=-1)
+    def term_at(th):  # S_union - H(p) of psi0's outcome on the grid rows th
+        block = np.sin(2.0 * th) * equator  # entries first: (..., len(th), n_phi)
+        block += np.cos(2.0 * th) * c_z + const
+        if d_b > 2:
+            lam = np.linalg.eigvalsh(np.moveaxis(block, (0, 1), (-2, -1)))
+            p = lam.sum(axis=-1, keepdims=True)
+            return entropy_of_probs(lam, axis=-1) - entropy_of_probs(p, axis=-1)
+        r = np.sqrt(block[1] ** 2 + block[2] ** 2 + block[3] ** 2)
+        lo, hi = np.maximum(block[0] - r, 0.0), block[0] + r  # half-trace -+ |Bloch|
+        x = np.stack([lo + hi, lo, hi])
+        x *= np.log2(np.maximum(x, np.finfo(float).tiny))  # x log2 x, 0 at x = 0
+        return x[0] - x[1] - x[2]
 
-    cond = s_union_minus_h_p(block)
-    np.subtract(rb[..., None, None], block, out=block)  # the other outcome: rho_b/2 - H
-    cond += s_union_minus_h_p(block)
+    # qubit rows go ~16k points at a time: small temporaries reuse freed memory
+    rows = n_theta if d_b > 2 else max(1, 16384 // n_phi)
+    term = np.concatenate([term_at(theta[i:i + rows]) for i in range(0, n_theta, rows)])
+    cond = term + np.roll(term[::-1], n_phi // 2, axis=1)
     mci = entropy_of_probs(np.linalg.eigvalsh(rb)) - cond
     return float(np.min(mutual_information(rho) - mci))
 

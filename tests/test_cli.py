@@ -1,9 +1,11 @@
 import argparse
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import discoh.cli
 from discoh.cli import ALL_MEASURES, _measure_values, build_parser, main, parse_measures
 from discoh.discord import OptimizerConfig, coherence_discord, coherence_discord_symmetric
 from discoh.states import (
@@ -377,6 +379,31 @@ def test_sweep_cq_angle_rises_from_zero(capsys):
     assert dacs[-1] > 0.1
 
 
+def test_sweep_cq_angle_prints_no_negative_discord(capsys):
+    # every state of the family is classical on A, so its discord is 0 up to roundoff
+    code, out, _ = run_cli(capsys, "sweep", "cq-angle", "--steps", "9", "--measures", "discord")
+    assert code == 0
+    assert [line.split(",")[1] for line in out.split()[1:]] == ["0"] * 9
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_roundoff_below_zero_prints_as_zero(capsys, monkeypatch, bell_file, fmt):
+    # a nonnegative measure in [-1e-12, 0] prints as 0, never -0; below that,
+    # and for l1_cc, which may be negative, the value prints as computed
+    closed = {"I": -3e-16, "C_r_b": -2e-12, "l1_cc": -3e-16}
+    report = SimpleNamespace(to_dict=lambda: closed, C_r_upper=-1e-12, C_r_a=0.0, I_co=-0.0)
+    monkeypatch.setattr(discoh.cli, "MeasureReport", SimpleNamespace(compute=lambda *args: report))
+    monkeypatch.setattr(discoh.cli, "discord", lambda rho, config: (-4.4e-15, None))
+    code, out, _ = run_cli(capsys, "compute", bell_file, "--format", fmt,
+                           "--measures", "I,C_r_b,l1_cc,dac,dac_sym,discord")
+    assert code == 0
+    want = {"I": 0.0, "C_r_b": -2e-12, "l1_cc": -3e-16, "dac": 0.0, "dac_sym": 0.0, "discord": 0.0}
+    if fmt == "csv":
+        assert out.split()[1] == "0,-2e-12,-3e-16,0,0,0"
+    else:
+        assert json.loads(out)["measures"] == want and "-0.0" not in out
+
+
 def test_sweep_rejects_bad_steps(capsys):
     code, _, err = run_cli(capsys, "sweep", "werner", "--steps", "1")
     assert code == 2
@@ -528,7 +555,6 @@ def test_verify_rejects_trials_below_one(capsys, trials):
 
 
 def test_verify_suite_violation_exits_one(capsys, monkeypatch):
-    import discoh.cli
     from discoh.verify import SuiteResult
 
     def failing_suite(*args, **kwargs):

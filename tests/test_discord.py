@@ -552,6 +552,30 @@ def test_grid_oracle_rejects_resolutions_below_two(n_theta, n_phi, name):
         qubit_discord_grid(werner(0.5), n_theta, n_phi)
 
 
+@pytest.mark.parametrize("n_phi", [3, 41])
+def test_grid_oracle_rejects_odd_phi_resolutions(n_phi):
+    # psi1's term is psi0's at the antipode, a grid point only for an even n_phi
+    with pytest.raises(ValueError, match=f"n_phi must be even, got {n_phi}"):
+        qubit_discord_grid(werner(0.5), 41, n_phi)
+
+
+@pytest.mark.parametrize("d_b, grid_blocks", [(2, []), (3, [(41, 40, 3, 3)])])
+def test_grid_oracle_decomposes_each_sphere_point_once(monkeypatch, d_b, grid_blocks):
+    # psi0's blocks on the grid in one stacked call, none for psi1, and qubit
+    # blocks in closed form; the kept entropy table serves I(rho)
+    rho = random_state(2, d_b, "ginibre-mixed", seed=d_b)
+    mutual_information(rho)
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    qubit_discord_grid(rho, 41, 40)
+    assert sorted(shapes) == sorted([(d_b, d_b)] + grid_blocks)
+
+
 def grid_reference(rho, n_theta, n_phi):
     # the grid as two explicit contractions: <psi|rho|psi>_A for psi0 and psi1
     # at every (theta, phi), each block spectrum from LAPACK
@@ -583,6 +607,14 @@ def test_grid_oracle_matches_reference(d_b):
     states.append(DensityMatrix(ginibre(rng, 2 * d_b, 1), (2, d_b)))  # rank one
     for rho in states:
         assert abs(qubit_discord_grid(rho, 41, 40) - grid_reference(rho, 41, 40)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["rank one", "degenerate", "zero", "near-degenerate"])
+def test_grid_oracle_matches_reference_on_boundary_qubit_blocks(case):
+    # the qubit kernel's cases with a qubit A (rank one as a two-qubit pure
+    # state): rank-one and zero blocks on the grid put 0 log 0 in both sums
+    rho = qubit_kernel_cases()[case] if case != "rank one" else random_state(2, 2, "haar-pure", 2)
+    assert abs(qubit_discord_grid(rho, 41, 40) - grid_reference(rho, 41, 40)) <= 1e-12
 
 
 @pytest.mark.parametrize("d_b", [2, 3])

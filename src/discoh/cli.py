@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .discord import OptimizerConfig, discord
+from .discord import OptimizerConfig, coherence_discord, discord
 from .measures import CSV_COLUMNS, MeasureReport
 from .states import (
     ENSEMBLES,
@@ -159,10 +159,10 @@ def _measure_values(rho, names, basis_a, basis_b, opt_config):
     values = {}
     trace = None
     if any(n != "discord" for n in names):
-        # every closed form comes from one report: dac = C_r_upper - C_r_a, and
-        # the both-sided drop dac_sym is I_co (the fully dephased state keeps none)
+        # every closed form reads the report's entropy table: dac through the A frame,
+        # and the both-sided drop dac_sym is I_co (the fully dephased state keeps none)
         report = MeasureReport.compute(rho, basis_a, basis_b)
-        closed = {**report.to_dict(), "dac": report.C_r_upper - report.C_r_a,
+        closed = {**report.to_dict(), "dac": coherence_discord(rho, basis_a),
                   "dac_sym": report.I_co}
         values = {n: closed[n] for n in names if n != "discord"}
     if "discord" in names:
@@ -263,6 +263,9 @@ def cmd_verify(args) -> int:
     )
     summary = result.to_dict()
     summary["max_violation"] = _round12(summary["max_violation"])
+    # ints (worst_seed replays a trial) and bools print as they are
+    summary["details"] = {key: _round12(value) if isinstance(value, float) else value
+                          for key, value in summary["details"].items()}
     payload = {"version": __version__, "config": _config_dict(args, trials=args.trials), **summary}
     if args.format == "csv":
         keys = ["suite", "trials", "seed", "tolerance", "max_violation", "failures", "passed"]

@@ -17,8 +17,8 @@ S(rho_b) and S_union, the entropy of the joint spectrum of the A-conditional
 blocks (S of the A-dephased state).  A table costs two small decompositions:
 rho_a, and rho_b stacked with the blocks, which are all d_b x d_b.  Each
 quantity is one sign vector over the rows (``_I_CO``, ``_DAC``, ...); only this
-module knows the row order.  A DensityMatrix keeps each table built for it, with
-its marginals, for up to four frame pairs.  A quantity reads any kept table whose
+module knows the row order.  A DensityMatrix keeps the last table built for it, with
+its marginals and its frame pair.  A quantity reads the kept table if its
 frames match on the sides its rows depend on (dac and cq_coherence: A; I: none),
 so a report, dac and dac_sym in (fa, fb) read one table.  The kept arrays are
 read-only pure functions of the immutable matrix, safe to share across workers.
@@ -155,41 +155,34 @@ def _closed_form(m: np.ndarray, w: np.ndarray, dims, signs: np.ndarray) -> np.nd
     return _read(h, signs)[..., 0]
 
 
-# A state keeps the tables of at most this many frame pairs; a full memo is cleared.
-_KEPT_PAIRS = 4
-
 # The rows each side's frame enters (fa: H_ab, H_a and, via the blocks, S_union; fb: H_ab, H_b)
 _FRAME_ROWS = (_signs(H_ab=1, H_a=1, S_union=1) != 0, _signs(H_ab=1, H_b=1) != 0)
 
 
-def _state_entropies(rho: DensityMatrix, basis_a=None, basis_b=None, signs=None):
-    """_entropies of a state, kept read-only on the state, and its checked frames.  The
-    key is the frames' content, not their id(), as a raw frame array can change in place;
-    one clear() empties a full memo, so a concurrent reader sees a whole entry or none."""
+def _state_entropies(rho: DensityMatrix, signs: np.ndarray, basis_a=None, basis_b=None):
+    """_entropies of a state for the sign vector signs (or one per column), and its
+    checked frames.  The state keeps one (key, tables) pair, read-only; the key is the
+    frames' content, not their id(), as a raw frame array can change in place, and one
+    attribute write replaces the pair, so a reader sees it whole."""
     (fa, trusted_a), (fb, trusted_b) = _frame(basis_a, rho.dims[0]), _frame(basis_b, rho.dims[1])
     key = (None if fa is None else fa.tobytes(), None if fb is None else fb.tobytes())
-    tables = rho._tables.get(key)
-    if tables is None:
-        kept = list(rho._tables.items())  # a snapshot: another thread may clear() the memo
-        for side, frame, trusted in ((0, fa, trusted_a), (1, fb, trusted_b)):
-            if not trusted and all(key[side] != k[side] for k, _ in kept):  # kept keys passed it
-                check_unitary(frame)
-        if signs is not None:  # each row is computed on its own: an unread side may differ
-            tables = next((t for k, t in kept if all(a == b or not signs[rows].any()
-                           for a, b, rows in zip(k, key, _FRAME_ROWS))), None)
-    if tables is None:
+    kept_key, tables = rho._kept
+    for side, frame, trusted in ((0, fa, trusted_a), (1, fb, trusted_b)):
+        if not trusted and key[side] != kept_key[side]:  # the kept key's frames passed it
+            check_unitary(frame)
+    # each row is computed on its own: a side that no row of signs reads may differ
+    if tables is None or (key != kept_key and any(
+            a != b and signs[rows].any() for a, b, rows in zip(kept_key, key, _FRAME_ROWS))):
         tables = _entropies(rho.mat, rho.spectrum, rho.dims, fa, fb)
         for a in tables:
             a.setflags(write=False)
-        if len(rho._tables) >= _KEPT_PAIRS:
-            rho._tables.clear()
-        rho._tables[key] = tables
+        object.__setattr__(rho, "_kept", (key, tables))
     return tables, (fa, fb)
 
 
 def _quantity(rho: DensityMatrix, signs: np.ndarray, basis_a=None, basis_b=None) -> float:
     """A sign vector's quantity for one state, its basis arguments checked here."""
-    return float(_state_entropies(rho, basis_a, basis_b, signs)[0][0] @ signs)
+    return float(_state_entropies(rho, signs, basis_a, basis_b)[0][0] @ signs)
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -285,7 +278,7 @@ class MeasureReport:
     def compute(cls, rho: DensityMatrix, basis_a=None, basis_b=None) -> "MeasureReport":
         """One pass over the state: one entropy table gives every entropy
         field, and l1_cc reuses its marginals."""
-        (h, ra, rb), (fa, fb) = _state_entropies(rho, basis_a, basis_b)
+        (h, ra, rb), (fa, fb) = _state_entropies(rho, _REPORT_SIGNS, basis_a, basis_b)
         return cls(*(h @ _REPORT_SIGNS).tolist(), l1_cc=_l1_correlated(rho, ra, rb, fa, fb))
 
     @property

@@ -65,14 +65,14 @@ class DensityMatrix:
     at construction, and only there: the measures trust a DensityMatrix.  The
     eigenvalues the positivity check computes are kept, ascending, as the
     read-only ``spectrum``, so no measure decomposes the state again; the
-    measures keep the entropy tables they build on the state too, read-only,
-    for a few frame pairs (measures._state_entropies); a quantity reads any kept
-    table whose frames match on the sides it depends on.  Instances are immutable,
+    measures keep the last entropy table they built on the state too, read-only,
+    with its frame pair (measures._state_entropies); a quantity reads the kept
+    table if its frames match on the sides it depends on.  Instances are immutable,
     and the kept tables are pure functions of the matrix, so they can be
     shared freely across workers.
     """
 
-    __slots__ = ("mat", "dims", "spectrum", "_tables")
+    __slots__ = ("mat", "dims", "spectrum", "_kept")
 
     def __init__(
         self,
@@ -100,7 +100,7 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", (d_a, d_b))
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_kept", ((None, None), None))  # no table yet
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")

@@ -9,6 +9,7 @@ import discoh.cli
 from discoh.cli import ALL_MEASURES, _measure_values, build_parser, main, parse_measures
 from discoh.discord import OptimizerConfig, coherence_discord, coherence_discord_symmetric
 from discoh.states import (
+    DensityMatrix,
     ReferenceBasis,
     bell_phi_plus,
     classical_quantum,
@@ -342,6 +343,21 @@ def test_compute_dac_fields_equal_the_library_calls(capsys, tmp_path, dims):
             assert out.strip().splitlines()[1].split(",") == want
 
 
+# dac printed differently at 12 digits on these states when the CLI took it as
+# C_r_upper - C_r_a, a sum in another order than coherence_discord's
+@pytest.mark.parametrize("dims, seed, framed", [
+    ((2, 2), 22455, True), ((2, 3), 52371, False), ((3, 2), 49322, False),
+    ((4, 2), 29814, False), ((3, 3), 24398, True),
+])
+def test_dac_column_is_the_library_value(dims, seed, framed):
+    rho = random_state(*dims, "ginibre-mixed", seed=seed)
+    rng = np.random.default_rng(seed)
+    bases = [ReferenceBasis(haar_unitary(d, rng)) if framed else None for d in dims]
+    names = [n for n in ALL_MEASURES if n != "discord"]
+    values, _ = _measure_values(rho, names, *bases, OptimizerConfig())
+    assert values["dac"] == coherence_discord(DensityMatrix(rho.mat, rho.dims), bases[0])
+
+
 def test_sweep_werner_endpoints_and_monotonicity(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "werner", "--steps", "11", "--measures", "discord,dac,ico",
@@ -391,8 +407,9 @@ def test_roundoff_below_zero_prints_as_zero(capsys, monkeypatch, bell_file, fmt)
     # a nonnegative measure in [-1e-12, 0] prints as 0, never -0; below that,
     # and for l1_cc, which may be negative, the value prints as computed
     closed = {"I": -3e-16, "C_r_b": -2e-12, "l1_cc": -3e-16}
-    report = SimpleNamespace(to_dict=lambda: closed, C_r_upper=-1e-12, C_r_a=0.0, I_co=-0.0)
+    report = SimpleNamespace(to_dict=lambda: closed, I_co=-0.0)
     monkeypatch.setattr(discoh.cli, "MeasureReport", SimpleNamespace(compute=lambda *args: report))
+    monkeypatch.setattr(discoh.cli, "coherence_discord", lambda rho, basis_a: -1e-12)
     monkeypatch.setattr(discoh.cli, "discord", lambda rho, config: (-4.4e-15, None))
     code, out, _ = run_cli(capsys, "compute", bell_file, "--format", fmt,
                            "--measures", "I,C_r_b,l1_cc,dac,dac_sym,discord")
@@ -491,6 +508,24 @@ def test_verify_superadditivity_runs_an_explicit_dims_split(capsys):
     assert code == 0
     assert payload["dims"] == [2, 2]
     assert payload["details"]["dims_list"] == [[2, 2], [2, 3], [3, 3]]
+
+
+@pytest.mark.parametrize("suite, trials, seed", [("zero-sets", 4, 3), ("theorem2", 3, 1)])
+def test_verify_prints_details_to_twelve_digits(capsys, suite, trials, seed):
+    # floats are rounded; ints (worst_seed replays the worst trial) and bools are not
+    from discoh.verify import run_suite
+
+    code, out, _ = run_cli(capsys, "verify", suite, "--trials", str(trials), "--seed", str(seed))
+    assert code == 0
+    want = run_suite(suite, trials=trials, seed=seed).details
+    printed = json.loads(out)["details"]
+    assert printed.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert printed[key] == float(f"{value:.12g}"), key
+        else:
+            assert printed[key] == value and type(printed[key]) is type(value), key
+    assert any(printed[key] != value for key, value in want.items())  # some float was rounded
 
 
 def test_verify_theorem2_reports_grid_deviation_only_when_measured(capsys):

@@ -481,6 +481,20 @@ def test_cnot_converts_local_coherence_into_equal_discord(d):
         assert abs(got - c_r) <= 1e-9
 
 
+@pytest.mark.parametrize("d_a", [3, 4])
+@pytest.mark.parametrize("rank", ["full", 2])
+def test_no_sampled_frame_beats_the_search(d_a, rank):
+    # the search's value is a minimum over A's frames, so none of 10^4 Haar frames,
+    # evaluated through the objective the search minimizes, goes below it
+    from discoh.discord import _basis_objective
+
+    rng = np.random.default_rng(700 + 10 * d_a + (rank == 2))
+    rho = DensityMatrix(ginibre(rng, 2 * d_a, 2 * d_a if rank == "full" else rank), (d_a, 2))
+    value, _ = discord(rho)
+    values, _ = _basis_objective(rho)(haar_unitary(d_a, rng, 10**4))
+    assert values.min() >= value - 1e-12
+
+
 # The 400 x 400 grid can miss the optimal axis by half a phi step, 7.9e-3 rad;
 # on 160 seeded X states the grid sat above the search by at most 2.5e-5.
 X_STATE_GRID_RESOLUTION = 5e-5

@@ -431,13 +431,13 @@ def test_a_report_serves_what_reads_only_its_a_frame(monkeypatch, dims):
     eig.clear()
     assert [f(rho) for f in quantities] == want
     assert checks == [] and eig == []
-    assert len(rho._tables) == 1
+    assert rho._kept[0] == (fa.tobytes(), fb.tobytes())
     # a quantity that reads a row through a frame the report used builds its own table
     others = (lambda r: correlated_coherence(r, fa), cq_coherence)
     want = [f(DensityMatrix(rho.mat, rho.dims)) for f in others]
     eig.clear()
     assert [f(rho) for f in others] == want
-    assert len(eig) == 4 and len(rho._tables) == 3
+    assert len(eig) == 4 and rho._kept[0] == (None, None)
 
 
 def test_each_row_reads_a_kept_table_only_where_its_frames_match():
@@ -491,20 +491,40 @@ def test_a_reference_basis_is_not_checked_again(monkeypatch):
 
 
 def test_kept_tables_stay_few_and_read_only():
+    # the state keeps one pair, keyed by the last frames that built a table: a
+    # quantity the kept table serves leaves it in place
     rho, rng = seeded_state((2, 3), 6, 12)
     for _ in range(10):
-        correlated_coherence(rho, haar_unitary(2, rng))
-        assert 1 <= len(rho._tables) <= 4
-    for kept in rho._tables.values():
-        for a in kept:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[...] = 0.0
+        fa = haar_unitary(2, rng)
+        correlated_coherence(rho, fa)
+        key, tables = rho._kept
+        assert key == (fa.tobytes(), None)
+        mutual_information(rho)
+        assert rho._kept[0] == key and rho._kept[1] is tables
+    for a in tables:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_one_quantity_in_alternating_frames_gives_a_fresh_states_values(dims):
+    # each closed form in turn, its frames alternating call by call, so every call
+    # finds the kept table built in the frames before
+    rho, rng = seeded_state(dims, 3, 31 + sum(dims))
+    fa, fb = haar_unitary(dims[0], rng), haar_unitary(dims[1], rng)
+    frame_sets = [(fa, fb), (fa, None), (None, None)] * 3
+    for name in closed_forms(None, None):
+        for frames in frame_sets:
+            call = closed_forms(*frames)[name]
+            assert call(rho) == call(DensityMatrix(rho.mat, rho.dims)), (name, frames)
 
 
 def test_threads_sharing_a_state_read_whole_tables():
-    # more threads than cores, switching often, over more frame pairs than the
-    # memo keeps: each value must be the fresh state's, whatever the interleaving
+    # more threads than cores, switching often, each replacing the one kept pair:
+    # each value must be the fresh state's, whatever the interleaving
+    from discoh.measures import _I_CO
+
     rho, rng = seeded_state((2, 3), 6, 13)
     pairs = [(haar_unitary(2, rng), haar_unitary(3, rng)) for _ in range(6)]
     want = [correlated_coherence(DensityMatrix(rho.mat, rho.dims), *p) for p in pairs]
@@ -528,7 +548,10 @@ def test_threads_sharing_a_state_read_whole_tables():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(rho._tables) <= 4 + n_threads  # a racing insert can pass one clear()
+    # the pair left kept is whole: its table is its key's
+    key, (h, _, _) = rho._kept
+    j = [(a.tobytes(), b.tobytes()) for a, b in pairs].index(key)
+    assert h @ _I_CO == want[j]
 
 
 def plain_entropy(m):

@@ -4,8 +4,9 @@ theorems relating the two (see README, Theorems 1-3).
 
 The basis search minimizes one objective, I(rho) - J_U(rho) (equally the
 coherence correlation against the frame U), over unitary frames U on A.  Each
-restart follows a geodesic on U(d_a) with a Barzilai-Borwein step and Armijo
-backtracking, and retires on its own once its Riemannian gradient is small
+restart steps along the Cayley curve on U(d_a), one small linear solve per
+trial point, with a Barzilai-Borwein step capped at pi/||A||_F and Armijo
+backtracking, and retires on its own once its Riemannian gradient A is small
 (Abrudan, Eriksson & Koivunen, IEEE TSP 56, 1134 (2008); Wen & Yin, Math.
 Program. 142, 397 (2013)).  One stacked evaluation gives the value and
 analytic gradient at the next trial point of every live restart, a new step or
@@ -209,12 +210,14 @@ def minimize(objective, frames, config: OptimizerConfig):
     """Riemannian gradient descent on U(d), each restart on its own path.
 
     objective(frames) maps an (n, d, d) stack to the values and the gradients
-    wrt conj(frames).  Each step moves a restart along the geodesic
-    exp(-mu A) U, A its Lie-algebra gradient, with mu a Barzilai-Borwein step
-    (capped at a half turn) that an Armijo line search halves until the value
-    drops.  Each stacked call carries the next trial point of every live
-    restart, a new step or a halved one, so no restart waits on another's line
-    search and each follows the path it would follow alone.
+    wrt conj(frames).  Each step moves a restart along the Cayley curve
+    (1 + mu A/2)^-1 (1 - mu A/2) U, A its Lie-algebra gradient, with mu a
+    Barzilai-Borwein step that an Armijo line search halves until the value
+    drops.  A new step is capped at pi/||A||_F, which bounds mu ||A||_2 by pi,
+    so 1 + mu A/2 stays well conditioned and the frames unitary to roundoff.
+    Each stacked call carries the next trial point of every live restart, a
+    new step or a halved one, from one stacked solve, so no restart waits on
+    another's line search and each follows the path it would follow alone.
     Returns (frames, values, iterations, converged), one entry per restart,
     with .stop and .evaluations attached.
     """
@@ -222,24 +225,20 @@ def minimize(objective, frames, config: OptimizerConfig):
     n = len(u)
     f, g = objective(u)
     a = _riemannian(g, u)
-    step, drop, mu, decrease = np.ones(n), np.full(n, math.inf), np.zeros(n), np.zeros(n)
+    aa = _inner(a, a)
+    step, drop, mu = np.ones(n), np.full(n, math.inf), np.zeros(n)
     iters, tries, evals = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.ones(n, dtype=int)
-    w, v, vu = np.zeros(u.shape[:2]), np.zeros_like(u), np.zeros_like(u)
-    live = fresh = np.flatnonzero(_inner(a, a) > X_TOL**2)
+    eye = np.eye(u.shape[-1])
+    live = fresh = np.flatnonzero(aa > X_TOL**2)
     while live.size:
-        if fresh.size:
-            # exp(-mu A) = V exp(i mu w) V^H from the eigensystem of the Hermitian iA
-            af = a[fresh]
-            w[fresh], v[fresh] = np.linalg.eigh(1j * af)
-            vu[fresh] = v[fresh].conj().swapaxes(-1, -2) @ u[fresh]
-            mu[fresh] = np.minimum(step[fresh], np.pi / np.abs(w[fresh]).max(axis=-1))
-            decrease[fresh] = ARMIJO * _inner(af, af)
-        m = mu[live]
-        trial = v[live] @ (np.exp(1j * m[:, None] * w[live])[..., None] * vu[live])
+        mu[fresh] = np.minimum(step[fresh], np.pi / np.sqrt(aa[fresh]))
+        m, ul = mu[live], u[live]
+        h = 0.5 * m[:, None, None] * a[live]
+        trial = np.linalg.solve(eye + h, ul - h @ ul)
         ft, gt = objective(trial)
         evals[live] += 1
         tries[live] += 1
-        ok = ft <= f[live] - m * decrease[live] + ROUNDOFF
+        ok = ft <= f[live] - ARMIJO * m * aa[live] + ROUNDOFF
         r, ft, ut = live[ok], ft[ok], trial[ok]
         at = _riemannian(gt[ok], ut)
         # BB steps from s = -mu A_old and y = A_new - A_old, alternating the two forms
@@ -247,16 +246,16 @@ def minimize(objective, frames, config: OptimizerConfig):
         sy, ss, yy = np.abs(_inner(s, y)), _inner(s, s), _inner(y, y)
         bb = np.where(iters[r] % 2 == 0, ss / np.maximum(sy, 1e-300), sy / np.maximum(yy, 1e-300))
         step[r], drop[r] = np.clip(bb, 1e-10, 1e10), f[r] - ft
-        u[r], f[r], a[r], tries[r] = ut, ft, at, 0
+        u[r], f[r], a[r], aa[r], tries[r] = ut, ft, at, _inner(at, at), 0
         iters[r] += 1
         back = live[~ok]
         mu[back] *= 0.5
-        fresh = r[(_inner(at, at) > X_TOL**2) & (iters[r] < config.max_iter)]
+        fresh = r[(aa[r] > X_TOL**2) & (iters[r] < config.max_iter)]
         live = np.concatenate([fresh, back[tries[back] < MAX_BACKTRACKS]])
     # tries restart at every accepted step, so only a restart whose line search
     # ran out ends at MAX_BACKTRACKS; it converged if its last step changed the
     # value by at most F_TOL
-    at_gradient, failed = _inner(a, a) <= X_TOL**2, tries >= MAX_BACKTRACKS
+    at_gradient, failed = aa <= X_TOL**2, tries >= MAX_BACKTRACKS
     found = _Minimized((u, f, iters, at_gradient | failed & (drop <= F_TOL)))
     found.stop = np.where(failed, "line-search", np.where(at_gradient, "gradient", "budget"))
     found.evaluations = evals

@@ -474,13 +474,14 @@ def test_campaign_trials_decompose_in_stacked_calls(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
-# Recorded results: run_suite(name, trials=t, seed=s).  The counts beyond 8 span
-# two stacked chunks (verify.CHUNK is 64).  A change that draws differently, or
-# in another order, or that measures a trial apart from its chunk in another
-# summation order, moves the worst trial or its values.
+# Recorded results: the suite's run with trials=t, seed=s and any further options.
+# The counts beyond 8 span two stacked chunks (verify.CHUNK is 64).  A change that
+# draws differently, or in another order, or that measures a trial apart from its
+# chunk in another summation order, moves the worst trial or its values.
 # ---------------------------------------------------------------------------
 
-# (seed, trials): (max_violation, failures, worst_trial, worst_seed[, min_gap])
+# (seed, trials, *(option, value)): (max_violation, failures, worst_trial, worst_seed,
+# *the float details in order: min_gap, the deviations, the discords)
 RECORDED = {
     "theorem1": {
         (7, 8): (4.440892098500626e-16, 0, 2, 7078124019849193311, 0.1933038314593487),
@@ -502,17 +503,31 @@ RECORDED = {
         (0, 70): (1.5543122344752192e-15, 0, 60, 7789158707010503658),
         (7, 70): (1.7763568394002505e-15, 0, 14, 3307404742530723846),
     },
+    "theorem2": {
+        (3, 6, ("grid_checks", 2)): (7.0976618491980226e-06, 0, 1, 12872254111863797241,
+                                     3.552713678800501e-15, 1.9984014443252818e-15,
+                                     7.0976618491980226e-06),
+        (1, 5, ("dims", (3, 2))): (2.4424906541753444e-15, 0, 4, 13413212884784156280,
+                                   2.4424906541753444e-15, 2.1094237467877974e-15),
+    },
+    "zero-sets": {
+        (3, 30): (4.440892098500626e-16, 0, 11, 9918724147601234342,
+                  0.0, 0.20175207338571188, 0.20175241779843478),
+        (2, 25, ("dims", (3, 2)), ("restarts", 4)): (
+            8.881784197001252e-16, 0, 12, 9099095930707887757,
+            4.440892098500626e-16, 0.20175207338571222, 0.20175241779843478),
+    },
 }
 
 
 @pytest.mark.parametrize("name", list(RECORDED))
 def test_suite_results_match_the_recorded_values(name):
-    for (seed, trials), want in RECORDED[name].items():
-        result = run_suite(name, trials=trials, seed=seed).to_dict()
+    for (seed, trials, *options), want in RECORDED[name].items():
+        result = DIRECT[name](trials=trials, seed=seed, **dict(options)).to_dict()
         details = result["details"]
         got = (result["max_violation"], result["failures"], details["worst_trial"],
-               details["worst_seed"], *([details["min_gap"]] if "min_gap" in details else []))
-        assert got == want, (seed, trials)
+               details["worst_seed"], *(v for v in details.values() if isinstance(v, float)))
+        assert got == want, (seed, trials, *options)
 
 
 # ---------------------------------------------------------------------------

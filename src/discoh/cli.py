@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .discord import OptimizerConfig, coherence_discord, discord
-from .measures import CSV_COLUMNS, MeasureReport
+from .discord import OptimizerConfig, coherence_discord, coherence_discord_symmetric, discord
+from .measures import _NEGATIVE_ROUNDOFF, CSV_COLUMNS, MeasureReport
 from .states import (
     ENSEMBLES,
     DensityMatrix,
@@ -54,8 +54,7 @@ _ALIASES = {
 _CANONICAL = {name.lower(): name for name in ALL_MEASURES}
 
 
-# The theory makes these nonnegative, so a value in [-1e-12, 0] is roundoff and
-# prints as 0; l1_cc may be negative and prints as computed
+# The theory makes these nonnegative, so their roundoff prints as 0; l1_cc prints as computed
 _NONNEGATIVE = ("I", "C_r_ab", "C_r_a", "C_r_b", "I_co", "C_r_upper", "C_r_sym", "dac", "dac_sym",
                 "discord")
 
@@ -160,15 +159,15 @@ def _measure_values(rho, names, basis_a, basis_b, opt_config):
     trace = None
     if any(n != "discord" for n in names):
         # every closed form reads the report's entropy table: dac through the A frame,
-        # and the both-sided drop dac_sym is I_co (the fully dephased state keeps none)
+        # dac_sym (the fully dephased state keeps no I_co, so the drop is I_co) through both
         report = MeasureReport.compute(rho, basis_a, basis_b)
         closed = {**report.to_dict(), "dac": coherence_discord(rho, basis_a),
-                  "dac_sym": report.I_co}
+                  "dac_sym": coherence_discord_symmetric(rho, basis_a, basis_b)}
         values = {n: closed[n] for n in names if n != "discord"}
     if "discord" in names:
         # discord minimizes over all bases, so any basis file is irrelevant to it
         values["discord"], trace = discord(rho, opt_config)
-    return {n: 0.0 if n in _NONNEGATIVE and -1e-12 <= v <= 0.0 else v
+    return {n: 0.0 if n in _NONNEGATIVE and -_NEGATIVE_ROUNDOFF <= v <= 0.0 else v
             for n, v in values.items()}, trace
 
 

@@ -43,6 +43,9 @@ EIG_CLIP = 1e-10
 # kernel directions, and rho mass above the same cutoff there gives +inf.
 SUPPORT_CUTOFF = 1e-10
 
+# A value in [-_NEGATIVE_ROUNDOFF, 0] of a measure the theory makes nonnegative is roundoff
+_NEGATIVE_ROUNDOFF = 1e-12
+
 
 def entropy_of_probs(p: np.ndarray, axis=None):
     """Shannon entropy in bits with the 0 log 0 := 0 convention: of all of

@@ -3,10 +3,10 @@ invariants behind the coherence correlation (see README for the statements).
 
 Every suite runs _run_trials in two phases: draw(i, rng) makes trial i's RNG calls
 on its own child stream (one Philox generator, re-keyed per trial) and returns the
-raw output; measure builds up to CHUNK (64) draws with the samplers' own stacked
-builders and checks them in one pass, then progress fires per trial, in order.
-theorem2 and zero-sets search per trial: their draw is the whole check, and their
-chunks hold one trial.  The rows reduce to a SuiteResult naming the worst trial.
+raw output; measure builds up to CHUNK (64) draws with the samplers' own builders,
+checks them and yields their rows in batches (a closed-form suite's chunk in one stacked
+pass, theorem2's and zero-sets' one search at a time), and progress fires per trial, in
+order, as its batch comes out.  The rows reduce to a SuiteResult naming the worst trial.
 """
 
 from __future__ import annotations
@@ -25,15 +25,13 @@ from .discord import (
     coherence_discord,
     discord,
     discord_at_basis,
-    discord_via_coherence,
     qubit_discord_grid,
 )
 from .linalg import apply_local, dephase_local
-from .measures import _DAC, _I_CO, _closed_form, correlated_coherence
+from .measures import _DAC, _I_CO, _NEGATIVE_ROUNDOFF, _closed_form, correlated_coherence
 from .states import (
     DensityMatrix, _check_count, _cq_mat, _draw_cq, _draw_state, _restarts, _state_mats,
-    ket_projector, random_cq_state, random_state_from, rng_from_seed, spawn_seeds,
-    validate_density,
+    ket_projector, rng_from_seed, spawn_seeds, validate_density,
 )
 
 # The suites' fixed sizes: every fourth theorem3 trial applies a mixture of two
@@ -66,21 +64,22 @@ class SuiteResult:
 
 def _run_trials(suite, trials, dims, seed, tol, draw, measure, progress, reduce=None,
                 limits=None):
-    """Trial i draws draw(i, rng) on its own child stream; measure maps a chunk of draws
-    to one (violation, row) each.  A trial fails when its violation exceeds tol, and
-    counts one more failure for each row value above its entry in limits.  reduce maps a
-    row key to fn, and details carry fn of that key's values over the trials that report
-    it, if any.  Details also name the worst trial and its child seed; child seeds are
-    prefix-stable, so rerunning with trials=worst_trial + 1 reproduces it."""
+    """Trial i draws draw(i, rng) on its own child stream; measure yields a chunk's
+    (violation, row) pairs in batches, and progress fires per trial as its batch comes out.
+    A trial fails when its violation exceeds tol, and each row value above its entry in
+    limits counts one more failure.  reduce maps a row key to fn; details carry fn of that
+    key's values, if any trial reports it, and name the worst trial and its child seed,
+    which is prefix-stable, so trials=worst_trial + 1 replays it."""
     _check_count("trials", trials)
     _check_count("seed", seed, least=0)
     rows, seeds, rng = [], spawn_seeds(seed, trials), rng_from_seed(0)
-    step = 1 if suite in _SEARCHING else CHUNK
-    for start in range(0, trials, step):
-        chunk = range(start, min(start + step, trials))
-        rows += measure([draw(i, r) for i, r in zip(chunk, _restarts(rng, seeds[chunk]))])
-        for i in chunk if progress else ():
-            progress(i + 1, trials)
+    for start in range(0, trials, CHUNK):
+        chunk = range(start, min(start + CHUNK, trials))
+        for batch in measure([draw(i, r) for i, r in zip(chunk, _restarts(rng, seeds[chunk]))]):
+            done = len(rows)
+            rows += batch
+            for i in range(done, len(rows)) if progress else ():
+                progress(i + 1, trials)
     violations = [v for v, _ in rows]
     worst = max(range(trials), key=violations.__getitem__)
     failures = sum(1 for v in violations if v > tol) + sum(
@@ -120,7 +119,7 @@ def verify_theorem1(
         g, perms, phases = map(np.array, zip(*chunk))
         mats, ops = _state_mats("ginibre-mixed", g), _rank_one_ppio_ops(perms, phases)
         gaps, mi = _ppio_drops(mats, validate_density(mats), dims, ops)
-        return [(max(-g, m - g), {"min_gap": g}) for (g,), m in zip(gaps.tolist(), mi.tolist())]
+        yield [(max(-g, m - g), {"min_gap": g}) for (g,), m in zip(gaps.tolist(), mi.tolist())]
 
     return _run_trials(
         "theorem1", trials, dims, seed, 1e-9, draw, measure, progress, reduce={"min_gap": min}
@@ -131,10 +130,10 @@ def verify_theorem2(
     trials: int = 200,
     dims: tuple = (2, 2),
     seed: int = 0,
-    restarts: int = 16,
+    restarts: int = OptimizerConfig.restarts,
     grid_checks: int = 0,
     progress=None,
-    max_iter: int = 500,
+    max_iter: int = OptimizerConfig.max_iter,
 ) -> SuiteResult:
     """One basis search per trial, checked at the basis it returns.  Two routes
     that share no code with the search objective evaluate dac_U = I - J_U
@@ -143,25 +142,27 @@ def verify_theorem2(
     search value; the first grid_checks trials also compare it with the qubit
     grid oracle, which catches a basis that is not the minimum."""
 
-    def check(i, rng):
-        rho = random_state_from(rng, *dims, "ginibre-mixed")
-        config = OptimizerConfig(
-            restarts=restarts, max_iter=max_iter, seed=int(rng.integers(0, 2**63))
-        )
-        value, basis, _ = discord_via_coherence(rho, config)
-        dephased = DensityMatrix(dephase_local(rho.mat, rho.dims, basis), rho.dims)
-        drop = correlated_coherence(rho, basis) - correlated_coherence(dephased, basis)
-        row = {
-            "max_discord_at_basis_dev": abs(discord_at_basis(rho, basis) - value),
-            "max_ico_drop_dev": abs(drop - value),
-        }
-        if i < grid_checks:
-            row["max_grid_dev"] = abs(qubit_discord_grid(rho) - value)
-        return max(row.values()), row
+    def draw(i, rng):
+        g = _draw_state(dims[0] * dims[1], "ginibre-mixed", rng)
+        return g, int(rng.integers(0, 2**63)), i < grid_checks
+
+    def measure(chunk):
+        mats = _state_mats("ginibre-mixed", np.array([g for g, _, _ in chunk]))
+        for mat, (_, search_seed, grid) in zip(mats, chunk):
+            rho = DensityMatrix(mat, dims)
+            value, trace = discord(rho, OptimizerConfig(restarts, max_iter, search_seed))
+            basis = trace.best_basis
+            dephased = DensityMatrix(dephase_local(rho.mat, rho.dims, basis), rho.dims)
+            drop = correlated_coherence(rho, basis) - correlated_coherence(dephased, basis)
+            row = {"max_discord_at_basis_dev": abs(discord_at_basis(rho, basis) - value),
+                   "max_ico_drop_dev": abs(drop - value)}
+            if grid:
+                row["max_grid_dev"] = abs(qubit_discord_grid(rho) - value)
+            yield [(max(row.values()), row)]
 
     keys = ("max_discord_at_basis_dev", "max_ico_drop_dev", "max_grid_dev")
     return _run_trials(
-        "theorem2", trials, dims, seed, 1e-4, check, list, progress,
+        "theorem2", trials, dims, seed, 1e-4, draw, measure, progress,
         reduce=dict.fromkeys(keys, max),
     )
 
@@ -200,7 +201,7 @@ def verify_theorem3(
         outs = (weights * apply_local(cq[:, None], dims, ops_a, ops_b)).sum(1)
         # the cq states and the outputs in one check; dac reads the outputs' half
         spectra = validate_density(np.concatenate([cq, outs]))[len(chunk):]
-        return zip(_closed_form(outs, spectra, dims, _DAC).tolist(), repeat({}))
+        yield zip(_closed_form(outs, spectra, dims, _DAC).tolist(), repeat({}))
 
     return _run_trials("theorem3", trials, dims, seed, 1e-10, draw, measure, progress)
 
@@ -226,7 +227,7 @@ def verify_superadditivity(
         for split, group in _groups(trial[0] for trial in chunk):
             stack = np.array([mats[j] for j in group])
             violations[group] = -_closed_form(stack, validate_density(stack), split, _I_CO)
-        return zip(violations.tolist(), repeat({}))
+        yield zip(violations.tolist(), repeat({}))
 
     result = _run_trials("superadditivity", trials, dims_list[0], seed, 1e-9, draw, measure,
                          progress)
@@ -262,7 +263,7 @@ def verify_invariance(
         drops, _ = _ppio_drops(mats, spectra[:, 0], dims, _rank_one_ppio_ops(perms, phases))
         dac = _closed_form(both, spectra, dims, _DAC)
         devs = np.abs(np.concatenate([drops, dac[:, 1:]], axis=1) - dac[:, :1]).max(axis=1)
-        return zip(devs.tolist(), repeat({}))
+        yield zip(devs.tolist(), repeat({}))
 
     return _run_trials("invariance", trials, dims, seed, 1e-9, draw, measure, progress)
 
@@ -284,35 +285,37 @@ def verify_zero_sets(
     trials: int = 200,
     dims: tuple = (2, 2),
     seed: int = 0,
-    restarts: int = 16,
+    restarts: int = OptimizerConfig.restarts,
     progress=None,
-    max_iter: int = 500,
+    max_iter: int = OptimizerConfig.max_iter,
 ) -> SuiteResult:
     """Convex mixtures of zero-correlation states stay in the zero set; the
     zero set sits inside the discord-free set (checked by a discord search on
     the first MEMBER_DISCORD_CHECKS mixtures); and the two-basis mixture
     witness has discord > 0.01 (non-convexity of the discord-free set)."""
 
-    def search(search_seed):
-        return OptimizerConfig(restarts=restarts, max_iter=max_iter, seed=search_seed)
+    def draw(i, rng):
+        weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
+        cqs = [_draw_cq(rng, *dims) for _ in weights]
+        return weights, cqs, int(rng.integers(0, 2**63)) if i < MEMBER_DISCORD_CHECKS else None
 
-    def check(i, rng):
-        n = int(rng.integers(2, 5))
-        weights = rng.dirichlet(np.ones(n))
-        mixture = DensityMatrix(sum(w * random_cq_state(rng, *dims).mat for w in weights), dims)
-        v = coherence_discord(mixture)
-        if i >= MEMBER_DISCORD_CHECKS:
-            return v, {}
-        dv, _ = discord(mixture, search(int(rng.integers(0, 2**63))))
-        # discord is nonnegative; the search's roundoff below zero reports as 0
-        return v, {"member_discord_max": max(dv, 0.0)}
+    def measure(chunk):
+        for weights, cqs, search_seed in chunk:
+            probs, g = map(np.array, zip(*cqs))
+            parts = _cq_mat(probs, _state_mats("ginibre-mixed", g))
+            validate_density(parts)  # each component is a state, as is their mixture
+            mixture, row = DensityMatrix(sum(w * p for w, p in zip(weights, parts)), dims), {}
+            if search_seed is not None:  # discord >= 0: a value below roundoff counts as |value|
+                dv, _ = discord(mixture, OptimizerConfig(restarts, max_iter, search_seed))
+                row["member_discord_max"] = 0.0 if -_NEGATIVE_ROUNDOFF <= dv <= 0.0 else abs(dv)
+            yield [(coherence_discord(mixture), row)]
 
     result = _run_trials(
-        "zero-sets", trials, dims, seed, 1e-10, check, list, progress,
+        "zero-sets", trials, dims, seed, 1e-10, draw, measure, progress,
         reduce={"member_discord_max": max}, limits={"member_discord_max": 1e-6},
     )
     witness = nonconvexity_witness()
-    w_opt, _ = discord(witness, search(seed))
+    w_opt, _ = discord(witness, OptimizerConfig(restarts, max_iter, seed))
     w_grid = qubit_discord_grid(witness)
     witness_ok = min(w_opt, w_grid) > 0.01
     result.details.update({
@@ -334,7 +337,6 @@ _SUITES = {
     "zero-sets": verify_zero_sets,
 }
 SUITES = tuple(_SUITES)
-_SEARCHING = ("theorem2", "zero-sets")
 
 
 def run_suite(suite: str, trials: int | None = None, dims: tuple | None = None, seed: int = 0,
@@ -350,6 +352,6 @@ def run_suite(suite: str, trials: int | None = None, dims: tuple | None = None, 
     given = {key: value for key, value in options.items() if value is not None}
     search = {key: given.pop(key) for key in ("restarts", "max_iter") if key in given}
     OptimizerConfig(**search)
-    if suite in _SEARCHING:
+    if suite in ("theorem2", "zero-sets"):
         given.update(search)
     return _SUITES[suite](seed=seed, progress=progress, **given)

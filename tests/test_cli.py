@@ -358,6 +358,17 @@ def test_dac_column_is_the_library_value(dims, seed, framed):
     assert values["dac"] == coherence_discord(DensityMatrix(rho.mat, rho.dims), bases[0])
 
 
+def test_dac_sym_column_is_the_library_value():
+    # on this state the report's I_co, a column of one product for every report field,
+    # and correlated_coherence's own sum differ in the last bits; dac_sym is the latter
+    rho = random_state(2, 3, "ginibre-mixed", seed=2)
+    names = [n for n in ALL_MEASURES if n != "discord"]
+    values, _ = _measure_values(rho, names, None, None, OptimizerConfig())
+    want = coherence_discord_symmetric(DensityMatrix(rho.mat, rho.dims))
+    assert values["I_co"] != want
+    assert values["dac_sym"] == want
+
+
 def test_sweep_werner_endpoints_and_monotonicity(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "werner", "--steps", "11", "--measures", "discord,dac,ico",
@@ -407,9 +418,10 @@ def test_roundoff_below_zero_prints_as_zero(capsys, monkeypatch, bell_file, fmt)
     # a nonnegative measure in [-1e-12, 0] prints as 0, never -0; below that,
     # and for l1_cc, which may be negative, the value prints as computed
     closed = {"I": -3e-16, "C_r_b": -2e-12, "l1_cc": -3e-16}
-    report = SimpleNamespace(to_dict=lambda: closed, I_co=-0.0)
+    report = SimpleNamespace(to_dict=lambda: closed)
     monkeypatch.setattr(discoh.cli, "MeasureReport", SimpleNamespace(compute=lambda *args: report))
     monkeypatch.setattr(discoh.cli, "coherence_discord", lambda rho, basis_a: -1e-12)
+    monkeypatch.setattr(discoh.cli, "coherence_discord_symmetric", lambda rho, fa, fb: -0.0)
     monkeypatch.setattr(discoh.cli, "discord", lambda rho, config: (-4.4e-15, None))
     code, out, _ = run_cli(capsys, "compute", bell_file, "--format", fmt,
                            "--measures", "I,C_r_b,l1_cc,dac,dac_sym,discord")
@@ -488,8 +500,7 @@ def test_verify_max_iter_reaches_the_search(capsys, monkeypatch, suite):
             return search(rho, config)
         return recorded
 
-    for name in ("discord_via_coherence", "discord"):
-        monkeypatch.setattr(discoh.verify, name, spy(getattr(discoh.verify, name)))
+    monkeypatch.setattr(discoh.verify, "discord", spy(discoh.verify.discord))
     _, out, _ = run_cli(
         capsys, "verify", suite, "--trials", "2", "--restarts", "2", "--max-iter", "1"
     )

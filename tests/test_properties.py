@@ -1,6 +1,8 @@
 """Randomized invariant suites at reduced trial counts; the acceptance module
 runs the full campaigns."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -53,13 +55,13 @@ def test_theorem2_suite_small():
 def test_theorem2_check_catches_a_wrong_value(monkeypatch):
     import discoh.verify
 
-    search = discoh.verify.discord_via_coherence
+    search = discoh.verify.discord
 
     def off_by_1e3(rho, config=None):
-        value, basis, trace = search(rho, config)
-        return value + 1e-3, basis, trace
+        value, trace = search(rho, config)
+        return value + 1e-3, trace
 
-    monkeypatch.setattr(discoh.verify, "discord_via_coherence", off_by_1e3)
+    monkeypatch.setattr(discoh.verify, "discord", off_by_1e3)
     result = verify_theorem2(trials=3, seed=104)
     assert not result.passed and result.failures == 3
     for key in ("max_discord_at_basis_dev", "max_ico_drop_dev"):
@@ -73,9 +75,9 @@ def test_theorem2_grid_check_catches_a_non_optimal_basis(monkeypatch):
 
     def wrong_basis(rho, config=None):
         basis = ReferenceBasis(haar_unitary(2, np.random.default_rng(1)))
-        return discord_at_basis(rho, basis), basis, None
+        return discord_at_basis(rho, basis), SimpleNamespace(best_basis=basis)
 
-    monkeypatch.setattr(discoh.verify, "discord_via_coherence", wrong_basis)
+    monkeypatch.setattr(discoh.verify, "discord", wrong_basis)
     result = verify_theorem2(trials=1, seed=104, grid_checks=1)
     assert not result.passed
     # the value is right at its basis; only the grid sees it is not the minimum
@@ -132,6 +134,28 @@ def test_zero_sets_counts_member_and_witness_checks(monkeypatch, value, failures
     assert result.max_violation <= 1e-10
     assert result.details["member_discord_max"] == value
     assert result.details["witness_discord_optimizer"] == value
+
+
+@pytest.mark.parametrize("value,reported,failures", [(-0.5, 0.5, 2), (-1e-13, 0.0, 0)])
+def test_zero_sets_reports_a_negative_member_discord_beyond_roundoff(monkeypatch, value,
+                                                                     reported, failures):
+    # the two member searches return value, the witness search its own: a discord in
+    # [-1e-12, 0] is roundoff and reports as 0, and one below that as its magnitude,
+    # so the 1e-6 limit on member_discord_max fails it
+    import discoh.verify
+
+    calls, search = [], discoh.verify.discord
+
+    def member_value(rho, config=None):
+        calls.append(rho)
+        return (value, None) if len(calls) <= 2 else search(rho, config)
+
+    monkeypatch.setattr(discoh.verify, "discord", member_value)
+    monkeypatch.setattr(discoh.verify, "MEMBER_DISCORD_CHECKS", 2)
+    result = verify_zero_sets(trials=3, seed=109)
+    assert len(calls) == 3
+    assert result.details["member_discord_max"] == reported
+    assert result.failures == failures and result.passed == (failures == 0)
 
 
 def test_rank_one_ppio_output_in_zero_set():
@@ -440,8 +464,7 @@ def test_progress_fires_once_per_trial_after_its_chunk_is_measured(monkeypatch):
     assert all(i <= done for i, _, done in calls)
 
 
-@pytest.mark.parametrize("name,search", [("theorem2", "discord_via_coherence"),
-                                         ("zero-sets", "discord")])
+@pytest.mark.parametrize("name,search", [("theorem2", "discord"), ("zero-sets", "discord")])
 def test_each_search_is_followed_by_its_own_progress_call(monkeypatch, name, search):
     # the searching suites report each trial as it ends, not in bursts of
     # CHUNK; zero-sets searches once more, for its witness, after the trials
@@ -456,6 +479,38 @@ def test_each_search_is_followed_by_its_own_progress_call(monkeypatch, name, sea
     monkeypatch.setattr(discoh.verify, search, recording)
     run_suite(name, trials=3, seed=126, restarts=2, progress=lambda i, n: events.append(i))
     assert events[:6] == ["search", 1, "search", 2, "search", 3]
+
+
+@pytest.mark.parametrize("name", ["theorem2", "zero-sets"])
+def test_a_searching_suite_draws_its_chunk_before_its_first_search(monkeypatch, name):
+    # every draw of a chunk, RNG calls only, comes before the chunk's first
+    # validation or search; here a chunk holds 3 trials, so 5 trials take two
+    import discoh.states
+    import discoh.verify
+
+    events, restarts, search = [], discoh.verify._restarts, discoh.verify.discord
+
+    def drawing(rng, seeds):
+        for restarted in restarts(rng, seeds):
+            events.append("draw")
+            yield restarted
+
+    def searching(*args):
+        events.append("search")
+        return search(*args)
+
+    for owner in (discoh.states, discoh.verify):
+        validate = owner.validate_density
+        monkeypatch.setattr(owner, "validate_density",
+                            lambda *args, _v=validate: events.append("validate") or _v(*args))
+    monkeypatch.setattr(discoh.verify, "_restarts", drawing)
+    monkeypatch.setattr(discoh.verify, "discord", searching)
+    monkeypatch.setattr(discoh.verify, "CHUNK", 3)
+    run_suite(name, trials=5, seed=128, restarts=2)
+    second = events.index("draw", 3)
+    assert events[:3] == ["draw"] * 3 and events[second:second + 2] == ["draw"] * 2
+    marks = [event for event in events if event != "validate"]
+    assert marks[:10] == ["draw"] * 3 + ["search"] * 3 + ["draw"] * 2 + ["search"] * 2
 
 
 @pytest.mark.parametrize("name", ["theorem1", "theorem3"])

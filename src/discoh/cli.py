@@ -172,6 +172,10 @@ def _measure_values(rho, names, basis_a, basis_b, opt_config):
 
 
 def cmd_compute(args) -> int:
+    names = parse_measures(args.measures)
+    if args.trace and (args.format == "csv" or "discord" not in names):
+        conflict = "--format csv" if args.format == "csv" else "no discord is measured"
+        raise ValueError(f"--trace adds the discord search's trace to JSON output: {conflict}")
     tols = _state_tolerances(args)
     rho = load_state(args.state, **tols)
     if args.part == "b":
@@ -183,7 +187,6 @@ def cmd_compute(args) -> int:
                 f"basis JSON in {args.basis}, {key}: frame is {basis.dim}x{basis.dim}, "
                 f"but that part of the state has dimension {dim}"
             )
-    names = parse_measures(args.measures)
     opt_config = OptimizerConfig(restarts=args.restarts, max_iter=args.max_iter, seed=args.seed)
     values, trace = _measure_values(rho, names, basis_a, basis_b, opt_config)
     _warn_unconverged(trace, args.state)
@@ -202,7 +205,7 @@ def cmd_compute(args) -> int:
             "dims": list(rho.dims),
             "measures": {n: _round12(values[n]) for n in names},
         }
-        if args.trace and trace is not None:
+        if args.trace:
             payload["trace"] = trace.to_dict()
         _emit(json.dumps(payload, indent=2, sort_keys=False), args.out)
     return 0
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default=None, help="optional basis JSON file (frame_a/frame_b)")
     p.add_argument("--part", choices=("a", "b"), default="a",
                    help="swap subsystems first to measure up to part B")
-    p.add_argument("--trace", action="store_true", help="attach the optimizer trace (JSON only)")
+    p.add_argument("--trace", action="store_true", help="attach the search trace (JSON, discord)")
     p.add_argument("--tol-hermitian", type=parse_tolerance, default=None, dest="tol_hermitian")
     p.add_argument("--tol-trace", type=parse_tolerance, default=None, dest="tol_trace")
     p.add_argument("--tol-psd", type=parse_tolerance, default=None, dest="tol_psd")

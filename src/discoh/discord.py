@@ -128,21 +128,16 @@ def _log2_or_0(x):
     return np.log2(np.where(x > 0.0, x, 1.0))
 
 
-def _qubit_spectra(a, d, b):
-    """Eigenvalues lo <= hi of Hermitian PSD 2x2 blocks [[a, b], [b*, d]] in
-    closed form, lo clipped at 0, and r, half their gap before the clip."""
-    half, r = 0.5 * (a + d), np.sqrt((0.5 * (a - d)) ** 2 + np.abs(b) ** 2)
-    return np.maximum(half - r, 0.0), half + r, r
-
-
 def _log2_slope(lo, hi, r):
     """c1 with log2 M = c1 (M - lo 1) + log2(lo) 1 (log 0 := 0) for 2x2 spectra
-    from _qubit_spectra: log2(hi / lo) / 2r, taken through log1p so that
-    near-degenerate blocks keep their digits, and log2(hi) / hi when lo = 0."""
-    safe = np.where(lo > 0.0, lo, 1.0)
-    x = np.maximum(2.0 * r / safe, 1e-300)
-    return np.where(lo > 0.0, np.log1p(x) / x / (safe * math.log(2.0)),
-                    _log2_or_0(hi) / np.maximum(hi, 1e-300))
+    lo = max(half - r, 0) and hi = half + r: log2(hi / lo) / 2r, taken through log1p
+    so that near-degenerate blocks keep their digits, and log2(hi) / hi when lo = 0."""
+    full = lo > 0.0
+    if full.all():  # no rank-one block, the common case
+        x = np.maximum(2.0 * r / lo, 1e-300)
+        return np.log1p(x) / x / (lo * math.log(2.0))
+    slope = _log2_slope(np.where(full, lo, 1.0), hi, r)
+    return np.where(full, slope, _log2_or_0(hi) / np.maximum(hi, 1e-300))
 
 
 def _basis_objective(rho: DensityMatrix):
@@ -162,28 +157,31 @@ def _basis_objective(rho: DensityMatrix):
     # the marginal is trusted as rho is, not rechecked at tolerances rho may have loosened
     ra = partial_trace(rho.mat, rho.dims, keep="a")
     const = entropy_of_probs(np.linalg.eigvalsh(ra)) - entropy_of_probs(rho.spectrum)
-    eye = np.eye(d_b)
+    # a qubit block's p, lo and hi: weights on half its trace and on r, half the gap
+    # of its spectrum, and the signs of their x log2 x in f
+    half_trace, half_gap, signs = np.array([[2.0, 1.0, 1.0], [0.0, -1.0, 1.0], [1.0, -1.0, -1.0]])
+    half_trace, half_gap = half_trace[:, None, None], half_gap[:, None, None]
 
     def objective(frames):
         y = (tm @ frames).reshape(-1, d_a, d_b, d_b, d_a)
         blocks = np.einsum("ria,rijla->rajl", frames.conj(), y)
         if d_b == 2:
-            lo, hi, r = _qubit_spectra(blocks[..., 0, 0].real, blocks[..., 1, 1].real,
-                                       blocks[..., 0, 1])
-            lam = np.concatenate([lo[..., None], hi[..., None]], axis=-1)
+            a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+            half, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(blocks[..., 0, 1]))
+            x = np.maximum(half_trace * half + half_gap * r, 0.0)  # p, lo, hi
+            # pseudo-log, log 0 := 0: a zero eigenvalue of a PSD block moves only at
+            # second order, so its weight in W adds nothing to the gradient
+            logs = _log2_or_0(x)
+            f = const + np.einsum("kra,k->r", x * logs, signs)
+            c1 = _log2_slope(x[1], x[2], r)
+            wmat = -c1[..., None, None] * blocks
+            wmat.reshape(*c1.shape, 4)[..., ::3] += (logs[0] - logs[1] + c1 * x[1])[..., None]
         else:
             lam, vec = np.linalg.eigh(blocks)
             lam = np.clip(lam, 0.0, None)
-        p = lam.sum(axis=-1)
-        # pseudo-log, log 0 := 0: a zero eigenvalue of a PSD block moves only at
-        # second order, so its weight in W adds nothing to the gradient
-        log_lam, log_p = _log2_or_0(lam), _log2_or_0(p)
-        f = const - (lam * log_lam).sum(axis=(1, 2)) + (p * log_p).sum(axis=1)
-        if d_b == 2:
-            c1 = _log2_slope(lo, hi, r)
-            w0 = log_p - log_lam[..., 0] + c1 * lo
-            wmat = w0[..., None, None] * eye - c1[..., None, None] * blocks
-        else:
+            p = lam.sum(axis=-1)
+            log_lam, log_p = _log2_or_0(lam), _log2_or_0(p)
+            f = const - (lam * log_lam).sum(axis=(1, 2)) + (p * log_p).sum(axis=1)
             w = log_p[..., None] - log_lam
             wmat = (vec * w[..., None, :]) @ vec.conj().swapaxes(-1, -2)
         return f, np.einsum("rijla,ralj->ria", y, wmat)
@@ -198,7 +196,7 @@ def _riemannian(grad, frames):
 
 
 def _inner(a, b):
-    return np.einsum("rij,rij->r", a.conj(), b).real
+    return np.einsum("rij,rij->r", a.view(float), b.view(float))
 
 
 class _Minimized(tuple):
@@ -211,13 +209,14 @@ def minimize(objective, frames, config: OptimizerConfig):
 
     objective(frames) maps an (n, d, d) stack to the values and the gradients
     wrt conj(frames).  Each step moves a restart along the Cayley curve
-    (1 + mu A/2)^-1 (1 - mu A/2) U, A its Lie-algebra gradient, with mu a
-    Barzilai-Borwein step that an Armijo line search halves until the value
-    drops.  A new step is capped at pi/||A||_F, which bounds mu ||A||_2 by pi,
-    so 1 + mu A/2 stays well conditioned and the frames unitary to roundoff.
-    Each stacked call carries the next trial point of every live restart, a
-    new step or a halved one, from one stacked solve, so no restart waits on
-    another's line search and each follows the path it would follow alone.
+    (1 + mu A/2)^-1 (1 - mu A/2) U = 2 (1 + mu A/2)^-1 U - U, A its Lie-algebra
+    gradient, with mu a Barzilai-Borwein step that an Armijo line search halves
+    until the value drops.  A new step is capped at pi/||A||_F, which bounds
+    mu ||A||_2 by pi, so 1 + mu A/2 stays well conditioned and the frames
+    unitary to roundoff.  Each stacked call carries the next trial point of
+    every live restart, a new step or a halved one, from one stacked solve, so
+    no restart waits on another's line search and each follows the path it
+    would follow alone.
     Returns (frames, values, iterations, converged), one entry per restart,
     with .stop and .evaluations attached.
     """
@@ -225,40 +224,47 @@ def minimize(objective, frames, config: OptimizerConfig):
     n = len(u)
     f, g = objective(u)
     a = _riemannian(g, u)
-    aa = _inner(a, a)
-    step, drop, mu = np.ones(n), np.full(n, math.inf), np.zeros(n)
-    iters, tries, evals = np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.ones(n, dtype=int)
+    # the rows of stats, per restart: value, |A|^2, the drop of the last accepted
+    # step, mu, iterations, tries since that step, and evaluations
+    stats = np.zeros((7, n))
+    stats[0], stats[1], stats[2], stats[6] = f, _inner(a, a), math.inf, 1.0
+    rows = np.flatnonzero(stats[1] > X_TOL**2)
+    # the live restarts' state, over their rows only; each writes it back as it retires
+    ul, al, sl = u[rows], a[rows], stats[:, rows]
+    sl[3] = np.minimum(1.0, np.pi / np.sqrt(sl[1]))
     eye = np.eye(u.shape[-1])
-    live = fresh = np.flatnonzero(aa > X_TOL**2)
-    while live.size:
-        mu[fresh] = np.minimum(step[fresh], np.pi / np.sqrt(aa[fresh]))
-        m, ul = mu[live], u[live]
-        h = 0.5 * m[:, None, None] * a[live]
-        trial = np.linalg.solve(eye + h, ul - h @ ul)
+    while rows.size:
+        fl, aal, _, mu, it, tries, _ = sl
+        trial = 2.0 * np.linalg.solve(eye + (0.5 * mu)[:, None, None] * al, ul) - ul
         ft, gt = objective(trial)
-        evals[live] += 1
-        tries[live] += 1
-        ok = ft <= f[live] - ARMIJO * m * aa[live] + ROUNDOFF
-        r, ft, ut = live[ok], ft[ok], trial[ok]
-        at = _riemannian(gt[ok], ut)
+        sl[5:] += 1.0
+        ok = ft <= fl - ARMIJO * mu * aal + ROUNDOFF
+        at = _riemannian(gt, trial)
         # BB steps from s = -mu A_old and y = A_new - A_old, alternating the two forms
-        s, y = -m[ok, None, None] * a[r], at - a[r]
-        sy, ss, yy = np.abs(_inner(s, y)), _inner(s, s), _inner(y, y)
-        bb = np.where(iters[r] % 2 == 0, ss / np.maximum(sy, 1e-300), sy / np.maximum(yy, 1e-300))
-        step[r], drop[r] = np.clip(bb, 1e-10, 1e10), f[r] - ft
-        u[r], f[r], a[r], aa[r], tries[r] = ut, ft, at, _inner(at, at), 0
-        iters[r] += 1
-        back = live[~ok]
-        mu[back] *= 0.5
-        fresh = r[(aa[r] > X_TOL**2) & (iters[r] < config.max_iter)]
-        live = np.concatenate([fresh, back[tries[back] < MAX_BACKTRACKS]])
+        y = at - al
+        sy, ss, yy = mu * np.abs(_inner(al, y)), mu * mu * aal, _inner(y, y)
+        bb = np.where(it % 2 == 0, ss / np.maximum(sy, 1e-300), sy / np.maximum(yy, 1e-300))
+        np.copyto(ul, trial, where=ok[:, None, None])
+        np.copyto(al, at, where=ok[:, None, None])
+        np.copyto(sl[:3], [ft, _inner(at, at), fl - ft], where=ok)
+        it += ok
+        tries *= ~ok
+        # accepted: a new BB step, capped (the floor guards retiring rows); rejected: halved
+        step = np.minimum(np.maximum(bb, 1e-10), 1e10)
+        sl[3] = np.where(ok, np.minimum(step, np.pi / np.sqrt(np.maximum(aal, X_TOL**2))), 0.5 * mu)
+        keep = (aal > X_TOL**2) & (it < config.max_iter) & (tries < MAX_BACKTRACKS)
+        if np.count_nonzero(keep) < rows.size:
+            done = rows[~keep]
+            u[done], stats[:, done] = ul[~keep], sl[:, ~keep]
+            rows, ul, al, sl = rows[keep], ul[keep], al[keep], sl[:, keep]
+    f, aa, drop, _, iters, tries, evals = stats
     # tries restart at every accepted step, so only a restart whose line search
     # ran out ends at MAX_BACKTRACKS; it converged if its last step changed the
     # value by at most F_TOL
     at_gradient, failed = aa <= X_TOL**2, tries >= MAX_BACKTRACKS
-    found = _Minimized((u, f, iters, at_gradient | failed & (drop <= F_TOL)))
+    found = _Minimized((u, f, iters.astype(int), at_gradient | failed & (drop <= F_TOL)))
     found.stop = np.where(failed, "line-search", np.where(at_gradient, "gradient", "budget"))
-    found.evaluations = evals
+    found.evaluations = evals.astype(int)
     return found
 
 
@@ -275,10 +281,9 @@ def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationT
     found = minimize(_basis_objective(rho), starts, config)
     frames, values, iters, converged = found
     best = int(np.argmin(values))
-    records = tuple(
-        RestartRecord(tuple(map(tuple, s)), float(v), int(i), str(why), int(e))
-        for s, v, i, why, e in zip(starts, values, iters, found.stop, found.evaluations)
-    )
+    columns = (starts, values, iters, found.stop, found.evaluations)
+    records = tuple(RestartRecord(tuple(map(tuple, s)), v, i, why, e)
+                    for s, v, i, why, e in zip(*(c.tolist() for c in columns)))
     best_basis = ReferenceBasis(frames[best])
     at_best = int(np.count_nonzero(values - values[best] <= F_TOL))
     return OptimizationTrace(
@@ -334,7 +339,7 @@ def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400)
     def term_at(th):  # S_union - H(p) of psi0's outcome on the grid rows th
         block = np.sin(2.0 * th) * equator  # entries first: (..., len(th), n_phi)
         block += np.cos(2.0 * th) * c_z + const
-        if d_b > 2:
+        if d_b != 2:
             lam = np.linalg.eigvalsh(np.moveaxis(block, (0, 1), (-2, -1)))
             p = lam.sum(axis=-1, keepdims=True)
             return entropy_of_probs(lam, axis=-1) - entropy_of_probs(p, axis=-1)
@@ -345,7 +350,7 @@ def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400)
         return x[0] - x[1] - x[2]
 
     # qubit rows go ~16k points at a time: small temporaries reuse freed memory
-    rows = n_theta if d_b > 2 else max(1, 16384 // n_phi)
+    rows = n_theta if d_b != 2 else max(1, 16384 // n_phi)
     term = np.concatenate([term_at(theta[i:i + rows]) for i in range(0, n_theta, rows)])
     cond = term + np.roll(term[::-1], n_phi // 2, axis=1)
     mci = entropy_of_probs(np.linalg.eigvalsh(rb)) - cond
@@ -363,8 +368,8 @@ def coherence_discord(rho: DensityMatrix, basis_a=None) -> float:
     The minimum over rank-one PPIOs is attained by plain dephasing of A, so
     the value has the closed form
     S[(dephase_a x id)(rho)] - S(rho) - C_r(rho_a), and is independent of the
-    B-side reference basis.  Zero exactly on the classical-quantum states
-    built in the A reference basis.  Equal to MeasureReport's C_r_upper - C_r_a.
+    B-side reference basis.  Zero on the classical-quantum states built in the A reference
+    basis, and on others such as rho_a (x) sigma.  Equal to MeasureReport's C_r_upper - C_r_a.
     """
     return _quantity(rho, _DAC, basis_a)
 

@@ -167,7 +167,7 @@ def classical_quantum(probs, blocks, basis_a=None) -> DensityMatrix:
     basis), so d_a = len(probs).
 
     When built in the global reference basis these states are exactly the
-    zero set of the discordlike coherence correlation.
+    zero set; the discordlike coherence correlation also vanishes off it (README).
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or len(probs) != len(blocks):

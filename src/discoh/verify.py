@@ -170,9 +170,10 @@ def verify_theorem2(
 def verify_theorem3(
     trials: int = 500, dims: tuple = (2, 2), seed: int = 0, progress=None
 ) -> SuiteResult:
-    """Physically free channels U_a (x) {B_j} map the zero set into itself
-    (free operations generate no resource); every fourth trial mixes two such
-    channels, as the weighted sum of their outputs.  Zero channels pad the stack."""
+    """Physically free channels U_a (x) {B_j} map the zero set, sum_i p_i |i><i| (x) sigma_i
+    in A's reference basis, into itself (off it, as on rho_a (x) sigma, they can raise dac);
+    every fourth trial mixes two such channels, as the weighted sum of their
+    outputs.  Zero channels pad the stack."""
     d_a, d_b = dims
 
     def draw(i, rng):
@@ -289,10 +290,11 @@ def verify_zero_sets(
     progress=None,
     max_iter: int = OptimizerConfig.max_iter,
 ) -> SuiteResult:
-    """Convex mixtures of zero-correlation states stay in the zero set; the
-    zero set sits inside the discord-free set (checked by a discord search on
-    the first MEMBER_DISCORD_CHECKS mixtures); and the two-basis mixture
-    witness has discord > 0.01 (non-convexity of the discord-free set)."""
+    """Convex mixtures of states of the zero set, sum_i p_i |i><i| (x) sigma_i in A's
+    reference basis, stay in it; the zero set sits inside the discord-free set (checked
+    by a discord search on the first MEMBER_DISCORD_CHECKS mixtures); and the two-basis
+    mixture witness has discord > 0.01 (non-convexity of the discord-free set).  dac and
+    I_co also vanish on a larger set that is not convex, such as rho_a (x) sigma."""
 
     def draw(i, rng):
         weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))

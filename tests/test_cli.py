@@ -178,6 +178,15 @@ def test_compute_trace_flag(capsys, bell_file):
     assert payload["trace"]["best_value"] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("extra, conflict", [(["--format", "csv"], "--format csv"),
+                                             (["--measures", "ico"], "no discord is measured")])
+def test_compute_trace_with_nothing_to_trace_is_an_input_error(capsys, bell_file, extra, conflict):
+    code, out, err = run_cli(capsys, "compute", bell_file, "--trace", *extra)
+    assert code == 2
+    assert out == ""
+    assert "--trace" in err and conflict in err
+
+
 def test_compute_with_basis_file(capsys, tmp_path):
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     rho = classical_quantum(

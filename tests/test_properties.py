@@ -560,17 +560,17 @@ RECORDED = {
     },
     "theorem2": {
         (3, 6, ("grid_checks", 2)): (7.0976618491980226e-06, 0, 1, 12872254111863797241,
-                                     3.552713678800501e-15, 1.9984014443252818e-15,
+                                     2.9976021664879227e-15, 1.9984014443252818e-15,
                                      7.0976618491980226e-06),
-        (1, 5, ("dims", (3, 2))): (2.4424906541753444e-15, 0, 4, 13413212884784156280,
-                                   2.4424906541753444e-15, 2.1094237467877974e-15),
+        (1, 5, ("dims", (3, 2))): (4.9960036108132044e-15, 0, 1, 10007452063617845036,
+                                   4.9960036108132044e-15, 2.886579864025407e-15),
     },
     "zero-sets": {
         (3, 30): (4.440892098500626e-16, 0, 11, 9918724147601234342,
-                  0.0, 0.20175207338571188, 0.20175241779843478),
+                  0.0, 0.2017520733857111, 0.20175241779843478),
         (2, 25, ("dims", (3, 2)), ("restarts", 4)): (
             8.881784197001252e-16, 0, 12, 9099095930707887757,
-            4.440892098500626e-16, 0.20175207338571222, 0.20175241779843478),
+            2.220446049250313e-16, 0.20175207338571177, 0.20175241779843478),
     },
 }
 

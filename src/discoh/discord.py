@@ -196,6 +196,7 @@ def _riemannian(grad, frames):
 
 
 def _inner(a, b):
+    # Re Tr(a^H b) of each row, as one sum over the real views of C-ordered stacks
     return np.einsum("rij,rij->r", a.view(float), b.view(float))
 
 

@@ -593,11 +593,11 @@ def rank_two_searches(restarts, max_iter):
 def rank_two_states_off_koashi_winter(e_f=entanglement_of_formation, restarts=16, max_iter=500):
     """(d_a, seed) of the states whose search value is below the oracle, or above
     it at 2x2 by more than 1e-6, or at 4x2 by more than 1e-9 (1e-6 where the
-    search says it did not converge).  At 4x2 the oracle was exact to 5.6e-13 on
-    100 of 100 states, and at 2x2 within 1.7e-8.  At 3x2 only the bound holds:
-    14 of 100 states sat 2.4e-5 to 5.1e-2 above it, which is the advantage of
-    POVMs, as 256 restarts went lower by at most 8.9e-16 on three of them and
-    no Haar frame of 2e4 went below the search."""
+    search says it did not converge).  On 100 states each drawn from
+    default_rng(9000 + 100 d_a + k), the search met the oracle to 5.6e-13 at 4x2
+    and to 1.7e-8 at 2x2.  At 3x2 only the bound holds: 14 of those states sat
+    2.4e-5 to 5.1e-2 above it, the advantage of POVMs, as on three of them 256
+    restarts went lower by at most 8.9e-16 and no Haar frame of 2e4 went below."""
     off = []
     for d_a, seed, rho, value, trace in rank_two_searches(restarts, max_iter):
         gap = value - koashi_winter_discord(rho, e_f)

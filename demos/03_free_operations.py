@@ -5,7 +5,8 @@ Builds IUOs, PPIOs, rank-one PPIOs and factorizable physically free channels
 as Kraus stacks; classifies them structurally; and demonstrates the two
 closure facts the verification suites check at scale: rank-one PPIOs never
 increase the correlated coherence (Theorem 1), and physically free channels
-keep the zero set fixed (Theorem 3).
+keep the zero set fixed (Theorem 3).  Off that set, on states such as
+rho_a (x) sigma where dac also vanishes, neither convexity nor closure holds.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from discoh import (
     make_iuo,
     make_physically_free,
     make_rank_one_ppio,
+    nonconvexity_witness,
     ppio_monotonicity_gap,
     random_rank_one_ppio,
 )
@@ -78,3 +80,19 @@ for n_ops in (1, 2, 3):
 # ... while a plain unitary that is not incoherent does create it.
 coherent = DensityMatrix(apply_local(cq.mat, cq.dims, hadamard[None]), cq.dims)
 print(f"  dac after (Hadamard x I), for contrast: {coherence_discord(coherent):.4f}")
+
+# dac also vanishes off the zero set, on products rho_a (x) sigma with a coherent A;
+# that larger set is not convex, and a mixture of two free channels maps a state in it out.
+plus = np.full((2, 2), 0.5)
+ket0, ket1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+products = [DensityMatrix(np.kron(a, b), (2, 2)) for a, b in ((ket0, ket0), (plus, ket1))]
+dacs = [coherence_discord(r) for r in (*products, nonconvexity_witness())]
+print(f"  off the zero set, dac of |00>, of |+>|1> and of their equal mixture: "
+      f"{dacs[0]:.2e}, {dacs[1]:.2e}, {dacs[2]:.4f}")
+rho = DensityMatrix(np.kron(plus, np.eye(2) / 2), (2, 2))
+prepare_0 = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])  # |0><0|, |0><1|
+outs = [apply_local(rho.mat, rho.dims, *make_physically_free(u, b_ops))
+        for u, b_ops in ((np.eye(2), prepare_0), (np.diag([1.0, -1.0]), prepare_0[:, ::-1]))]
+mixed = DensityMatrix(sum(outs) / 2, (2, 2))
+print(f"  off the zero set, dac of |+><+| x 1/2: {coherence_discord(rho):.2e}, after the equal "
+      f"mixture of 1 x (prepare |0>) and Z x (prepare |1>): {coherence_discord(mixed):.4f}")

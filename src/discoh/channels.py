@@ -84,6 +84,10 @@ class ChannelMixture:
             raise ValueError("mixture weights must be finite and positive")
         if abs(sum(weights) - 1.0) > 1e-10:
             raise ValueError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
+        for c in components:
+            if not isinstance(c, KrausChannel):
+                raise TypeError(f"expected a KrausChannel, got {type(c).__name__}: "
+                                "wrap a Kraus stack as KrausChannel(ops)")
         if len({c.dim for c in components}) != 1:
             raise ValueError("mixture components must share dimensions")
         object.__setattr__(self, "weights", weights)
@@ -94,21 +98,22 @@ class ChannelMixture:
 
 
 def apply(chan, rho):
-    """Apply a KrausChannel, or a mixture of them, to a state of its own system.
+    """Apply a KrausChannel, or a mixture of them, to a state of its own system
+    (a raw Kraus stack raises a TypeError, as in a ChannelMixture).
 
     DensityMatrix in, DensityMatrix out (revalidated); a plain matrix, checked
     on entry, comes out as a matrix.  A channel on one side of a bipartite
     state, such as U_a (x) {B_j}, acts through linalg.apply_local instead.
     """
-    mixture = isinstance(chan, ChannelMixture)
-    weights, parts = (chan.weights, chan.components) if mixture else ((1.0,), (chan,))
+    if not isinstance(chan, ChannelMixture):
+        chan = ChannelMixture((1.0,), (chan,))  # which checks that chan is a KrausChannel
     state = isinstance(rho, DensityMatrix)
     m = _checked_state(rho)[0]
-    dim = parts[0].dim
+    dim = chan.components[0].dim
     if m.shape[0] != dim:
         raise ValueError(f"state dimension {m.shape[0]} does not match channel ({dim})")
     out = sum(w * (c.ops @ m @ c.ops.conj().swapaxes(-1, -2)).sum(axis=0)
-              for w, c in zip(weights, parts))
+              for w, c in zip(chan.weights, chan.components))
     return DensityMatrix(out, rho.dims) if state else out
 
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .discord import OptimizerConfig, coherence_discord, coherence_discord_symmetric, discord
+from .discord import OptimizerConfig, coherence_discord, discord
 from .measures import _NEGATIVE_ROUNDOFF, CSV_COLUMNS, MeasureReport
 from .states import (
     ENSEMBLES,
@@ -158,11 +158,11 @@ def _measure_values(rho, names, basis_a, basis_b, opt_config):
     values = {}
     trace = None
     if any(n != "discord" for n in names):
-        # every closed form reads the report's entropy table: dac through the A frame,
-        # dac_sym (the fully dephased state keeps no I_co, so the drop is I_co) through both
+        # every closed form reads the report's entropy table: dac through the A frame, and
+        # dac_sym is I_co, as the fully dephased state keeps no I_co
         report = MeasureReport.compute(rho, basis_a, basis_b)
         closed = {**report.to_dict(), "dac": coherence_discord(rho, basis_a),
-                  "dac_sym": coherence_discord_symmetric(rho, basis_a, basis_b)}
+                  "dac_sym": report.I_co}
         values = {n: closed[n] for n in names if n != "discord"}
     if "discord" in names:
         # discord minimizes over all bases, so any basis file is irrelevant to it

@@ -70,8 +70,8 @@ class RestartRecord:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """The search's result: converged says whether the best restart converged,
-    restarts_at_best how many restarts ended within F_TOL of the best value."""
+    """The search's result: restarts_at_best counts the restarts that ended
+    within F_TOL of the best value, and converged says whether one of them converged."""
 
     best_value: float
     best_basis: ReferenceBasis
@@ -200,11 +200,6 @@ def _inner(a, b):
     return np.einsum("rij,rij->r", a.view(float), b.view(float))
 
 
-class _Minimized(tuple):
-    """minimize's (frames, values, iterations, converged), with each restart's
-    stop reason and objective evaluations as .stop and .evaluations."""
-
-
 def minimize(objective, frames, config: OptimizerConfig):
     """Riemannian gradient descent on U(d), each restart on its own path.
 
@@ -218,8 +213,8 @@ def minimize(objective, frames, config: OptimizerConfig):
     every live restart, a new step or a halved one, from one stacked solve, so
     no restart waits on another's line search and each follows the path it
     would follow alone.
-    Returns (frames, values, iterations, converged), one entry per restart,
-    with .stop and .evaluations attached.
+    Returns (frames, values, iterations, converged, stop, evaluations), one
+    entry per restart in each.
     """
     u = np.array(frames, dtype=complex)
     n = len(u)
@@ -263,15 +258,15 @@ def minimize(objective, frames, config: OptimizerConfig):
     # ran out ends at MAX_BACKTRACKS; it converged if its last step changed the
     # value by at most F_TOL
     at_gradient, failed = aa <= X_TOL**2, tries >= MAX_BACKTRACKS
-    found = _Minimized((u, f, iters.astype(int), at_gradient | failed & (drop <= F_TOL)))
-    found.stop = np.where(failed, "line-search", np.where(at_gradient, "gradient", "budget"))
-    found.evaluations = evals.astype(int)
-    return found
+    stop = np.where(failed, "line-search", np.where(at_gradient, "gradient", "budget"))
+    converged = at_gradient | failed & (drop <= F_TOL)
+    return u, f, iters.astype(int), converged, stop, evals.astype(int)
 
 
 def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationTrace:
     """One search over all restarts: restart 0 starts at the reference frame,
-    the others at seeded Haar frames; ties go to the lowest restart index."""
+    the others at seeded Haar frames; ties go to the lowest restart index.  It
+    converged if a restart that ended within F_TOL of the best value did."""
     if rho.dim > MAX_OPT_DIM:
         cap = f"optimization paths are capped at total dimension {MAX_OPT_DIM}"
         raise ValueError(f"{cap}, got {rho.dim}")
@@ -279,17 +274,13 @@ def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationT
     rng = rng_from_seed(config.seed)
     eye = np.eye(rho.d_a, dtype=complex)[None]
     starts = np.concatenate([eye, haar_unitary(rho.d_a, rng, config.restarts - 1)])
-    found = minimize(_basis_objective(rho), starts, config)
-    frames, values, iters, converged = found
+    frames, values, iters, converged, stops, evals = minimize(_basis_objective(rho), starts, config)
     best = int(np.argmin(values))
-    columns = (starts, values, iters, found.stop, found.evaluations)
-    records = tuple(RestartRecord(tuple(map(tuple, s)), v, i, why, e)
-                    for s, v, i, why, e in zip(*(c.tolist() for c in columns)))
-    best_basis = ReferenceBasis(frames[best])
-    at_best = int(np.count_nonzero(values - values[best] <= F_TOL))
-    return OptimizationTrace(
-        float(values[best]), best_basis, records, bool(converged[best]), at_best
-    )
+    records = tuple(RestartRecord(tuple(map(tuple, s)), v, i, why, e) for s, v, i, why, e
+                    in zip(*(c.tolist() for c in (starts, values, iters, stops, evals))))
+    at_best = values - values[best] <= F_TOL
+    return OptimizationTrace(float(values[best]), ReferenceBasis(frames[best]), records,
+                             bool(converged[at_best].any()), int(np.count_nonzero(at_best)))
 
 
 def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):

@@ -256,10 +256,8 @@ CSV_COLUMNS = (
 )
 
 
-# The sign vectors of MeasureReport's entropy fields, in field order
-_REPORT_SIGNS = np.stack(
-    [_S_AB, _S_A, _S_B, _MI, _C_R_AB, _C_R_A, _C_R_B, _I_CO, _C_R_UPPER], axis=-1
-)
+# The sign vectors of MeasureReport's entropy fields, one row each, in field order
+_REPORT_SIGNS = np.stack([_S_AB, _S_A, _S_B, _MI, _C_R_AB, _C_R_A, _C_R_B, _I_CO, _C_R_UPPER])
 
 
 @dataclass(frozen=True)
@@ -280,15 +278,14 @@ class MeasureReport:
     @classmethod
     def compute(cls, rho: DensityMatrix, basis_a=None, basis_b=None) -> "MeasureReport":
         """One pass over the state: one entropy table gives every entropy
-        field, and l1_cc reuses its marginals."""
-        (h, ra, rb), (fa, fb) = _state_entropies(rho, _REPORT_SIGNS, basis_a, basis_b)
-        return cls(*(h @ _REPORT_SIGNS).tolist(), l1_cc=_l1_correlated(rho, ra, rb, fa, fb))
-
-    @property
-    def C_r_sym(self) -> float:
-        """The symmetric (joint) coherence: C_r of rho in the product frame,
-        which is C_r_ab."""
-        return self.C_r_ab
+        field, and l1_cc reuses its marginals.  Each field is its own dot product,
+        as in _quantity (one matrix product sums in another order), so I_co, I and
+        C_r_upper equal their functions bit for bit."""
+        (h, ra, rb), (fa, fb) = _state_entropies(rho, _REPORT_SIGNS.T, basis_a, basis_b)
+        fields = (h @ _REPORT_SIGNS[..., None])[:, 0]
+        return cls(*fields.tolist(), l1_cc=_l1_correlated(rho, ra, rb, fa, fb))
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
+        # C_r_sym, the coherence of rho in the product frame, is C_r_ab
+        return {name: getattr(self, "C_r_ab" if name == "C_r_sym" else name)
+                for name in CSV_COLUMNS}

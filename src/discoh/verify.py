@@ -141,6 +141,9 @@ def verify_theorem2(
     and the literal I_co drop under dephasing A in U.  Both must equal the
     search value; the first grid_checks trials also compare it with the qubit
     grid oracle, which catches a basis that is not the minimum."""
+    _check_count("grid_checks", grid_checks, least=0)
+    if grid_checks and dims[0] != 2:
+        raise ValueError(f"the grid oracle only covers d_a = 2, got grid_checks at d_a = {dims[0]}")
 
     def draw(i, rng):
         g = _draw_state(dims[0] * dims[1], "ginibre-mixed", rng)

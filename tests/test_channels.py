@@ -396,6 +396,15 @@ def test_a_kraus_channel_is_not_taken_for_its_stack():
     assert "rank-one-ppio" in classify(chan.ops)
 
 
+def test_a_kraus_stack_is_not_taken_for_a_channel():
+    # apply and ChannelMixture take KrausChannels, and name the wrapper a raw stack needs
+    stack = dephasing_channel(2)
+    for call in (lambda: ChannelMixture([0.5, 0.5], [stack, stack]),
+                 lambda: apply(stack, np.eye(2) / 2)):
+        with pytest.raises(TypeError, match=r"wrap a Kraus stack as KrausChannel\(ops\)"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # The direct samplers, certified by classify, and the local kernel against the
 # kron(K, 1_B) / kron(U_a, B_j) formula.

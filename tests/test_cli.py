@@ -8,6 +8,7 @@ import pytest
 import discoh.cli
 from discoh.cli import ALL_MEASURES, _measure_values, build_parser, main, parse_measures
 from discoh.discord import OptimizerConfig, coherence_discord, coherence_discord_symmetric
+from discoh.measures import correlated_coherence
 from discoh.states import (
     DensityMatrix,
     ReferenceBasis,
@@ -368,14 +369,13 @@ def test_dac_column_is_the_library_value(dims, seed, framed):
 
 
 def test_dac_sym_column_is_the_library_value():
-    # on this state the report's I_co, a column of one product for every report field,
-    # and correlated_coherence's own sum differ in the last bits; dac_sym is the latter
+    # on this state the report's I_co, when one product summed every report field,
+    # differed from correlated_coherence's own sum in the last bits
     rho = random_state(2, 3, "ginibre-mixed", seed=2)
     names = [n for n in ALL_MEASURES if n != "discord"]
     values, _ = _measure_values(rho, names, None, None, OptimizerConfig())
-    want = coherence_discord_symmetric(DensityMatrix(rho.mat, rho.dims))
-    assert values["I_co"] != want
-    assert values["dac_sym"] == want
+    want = correlated_coherence(DensityMatrix(rho.mat, rho.dims))
+    assert values["I_co"] == values["dac_sym"] == want
 
 
 def test_sweep_werner_endpoints_and_monotonicity(capsys):
@@ -427,10 +427,9 @@ def test_roundoff_below_zero_prints_as_zero(capsys, monkeypatch, bell_file, fmt)
     # a nonnegative measure in [-1e-12, 0] prints as 0, never -0; below that,
     # and for l1_cc, which may be negative, the value prints as computed
     closed = {"I": -3e-16, "C_r_b": -2e-12, "l1_cc": -3e-16}
-    report = SimpleNamespace(to_dict=lambda: closed)
+    report = SimpleNamespace(to_dict=lambda: closed, I_co=-0.0)  # dac_sym is the report's I_co
     monkeypatch.setattr(discoh.cli, "MeasureReport", SimpleNamespace(compute=lambda *args: report))
     monkeypatch.setattr(discoh.cli, "coherence_discord", lambda rho, basis_a: -1e-12)
-    monkeypatch.setattr(discoh.cli, "coherence_discord_symmetric", lambda rho, fa, fb: -0.0)
     monkeypatch.setattr(discoh.cli, "discord", lambda rho, config: (-4.4e-15, None))
     code, out, _ = run_cli(capsys, "compute", bell_file, "--format", fmt,
                            "--measures", "I,C_r_b,l1_cc,dac,dac_sym,discord")

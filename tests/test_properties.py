@@ -86,6 +86,22 @@ def test_theorem2_grid_check_catches_a_non_optimal_basis(monkeypatch):
     assert result.details["max_grid_dev"] > 1e-4
 
 
+@pytest.mark.parametrize("grid_checks, dims, match", [
+    (-1, (2, 2), "grid_checks must be an integer >= 0"),
+    (1.5, (2, 2), "grid_checks must be an integer >= 0"),
+    (1, (3, 2), "the grid oracle only covers d_a = 2"),
+])
+def test_theorem2_rejects_grid_checks_before_any_trial(monkeypatch, grid_checks, dims, match):
+    import discoh.verify
+
+    def no_search(rho, config=None):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(discoh.verify, "discord", no_search)
+    with pytest.raises(ValueError, match=match):
+        verify_theorem2(trials=2, dims=dims, grid_checks=grid_checks)
+
+
 def test_theorem3_suite_small():
     result = verify_theorem3(trials=120, seed=105)
     assert result.passed

@@ -11,13 +11,11 @@ __version__ = "0.1.0"
 
 from .channels import (
     ChannelMixture,
-    KrausChannel,
     apply,
     classify,
     dephasing_channel,
     make_iuo,
     make_physically_free,
-    make_ppio,
     make_rank_one_ppio,
     random_iuo,
     random_rank_one_ppio,

@@ -1,15 +1,13 @@
 """Kraus channels and the incoherent-operation families used throughout:
 incoherently unitary operations (IUOs), projective physically incoherent
 operations (PPIOs), their rank-one special case, and the factorizable
-physically free channels U_a (x) B_j.  A channel is one (n, d, d) stack of
-Kraus operators: each family has one construction, which its builder and its
-sampler (a raw draw, then the build) share, and both return stacks (U_a (x) B_j
-as its two factors), which act on the reshaped bipartite state
-(linalg.apply_local), never lifted to A (x) B.  classify takes a stack
-(U_a (x) B_j as its joint stack) and checks it through KrausChannel, the one
-trace-preservation check.  A PIO, a convex mixture of PPIOs, is a
-ChannelMixture of KrausChannels, which ``apply`` applies to a state of their
-own system.
+physically free channels U_a (x) B_j.  Every channel argument and result is one
+(n, d, d) Kraus stack (U_a (x) B_j as its two factors, which act on the reshaped
+state through linalg.apply_local); each family's builder and sampler (a raw
+draw, then the build) share one construction.  classify, ChannelMixture and
+apply check a stack through KrausChannel, the one trace-preservation check.  A
+PIO, a convex mixture of PPIOs, is a ChannelMixture of their stacks; a general
+PPIO is a stack that classify labels ppio.
 
 Classification is structural: it inspects the Kraus representation it is
 given.  Labels are sound but detection of equivalence under Kraus gauge
@@ -21,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import dag
-from .states import DensityMatrix, _checked_state
+from .states import DensityMatrix, _check_count, _checked_state
 
 KRAUS_TOL = 1e-9
 CLASSIFY_TOL = 1e-9
@@ -61,12 +59,9 @@ class KrausChannel:
     def __setattr__(self, name, value):
         raise AttributeError("KrausChannel is immutable")
 
-    def __repr__(self):
-        return f"KrausChannel(n_ops={len(self.ops)}, dim={self.dim})"
-
 
 class ChannelMixture:
-    """Convex combination of channels, kept as a weighted list.
+    """Convex combination of Kraus stacks, each checked and kept read-only.
 
     Mixtures are applied as the weighted sum of the component outputs; they
     are deliberately not flattened into one Kraus set, so the number of
@@ -77,18 +72,14 @@ class ChannelMixture:
 
     def __init__(self, weights, components):
         weights = tuple(float(w) for w in weights)
-        components = tuple(components)
+        components = tuple(KrausChannel(c).ops for c in components)
         if len(weights) != len(components) or not components:
             raise ValueError("weights and components must be equal-length and non-empty")
         if not all(0 < w < np.inf for w in weights):  # a nan weight fails too
             raise ValueError("mixture weights must be finite and positive")
         if abs(sum(weights) - 1.0) > 1e-10:
             raise ValueError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
-        for c in components:
-            if not isinstance(c, KrausChannel):
-                raise TypeError(f"expected a KrausChannel, got {type(c).__name__}: "
-                                "wrap a Kraus stack as KrausChannel(ops)")
-        if len({c.dim for c in components}) != 1:
+        if len({c.shape[-1] for c in components}) != 1:
             raise ValueError("mixture components must share dimensions")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "components", components)
@@ -98,21 +89,21 @@ class ChannelMixture:
 
 
 def apply(chan, rho):
-    """Apply a KrausChannel, or a mixture of them, to a state of its own system
-    (a raw Kraus stack raises a TypeError, as in a ChannelMixture).
+    """Apply a Kraus stack (n, d, d), or a ChannelMixture of them, to a state of
+    its own system.
 
     DensityMatrix in, DensityMatrix out (revalidated); a plain matrix, checked
     on entry, comes out as a matrix.  A channel on one side of a bipartite
     state, such as U_a (x) {B_j}, acts through linalg.apply_local instead.
     """
     if not isinstance(chan, ChannelMixture):
-        chan = ChannelMixture((1.0,), (chan,))  # which checks that chan is a KrausChannel
+        chan = ChannelMixture((1.0,), (chan,))  # which checks the stack
     state = isinstance(rho, DensityMatrix)
     m = _checked_state(rho)[0]
-    dim = chan.components[0].dim
+    dim = chan.components[0].shape[-1]
     if m.shape[0] != dim:
         raise ValueError(f"state dimension {m.shape[0]} does not match channel ({dim})")
-    out = sum(w * (c.ops @ m @ c.ops.conj().swapaxes(-1, -2)).sum(axis=0)
+    out = sum(w * (c @ m @ c.conj().swapaxes(-1, -2)).sum(axis=0)
               for w, c in zip(chan.weights, chan.components))
     return DensityMatrix(out, rho.dims) if state else out
 
@@ -120,30 +111,6 @@ def apply(chan, rho):
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
-
-
-def make_ppio(dim: int, supports, perms, phases) -> np.ndarray:
-    """Kraus stack (n, dim, dim) of the projective physically incoherent
-    operation K_j = U_j P_j.
-
-    supports: index sets of the orthogonal incoherent projectors P_j (they
-    must partition range(dim)); perms[j] and phases[j] define the incoherent
-    unitary U_j = sum_y e^{i phases[j][y]} |perms[j][y]><y| attached to P_j.
-    """
-    sets, seen = [{int(y) for y in s} for s in supports], set()
-    for s_set in sets:
-        if not s_set or (s_set & seen):
-            raise ValueError("projector supports must be disjoint and non-empty")
-        seen |= s_set
-    if seen != set(range(dim)):
-        raise ValueError("projector supports must partition the basis index set")
-    if len(perms) != len(supports) or len(phases) != len(supports):
-        raise ValueError("need one permutation and one phase vector per projector")
-    perms, phases = np.asarray(perms, dtype=int), np.asarray(phases, dtype=float)
-    if perms.shape != (len(supports), dim):
-        raise ValueError(f"not a permutation of range({dim}): {perms.tolist()}")
-    kept = np.array([[[y in s_set for y in range(dim)]] for s_set in sets])  # P_j's columns
-    return np.where(kept, _iuo_mats(perms, phases), 0)
 
 
 def _iuo_mats(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -163,7 +130,10 @@ def _iuo_mats(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
 def make_iuo(perm, phases) -> np.ndarray:
     """Kraus stack (1, d, d) of the incoherently unitary operation
     sum_y e^{i th_y} |perm(y)><y|: the PPIO with one projector, the identity."""
-    return _iuo_mats(np.asarray(perm, dtype=int), np.asarray(phases, dtype=float))[None]
+    perm = np.asarray(perm, dtype=int)
+    if perm.ndim != 1 or not perm.size:
+        raise ValueError(f"a permutation is a non-empty 1-D sequence, got shape {perm.shape}")
+    return _iuo_mats(perm, np.asarray(phases, dtype=float))[None]
 
 
 def _require_iuo(u, what: str) -> np.ndarray:
@@ -301,6 +271,7 @@ def _draw_iuo(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarra
 def random_iuo(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Kraus stack (1, dim, dim) of a uniformly random permutation with i.i.d.
     uniform phases in [0, 2pi)."""
+    _check_count("dim", dim)
     return _iuo_mats(*_draw_iuo(dim, rng))[None]
 
 
@@ -331,6 +302,7 @@ def random_rank_one_ppio(
     permutation, so the level map j -> perm(j) is a permutation (no two levels
     merge): the class on which the coherence correlation is representation
     independent; merging PPIOs can only drop it further."""
+    _check_count("dim", dim)
     return _rank_one_ppio_ops(*_draw_rank_one_ppio(dim, rng, n, injective))
 
 
@@ -348,6 +320,8 @@ def _kraus_ops(g: np.ndarray) -> np.ndarray:
 def random_kraus_ops(dim: int, n_ops: int, rng: np.random.Generator) -> np.ndarray:
     """Random trace-preserving Kraus stack (n_ops, dim, dim) via a Haar-random
     isometry."""
+    _check_count("dim", dim)
+    _check_count("n_ops", n_ops)
     return _kraus_ops(_draw_kraus(dim, n_ops, rng))
 
 
@@ -356,4 +330,5 @@ def random_physically_free(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kraus stacks (1, d_a, d_a) and (n_b_ops, d_b, d_b) of a random
     U_a (x) {B_j}: a random IUO on A, then a random channel on B."""
+    _check_count("n_b_ops", n_b_ops)
     return random_iuo(d_a, rng), random_kraus_ops(d_b, n_b_ops, rng)

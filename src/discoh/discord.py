@@ -263,13 +263,17 @@ def minimize(objective, frames, config: OptimizerConfig):
     return u, f, iters.astype(int), converged, stop, evals.astype(int)
 
 
+def _check_searchable(dim: int) -> None:
+    if dim > MAX_OPT_DIM:
+        raise ValueError(f"optimization paths are capped at total dimension {MAX_OPT_DIM}, "
+                         f"got {dim}")
+
+
 def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationTrace:
     """One search over all restarts: restart 0 starts at the reference frame,
     the others at seeded Haar frames; ties go to the lowest restart index.  It
     converged if a restart that ended within F_TOL of the best value did."""
-    if rho.dim > MAX_OPT_DIM:
-        cap = f"optimization paths are capped at total dimension {MAX_OPT_DIM}"
-        raise ValueError(f"{cap}, got {rho.dim}")
+    _check_searchable(rho.dim)
     config = config or OptimizerConfig()
     rng = rng_from_seed(config.seed)
     eye = np.eye(rho.d_a, dtype=complex)[None]

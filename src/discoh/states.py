@@ -31,6 +31,12 @@ def _is_dim(d) -> bool:  # bool counts as an int in Python
     return isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
 
 
+def _check_dims(dims) -> tuple[int, int]:
+    if not hasattr(dims, "__len__") or len(dims) != 2 or not all(map(_is_dim, dims)):
+        raise ValueError(f"dims must be a pair of positive integers, got {dims!r}")
+    return int(dims[0]), int(dims[1])
+
+
 def validate_density(mats, hermitian_tol=HERMITIAN_TOL, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
     """Check that a matrix, or each matrix of a stack (..., d, d), is Hermitian,
     unit-trace and PSD within the tolerances, naming the worst value if not.
@@ -86,9 +92,7 @@ class DensityMatrix:
         mat = np.array(mat, dtype=complex)  # a copy; validate_density checks finiteness
         if mat.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got ndim={mat.ndim}")
-        if len(dims) != 2 or not all(map(_is_dim, dims)):
-            raise ValueError(f"dims must be a pair of positive integers, got {dims!r}")
-        d_a, d_b = int(dims[0]), int(dims[1])
+        d_a, d_b = _check_dims(dims)
         d = d_a * d_b
         if mat.shape != (d, d):
             raise ValueError(

@@ -21,6 +21,7 @@ from .channels import (
 )
 from .discord import (
     OptimizerConfig,
+    _check_searchable,
     _ppio_drops,
     coherence_discord,
     discord,
@@ -30,8 +31,8 @@ from .discord import (
 from .linalg import apply_local, dephase_local
 from .measures import _DAC, _I_CO, _NEGATIVE_ROUNDOFF, _closed_form, correlated_coherence
 from .states import (
-    DensityMatrix, _check_count, _cq_mat, _draw_cq, _draw_state, _restarts, _state_mats,
-    ket_projector, rng_from_seed, spawn_seeds, validate_density,
+    DensityMatrix, _check_count, _check_dims, _cq_mat, _draw_cq, _draw_state, _restarts,
+    _state_mats, ket_projector, rng_from_seed, spawn_seeds, validate_density,
 )
 
 # The suites' fixed sizes: every fourth theorem3 trial applies a mixture of two
@@ -110,6 +111,7 @@ def verify_theorem1(
     """Correlated coherence never increases under local rank-one PPIOs, and
     the drop dominates the mutual-information drop of the bare measurement.
     The tests, not a classify call per trial, certify the PPIO sampler."""
+    _check_dims(dims)
 
     def draw(i, rng):
         g = _draw_state(dims[0] * dims[1], "ginibre-mixed", rng)
@@ -141,6 +143,7 @@ def verify_theorem2(
     and the literal I_co drop under dephasing A in U.  Both must equal the
     search value; the first grid_checks trials also compare it with the qubit
     grid oracle, which catches a basis that is not the minimum."""
+    _check_searchable(np.prod(_check_dims(dims)))
     _check_count("grid_checks", grid_checks, least=0)
     if grid_checks and dims[0] != 2:
         raise ValueError(f"the grid oracle only covers d_a = 2, got grid_checks at d_a = {dims[0]}")
@@ -177,7 +180,7 @@ def verify_theorem3(
     in A's reference basis, into itself (off it, as on rho_a (x) sigma, they can raise dac);
     every fourth trial mixes two such channels, as the weighted sum of their
     outputs.  Zero channels pad the stack."""
-    d_a, d_b = dims
+    d_a, d_b = _check_dims(dims)
 
     def draw(i, rng):
         probs, g = _draw_cq(rng, d_a, d_b)
@@ -217,7 +220,7 @@ def verify_superadditivity(
     is nonnegative, on random mixed and pure states across dimensions.  The
     trials cycle through SUPERADDITIVITY_DIMS; an explicit dims runs that one
     split, and a chunk is measured one split at a time."""
-    dims_list = SUPERADDITIVITY_DIMS if dims is None else (dims,)
+    dims_list = SUPERADDITIVITY_DIMS if dims is None else (_check_dims(dims),)
 
     def draw(i, rng):
         ensemble = "haar-pure" if i % 5 == 4 else "ginibre-mixed"
@@ -249,7 +252,7 @@ def verify_invariance(
     Merging PPIOs (two levels mapped to one) drop strictly more coherence by
     convexity, so representation independence holds on the non-merging class
     only, and the sampler draws from it."""
-
+    _check_dims(dims)
     ppio_rng = rng_from_seed(0)  # restarted by each trial, on a seed it draws
 
     def draw(i, rng):
@@ -298,6 +301,7 @@ def verify_zero_sets(
     by a discord search on the first MEMBER_DISCORD_CHECKS mixtures); and the two-basis
     mixture witness has discord > 0.01 (non-convexity of the discord-free set).  dac and
     I_co also vanish on a larger set that is not convex, such as rho_a (x) sigma."""
+    _check_searchable(np.prod(_check_dims(dims)))
 
     def draw(i, rng):
         weights = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
@@ -350,7 +354,7 @@ def run_suite(suite: str, trials: int | None = None, dims: tuple | None = None, 
     """Run a suite by name.  None for trials, dims, restarts or max_iter keeps
     the suite's own default; restarts and max_iter reach only the suites that
     search (theorem2 and zero-sets), but every suite rejects invalid ones, as
-    OptimizerConfig does, before any trial runs."""
+    OptimizerConfig does, before any trial runs, and each suite checks dims first."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     options = {"trials": trials, "dims": dims, "restarts": restarts, "max_iter": max_iter}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +12,6 @@ from discoh.channels import (
     dephasing_channel,
     make_iuo,
     make_physically_free,
-    make_ppio,
     make_rank_one_ppio,
     random_iuo,
     random_kraus_ops,
@@ -33,19 +34,19 @@ def plain_dephase(m):
 
 
 def test_identity_channel_is_noop():
-    chan = KrausChannel([np.eye(2)])
+    chan = [np.eye(2)]
     rho = random_state(2, 1, "ginibre-mixed", seed=1)
     assert_allclose(apply(chan, rho).mat, rho.mat, atol=1e-12)
 
 
 def test_full_dephasing_channel_matches_dephase():
-    chan = KrausChannel(dephasing_channel(2))
+    chan = dephasing_channel(2)
     rho = random_state(2, 1, "ginibre-mixed", seed=2)
     assert_allclose(apply(chan, rho).mat, plain_dephase(rho.mat), atol=1e-12)
 
 
 def test_bit_flip_channel():
-    chan = KrausChannel([PAULI_X])
+    chan = [PAULI_X]
     out = apply(chan, np.diag([1.0, 0.0]).astype(complex))
     assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
@@ -64,7 +65,7 @@ def test_kraus_channel_rejects_non_square_operators():
 
 
 def test_apply_dimension_mismatch():
-    chan = KrausChannel([np.eye(2)])
+    chan = [np.eye(2)]
     with pytest.raises(ValueError, match="dimension"):
         apply(chan, np.eye(3) / 3)
 
@@ -73,7 +74,7 @@ def test_make_iuo_identity_and_swap():
     ident = make_iuo([0, 1], [0.0, 0.0])
     assert ident.shape == (1, 2, 2)
     assert_allclose(ident[0], np.eye(2))
-    swap = KrausChannel(make_iuo([1, 0], [0.0, 0.0]))
+    swap = make_iuo([1, 0], [0.0, 0.0])
     rho = random_state(2, 1, "ginibre-mixed", seed=3)
     assert_allclose(apply(swap, rho).mat, PAULI_X @ rho.mat @ PAULI_X, atol=1e-12)
 
@@ -81,7 +82,7 @@ def test_make_iuo_identity_and_swap():
 def test_make_iuo_preserves_diagonal_states():
     rng = np.random.default_rng(4)
     for _ in range(5):
-        chan = KrausChannel(make_iuo(rng.permutation(3), rng.uniform(0, 2 * np.pi, 3)))
+        chan = make_iuo(rng.permutation(3), rng.uniform(0, 2 * np.pi, 3))
         d = rng.dirichlet(np.ones(3))
         out = apply(chan, np.diag(d).astype(complex))
         assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-12
@@ -97,15 +98,34 @@ def test_make_iuo_rejects_non_finite_phases(bad):
     # a nan phase would pass into the stack, and an infinite one warns in exp
     with pytest.raises(ValueError, match="finite"):
         make_iuo([1, 0], [bad, 0.0])
-    with pytest.raises(ValueError, match="finite"):
-        make_ppio(2, supports=((0,), (1,)), perms=((0, 1),) * 2, phases=((0.0, 0.0), (0.0, bad)))
+
+
+# each raised a ZeroDivisionError, numpy's reshape error, or (make_iuo on a 2-D
+# permutation) returned a (1, 1, 2, 2) array, which is no Kraus stack
+BAD_SIZES_AND_SHAPES = {
+    "random_iuo dim 0": (lambda rng: random_iuo(0, rng), "dim must be an integer >= 1, got 0"),
+    "random_rank_one_ppio dim 0": (lambda rng: random_rank_one_ppio(0, rng, 1), "dim must be"),
+    "random_kraus_ops dim 2.5": (lambda rng: random_kraus_ops(2.5, 2, rng), "dim must be"),
+    "random_kraus_ops n_ops 0": (lambda rng: random_kraus_ops(2, 0, rng), "n_ops must be"),
+    "random_physically_free n_b_ops 0": (
+        lambda rng: random_physically_free(2, 2, rng, n_b_ops=0), "n_b_ops must be"),
+    "make_iuo 2-D": (lambda rng: make_iuo([[0, 1]], [[0.0, 0.0]]), "1-D sequence, got shape (1,"),
+    "make_iuo empty": (lambda rng: make_iuo([], []), "non-empty 1-D sequence, got shape (0,)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SIZES_AND_SHAPES)
+def test_public_samplers_and_make_iuo_reject_bad_sizes_and_shapes(case):
+    call, message = BAD_SIZES_AND_SHAPES[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(rng_from_seed(0))
 
 
 def test_rank_one_ppio_all_identity_is_dephasing():
     ops = make_rank_one_ppio(2, [np.eye(2), np.eye(2)])
     assert np.array_equal(ops, dephasing_channel(2))
     rho = random_state(2, 1, "ginibre-mixed", seed=5)
-    assert_allclose(apply(KrausChannel(ops), rho).mat, plain_dephase(rho.mat), atol=1e-12)
+    assert_allclose(apply(ops, rho).mat, plain_dephase(rho.mat), atol=1e-12)
 
 
 def test_rank_one_ppio_dim3_level_swap_kraus_set():
@@ -120,14 +140,14 @@ def test_rank_one_ppio_dim3_level_swap_kraus_set():
     assert_allclose(ops[2], np.diag([0.0, 0.0, 1.0]))
     # it merges the first two diagonal blocks
     rho = random_state(3, 1, "ginibre-mixed", seed=6)
-    out = apply(KrausChannel(ops), rho).mat
+    out = apply(ops, rho).mat
     assert_allclose(out, np.diag([0.0, rho.mat[0, 0] + rho.mat[1, 1], rho.mat[2, 2]]), atol=1e-12)
 
 
 def test_rank_one_ppio_output_always_incoherent():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        chan = KrausChannel(random_rank_one_ppio(2, rng, 1)[0])
+        chan = random_rank_one_ppio(2, rng, 1)[0]
         rho = random_state(2, 1, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
         out = apply(chan, rho).mat
         assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-12
@@ -146,44 +166,24 @@ def test_rank_one_ppio_rejects_non_iuo():
 
 
 def test_ppio_coarse_projectors_not_rank_one():
-    ops = make_ppio(3, supports=((0, 1), (2,)), perms=((0, 1, 2), (0, 1, 2)),
-                    phases=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
-    assert ops.shape == (2, 3, 3)
-    assert_allclose(ops, [np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
+    # P_0 = |0><0| + |1><1| and P_1 = |2><2|, each with the identity IUO
+    ops = np.array([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
     labels = classify(ops)
     assert "ppio" in labels
     assert "rank-one-ppio" not in labels
 
 
 def test_ppio_all_rank_one_projectors():
-    ops = make_ppio(3, supports=((0,), (1,), (2,)),
-                    perms=((0, 1, 2), (1, 0, 2), (0, 1, 2)),
-                    phases=((0.1, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 2.0)))
-    # K_j = U_j |j><j| keeps e^{i phases[j][j]} at row perms[j][j]
-    expected = np.zeros((3, 3, 3), dtype=complex)
-    expected[[0, 1, 2], [0, 0, 2], [0, 1, 2]] = np.exp(1j * np.array([0.1, 0.5, 2.0]))
-    assert_allclose(ops, expected)
-    assert "rank-one-ppio" in classify(ops)
-
-
-def test_ppio_spec_validation():
-    with pytest.raises(ValueError, match="partition"):
-        make_ppio(3, supports=((0,), (2,)), perms=((0, 1, 2),) * 2, phases=((0.0,) * 3,) * 2)
-    with pytest.raises(ValueError, match="disjoint"):
-        make_ppio(2, supports=((0, 1), (1,)), perms=((0, 1),) * 2, phases=((0.0,) * 2,) * 2)
-    with pytest.raises(ValueError, match="one permutation and one phase vector"):
-        make_ppio(2, supports=((0,), (1,)), perms=((0, 1),), phases=((0.0,) * 2,) * 2)
-    with pytest.raises(ValueError, match="permutation of range"):
-        make_ppio(2, supports=((0, 1),), perms=((1, 1),), phases=((0.0,) * 2,))
-    with pytest.raises(ValueError, match="length 2"):
-        make_ppio(2, supports=((0, 1),), perms=((1, 0),), phases=((0.0,) * 3,))
+    # K_j = U_j |j><j| with U_1 swapping levels 0 and 1 keeps e^{i th_j} at rows 0, 0, 2
+    ops = np.zeros((3, 3, 3), dtype=complex)
+    ops[[0, 1, 2], [0, 0, 2], [0, 1, 2]] = np.exp(1j * np.array([0.1, 0.5, 2.0]))
+    assert classify(ops) == frozenset({"incoherent", "ppio", "rank-one-ppio"})
 
 
 def test_builders_return_trace_preserving_stacks():
     u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
     stacks = [
         make_iuo([2, 0, 1], [0.1, 0.2, 0.3]),
-        make_ppio(3, ((0, 2), (1,)), ((1, 0, 2), (2, 0, 1)), ((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))),
         make_rank_one_ppio(3, [u_swap, np.eye(3), u_swap]),
         dephasing_channel(3),
     ]
@@ -193,20 +193,19 @@ def test_builders_return_trace_preserving_stacks():
 
 
 def test_pio_mixture_of_two_ppios():
-    # a PIO is a convex mixture of PPIOs: a ChannelMixture of their stacks
-    one = make_ppio(2, supports=((0,), (1,)), perms=((0, 1), (0, 1)),
-                    phases=((0.0, 0.0), (0.0, 0.0)))
-    other = make_ppio(2, supports=((0, 1),), perms=((1, 0),), phases=((0.0, 0.0),))
-    pio = ChannelMixture((0.5, 0.5), [KrausChannel(one), KrausChannel(other)])
+    # a PIO is a convex mixture of PPIOs: a ChannelMixture of their stacks, here
+    # dephasing and the swap, kept checked and read-only
+    one, other = dephasing_channel(2), [PAULI_X]
+    pio = ChannelMixture((0.5, 0.5), [one, other])
     assert len(pio.components) == 2
+    assert all(not c.flags.writeable for c in pio.components)
     rho = random_state(2, 1, "ginibre-mixed", seed=8)
-    expected = 0.5 * apply(KrausChannel(one), rho).mat + 0.5 * apply(KrausChannel(other), rho).mat
+    expected = 0.5 * apply(one, rho).mat + 0.5 * apply(other, rho).mat
     assert_allclose(apply(pio, rho).mat, expected, atol=1e-12)
 
 
 def test_pio_weights_must_sum_to_one():
-    one = KrausChannel(make_ppio(2, supports=((0,), (1,)), perms=((0, 1), (0, 1)),
-                                 phases=((0.0, 0.0), (0.0, 0.0))))
+    one = dephasing_channel(2)
     with pytest.raises(ValueError, match="sum"):
         ChannelMixture((0.5, 0.4), (one, one))
 
@@ -215,14 +214,14 @@ def test_pio_weights_must_sum_to_one():
 def test_mixture_weights_must_be_finite_and_positive(bad):
     # nan <= 0 and abs(nan - 1) > 1e-10 are both false: a check built from
     # them alone lets a nan weight through to an all-nan output
-    one = KrausChannel(dephasing_channel(2))
+    one = dephasing_channel(2)
     with pytest.raises(ValueError, match="finite and positive"):
         ChannelMixture((bad, 1.0), (one, one))
 
 
 def test_mixture_components_must_share_one_dimension():
     with pytest.raises(ValueError, match="share dimensions"):
-        ChannelMixture((0.5, 0.5), (KrausChannel([np.eye(2)]), KrausChannel([np.eye(3)])))
+        ChannelMixture((0.5, 0.5), ([np.eye(2)], [np.eye(3)]))
 
 
 def apply_free(u_a, b_ops, rho) -> DensityMatrix:
@@ -355,7 +354,7 @@ def test_product_channel_matches_its_joint_kraus_set():
     u_a, b_ops = random_physically_free(2, 3, rng, n_b_ops=2)
     rho = random_state(2, 3, "ginibre-mixed", seed=14)
     assert_allclose(apply_local(rho.mat, rho.dims, u_a, b_ops),
-                    apply(KrausChannel(joint(u_a, b_ops)), rho).mat, atol=1e-12)
+                    apply(joint(u_a, b_ops), rho).mat, atol=1e-12)
 
 
 @pytest.mark.parametrize("side", ["a", "b"])
@@ -387,22 +386,28 @@ def test_apply_local_takes_a_list_of_kraus_matrices():
 
 
 def test_a_kraus_channel_is_not_taken_for_its_stack():
-    # classify and the gap check their stack through KrausChannel, which names the fix
+    # every entry point checks its stack through KrausChannel, which names the fix
     chan = KrausChannel(dephasing_channel(2))
     for call in (lambda: KrausChannel(chan), lambda: classify(chan),
-                 lambda: ppio_monotonicity_gap(bell_phi_plus(), chan)):
+                 lambda: ppio_monotonicity_gap(bell_phi_plus(), chan),
+                 lambda: ChannelMixture([0.5, 0.5], [chan, chan]),
+                 lambda: apply(chan, np.eye(2) / 2)):
         with pytest.raises(TypeError, match=r"pass its \.ops"):
             call()
     assert "rank-one-ppio" in classify(chan.ops)
 
 
-def test_a_kraus_stack_is_not_taken_for_a_channel():
-    # apply and ChannelMixture take KrausChannels, and name the wrapper a raw stack needs
-    stack = dephasing_channel(2)
-    for call in (lambda: ChannelMixture([0.5, 0.5], [stack, stack]),
-                 lambda: apply(stack, np.eye(2) / 2)):
-        with pytest.raises(TypeError, match=r"wrap a Kraus stack as KrausChannel\(ops\)"):
-            call()
+def test_apply_and_mixtures_take_the_kraus_stack():
+    # the stack is the one channel form: apply and ChannelMixture take it as classify
+    # does, and give what the stack checked through KrausChannel gives, bit for bit
+    stack, swap = dephasing_channel(2), make_iuo([1, 0], [0.0, 0.0])
+    rho = random_state(2, 1, "ginibre-mixed", seed=17)
+    out = apply(stack, rho).mat
+    checked = KrausChannel(stack).ops
+    assert np.array_equal(out, (checked @ rho.mat @ checked.conj().swapaxes(-1, -2)).sum(0))
+    pio = ChannelMixture([0.5, 0.5], [stack, swap])
+    assert np.array_equal(apply(pio, rho).mat, 0.5 * out + 0.5 * apply(swap, rho).mat)
+    assert np.array_equal(apply(pio, np.ones((2, 2)) / 2), [[0.5, 0.25], [0.25, 0.5]])
 
 
 # ---------------------------------------------------------------------------

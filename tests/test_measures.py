@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from discoh.channels import KrausChannel, apply, dephasing_channel, random_physically_free
+from discoh.channels import apply, dephasing_channel, random_physically_free
 from discoh.linalg import apply_local, dephase_local, partial_trace
 from discoh.measures import (
     CSV_COLUMNS,
@@ -81,7 +81,7 @@ ENTRY_POINTS = {
     "coherence_rel_ent": coherence_rel_ent,
     "l1_coherence": l1_coherence,
     "classical_quantum": lambda m: classical_quantum([0.5, 0.5], [m, np.eye(2) / 2]),
-    "apply": lambda m: apply(KrausChannel(dephasing_channel(2)), m),
+    "apply": lambda m: apply(dephasing_channel(2), m),
 }
 INVALID_STATES = {
     "non-Hermitian": (np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian"),

@@ -102,6 +102,34 @@ def test_theorem2_rejects_grid_checks_before_any_trial(monkeypatch, grid_checks,
         verify_theorem2(trials=2, dims=dims, grid_checks=grid_checks)
 
 
+def forbid_draws(monkeypatch):
+    import discoh.verify
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a trial drew")
+
+    for name in ("_draw_state", "_draw_cq"):
+        monkeypatch.setattr(discoh.verify, name, no_draw)
+
+
+# each of these raised from inside the draws (an IndexError, a ZeroDivisionError or a
+# TypeError), or, in theorem2, from the DensityMatrix built after the first draw
+@pytest.mark.parametrize("dims", [(2,), (0, 2), (2, -1), (2.5, 2), "2x2", (True, 2), (2, 2, 2), 4],
+                         ids=repr)
+@pytest.mark.parametrize("suite", SUITES)
+def test_suites_reject_bad_dims_before_any_draw(monkeypatch, suite, dims):
+    forbid_draws(monkeypatch)
+    with pytest.raises(ValueError, match=r"dims must be a pair of positive integers, got "):
+        run_suite(suite, trials=2, dims=dims)
+
+
+@pytest.mark.parametrize("suite", ["theorem2", "zero-sets"])
+def test_searching_suites_reject_dims_above_the_search_cap_before_any_draw(monkeypatch, suite):
+    forbid_draws(monkeypatch)
+    with pytest.raises(ValueError, match="capped at total dimension 64, got 72"):
+        run_suite(suite, trials=2, dims=(9, 8))
+
+
 def test_theorem3_suite_small():
     result = verify_theorem3(trials=120, seed=105)
     assert result.passed
@@ -715,7 +743,7 @@ def test_a_closed_form_draw_returns_raw_rng_output_only(monkeypatch, name):
         monkeypatch.setattr(owner, attr, spy)
 
     for owner, attr in [
-        (np.linalg, "qr"), (discoh.channels, "make_ppio"), (discoh.states, "validate_density"),
+        (np.linalg, "qr"), (discoh.states, "validate_density"),
         (discoh.verify, "validate_density"), (discoh.channels, "_iuo_mats"),
         *((discoh.verify, builder) for builder in
           ("_state_mats", "_cq_mat", "_iuo_mats", "_kraus_ops", "_rank_one_ppio_ops")),

@@ -9,9 +9,8 @@ apply check a stack through KrausChannel, the one trace-preservation check.  A
 PIO, a convex mixture of PPIOs, is a ChannelMixture of their stacks; a general
 PPIO is a stack that classify labels ppio.
 
-Classification is structural: it inspects the Kraus representation it is
-given.  Labels are sound but detection of equivalence under Kraus gauge
-freedom is out of scope.
+classify decides physically-free in every Kraus representation of a channel;
+its other labels read the representation as given.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import dag
-from .states import DensityMatrix, _check_count, _checked_state
+from .states import DensityMatrix, _check_count, _check_dims, _checked_state, _haar_isometries
 
 KRAUS_TOL = 1e-9
 CLASSIFY_TOL = 1e-9
@@ -130,18 +129,23 @@ def _iuo_mats(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
 def make_iuo(perm, phases) -> np.ndarray:
     """Kraus stack (1, d, d) of the incoherently unitary operation
     sum_y e^{i th_y} |perm(y)><y|: the PPIO with one projector, the identity."""
-    perm = np.asarray(perm, dtype=int)
-    if perm.ndim != 1 or not perm.size:
-        raise ValueError(f"a permutation is a non-empty 1-D sequence, got shape {perm.shape}")
-    return _iuo_mats(perm, np.asarray(phases, dtype=float))[None]
+    arr = np.asarray(perm)
+    if arr.ndim != 1 or not arr.size:
+        raise ValueError(f"a permutation is a non-empty 1-D sequence, got shape {arr.shape}")
+    if not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in perm):
+        raise ValueError(f"a permutation holds integers, got {list(perm)!r}")
+    return _iuo_mats(arr.astype(int), np.asarray(phases, dtype=float))[None]
+
+
+def _is_iuo(u) -> bool:
+    try:
+        return LABEL_IUO in classify([u])  # raises for every matrix that is not unitary
+    except ValueError:
+        return False
 
 
 def _require_iuo(u, what: str) -> np.ndarray:
-    try:
-        iuo = LABEL_IUO in classify([u])  # raises for every matrix that is not unitary
-    except ValueError:
-        iuo = False
-    if not iuo:
+    if not _is_iuo(u):
         raise ValueError(f"{what} is not a phase-decorated permutation of the reference basis")
     return np.array(u, dtype=complex)
 
@@ -199,9 +203,9 @@ def classify(ops, dims=None) -> frozenset:
     stack {U_a (x) B_j}).
 
     Returns any of {incoherent, iuo, ppio, rank-one-ppio, physically-free}.
-    The physically-free (factorizable) label needs the bipartite split, so it
-    is only attempted when ``dims`` is given; detection is best-effort up to
-    Kraus gauge freedom.  An empty set means no structure was recognized.
+    The physically-free label needs the bipartite split ``dims`` and is decided
+    in any Kraus representation of the channel; the other labels read the stack
+    as given.  An empty set means no structure was recognized.
     """
     ops = KrausChannel(ops).ops
     d = ops.shape[-1]
@@ -230,31 +234,18 @@ def classify(ops, dims=None) -> frozenset:
 def _is_factorizable_free(ops: np.ndarray, dims) -> bool:
     """Does every Kraus operator factor as U_a (x) B_j with one common IUO?
 
-    Writes each operator as a d_a x d_a grid of d_b x d_b blocks; for a
-    common IUO the only nonzero blocks, in every operator, sit at (perm(c), c),
-    and the block of column c is ratio_c times the block of column 0, with
-    unit-modulus ratios shared across operators.
+    Exactly then is the realignment R[(i,k),(n,j,l)] = K_n[(i,j),(k,l)] the
+    product vec(U_a) vec(B)^T (operator-Schmidt rank one), with U_a sqrt(d_a)
+    times R's leading left singular vector, up to a phase.  Every Kraus set of
+    the channel is then U_a (x) {B'_i}, so the answer holds in all of them.
     """
-    d_a, d_b = dims
-    if ops.shape[1:] != (d_a * d_b, d_a * d_b):
+    d_a, d_b = _check_dims(dims)
+    if ops.shape[-1] != d_a * d_b:
         return False
-    grids = ops.reshape(-1, d_a, d_b, d_a, d_b).transpose(0, 1, 3, 2, 4)
-    nz = np.abs(grids).max(axis=(3, 4)).sum(axis=0) > CLASSIFY_TOL
-    if not np.all(nz.sum(axis=0) == 1):
-        return False
-    perm, cols = nz.argmax(axis=0), np.arange(d_a)
-    if len(set(perm.tolist())) != d_a:
-        return False
-    kept = grids[:, perm, cols]  # (n, d_a, d_b, d_b): each column's block
-    # the operator with the largest column-0 block fixes the ratios
-    ref = kept[int(np.abs(kept[:, 0]).max(axis=(1, 2)).argmax())]
-    denom = np.vdot(ref[0], ref[0]).real
-    if denom <= CLASSIFY_TOL**2:
-        return False
-    ratios = np.einsum("jl,cjl->c", ref[0].conj(), ref) / denom
-    if np.max(np.abs(np.abs(ratios) - 1.0)) > 10 * CLASSIFY_TOL:
-        return False
-    return bool(np.max(np.abs(kept - ratios[:, None, None] * kept[:, :1])) <= 10 * CLASSIFY_TOL)
+    r = ops.reshape(-1, d_a, d_b, d_a, d_b).transpose(1, 3, 0, 2, 4).reshape(d_a * d_a, -1)
+    u, s, _ = np.linalg.svd(r, full_matrices=False)
+    return bool(s[1:].sum() <= 10 * CLASSIFY_TOL * s[0]
+                and _is_iuo(np.sqrt(d_a) * u[:, 0].reshape(d_a, d_a)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +303,8 @@ def _draw_kraus(dim: int, n_ops: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _kraus_ops(g: np.ndarray) -> np.ndarray:
-    """Kraus stacks (..., n, d, d) of Haar isometries: Q of raw normals (..., 2, n * d, d)."""
-    q, _ = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
-    return q.reshape(*q.shape[:-2], -1, q.shape[-1], q.shape[-1])
+    """Kraus stacks (..., n, d, d) of the Haar isometries of raw normals (..., 2, n * d, d)."""
+    return _haar_isometries(g).reshape(*g.shape[:-3], -1, g.shape[-1], g.shape[-1])
 
 
 def random_kraus_ops(dim: int, n_ops: int, rng: np.random.Generator) -> np.ndarray:

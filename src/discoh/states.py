@@ -244,13 +244,18 @@ def spawn_seeds(seed: int, n: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix, or an (n, dim, dim)
-    stack of them, drawn as n successive single calls draw them."""
-    g = rng.standard_normal((1 if n is None else n, 2, dim, dim))
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+def _haar_isometries(g: np.ndarray) -> np.ndarray:
+    """Haar isometries (..., m, d) of raw normals g (..., 2, m, d), real then imaginary:
+    Q of the QR of the Ginibre matrix, each column's phase set by R's diagonal."""
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
     ph = np.diagonal(r, axis1=-2, axis2=-1)[..., None, :]
-    u = q * (ph / np.abs(ph))
+    return q * (ph / np.abs(ph))
+
+
+def haar_unitary(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary, the one-operator Haar isometry, or an (n, dim, dim)
+    stack of them, drawn as n successive single calls draw them."""
+    u = _haar_isometries(rng.standard_normal((1 if n is None else n, 2, dim, dim)))
     return u[0] if n is None else u
 
 
@@ -354,11 +359,7 @@ def state_from_json(obj, **tolerances) -> DensityMatrix:
         raise ValueError("state JSON must be an object")
     if "dims" not in obj or "matrix" not in obj:
         raise ValueError("state JSON needs 'dims' and 'matrix' fields")
-    dims = obj["dims"]
-    if not isinstance(dims, list) or len(dims) != 2 or not all(map(_is_dim, dims)):
-        raise ValueError("'dims' must be a pair of positive integers")
-    mat = matrix_from_json(obj["matrix"])
-    return DensityMatrix(mat, (dims[0], dims[1]), **tolerances)
+    return DensityMatrix(matrix_from_json(obj["matrix"]), obj["dims"], **tolerances)
 
 
 def save_state(rho: DensityMatrix, path) -> None:

@@ -21,7 +21,7 @@ from discoh.channels import (
 from discoh.discord import coherence_discord, ppio_monotonicity_gap
 from discoh.linalg import apply_local
 from discoh.states import (
-    DensityMatrix, bell_phi_plus, classical_quantum, random_state, rng_from_seed,
+    DensityMatrix, bell_phi_plus, classical_quantum, haar_unitary, random_state, rng_from_seed,
 )
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -91,6 +91,20 @@ def test_make_iuo_preserves_diagonal_states():
 def test_make_iuo_rejects_bad_permutation():
     with pytest.raises(ValueError, match="permutation"):
         make_iuo([0, 0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("perm", [[0.7, 1.2], [True, False], [True, 0], np.array([1.0, 0.0])],
+                         ids=repr)
+def test_make_iuo_rejects_non_integer_permutations(perm):
+    # a cast to int made the first the identity and the second the swap
+    with pytest.raises(ValueError, match="a permutation holds integers"):
+        make_iuo(perm, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("perm", [[1, 0], (1, 0), np.array([1, 0]), np.array([1, 0], np.uint8)],
+                         ids=repr)
+def test_make_iuo_takes_integer_sequences_and_arrays(perm):
+    assert np.array_equal(make_iuo(perm, [0.0, 0.0]), PAULI_X[None])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -298,6 +312,65 @@ def test_classify_factorizable_free():
     assert "physically-free" in classify(remixed, dims=(2, 2))
 
 
+# The physically-free label in any Kraus representation, and what is not free: a
+# coherent U_a has the rank-one realignment but fails the IUO test, and a mixture
+# of two IUOs passes the IUO test on either one but has rank two.
+def free_stack(dims, n_b_ops, seed):
+    return joint(*random_physically_free(*dims, rng_from_seed(seed), n_b_ops=n_b_ops))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_classify_free_in_an_isometric_remix_into_more_operators(dims):
+    ops = free_stack(dims, 2, 30 + sum(dims))
+    w = random_kraus_ops(2, 3, rng_from_seed(31)).reshape(6, 2)  # an isometry C^2 -> C^6
+    remixed = np.einsum("ij,jkl->ikl", w, ops)
+    assert len(remixed) == 6 and "physically-free" in classify(remixed, dims=dims)
+
+
+def test_classify_free_with_zero_operators_padded():
+    ops = free_stack((3, 2), 3, 32)
+    padded = np.concatenate([ops[:1], np.zeros((2, 6, 6)), ops[1:]])
+    assert "physically-free" in classify(padded, dims=(3, 2))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+def test_classify_coherent_unitary_on_a_is_not_free(dims):
+    rng = rng_from_seed(33)
+    ops = joint(haar_unitary(dims[0], rng)[None], random_kraus_ops(dims[1], 2, rng))
+    assert "physically-free" not in classify(ops, dims=dims)
+    assert "physically-free" not in classify(joint(HADAMARD[None], [np.eye(2)]), dims=(2, 2))
+
+
+@pytest.mark.parametrize("weight", [0.5, 0.8])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+def test_classify_mixture_of_two_iuos_on_a_is_not_free(dims, weight):
+    # a diagonal IUO and a cyclic shift are orthogonal, so at weight 0.8 the leading
+    # realigned vector is the diagonal IUO, and only the rank test (s_2 = s_1 / 2)
+    # tells the mixture from it
+    rng, d_a = rng_from_seed(34), dims[0]
+    b_ops = random_kraus_ops(dims[1], 2, rng)
+    diagonal = make_iuo(np.arange(d_a), rng.uniform(0, 2 * np.pi, d_a))
+    shift = make_iuo(np.roll(np.arange(d_a), 1), rng.uniform(0, 2 * np.pi, d_a))
+    ops = np.concatenate([np.sqrt(weight) * joint(diagonal, b_ops),
+                          np.sqrt(1 - weight) * joint(shift, b_ops)])
+    assert "physically-free" not in classify(ops, dims=dims)
+
+
+def test_classify_free_edges_of_one_dimensional_sides():
+    # every channel on B is free with nothing on A, and an operator on A alone is
+    # free exactly when it is an IUO
+    b_ops = random_kraus_ops(3, 2, rng_from_seed(35))
+    assert "physically-free" in classify(b_ops, dims=(1, 3))
+    assert "physically-free" in classify(make_iuo([2, 0, 1], [0.1, 0.2, 0.3]), dims=(3, 1))
+    assert "physically-free" not in classify(dephasing_channel(2), dims=(2, 1))
+    assert "physically-free" not in classify([HADAMARD], dims=(2, 1))
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (1, 3), (3, 3)])
+def test_classify_free_needs_dims_that_fit_the_stack(dims):
+    assert "physically-free" not in classify(free_stack((2, 2), 2, 36), dims=dims)
+
+
 def test_classify_ppio_needs_nonzero_operators_on_disjoint_columns():
     # a zero operator, or two operators sharing a column, make an incoherent
     # channel but not a PPIO; shared columns hold no unit-modulus entries,
@@ -474,6 +547,19 @@ def test_sampled_physically_free_channels_are_certified(dims):
         u_a, b_ops = random_physically_free(*dims, rng, n_b_ops=n_b_ops)
         assert u_a.shape == (1, dims[0], dims[0]) and b_ops.shape == (n_b_ops, dims[1], dims[1])
         assert "physically-free" in classify(joint(u_a, b_ops), dims=dims)
+
+
+@pytest.mark.parametrize("n_ops", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sampled_kraus_isometries_are_haar(d, n_ops):
+    # Q of a bare QR has a real positive-leaning first column: Re V[0, 0] < 0 never
+    # held before R's diagonal phases were moved into it; for Haar it is a fair coin
+    rng = rng_from_seed(50 + 3 * d + n_ops)
+    first = np.array([random_kraus_ops(d, n_ops, rng)[0, 0, 0] for _ in range(2000)])
+    assert 0.45 <= np.mean(first.real < 0) <= 0.55
+    # a Haar unitary is the one-operator case, from the same draws
+    one, other = rng_from_seed(d), rng_from_seed(d)
+    assert np.array_equal(random_kraus_ops(d, 1, one)[0], haar_unitary(d, other))
 
 
 def test_physically_free_stacks_draw_as_random_physically_free_does():

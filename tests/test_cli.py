@@ -284,9 +284,19 @@ def test_compute_state_entry_error_names_the_file(capsys, tmp_path):
     assert str(state_path) in err and "row 1, column 1" in err
 
 
+@pytest.mark.parametrize("dims", [2, "2x1", [2]], ids=repr)
+def test_compute_rejects_state_dims_that_are_no_pair(capsys, tmp_path, dims):
+    state_path = tmp_path / "s.json"
+    state_path.write_text(json.dumps({"dims": dims, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}))
+    code, out, err = run_cli(capsys, "compute", str(state_path))
+    assert code == 2
+    assert out == ""
+    assert str(state_path) in err and "dims must be a pair of positive integers" in err
+
+
 @pytest.mark.parametrize(
     "bad, named",
-    [("state entry", "row 0, column 0"), ("dims", "'dims'"), ("basis entry", "row 0, column 0")],
+    [("state entry", "row 0, column 0"), ("dims", "dims must be a pair of positive integers"), ("basis entry", "row 0, column 0")],
 )
 def test_compute_rejects_json_booleans(capsys, tmp_path, bad, named):
     # json loads true as a bool, which Python counts as the integer 1

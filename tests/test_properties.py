@@ -589,8 +589,8 @@ RECORDED = {
     },
     "theorem3": {
         (7, 8): (2.220446049250313e-16, 0, 5, 12242414004113001224),
-        (0, 130): (4.440892098500626e-16, 0, 43, 797829054873436191),
-        (7, 130): (6.661338147750939e-16, 0, 18, 4335859634209406619),
+        (0, 130): (4.440892098500626e-16, 0, 40, 1006065499627456792),
+        (7, 130): (4.440892098500626e-16, 0, 94, 16642488391102177871),
     },
     "superadditivity": {
         (7, 8): (-0.1933038314593487, 0, 0, 16920295385781661272),

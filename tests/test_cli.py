@@ -287,7 +287,8 @@ def test_compute_state_entry_error_names_the_file(capsys, tmp_path):
 @pytest.mark.parametrize("dims", [2, "2x1", [2]], ids=repr)
 def test_compute_rejects_state_dims_that_are_no_pair(capsys, tmp_path, dims):
     state_path = tmp_path / "s.json"
-    state_path.write_text(json.dumps({"dims": dims, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}))
+    matrix = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+    state_path.write_text(json.dumps({"dims": dims, "matrix": matrix}))
     code, out, err = run_cli(capsys, "compute", str(state_path))
     assert code == 2
     assert out == ""
@@ -296,7 +297,8 @@ def test_compute_rejects_state_dims_that_are_no_pair(capsys, tmp_path, dims):
 
 @pytest.mark.parametrize(
     "bad, named",
-    [("state entry", "row 0, column 0"), ("dims", "dims must be a pair of positive integers"), ("basis entry", "row 0, column 0")],
+    [("state entry", "row 0, column 0"), ("dims", "dims must be a pair of positive integers"),
+     ("basis entry", "row 0, column 0")],
 )
 def test_compute_rejects_json_booleans(capsys, tmp_path, bad, named):
     # json loads true as a bool, which Python counts as the integer 1

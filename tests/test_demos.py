@@ -20,6 +20,7 @@ def test_demo_runs(demo):
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-W", "error", str(demo)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert out.returncode == 0, out.stderr

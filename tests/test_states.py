@@ -300,9 +300,11 @@ def test_json_requires_fields():
 @pytest.mark.parametrize("dims", [2, None, "22", [2], [2, 1, 1], {"a": 2, "b": 1}, [2.0, 1]],
                          ids=repr)
 def test_json_dims_get_the_density_matrix_check(dims):
-    # indexing a non-list first raised a TypeError, which the CLI does not catch
+    # DensityMatrix's check is the only one: a non-list gets its ValueError too, not
+    # the TypeError of an index taken before the check, which the CLI would not catch
+    matrix = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     with pytest.raises(ValueError, match=r"^dims must be a pair of positive integers, got "):
-        state_from_json({"dims": dims, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]})
+        state_from_json({"dims": dims, "matrix": matrix})
 
 
 def test_load_state_malformed_json(tmp_path):

@@ -247,18 +247,17 @@ def verify_invariance(
 ) -> SuiteResult:
     """Representation independence of the closed form over PPIO_SAMPLES random
     non-merging rank-one PPIOs, plus invariance under local IUO conjugation;
-    the closed form of rho is computed once.
+    the closed form of rho is computed once.  A trial draws rho, the PPIO stack
+    (one Generator call) and the two local IUOs from its own child stream.
 
     Merging PPIOs (two levels mapped to one) drop strictly more coherence by
     convexity, so representation independence holds on the non-merging class
     only, and the sampler draws from it."""
     _check_dims(dims)
-    ppio_rng = rng_from_seed(0)  # restarted by each trial, on a seed it draws
 
     def draw(i, rng):
         g = _draw_state(dims[0] * dims[1], "ginibre-mixed", rng)
-        (restarted,) = _restarts(ppio_rng, [rng.integers(0, 2**63)])
-        ppio = _draw_rank_one_ppio(dims[0], restarted, PPIO_SAMPLES, injective=True)
+        ppio = _draw_rank_one_ppio(dims[0], rng, PPIO_SAMPLES, injective=True)
         return g, *ppio, *_draw_iuo(dims[0], rng), *_draw_iuo(dims[1], rng)
 
     def measure(chunk):

@@ -525,14 +525,14 @@ def test_rank_one_ppio_stack_draws_as_single_samples_do():
 # row) of each nonzero entry, and its value.  A sampler that draws differently,
 # or in another order, moves them.
 RECORDED_PPIOS = {
-    False: ([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2], [2, 0, 0, 0, 2, 0], [
-        0.5783387519429225 - 0.8157967197783421j, -0.5595723016251009 - 0.8287815389196281j,
-        -0.9989170387253679 + 0.046526871205164896j, 0.24831007379240114 - 0.9686806012578203j,
-        0.17927561114239673 + 0.9837988896362508j, 0.22984680693044793 + 0.9732268211182208j]),
-    True: ([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2], [2, 0, 1, 2, 1, 0], [
-        0.5783387519429225 - 0.8157967197783421j, 0.32680905446610925 + 0.9450903882269504j,
-        -0.029608524325521766 + 0.9995615715338725j, 0.850269819082064 - 0.5263470668277292j,
-        -0.12477956646147646 + 0.9921844887890992j, 0.9245764199725127 - 0.3809966451700222j]),
+    False: ([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2], [1, 0, 1, 0, 2, 0], [
+        0.36319863095864324 - 0.931711733568794j, -0.9989170387253679 + 0.046526871205164896j,
+        -0.8593236596489178 - 0.5114321538264787j, -0.15779737804558724 + 0.9874715122381699j,
+        0.7851911646212731 - 0.619253449728533j, -0.12763883876714358 - 0.9918207130515954j]),
+    True: ([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2], [1, 0, 2, 2, 1, 0], [
+        -0.956439053564743 + 0.291932075689155j, -0.5595723016251009 - 0.8287815389196281j,
+        -0.5254591328855076 + 0.8508188406865532j, 0.24831007379240114 - 0.9686806012578203j,
+        -0.936997844693172 - 0.3493351385709004j, -0.6719605532383157 - 0.7405869394552247j]),
 }
 
 

@@ -382,10 +382,10 @@ def test_invariance_trial_computes_the_closed_form_of_two_states(monkeypatch):
         return closed_form(mats, spectra, dims, signs)
 
     monkeypatch.setattr(discoh.verify, "_closed_form", spy)
-    # the trial's draws: rho, the PPIO seed, then the product IUO
+    # the trial's draws: rho, the PPIO stack, then the product IUO
     rng = rng_from_seed(int(spawn_seeds(123, 1)[0]))
     rho = random_state_from(rng, 2, 2, "ginibre-mixed")
-    rng.integers(0, 2**63)
+    random_rank_one_ppio(2, rng, 50, injective=True)
     u_a, u_b = random_iuo(2, rng), random_iuo(2, rng)
     conj = DensityMatrix(apply_local(rho.mat, rho.dims, u_a, u_b), rho.dims)
     assert verify_invariance(trials=1, seed=123).passed
@@ -583,14 +583,14 @@ def test_campaign_trials_decompose_in_stacked_calls(monkeypatch, name):
 # *the float details in order: min_gap, the deviations, the discords)
 RECORDED = {
     "theorem1": {
-        (7, 8): (4.440892098500626e-16, 0, 2, 7078124019849193311, 0.1933038314593487),
-        (0, 130): (2.220446049250313e-16, 0, 10, 12426324003838119764, 0.08926856088011548),
-        (7, 130): (6.661338147750939e-16, 0, 30, 10662670176723430074, 0.09316699658763394),
+        (7, 8): (0.0, 0, 1, 610735763742393210, 0.12560916844150916),
+        (0, 130): (6.661338147750939e-16, 0, 9, 1324431917831166204, 0.09289035361009224),
+        (7, 130): (5.551115123125783e-16, 0, 35, 18164201459522950379, 0.08581530092607992),
     },
     "theorem3": {
-        (7, 8): (2.220446049250313e-16, 0, 5, 12242414004113001224),
-        (0, 130): (4.440892098500626e-16, 0, 40, 1006065499627456792),
-        (7, 130): (4.440892098500626e-16, 0, 94, 16642488391102177871),
+        (7, 8): (2.220446049250313e-16, 0, 3, 12917519645081627820),
+        (0, 130): (4.440892098500626e-16, 0, 69, 3145109768351792608),
+        (7, 130): (4.440892098500626e-16, 0, 67, 12192983480865354683),
     },
     "superadditivity": {
         (7, 8): (-0.1933038314593487, 0, 0, 16920295385781661272),
@@ -598,9 +598,9 @@ RECORDED = {
         (7, 130): (-0.13112051057593319, 0, 69, 13285551925594234729),
     },
     "invariance": {
-        (7, 8): (1.1102230246251565e-15, 0, 2, 7078124019849193311),
-        (0, 70): (1.5543122344752192e-15, 0, 60, 7789158707010503658),
-        (7, 70): (1.7763568394002505e-15, 0, 14, 3307404742530723846),
+        (7, 8): (1.1102230246251565e-15, 0, 0, 16920295385781661272),
+        (0, 70): (1.9984014443252818e-15, 0, 24, 13654957276179995730),
+        (7, 70): (2.220446049250313e-15, 0, 14, 3307404742530723846),
     },
     "theorem2": {
         (3, 6, ("grid_checks", 2)): (7.0976618491980226e-06, 0, 1, 12872254111863797241,

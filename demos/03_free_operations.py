@@ -30,6 +30,12 @@ from discoh import (
 from discoh.channels import random_physically_free
 from discoh.states import random_state, rng_from_seed
 
+
+def shown(dac: float) -> float:
+    """dac as the CLI prints it: a value in [-1e-12, 0] is roundoff, shown as 0."""
+    return 0.0 if -1e-12 <= dac <= 0.0 else dac
+
+
 # 1. Channel zoo and structural classification.  Builders and samplers return
 # Kraus stacks (n, d, d), and classify checks and labels a stack; U_a (x) {B_j}
 # comes as its two factor stacks, and classify takes their joint stack.
@@ -71,11 +77,11 @@ print(f"  I_co before = {correlated_coherence(rho):.6f}, after = {correlated_coh
 # 3. Physically free channels cannot create the resource.
 cq = classical_quantum([0.3, 0.7], [np.diag([0.2, 0.8]), np.array([[0.5, 0.5], [0.5, 0.5]])])
 print("\nfree channels acting on a zero-correlation (classical-quantum) state:")
-print(f"  dac before: {coherence_discord(cq):.2e}")
+print(f"  dac before: {shown(coherence_discord(cq)):.2e}")
 for n_ops in (1, 2, 3):
     u_a, b_ops = random_physically_free(2, 2, rng, n_b_ops=n_ops)
     out = DensityMatrix(apply_local(cq.mat, cq.dims, u_a, b_ops), cq.dims)
-    print(f"  dac after U_a x {{B_j}} with {n_ops} B ops: {coherence_discord(out):.2e}")
+    print(f"  dac after U_a x {{B_j}} with {n_ops} B ops: {shown(coherence_discord(out)):.2e}")
 
 # ... while a plain unitary that is not incoherent does create it.
 coherent = DensityMatrix(apply_local(cq.mat, cq.dims, hadamard[None]), cq.dims)
@@ -86,7 +92,7 @@ print(f"  dac after (Hadamard x I), for contrast: {coherence_discord(coherent):.
 plus = np.full((2, 2), 0.5)
 ket0, ket1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 products = [DensityMatrix(np.kron(a, b), (2, 2)) for a, b in ((ket0, ket0), (plus, ket1))]
-dacs = [coherence_discord(r) for r in (*products, nonconvexity_witness())]
+dacs = [shown(coherence_discord(r)) for r in (*products, nonconvexity_witness())]
 print(f"  off the zero set, dac of |00>, of |+>|1> and of their equal mixture: "
       f"{dacs[0]:.2e}, {dacs[1]:.2e}, {dacs[2]:.4f}")
 rho = DensityMatrix(np.kron(plus, np.eye(2) / 2), (2, 2))
@@ -94,5 +100,5 @@ prepare_0 = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])  # |0
 outs = [apply_local(rho.mat, rho.dims, *make_physically_free(u, b_ops))
         for u, b_ops in ((np.eye(2), prepare_0), (np.diag([1.0, -1.0]), prepare_0[:, ::-1]))]
 mixed = DensityMatrix(sum(outs) / 2, (2, 2))
-print(f"  off the zero set, dac of |+><+| x 1/2: {coherence_discord(rho):.2e}, after the equal "
-      f"mixture of 1 x (prepare |0>) and Z x (prepare |1>): {coherence_discord(mixed):.4f}")
+print(f"  off the zero set, dac of |+><+| x 1/2: {shown(coherence_discord(rho)):.2e}, after the "
+      f"equal mixture of 1 x (prepare |0>) and Z x (prepare |1>): {coherence_discord(mixed):.4f}")

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -7,6 +8,8 @@ from numpy.testing import assert_allclose
 from discoh.channels import (
     ChannelMixture,
     KrausChannel,
+    _draw_iuo,
+    _draw_rank_one_ppio,
     apply,
     classify,
     dephasing_channel,
@@ -544,6 +547,51 @@ def test_rank_one_ppio_stacks_are_the_recorded_draws(injective):
     assert sample.tolist() == want_sample and level.tolist() == want_level
     assert row.tolist() == want_row and col.tolist() == want_level
     assert ops[sample, level, row, col].tolist() == want_values
+
+
+def one_call_draw(rng, n, injective, fault=None):
+    """The d = 3 PPIO draw's layout, with an optional fault: one rng.random call, and per
+    sample k uniforms keying the permutations (a stable argsort), then 9 phases / 2pi."""
+    k = 3 if injective else 9
+    u = rng.random((n, k + 9))
+    keys = np.zeros((n, k // 3, 3)) if fault == "constant key" else u[:, :k].reshape(n, -1, 3)
+    perms = keys.argsort(axis=-2 if fault == "wrong axis" else -1, kind="stable")
+    scale = np.pi if fault == "phases times pi" else 2.0 * np.pi
+    return np.broadcast_to(perms, (n, 3, 3)), scale * u[:, k:].reshape(n, 3, 3)
+
+
+def uniformity_misses(perms, phases):
+    """The checks that d = 3 draws (n, 3, 3) fail: per level, the chi-square of the counts
+    of the 6 permutations (5 degrees of freedom; 20.5 is the 0.1% point), then the range
+    [0, 2pi) of the phases and their mean, pi within 5 standard errors."""
+    codes, n = perms @ [9, 3, 1], len(perms)  # a non-permutation has none of the 6 codes
+    want = [np.dot(p, [9, 3, 1]) for p in itertools.permutations(range(3))]
+    misses = []
+    for level in range(3):
+        counts = np.array([np.count_nonzero(codes[:, level] == c) for c in want])
+        if ((counts - n / 6) ** 2).sum() / (n / 6) > 20.5:
+            misses.append(f"level {level}: {counts.tolist()}")
+    if not 0.0 <= phases.min() <= phases.max() < 2.0 * np.pi:
+        misses.append("phase range")
+    if abs(phases.mean() - np.pi) > 5 * 2.0 * np.pi / np.sqrt(12 * phases.size):
+        misses.append(f"phase mean {phases.mean():.4f}")
+    return misses
+
+
+@pytest.mark.parametrize("injective", [True, False])
+def test_one_call_ppio_draws_are_uniform(injective):
+    # derandomized: 6000 draws of one seed, and the same layout with three faults
+    draws = _draw_rank_one_ppio(3, rng_from_seed(3003), 6000, injective)
+    layout = one_call_draw(rng_from_seed(3003), 6000, injective)
+    assert all(np.array_equal(a, b) for a, b in zip(draws, layout))
+    assert uniformity_misses(*draws) == []
+    for fault in ("wrong axis", "constant key", "phases times pi"):
+        assert uniformity_misses(*one_call_draw(rng_from_seed(3003), 6000, injective, fault))
+    # an IUO's permutation and phases are the one-level case, from the same call
+    perm, phases = _draw_iuo(3, rng_from_seed(3004))
+    u = rng_from_seed(3004).random(6)
+    assert np.array_equal(perm, u[:3].argsort(kind="stable"))
+    assert np.array_equal(phases, 2.0 * np.pi * u[3:])
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])

@@ -765,6 +765,38 @@ def test_a_closed_form_draw_returns_raw_rng_output_only(monkeypatch, name):
     assert run_suite(name, trials=12, seed=126).passed
 
 
+@pytest.mark.parametrize("name,most", [("invariance", 4), ("theorem1", 2)])
+def test_a_trial_draws_in_a_few_generator_calls(monkeypatch, name, most):
+    # an invariance trial draws its state, its 50 PPIOs and its two IUOs in one call
+    # each, and a 2x2 theorem1 trial its state and its PPIO, all on its own child
+    # stream: only the driver re-keys a generator, once per chunk
+    import discoh.verify
+
+    calls, rekeys, restarts = [], [], discoh.verify._restarts
+    monkeypatch.setattr(discoh.verify, "_restarts", lambda *a: rekeys.append(a) or restarts(*a))
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, attr):
+            calls[-1] += 1
+            return getattr(self.rng, attr)
+
+    run_trials = discoh.verify._run_trials
+
+    def counted(suite, trials, dims, seed, tol, draw, *args, **kwargs):
+        def counted_draw(i, rng):
+            calls.append(0)
+            return draw(i, Counting(rng))
+
+        return run_trials(suite, trials, dims, seed, tol, counted_draw, *args, **kwargs)
+
+    monkeypatch.setattr(discoh.verify, "_run_trials", counted)
+    assert run_suite(name, trials=6, seed=129).passed
+    assert len(calls) == 6 and max(calls) <= most and len(rekeys) == 1
+
+
 def test_restarted_streams_are_the_seeded_streams():
     # the keys are numpy's SeedSequence(s).generate_state(2, np.uint64), and the
     # generator restarts clean even after a draw left half a 64-bit word buffered

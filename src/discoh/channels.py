@@ -255,8 +255,10 @@ def _is_factorizable_free(ops: np.ndarray, dims) -> bool:
 
 
 def _draw_iuo(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """An IUO's raw draw: a permutation and a phase vector (dim,), a one-level PPIO's draw."""
-    return tuple(x[0, 0] for x in _draw_rank_one_ppio(dim, rng, 1, True, levels=1))
+    """An IUO's raw draw: a permutation and a phase vector (dim,), from one rng.random
+    call, as one level of a rank-one PPIO is drawn."""
+    u = rng.random(2 * dim)
+    return u[:dim].argsort(kind="stable"), 2.0 * np.pi * u[dim:]
 
 
 def random_iuo(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -266,15 +268,14 @@ def random_iuo(dim: int, rng: np.random.Generator) -> np.ndarray:
     return _iuo_mats(*_draw_iuo(dim, rng))[None]
 
 
-def _draw_rank_one_ppio(dim: int, rng, n: int, injective: bool, levels: int | None = None):
-    """n rank-one PPIOs' raw draws (n, levels, dim), levels = dim, in one rng.random call: per
-    sample, each level's permutation (one for all, if injective) is the stable argsort of dim
+def _draw_rank_one_ppio(dim: int, rng, n: int, injective: bool) -> tuple[np.ndarray, np.ndarray]:
+    """n rank-one PPIOs' raw draws, (n, dim, dim) each, in one rng.random call: per sample,
+    each level's permutation (one for all, if injective) is the stable argsort of dim
     uniforms, and its phases are 2pi times the rest, so a stack draws as its samples do."""
-    levels = levels or dim
-    k = (1 if injective else levels) * dim
-    u = rng.random((n, k + levels * dim))
+    k = (1 if injective else dim) * dim
+    u = rng.random((n, k + dim * dim))
     perms = u[:, :k].reshape(n, -1, dim).argsort(kind="stable")
-    return perms.repeat(levels if injective else 1, 1), 2.0 * np.pi * u[:, k:].reshape(n, -1, dim)
+    return perms.repeat(dim if injective else 1, 1), 2.0 * np.pi * u[:, k:].reshape(n, dim, dim)
 
 
 def _rank_one_ppio_ops(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:

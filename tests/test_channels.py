@@ -551,7 +551,8 @@ def test_rank_one_ppio_stacks_are_the_recorded_draws(injective):
 
 def one_call_draw(rng, n, injective, fault=None):
     """The d = 3 PPIO draw's layout, with an optional fault: one rng.random call, and per
-    sample k uniforms keying the permutations (a stable argsort), then 9 phases / 2pi."""
+    sample k uniforms keying the permutations (a stable argsort), then 9 uniforms that
+    2pi scales to the phases."""
     k = 3 if injective else 9
     u = rng.random((n, k + 9))
     keys = np.zeros((n, k // 3, 3)) if fault == "constant key" else u[:, :k].reshape(n, -1, 3)

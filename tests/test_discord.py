@@ -584,9 +584,9 @@ def test_local_unitary_invariance_catches_a_one_step_search():
 
 @pytest.mark.parametrize("d_a", [2, 3, 4])
 def test_a_spectator_joined_to_b_leaves_the_discord(d_a):
-    # D^a(rho (x) sigma) = D^a(rho) for a state sigma of a qubit B' joined to B (same
-    # reference): the objective is the same function of the frame on both states, read
-    # through the qubit closed form at d_b = 2 and through eigh at d_b = 4
+    # D^a(rho (x) sigma) = D^a(rho) for a state sigma of a qubit B' joined to B: the
+    # objective is the same function of the frame on both states, read through the
+    # qubit closed form at d_b = 2 and through eigh at d_b = 4
     rng = np.random.default_rng(900 + d_a)
     rho = DensityMatrix(ginibre(rng, 2 * d_a, 2 * d_a), (d_a, 2))
     joined = DensityMatrix(np.kron(rho.mat, ginibre(rng, 2, 2)), (d_a, 4))

@@ -1,7 +1,8 @@
 """The README's examples and measure names stay in step with the code: the
 library quickstart runs and returns the values its comments state, every
-command-line example parses (nothing runs), and the documented column order
-and suite details keys are the code's."""
+command-line example parses (nothing runs), the documented column order
+and suite details keys are the code's, and the quoted verify margins are what
+the command prints."""
 
 import ast
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 
 from numpy.testing import assert_allclose
 
-from discoh.cli import build_parser
+from discoh.cli import build_parser, main
 from discoh.measures import CSV_COLUMNS
 from discoh.verify import SUITES, run_suite
 
@@ -89,3 +90,11 @@ def test_readme_suite_details_keys_are_the_suites_keys():
     assert list(listed) == list(SUITES)
     for name in SUITES:
         assert listed[name] == list(run_suite(name, trials=2, restarts=2).details), name
+
+
+def test_readme_quoted_verify_margins_are_what_the_cli_prints(capsys):
+    quoted = re.findall(r"`discoh verify (\S+) --trials (\d+)` reports\s+`([^`]+)`", README)
+    assert [suite for suite, _, _ in quoted] == ["theorem1", "superadditivity"]
+    for suite, trials, value in quoted:
+        assert main(["verify", suite, "--trials", trials]) == 0
+        assert f'"max_violation": {value},' in capsys.readouterr().out, suite

@@ -4,7 +4,8 @@ operations (PPIOs), their rank-one special case, and the factorizable
 physically free channels U_a (x) B_j.  Every channel argument and result is one
 (n, d, d) Kraus stack (U_a (x) B_j as its two factors, which act on the reshaped
 state through linalg.apply_local); each family's builder and sampler (a raw
-draw, then the build) share one construction.  classify, ChannelMixture and
+draw, then the build) share one construction; a rank-one PPIO's is one scatter of
+its level map f and phases, {e^{i th_j} |f(j)><j|}.  classify, ChannelMixture and
 apply check a stack through KrausChannel, the one trace-preservation check.  A
 PIO, a convex mixture of PPIOs, is a ChannelMixture of their stacks; a general
 PPIO is a stack that classify labels ppio.
@@ -121,9 +122,7 @@ def _iuo_mats(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
     bad = ~(perms[..., None] == np.arange(d)).any(axis=-2).all(axis=-1)  # a value never hit
     if bad.any():
         raise ValueError(f"not a permutation of range({d}): {perms[bad][0].tolist()}")
-    u, n = np.zeros((perms.size // d, d, d), dtype=complex), np.arange(perms.size // d)
-    u[n[:, None], perms.reshape(-1, d), np.arange(d)] = np.exp(1j * phases.reshape(-1, d))
-    return u.reshape(*lead, d, d)
+    return _rank_one_stacks(perms, np.exp(1j * phases)).sum(axis=-3)  # its columns, summed
 
 
 def make_iuo(perm, phases) -> np.ndarray:
@@ -162,19 +161,25 @@ def make_rank_one_ppio(dim: int, unitaries) -> np.ndarray:
     for j, u in enumerate(unitaries):
         if _require_iuo(u, f"unitary #{j}").shape != (dim, dim):
             raise ValueError(f"unitary #{j} is {np.shape(u)}, expected ({dim}, {dim})")
-    return _own_columns(np.array(unitaries, dtype=complex))
+    cols = np.array(unitaries, dtype=complex)[np.arange(dim), :, np.arange(dim)]  # U_j |j>
+    level_map = np.abs(cols).argmax(axis=-1)
+    return _rank_one_stacks(level_map, cols[np.arange(dim), level_map])
 
 
-def _own_columns(u: np.ndarray) -> np.ndarray:
-    """Rank-one PPIO stacks (..., d, d, d) {U_j |j><j|}: column j of each level's U_j."""
-    return np.where(np.eye(u.shape[-1], dtype=bool)[:, None, :], u, 0)
+def _rank_one_stacks(level_maps: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Rank-one PPIO stacks (..., d, d, d) {entries[j] |f(j)><j|} of level maps f and their
+    entries (..., d), in one scatter."""
+    *lead, d = level_maps.shape
+    n, j = np.arange(level_maps.size // d)[:, None], np.arange(d)
+    ops = np.zeros((n.size, d, d, d), dtype=complex)
+    ops[n, j, level_maps.reshape(-1, d), j] = entries.reshape(-1, d)
+    return ops.reshape(*lead, d, d, d)
 
 
 def dephasing_channel(dim: int) -> np.ndarray:
     """Kraus stack {|j><j|} of full dephasing in the reference basis: the
     canonical rank-one PPIO."""
-    eye = np.eye(dim, dtype=complex)
-    return eye[:, :, None] * eye[:, None, :]
+    return _rank_one_stacks(np.arange(dim), np.ones(dim))
 
 
 def make_physically_free(u_a, b_ops) -> tuple[np.ndarray, np.ndarray]:
@@ -254,46 +259,34 @@ def _is_factorizable_free(ops: np.ndarray, dims) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _draw_iuo(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """An IUO's raw draw: a permutation and a phase vector (dim,), from one rng.random
-    call, as one level of a rank-one PPIO is drawn."""
-    u = rng.random(2 * dim)
-    return u[:dim].argsort(kind="stable"), 2.0 * np.pi * u[dim:]
-
-
 def random_iuo(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Kraus stack (1, dim, dim) of a uniformly random permutation with i.i.d.
-    uniform phases in [0, 2pi)."""
+    uniform phases in [0, 2pi): the sum of a random non-merging rank-one PPIO's
+    operators, from the same draw."""
     _check_count("dim", dim)
-    return _iuo_mats(*_draw_iuo(dim, rng))[None]
+    return _iuo_mats(*_draw_rank_one_ppio(dim, rng, 1, True))
 
 
 def _draw_rank_one_ppio(dim: int, rng, n: int, injective: bool) -> tuple[np.ndarray, np.ndarray]:
-    """n rank-one PPIOs' raw draws, (n, dim, dim) each, in one rng.random call: per sample,
-    each level's permutation (one for all, if injective) is the stable argsort of dim
-    uniforms, and its phases are 2pi times the rest, so a stack draws as its samples do."""
-    k = (1 if injective else dim) * dim
-    u = rng.random((n, k + dim * dim))
-    perms = u[:, :k].reshape(n, -1, dim).argsort(kind="stable")
-    return perms.repeat(dim if injective else 1, 1), 2.0 * np.pi * u[:, k:].reshape(n, dim, dim)
+    """n rank-one PPIOs' raw draws, a level map and phases (n, dim) each, in one rng.random
+    call: per sample, f(j) = floor(dim u_j) of the first dim uniforms (their stable argsort
+    if injective), and the phases are 2pi times the rest, so a stack draws as its samples do."""
+    u = rng.random((n, 2 * dim))
+    keys = u[:, :dim]
+    maps = keys.argsort(kind="stable") if injective else (dim * keys).astype(int)
+    return maps, 2.0 * np.pi * u[:, dim:]
 
 
-def _rank_one_ppio_ops(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Rank-one PPIO stacks (..., d, d, d) of their raw draws (..., d, d)."""
-    return _own_columns(_iuo_mats(perms, phases))
-
-
-def random_rank_one_ppio(
-    dim: int, rng: np.random.Generator, n: int, injective: bool = False
-) -> np.ndarray:
-    """Kraus stacks of n random rank-one PPIOs, shape (n, dim, dim, dim).
-    K_j = U_j |j><j| keeps only column j of a random IUO U_j drawn for level j:
-    e^{i th_j} at row perm_j(j).  With ``injective=True`` the levels share one
-    permutation, so the level map j -> perm(j) is a permutation (no two levels
-    merge): the class on which the coherence correlation is representation
-    independent; merging PPIOs can only drop it further."""
+def random_rank_one_ppio(dim: int, rng: np.random.Generator, n: int,
+                         injective: bool = False) -> np.ndarray:
+    """Kraus stacks (n, dim, dim, dim) of n random rank-one PPIOs {e^{i th_j} |f(j)><j|},
+    f(j) and th_j i.i.d. uniform in range(dim) and [0, 2pi).  With ``injective=True`` f is
+    a uniform permutation (no two levels merge): the class on which the coherence
+    correlation is representation independent; merging PPIOs can only drop it further."""
     _check_count("dim", dim)
-    return _rank_one_ppio_ops(*_draw_rank_one_ppio(dim, rng, n, injective))
+    _check_count("n", n)
+    maps, phases = _draw_rank_one_ppio(dim, rng, n, injective)
+    return _rank_one_stacks(maps, np.exp(1j * phases))
 
 
 def _draw_kraus(dim: int, n_ops: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,22 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LABEL_RANK_ONE_PPIO, classify, dephasing_channel
-from .linalg import MAX_OPT_DIM, apply_local, dephase_local, partial_trace
-from .measures import (
-    _DAC,
-    _I_CO,
-    _MI,
-    _entropies,
-    _quantity,
-    _read,
-    correlated_coherence,
-    entropy_of_probs,
-    mutual_information,
-)
+from .channels import LABEL_RANK_ONE_PPIO, classify
+from .linalg import MAX_OPT_DIM, conditional_blocks, dephase_local, partial_trace
+from .measures import _DAC, _quantity, correlated_coherence, entropy_of_probs, mutual_information
 from .states import (
     DensityMatrix, ReferenceBasis, _check_count, haar_unitary, matrix_to_json, rng_from_seed,
-    validate_density,
 )
 
 
@@ -397,19 +386,35 @@ def discord_via_coherence(rho: DensityMatrix, config: OptimizerConfig | None = N
 # ---------------------------------------------------------------------------
 
 
-def _ppio_drops(m: np.ndarray, w: np.ndarray, dims, ops: np.ndarray):
-    """The I_co drops (..., n) of each trusted state of m (..., d, d), spectra w,
-    under each rank-one PPIO of its Kraus stack (..., n, d_a, d_a, d_a), and its
-    mutual-information drop under dephasing A, in one pass: one apply_local
-    call, one validate_density call for all outputs, and one _entropies call,
-    with no S_union row, for the states and the outputs."""
-    deph = np.broadcast_to(dephasing_channel(dims[0]), (*ops.shape[:-4], 1, *ops.shape[-3:]))
-    outs = apply_local(m[..., None, :, :], dims, np.concatenate([ops, deph], axis=-4))
-    spectra = np.concatenate([w[..., None, :], validate_density(outs)], axis=-2)
-    h = _entropies(np.concatenate([m[..., None, :, :], outs], axis=-3), spectra, dims,
-                   union=False)[0]
-    ico, mi = _read(h, _I_CO), _read(h, _MI)
-    return ico[..., :1] - ico[..., 1:-1], mi[..., 0] - mi[..., -1]
+def _merged_blocks(m: np.ndarray, dims, maps) -> np.ndarray:
+    """sigma_k = sum_{f(j) = k} M_j (..., n, d_a, d_b, d_b) of each level map f of maps
+    (..., n, d_a), M_j the conditional B blocks of a state of m (..., d, d): the rank-one
+    PPIO {e^{i th_j} |f(j)><j|} on A sends it to sum_k |k><k| (x) sigma_k, whatever its
+    phases.  A level outside range(d_a) raises."""
+    d_a, d_b = dims
+    onehot = np.asarray(maps)[..., None, :] == np.arange(d_a)[:, None]  # [..., n, k, j]
+    if np.count_nonzero(onehot) * d_a != onehot.size:  # a level that hits no k
+        raise ValueError(f"a level map sends A's levels into range({d_a})")
+    # one real product on the blocks' (re, im) pairs
+    blocks = np.ascontiguousarray(conditional_blocks(m, dims)).view(float)
+    sigma = onehot.astype(float) @ blocks.reshape(*m.shape[:-2], 1, d_a, -1)
+    return sigma.view(complex).reshape(*sigma.shape[:-1], d_b, d_b)
+
+
+def _level_map_drops(m: np.ndarray, w: np.ndarray, dims, maps) -> np.ndarray:
+    """The I_co drops (..., n) of trusted states m (..., d, d), spectra w, under the
+    rank-one PPIOs on A of level maps (..., n, d_a): an output keeps rho_B and has
+    C_r(A) = 0, so its drop is C_r(rho) - C_r(rho_A) - C_r(output), and the output's H and
+    S are those of its merged blocks' diagonals and joint spectrum.  The identity map,
+    dephasing of A, drops dac, which is also its mutual-information drop."""
+    def c_r(mat, spectrum, axis=-1):  # H of the diagonal minus S of the spectrum
+        h = entropy_of_probs(np.stack([np.diagonal(mat, axis1=-2, axis2=-1).real, spectrum]), axis)
+        return h[0] - h[1]
+
+    sigma, ra = _merged_blocks(m, dims, maps), partial_trace(m, dims, keep="a")
+    # entropy_of_probs checks the merged spectra as validate_density checks a spectrum
+    c_r_out = c_r(sigma, np.linalg.eigvalsh(sigma), axis=(-2, -1))
+    return (c_r(m, w) - c_r(ra, np.linalg.eigvalsh(ra)))[..., None] - c_r_out
 
 
 def ppio_monotonicity_gap(rho: DensityMatrix, ops) -> tuple[float, float]:
@@ -419,7 +424,7 @@ def ppio_monotonicity_gap(rho: DensityMatrix, ops) -> tuple[float, float]:
 
     Returns (gap, mi_drop).  The gap is nonnegative and dominates mi_drop for
     every bipartite state; a violation beyond 1e-9 raises ArithmeticError (it
-    would signal a numerical bug, not physics).
+    would signal a numerical bug, not physics).  The drops read the level map off the stack.
     """
     labels = classify(ops)  # checks the stack
     ops = np.asarray(ops, dtype=complex)
@@ -427,9 +432,11 @@ def ppio_monotonicity_gap(rho: DensityMatrix, ops) -> tuple[float, float]:
         raise ValueError(f"expected a channel on A (dim {rho.d_a})")
     if LABEL_RANK_ONE_PPIO not in labels:
         raise ValueError("channel is not a rank-one PPIO in the reference basis")
-    (gap,), mi_drop = _ppio_drops(rho.mat, rho.spectrum, rho.dims, ops[None])
+    level_map = np.abs(ops).sum(axis=0).argmax(axis=0)  # level j goes to row level_map[j]
+    maps = [level_map, range(rho.d_a)]  # the PPIO, then dephasing
+    gap, mi_drop = _level_map_drops(rho.mat, rho.spectrum, rho.dims, maps).tolist()
     if gap < -1e-9 or gap < mi_drop - 1e-9:
         raise ArithmeticError(
             f"monotonicity violated: gap={gap:.3e}, mi_drop={mi_drop:.3e}"
         )
-    return float(gap), float(mi_drop)
+    return gap, mi_drop

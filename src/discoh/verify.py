@@ -7,22 +7,22 @@ raw output; measure builds up to CHUNK (64) draws with the samplers' own builder
 checks them and yields their rows in batches (a closed-form suite's chunk in one stacked
 pass, theorem2's and zero-sets' one search at a time), and progress fires per trial, in
 order, as its batch comes out.  The rows reduce to a SuiteResult naming the worst trial.
+theorem1 and invariance carry a rank-one PPIO as its level map alone, which fixes its
+output (discord._merged_blocks): no Kraus stack is formed, no d x d output decomposed.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from itertools import islice, permutations, repeat
 
 import numpy as np
 
-from .channels import (
-    _draw_iuo, _draw_kraus, _draw_rank_one_ppio, _iuo_mats, _kraus_ops, _rank_one_ppio_ops,
-)
+from .channels import _draw_kraus, _draw_rank_one_ppio, _iuo_mats, _kraus_ops
 from .discord import (
     OptimizerConfig,
     _check_searchable,
-    _ppio_drops,
+    _level_map_drops,
     coherence_discord,
     discord,
     discord_at_basis,
@@ -37,14 +37,14 @@ from .states import (
 
 # The suites' fixed sizes: every fourth theorem3 trial applies a mixture of two
 # channels, superadditivity cycles through these splits when no dims is given,
-# an invariance trial applies PPIO_SAMPLES rank-one PPIOs, and the first
-# MEMBER_DISCORD_CHECKS zero-sets trials also run a discord search.
+# and the first MEMBER_DISCORD_CHECKS zero-sets trials also run a discord search.
 MIXTURE_EVERY = 4
 SUPERADDITIVITY_DIMS = ((2, 2), (2, 3), (3, 3))
-PPIO_SAMPLES = 50
 MEMBER_DISCORD_CHECKS = 20
 # Trials per stacked pass: it bounds peak memory, whatever the trial count.
 CHUNK = 64
+# Level maps per invariance pass over a chunk: it bounds peak memory, whatever d_a! is.
+_MAPS_PER_PASS = 120
 
 
 @dataclass
@@ -92,9 +92,8 @@ def _run_trials(suite, trials, dims, seed, tol, draw, measure, progress, reduce=
         values = [row[key] for _, row in rows if key in row]
         if values:
             details[key] = float(fn(values))
-    return SuiteResult(
-        suite, trials, dims, seed, tol, float(violations[worst]), failures, failures == 0, details
-    )
+    return SuiteResult(suite, trials, dims, seed, tol, float(violations[worst]) + 0.0,  # not -0.0
+                       failures, failures == 0, details)
 
 
 def _groups(keys):
@@ -109,19 +108,20 @@ def verify_theorem1(
     trials: int = 1000, dims: tuple = (2, 2), seed: int = 0, progress=None
 ) -> SuiteResult:
     """Correlated coherence never increases under local rank-one PPIOs, and
-    the drop dominates the mutual-information drop of the bare measurement.
-    The tests, not a classify call per trial, certify the PPIO sampler."""
-    _check_dims(dims)
+    the drop dominates the mutual-information drop of the bare measurement.  A trial
+    draws one level map, f(j) = floor(d_a u_j) as random_rank_one_ppio draws it, and
+    checks it beside dephasing, the identity map."""
+    d_a = _check_dims(dims)[0]
 
     def draw(i, rng):
-        g = _draw_state(dims[0] * dims[1], "ginibre-mixed", rng)
-        return g, *_draw_rank_one_ppio(dims[0], rng, 1, injective=False)
+        return _draw_state(dims[0] * dims[1], "ginibre-mixed", rng), rng.random(d_a)
 
     def measure(chunk):
-        g, perms, phases = map(np.array, zip(*chunk))
-        mats, ops = _state_mats("ginibre-mixed", g), _rank_one_ppio_ops(perms, phases)
-        gaps, mi = _ppio_drops(mats, validate_density(mats), dims, ops)
-        yield [(max(-g, m - g), {"min_gap": g}) for (g,), m in zip(gaps.tolist(), mi.tolist())]
+        g, keys = map(np.array, zip(*chunk))
+        mats = _state_mats("ginibre-mixed", g)
+        maps = np.stack([(d_a * keys).astype(int), np.broadcast_to(np.arange(d_a), keys.shape)], 1)
+        drops = _level_map_drops(mats, validate_density(mats), dims, maps)
+        yield [(max(-g, m - g), {"min_gap": g}) for g, m in drops.tolist()]
 
     return _run_trials(
         "theorem1", trials, dims, seed, 1e-9, draw, measure, progress, reduce={"min_gap": min}
@@ -189,7 +189,7 @@ def verify_theorem3(
         free = []  # per channel, in draw order: a Kraus count, U_a's draw, the B channel's
         for _ in range(1 + mixed):
             n_b_ops = int(rng.integers(1, 4))
-            free.append((*_draw_iuo(d_a, rng), _draw_kraus(d_b, n_b_ops, rng)))
+            free.append((*_draw_rank_one_ppio(d_a, rng, 1, True), _draw_kraus(d_b, n_b_ops, rng)))
         return probs, g, weights, free
 
     def measure(chunk):
@@ -200,7 +200,7 @@ def verify_theorem3(
         perms, phases, kraus = zip(*(channel for free in frees for channel in free))
         ops_a = np.zeros((len(chunk), 2, 1, d_a, d_a), complex)
         ops_b = np.zeros((len(chunk), 2, 3, d_b, d_b), complex)
-        ops_a[tuple(np.transpose(slots))] = _iuo_mats(np.array(perms), np.array(phases))[:, None]
+        ops_a[tuple(np.transpose(slots))] = _iuo_mats(np.array(perms), np.array(phases))
         for shape, group in _groups(raw.shape for raw in kraus):  # one QR per Kraus count
             t, k = np.transpose([slots[j] for j in group])
             ops_b[t, k, : shape[1] // d_b] = _kraus_ops(np.array([kraus[j] for j in group]))
@@ -245,30 +245,28 @@ def verify_superadditivity(
 def verify_invariance(
     trials: int = 100, dims: tuple = (2, 2), seed: int = 0, progress=None
 ) -> SuiteResult:
-    """Representation independence of the closed form over PPIO_SAMPLES random
-    non-merging rank-one PPIOs, plus invariance under local IUO conjugation;
-    the closed form of rho is computed once.  A trial draws rho, the PPIO stack
-    (one Generator call) and the two local IUOs from its own child stream.
-
-    Merging PPIOs (two levels mapped to one) drop strictly more coherence by
-    convexity, so representation independence holds on the non-merging class
-    only, and the sampler draws from it."""
+    """Representation independence of the closed form over every non-merging rank-one
+    PPIO, the d_a! permutations of A's levels as level maps, _MAPS_PER_PASS at a time,
+    plus invariance under local IUO conjugation; a trial draws rho and the two IUOs from
+    its own child stream.  Merging PPIOs drop strictly more coherence by convexity, so
+    representation independence holds on the non-merging class only."""
     _check_dims(dims)
 
     def draw(i, rng):
         g = _draw_state(dims[0] * dims[1], "ginibre-mixed", rng)
-        ppio = _draw_rank_one_ppio(dims[0], rng, PPIO_SAMPLES, injective=True)
-        return g, *ppio, *_draw_iuo(dims[0], rng), *_draw_iuo(dims[1], rng)
+        return g, *(x for d in dims for x in _draw_rank_one_ppio(d, rng, 1, True))
 
     def measure(chunk):
-        g, perms, phases, perm_a, phase_a, perm_b, phase_b = map(np.array, zip(*chunk))
+        g, perm_a, phase_a, perm_b, phase_b = map(np.array, zip(*chunk))
         mats = _state_mats("ginibre-mixed", g)
-        u_a, u_b = _iuo_mats(perm_a, phase_a)[:, None], _iuo_mats(perm_b, phase_b)[:, None]
+        u_a, u_b = _iuo_mats(perm_a, phase_a), _iuo_mats(perm_b, phase_b)
         both = np.stack([mats, apply_local(mats, dims, u_a, u_b)], 1)  # rho and its conjugate
         spectra = validate_density(both)
-        drops, _ = _ppio_drops(mats, spectra[:, 0], dims, _rank_one_ppio_ops(perms, phases))
         dac = _closed_form(both, spectra, dims, _DAC)
-        devs = np.abs(np.concatenate([drops, dac[:, 1:]], axis=1) - dac[:, :1]).max(axis=1)
+        devs, perms = np.abs(dac[:, 1] - dac[:, 0]), permutations(range(dims[0]))
+        while maps := list(islice(perms, _MAPS_PER_PASS)):
+            drops = _level_map_drops(mats, spectra[:, 0], dims, maps)
+            devs = np.maximum(devs, np.abs(drops - dac[:, :1]).max(axis=1))
         yield zip(devs.tolist(), repeat({}))
 
     return _run_trials("invariance", trials, dims, seed, 1e-9, draw, measure, progress)

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from discoh.channels import (
     ChannelMixture,
     KrausChannel,
-    _draw_iuo,
     _draw_rank_one_ppio,
+    _rank_one_stacks,
     apply,
     classify,
     dephasing_channel,
@@ -117,11 +117,15 @@ def test_make_iuo_rejects_non_finite_phases(bad):
         make_iuo([1, 0], [bad, 0.0])
 
 
-# each raised a ZeroDivisionError, numpy's reshape error, or (make_iuo on a 2-D
-# permutation) returned a (1, 1, 2, 2) array, which is no Kraus stack
+# each raised a ZeroDivisionError, numpy's reshape, negative-dimension or float-size
+# error, or (make_iuo on a 2-D permutation) returned a (1, 1, 2, 2) array, which is no
+# Kraus stack
 BAD_SIZES_AND_SHAPES = {
     "random_iuo dim 0": (lambda rng: random_iuo(0, rng), "dim must be an integer >= 1, got 0"),
     "random_rank_one_ppio dim 0": (lambda rng: random_rank_one_ppio(0, rng, 1), "dim must be"),
+    "random_rank_one_ppio n 0": (lambda rng: random_rank_one_ppio(2, rng, 0), "n must be an"),
+    "random_rank_one_ppio n -1": (lambda rng: random_rank_one_ppio(2, rng, -1), "n must be an"),
+    "random_rank_one_ppio n 1.5": (lambda rng: random_rank_one_ppio(2, rng, 1.5), "n must be an"),
     "random_kraus_ops dim 2.5": (lambda rng: random_kraus_ops(2.5, 2, rng), "dim must be"),
     "random_kraus_ops n_ops 0": (lambda rng: random_kraus_ops(2, 0, rng), "n_ops must be"),
     "random_physically_free n_b_ops 0": (
@@ -551,27 +555,27 @@ def test_rank_one_ppio_stacks_are_the_recorded_draws(injective):
 
 def one_call_draw(rng, n, injective, fault=None):
     """The d = 3 PPIO draw's layout, with an optional fault: one rng.random call, and per
-    sample k uniforms keying the permutations (a stable argsort), then 9 uniforms that
-    2pi scales to the phases."""
-    k = 3 if injective else 9
-    u = rng.random((n, k + 9))
-    keys = np.zeros((n, k // 3, 3)) if fault == "constant key" else u[:, :k].reshape(n, -1, 3)
-    perms = keys.argsort(axis=-2 if fault == "wrong axis" else -1, kind="stable")
-    scale = np.pi if fault == "phases times pi" else 2.0 * np.pi
-    return np.broadcast_to(perms, (n, 3, 3)), scale * u[:, k:].reshape(n, 3, 3)
+    sample 3 uniforms keying the level map (floor(3 u), or a stable argsort if injective),
+    then 3 uniforms that 2pi scales to the phases."""
+    u = rng.random((n, 6))
+    keys = {"constant key": np.zeros((n, 3)), "one key for all levels": u[:, :1].repeat(3, 1)}
+    keys = keys.get(fault, u[:, :3])
+    maps = keys.argsort(kind="stable") if injective else (3 * keys).astype(int)
+    return maps, (np.pi if fault == "phases times pi" else 2.0 * np.pi) * u[:, 3:]
 
 
-def uniformity_misses(perms, phases):
-    """The checks that d = 3 draws (n, 3, 3) fail: per level, the chi-square of the counts
-    of the 6 permutations (5 degrees of freedom; 20.5 is the 0.1% point), then the range
-    [0, 2pi) of the phases and their mean, pi within 5 standard errors."""
-    codes, n = perms @ [9, 3, 1], len(perms)  # a non-permutation has none of the 6 codes
-    want = [np.dot(p, [9, 3, 1]) for p in itertools.permutations(range(3))]
+def uniformity_misses(maps, phases, injective):
+    """The checks that d = 3 draws (n, 3) fail: the chi-square of the counts of the 6
+    permutations (5 degrees of freedom; 20.5 is the 0.1% point), or of all 27 level maps
+    if not injective (26; 54.1), then the range [0, 2pi) of the phases and their mean, pi
+    within 5 standard errors."""
+    cells = list(itertools.permutations(range(3)) if injective
+                 else itertools.product(range(3), repeat=3))
+    codes, n = maps @ [9, 3, 1], len(maps)
+    counts = np.array([np.count_nonzero(codes == np.dot(c, [9, 3, 1])) for c in cells])
     misses = []
-    for level in range(3):
-        counts = np.array([np.count_nonzero(codes[:, level] == c) for c in want])
-        if ((counts - n / 6) ** 2).sum() / (n / 6) > 20.5:
-            misses.append(f"level {level}: {counts.tolist()}")
+    if ((counts - n / len(cells)) ** 2).sum() / (n / len(cells)) > (20.5 if injective else 54.1):
+        misses.append(f"map counts {counts.tolist()}")
     if not 0.0 <= phases.min() <= phases.max() < 2.0 * np.pi:
         misses.append("phase range")
     if abs(phases.mean() - np.pi) > 5 * 2.0 * np.pi / np.sqrt(12 * phases.size):
@@ -585,14 +589,14 @@ def test_one_call_ppio_draws_are_uniform(injective):
     draws = _draw_rank_one_ppio(3, rng_from_seed(3003), 6000, injective)
     layout = one_call_draw(rng_from_seed(3003), 6000, injective)
     assert all(np.array_equal(a, b) for a, b in zip(draws, layout))
-    assert uniformity_misses(*draws) == []
-    for fault in ("wrong axis", "constant key", "phases times pi"):
-        assert uniformity_misses(*one_call_draw(rng_from_seed(3003), 6000, injective, fault))
-    # an IUO's permutation and phases are the one-level case, from the same call
-    perm, phases = _draw_iuo(3, rng_from_seed(3004))
-    u = rng_from_seed(3004).random(6)
-    assert np.array_equal(perm, u[:3].argsort(kind="stable"))
-    assert np.array_equal(phases, 2.0 * np.pi * u[3:])
+    assert uniformity_misses(*draws, injective) == []
+    for fault in ("constant key", "one key for all levels", "phases times pi"):
+        draw = one_call_draw(rng_from_seed(3003), 6000, injective, fault)
+        assert uniformity_misses(*draw, injective), fault
+    # an IUO is the sum of a non-merging PPIO's operators, from the same draw
+    maps, phases = _draw_rank_one_ppio(3, rng_from_seed(3004), 1, True)
+    want = _rank_one_stacks(maps, np.exp(1j * phases)).sum(axis=1)
+    assert np.array_equal(random_iuo(3, rng_from_seed(3004)), want)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])

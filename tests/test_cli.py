@@ -489,10 +489,22 @@ def test_verify_csv_format(capsys):
 def test_verify_max_violation_of_a_pass_is_a_negative_margin(capsys, suite, printed):
     # both suites' violations are at most 0 on a pass (-gap or mi_drop - gap, and
     # -I_co), so their maximum is the margin by which every trial passed, negated;
-    # here neither theorem1 PPIO merges levels, the equality case gap = mi_drop
+    # here both theorem1 level maps are the identity, the equality case gap = mi_drop
     code, out, _ = run_cli(capsys, "verify", suite, "--trials", "2")
     assert code == 0 and json.loads(out)["passed"] is True
     assert f'"max_violation": {printed},' in out
+
+
+@pytest.mark.parametrize("argv,printed", [
+    (("superadditivity", "--dims", "2x1", "--format", "csv"), ",0.0,0,True"),
+    (("superadditivity", "--dims", "2x1"), '"max_violation": 0.0,'),
+    (("theorem1", "--dims", "1x2"), '"max_violation": 0.0,'),
+], ids=["superadditivity-2x1-csv", "superadditivity-2x1-json", "theorem1-1x2"])
+def test_verify_reports_a_margin_of_exactly_0_as_0(capsys, argv, printed):
+    # every trial's value is 0 or -0.0 there: I_co of a state with d_b = 1, and the
+    # gap of the one level map at d_a = 1
+    code, out, _ = run_cli(capsys, "verify", *argv, "--trials", "3")
+    assert code == 0 and printed in out and "-0.0" not in out
 
 
 @pytest.mark.parametrize(

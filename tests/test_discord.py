@@ -1,4 +1,5 @@
 import functools
+import itertools
 import sys
 
 import numpy as np
@@ -16,7 +17,8 @@ from discoh.channels import (
 )
 from discoh.discord import (
     OptimizerConfig,
-    _ppio_drops,
+    _level_map_drops,
+    _merged_blocks,
     coherence_discord,
     coherence_discord_symmetric,
     discord,
@@ -938,23 +940,23 @@ def test_coherence_discord_respects_frame_argument():
     assert abs(coherence_discord(rho, basis_a=HADAMARD)) < 1e-12
 
 
-def invariance_deviation(rho, samples, seed):
-    # the invariance trial's PPIO check: the literal drops under a seeded stack
-    # of non-merging rank-one PPIOs against the closed form
-    ops = random_rank_one_ppio(rho.d_a, rng_from_seed(seed), samples, injective=True)
-    drops = _ppio_drops(rho.mat, rho.spectrum, rho.dims, ops)[0]
+def invariance_deviation(rho):
+    # the invariance trial's PPIO check: the drops under every non-merging
+    # rank-one PPIO, one per permutation of A's levels, against the closed form
+    maps = list(itertools.permutations(range(rho.d_a)))
+    drops = _level_map_drops(rho.mat, rho.spectrum, rho.dims, maps)
     return np.max(np.abs(drops - coherence_discord(rho)))
 
 
 def test_invariance_check_bell_and_diagonal():
-    assert invariance_deviation(bell_phi_plus(), 25, seed=3) < 1e-12
+    assert invariance_deviation(bell_phi_plus()) < 1e-12
     diag = DensityMatrix(np.diag([0.4, 0.1, 0.2, 0.3]), (2, 2))
-    assert invariance_deviation(diag, 25, seed=3) < 1e-12
+    assert invariance_deviation(diag) < 1e-12
 
 
 def test_invariance_check_random_states():
     for rho in random_states(5, seed=9):
-        assert invariance_deviation(rho, 50, seed=11) <= 1e-9
+        assert invariance_deviation(rho) <= 1e-9
 
 
 def test_symmetric_variant_diagonal_zero():
@@ -1049,8 +1051,8 @@ def test_gap_bell_equality_case():
 def test_gap_violation_raises(monkeypatch, gap, mi_drop):
     # a negative gap, or one below the mutual-information drop, is a numerical
     # bug; the package's name discord is the function, so patch the module
-    monkeypatch.setattr(sys.modules["discoh.discord"], "_ppio_drops",
-                        lambda m, w, dims, ops: (np.array([gap]), mi_drop))
+    monkeypatch.setattr(sys.modules["discoh.discord"], "_level_map_drops",
+                        lambda m, w, dims, maps: np.array([gap, mi_drop]))
     with pytest.raises(ArithmeticError, match="monotonicity violated"):
         ppio_monotonicity_gap(bell_phi_plus(), dephasing_channel(2))
 
@@ -1091,7 +1093,7 @@ def test_gap_equality_for_non_merging_ppios():
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_stacked_ppio_drops_are_the_scalar_route(dims):
-    # the stacked pass of the Theorem 1 and invariance trials against the
+    # the level-map kernel of the Theorem 1 and invariance trials against the
     # measures of the lifted outputs sum_k (K_k (x) 1) rho (K_k (x) 1)†, one
     # state at a time
     d_a, d_b = dims
@@ -1107,19 +1109,39 @@ def test_stacked_ppio_drops_are_the_scalar_route(dims):
         for _ in range(4):
             rho = random_state(d_a, d_b, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
             stack = random_rank_one_ppio(d_a, rng, 3, injective)
-            drops, mi_drop = _ppio_drops(rho.mat, rho.spectrum, dims, stack)
+            maps = np.abs(stack).sum(axis=1).argmax(axis=1)  # level j goes to row maps[:, j]
+            *drops, mi_drop = _level_map_drops(rho.mat, rho.spectrum, dims, [*maps, range(d_a)])
             deph = lifted(rho, eye[:, :, None] * eye[:, None, :])
             assert abs(mi_drop - (mutual_information(rho) - mutual_information(deph))) <= 1e-12
-            for ops, drop in zip(stack, drops):
+            for ops, level_map, drop in zip(stack, maps, drops):
                 gap = correlated_coherence(rho) - correlated_coherence(lifted(rho, ops))
                 assert abs(drop - gap) <= 1e-12
                 assert_allclose(ppio_monotonicity_gap(rho, ops), (gap, mi_drop),
                                 rtol=0, atol=1e-12)
-                rows = np.abs(ops).sum(axis=0).argmax(axis=0)  # level j goes to row rows[j]
-                merging[injective] += len(set(rows.tolist())) < d_a
+                merging[injective] += len(set(level_map.tolist())) < d_a
     assert merging[True] == 0 < merging[False]
-    with pytest.raises(ValueError, match="trace"):  # the outputs are validated
-        _ppio_drops(rho.mat, rho.spectrum, dims, 1.1 * stack)
+    for level in (-1, d_a):  # a level outside range(d_a) is no level map
+        with pytest.raises(ValueError, match="level map"):
+            _level_map_drops(rho.mat, rho.spectrum, dims, [[level, *range(1, d_a)]])
+
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+def test_merged_blocks_are_the_applied_ppio_output(d_a):
+    # sum_k |k><k| (x) sigma_k, sigma_k = sum_{f(j) = k} M_j, is apply_local's output of
+    # the Kraus stack {e^{i th_j} |f(j)><j|} for random phases, merging or not
+    dims = (d_a, 2)
+    rng = rng_from_seed(240 + d_a)
+    mats = np.array([random_state(*dims, "ginibre-mixed", seed=s).mat for s in range(3)])
+    merging = {True: 0, False: 0}
+    for injective in (True, False):
+        stack = random_rank_one_ppio(d_a, rng, 12, injective).reshape(3, 4, d_a, d_a, d_a)
+        maps = np.abs(stack).sum(axis=2).argmax(axis=2)
+        outs = apply_local(mats[:, None], dims, stack).reshape(3, 4, d_a, 2, d_a, 2)
+        sigma = _merged_blocks(mats, dims, maps)
+        diagonal = np.einsum("snkxy,km->snkxmy", sigma, np.eye(d_a))
+        assert np.abs(outs - diagonal).max() <= 1e-14
+        merging[injective] += sum(len(set(f)) < d_a for f in maps.reshape(-1, d_a).tolist())
+    assert merging[True] == 0 < merging[False]
 
 
 def test_monotonicity_drop_under_merging_exceeds_closed_form():

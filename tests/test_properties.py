@@ -1,20 +1,22 @@
 """Randomized invariant suites at reduced trial counts; the acceptance module
 runs the full campaigns."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from discoh.channels import (
-    _draw_iuo, _draw_kraus, _draw_rank_one_ppio, _iuo_mats, _kraus_ops, _rank_one_ppio_ops,
+    _draw_kraus, _draw_rank_one_ppio, _iuo_mats, _kraus_ops, _rank_one_stacks,
     random_iuo, random_physically_free, random_rank_one_ppio,
 )
 from discoh.discord import coherence_discord, ppio_monotonicity_gap
 from discoh.linalg import apply_local
+from discoh.measures import _I_CO, _closed_form
 from discoh.states import (
     DensityMatrix, _cq_mat, _draw_cq, _draw_state, _restarts, _state_mats, random_cq_state,
-    random_state, random_state_from, rng_from_seed, spawn_seeds,
+    random_state, random_state_from, rng_from_seed, spawn_seeds, validate_density,
 )
 from discoh.verify import (
     SUITES,
@@ -147,10 +149,7 @@ def test_superadditivity_suite_small():
     assert result.max_violation <= 1e-9
 
 
-def test_invariance_suite_small(monkeypatch):
-    import discoh.verify
-
-    monkeypatch.setattr(discoh.verify, "PPIO_SAMPLES", 25)
+def test_invariance_suite_small():
     result = verify_invariance(trials=20, seed=108)
     assert result.passed
     assert result.max_violation <= 1e-9
@@ -370,6 +369,24 @@ def test_invariance_check_catches_a_shifted_closed_form(monkeypatch):
     assert abs(result.max_violation - 1e-6) <= 1e-12
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+def test_invariance_check_catches_one_shifted_level_map(monkeypatch, dims):
+    # the drop of the last permutation alone is off by 1e-6
+    import discoh.verify
+
+    level_map_drops = discoh.verify._level_map_drops
+
+    def shifted(m, w, dims, maps):
+        drops = level_map_drops(m, w, dims, maps)
+        drops[..., -1] += 1e-6
+        return drops
+
+    monkeypatch.setattr(discoh.verify, "_level_map_drops", shifted)
+    result = verify_invariance(trials=3, dims=dims, seed=117)
+    assert not result.passed and result.failures == 3
+    assert abs(result.max_violation - 1e-6) <= 1e-12
+
+
 def test_invariance_trial_computes_the_closed_form_of_two_states(monkeypatch):
     # rho's closed form serves both the PPIO and the IUO-conjugation check
     import discoh.verify
@@ -382,10 +399,9 @@ def test_invariance_trial_computes_the_closed_form_of_two_states(monkeypatch):
         return closed_form(mats, spectra, dims, signs)
 
     monkeypatch.setattr(discoh.verify, "_closed_form", spy)
-    # the trial's draws: rho, the PPIO stack, then the product IUO
+    # the trial's draws: rho, then the product IUO
     rng = rng_from_seed(int(spawn_seeds(123, 1)[0]))
     rho = random_state_from(rng, 2, 2, "ginibre-mixed")
-    random_rank_one_ppio(2, rng, 50, injective=True)
     u_a, u_b = random_iuo(2, rng), random_iuo(2, rng)
     conj = DensityMatrix(apply_local(rho.mat, rho.dims, u_a, u_b), rho.dims)
     assert verify_invariance(trials=1, seed=123).passed
@@ -398,12 +414,18 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 def test_theorem1_check_catches_a_coherent_channel(monkeypatch):
     import discoh.verify
 
-    def hadamard_on_a(perms, phases):
-        # each trial's PPIO built as the Hadamard channel: a stack of d_a = 2
-        # operators, one of them zero
-        return np.broadcast_to([HADAMARD, np.zeros((2, 2))], (*perms.shape[:-2], 2, 2, 2))
+    level_map_drops = discoh.verify._level_map_drops
 
-    monkeypatch.setattr(discoh.verify, "_rank_one_ppio_ops", hadamard_on_a)
+    def hadamard_on_a(m, w, dims, maps):
+        # each trial's PPIO drop taken under the Hadamard channel on A instead: the I_co
+        # drop to its literal output; the dephasing drop, mi_drop, stays
+        drops = level_map_drops(m, w, dims, maps)
+        out = apply_local(m, dims, HADAMARD[None])
+        drops[:, 0] = _closed_form(m, w, dims, _I_CO) - _closed_form(
+            out, validate_density(out), dims, _I_CO)
+        return drops
+
+    monkeypatch.setattr(discoh.verify, "_level_map_drops", hadamard_on_a)
     result = verify_theorem1(trials=8, seed=118)
     assert not result.passed and result.failures == 8
     assert result.max_violation > 1e-3
@@ -466,40 +488,74 @@ def test_campaign_trials_form_no_kron(monkeypatch, name):
     assert calls == []
 
 
-def test_invariance_trial_decomposes_as_often_at_5_and_50_samples(monkeypatch):
-    import discoh.verify
-
+def test_invariance_trial_decomposes_as_often_at_2_and_24_maps(monkeypatch):
+    # the 2 and the 24 non-merging level maps of d_a = 2 and 4 each take one pass
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     counts = []
-    for samples in (5, 50):
-        monkeypatch.setattr(discoh.verify, "PPIO_SAMPLES", samples)
+    for d_a in (2, 4):
         calls.clear()
-        assert verify_invariance(trials=1, seed=121).passed
+        assert verify_invariance(trials=1, dims=(d_a, 2), seed=121).passed
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
 
-def test_invariance_trial_decomposes_no_conditional_block_of_a_ppio_output(monkeypatch):
-    # at 3x2 the d_b x d_b decompositions are the B marginals of rho, its 50
-    # PPIO outputs and its dephasing, then the B marginals and the three
-    # conditional blocks of rho and its IUO conjugate for the closed form
+def test_invariance_trial_decomposes_the_merged_blocks_of_each_map_and_no_output(monkeypatch):
+    # at 3x2 the d_b x d_b decompositions are the B marginals and the three
+    # conditional blocks of rho and its IUO conjugate for the closed form, then the
+    # three merged blocks of each of the 3! level maps; the only d x d ones are rho's
+    # and its conjugate's, at validation
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     assert verify_invariance(trials=1, dims=(3, 2), seed=121).passed
     b_side = sum(int(np.prod(shape[:-2])) for shape in calls if shape[-2:] == (2, 2))
-    assert b_side == (50 + 2) + 2 * (1 + 3)
+    assert b_side == 2 * (1 + 3) + 6 * 3
+    assert [shape for shape in calls if shape[-2:] == (6, 6)] == [(1, 2, 6, 6)]
+
+
+@pytest.mark.parametrize("d_a,per_pass", [(1, 120), (3, 120), (4, 5), (5, 120)])
+def test_invariance_enumerates_every_permutation_once(monkeypatch, d_a, per_pass):
+    import discoh.verify
+
+    passes, level_map_drops = [], discoh.verify._level_map_drops
+
+    def recording(m, w, dims, maps):
+        passes.append([tuple(f) for f in maps])
+        return level_map_drops(m, w, dims, maps)
+
+    monkeypatch.setattr(discoh.verify, "_level_map_drops", recording)
+    monkeypatch.setattr(discoh.verify, "_MAPS_PER_PASS", per_pass)
+    assert verify_invariance(trials=1, dims=(d_a, 2), seed=127).passed
+    maps = [f for part in passes for f in part]
+    assert sorted(maps) == sorted(itertools.permutations(range(d_a))) == sorted(set(maps))
+    assert all(len(part) <= per_pass for part in passes)
+
+
+def test_an_invariance_trial_at_6x2_checks_its_720_maps_in_slices(monkeypatch):
+    # 6! maps, _MAPS_PER_PASS at a time, so a pass holds no more than 120 maps' blocks
+    import discoh.verify
+
+    passes, level_map_drops = [], discoh.verify._level_map_drops
+
+    def counting(m, w, dims, maps):
+        passes.append(len(maps))
+        return level_map_drops(m, w, dims, maps)
+
+    monkeypatch.setattr(discoh.verify, "_level_map_drops", counting)
+    result = verify_invariance(trials=1, dims=(6, 2), seed=125)
+    assert result.passed and result.max_violation <= 1e-9
+    assert passes == [discoh.verify._MAPS_PER_PASS] * 6 and sum(passes) == 720
 
 
 def test_progress_fires_once_per_trial_after_its_chunk_is_measured(monkeypatch):
     import discoh.verify
 
     measured, calls = [], []
-    ppio_drops = discoh.verify._ppio_drops
+    level_map_drops = discoh.verify._level_map_drops
 
     def counting(m, *args):
         measured.append(len(m))
-        return ppio_drops(m, *args)
+        return level_map_drops(m, *args)
 
-    monkeypatch.setattr(discoh.verify, "_ppio_drops", counting)
+    monkeypatch.setattr(discoh.verify, "_level_map_drops", counting)
     trials = discoh.verify.CHUNK + 5
     verify_theorem1(trials=trials, seed=124,
                     progress=lambda i, n: calls.append((i, n, sum(measured))))
@@ -559,8 +615,8 @@ def test_a_searching_suite_draws_its_chunk_before_its_first_search(monkeypatch, 
 
 @pytest.mark.parametrize("name", ["theorem1", "theorem3"])
 def test_campaign_trials_decompose_in_stacked_calls(monkeypatch, name):
-    # theorem1, four calls: rho, its PPIO and dephasing outputs, the A marginals
-    # of all three, and their B marginals; theorem3, three: the cq states and the
+    # theorem1, three calls: rho, the merged blocks of its PPIO's and dephasing's
+    # level maps, and its A marginals; theorem3, three: the cq states and the
     # channel outputs together, the outputs' A marginals, and their B marginals
     # with their conditional blocks.  Each is one stacked call for all the
     # trials of a chunk.
@@ -568,7 +624,7 @@ def test_campaign_trials_decompose_in_stacked_calls(monkeypatch, name):
     systems = count_calls(monkeypatch, np.linalg, "eigh")
     # four theorem3 trials include one with a mixture of two channels
     assert run_suite(name, trials=4, seed=122).passed
-    lengths = {"theorem1": [4, 4, 4, 4], "theorem3": [8, 4, 4]}[name]
+    lengths = {"theorem1": [4, 4, 4], "theorem3": [8, 4, 4]}[name]
     assert [shape[0] for shape in values + systems] == lengths
 
 
@@ -672,13 +728,13 @@ def test_chunk_built_cq_states_are_the_sampled_cq_states(n):
 def test_chunk_built_iuos_and_ppios_are_the_sampled_ones(n):
     for d in (2, 3, 4):
         singles = [random_iuo(d, rng_from_seed(s)) for s in range(n)]
-        perms, phases = stacked(_draw_iuo(d, rng_from_seed(s)) for s in range(n))
-        assert same_bits(_iuo_mats(perms, phases)[:, None], singles), d
+        perms, phases = stacked(_draw_rank_one_ppio(d, rng_from_seed(s), 1, True) for s in range(n))
+        assert same_bits(_iuo_mats(perms, phases), singles), d
         for injective in (False, True):
             singles = [random_rank_one_ppio(d, rng_from_seed(s), 3, injective) for s in range(n)]
-            perms, phases = stacked(
+            maps, phases = stacked(
                 _draw_rank_one_ppio(d, rng_from_seed(s), 3, injective) for s in range(n))
-            assert same_bits(_rank_one_ppio_ops(perms, phases), singles), (d, injective)
+            assert same_bits(_rank_one_stacks(maps, np.exp(1j * phases)), singles), (d, injective)
 
 
 @pytest.mark.parametrize("n", CHUNK_SIZES)
@@ -690,9 +746,9 @@ def test_chunk_built_physically_free_channels_are_the_sampled_ones(n):
     draws = []
     for s, k in enumerate(counts):
         rng = rng_from_seed(s)
-        draws.append((*_draw_iuo(d_a, rng), _draw_kraus(d_b, k, rng)))
+        draws.append((*_draw_rank_one_ppio(d_a, rng, 1, True), _draw_kraus(d_b, k, rng)))
     perms, phases = stacked((p, ph) for p, ph, _ in draws)
-    u_a = _iuo_mats(perms, phases)[:, None]
+    u_a = _iuo_mats(perms, phases)
     for k in (1, 2, 3):
         group = [s for s in range(n) if counts[s] == k]
         b_ops = _kraus_ops(np.array([draws[s][2] for s in group])) if group else []
@@ -746,7 +802,7 @@ def test_a_closed_form_draw_returns_raw_rng_output_only(monkeypatch, name):
         (np.linalg, "qr"), (discoh.states, "validate_density"),
         (discoh.verify, "validate_density"), (discoh.channels, "_iuo_mats"),
         *((discoh.verify, builder) for builder in
-          ("_state_mats", "_cq_mat", "_iuo_mats", "_kraus_ops", "_rank_one_ppio_ops")),
+          ("_state_mats", "_cq_mat", "_iuo_mats", "_kraus_ops", "_level_map_drops")),
     ]:
         forbid_while_drawing(owner, attr)
     run_trials = discoh.verify._run_trials
@@ -765,11 +821,11 @@ def test_a_closed_form_draw_returns_raw_rng_output_only(monkeypatch, name):
     assert run_suite(name, trials=12, seed=126).passed
 
 
-@pytest.mark.parametrize("name,most", [("invariance", 4), ("theorem1", 2)])
+@pytest.mark.parametrize("name,most", [("invariance", 3), ("theorem1", 2)])
 def test_a_trial_draws_in_a_few_generator_calls(monkeypatch, name, most):
-    # an invariance trial draws its state, its 50 PPIOs and its two IUOs in one call
-    # each, and a 2x2 theorem1 trial its state and its PPIO, all on its own child
-    # stream: only the driver re-keys a generator, once per chunk
+    # an invariance trial draws its state and its two IUOs in one call each, and a
+    # 2x2 theorem1 trial its state and its level map, all on its own child stream:
+    # only the driver re-keys a generator, once per chunk
     import discoh.verify
 
     calls, rekeys, restarts = [], [], discoh.verify._restarts
@@ -795,6 +851,26 @@ def test_a_trial_draws_in_a_few_generator_calls(monkeypatch, name, most):
     monkeypatch.setattr(discoh.verify, "_run_trials", counted)
     assert run_suite(name, trials=6, seed=129).passed
     assert len(calls) == 6 and max(calls) <= most and len(rekeys) == 1
+
+
+def test_theorem1_level_maps_are_uniform(monkeypatch):
+    # derandomized: the maps of 6000 3x2 trials, each beside the identity map; f(j)
+    # i.i.d. uniform makes the chi-square of the counts of the 27 maps stay under
+    # 54.1, its 0.1% point at 26 degrees of freedom
+    import discoh.verify
+
+    maps, level_map_drops = [], discoh.verify._level_map_drops
+
+    def recording(m, w, dims, chunk_maps):
+        maps.extend(chunk_maps.tolist())
+        return level_map_drops(m, w, dims, chunk_maps)
+
+    monkeypatch.setattr(discoh.verify, "_level_map_drops", recording)
+    assert verify_theorem1(trials=6000, dims=(3, 2), seed=3005).passed
+    drawn = np.array(maps)
+    assert drawn.shape == (6000, 2, 3) and (drawn[:, 1] == [0, 1, 2]).all()
+    counts = np.bincount(drawn[:, 0] @ [9, 3, 1], minlength=27)
+    assert ((counts - 6000 / 27) ** 2).sum() / (6000 / 27) <= 54.1, counts.tolist()
 
 
 def test_restarted_streams_are_the_seeded_streams():

@@ -639,9 +639,9 @@ def test_campaign_trials_decompose_in_stacked_calls(monkeypatch, name):
 # *the float details in order: min_gap, the deviations, the discords)
 RECORDED = {
     "theorem1": {
-        (7, 8): (0.0, 0, 1, 610735763742393210, 0.12560916844150916),
-        (0, 130): (6.661338147750939e-16, 0, 9, 1324431917831166204, 0.09289035361009224),
-        (7, 130): (5.551115123125783e-16, 0, 35, 18164201459522950379, 0.08581530092607992),
+        (7, 8): (0.0, 0, 0, 16920295385781661272, 0.15283067783133775),
+        (0, 130): (4.440892098500626e-16, 0, 57, 3287870231391313489, 0.08926856088011614),
+        (7, 130): (4.440892098500626e-16, 0, 12, 5695765839877112676, 0.07468672771745599),
     },
     "theorem3": {
         (7, 8): (2.220446049250313e-16, 0, 3, 12917519645081627820),
@@ -654,9 +654,9 @@ RECORDED = {
         (7, 130): (-0.13112051057593319, 0, 69, 13285551925594234729),
     },
     "invariance": {
-        (7, 8): (1.1102230246251565e-15, 0, 0, 16920295385781661272),
-        (0, 70): (1.9984014443252818e-15, 0, 24, 13654957276179995730),
-        (7, 70): (2.220446049250313e-15, 0, 14, 3307404742530723846),
+        (7, 8): (6.661338147750939e-16, 0, 7, 10400641126733403575),
+        (0, 70): (1.9984014443252818e-15, 0, 47, 8091597668830358219),
+        (7, 70): (1.3322676295501878e-15, 0, 22, 3559628314908963368),
     },
     "theorem2": {
         (3, 6, ("grid_checks", 2)): (7.0976618491980226e-06, 0, 1, 12872254111863797241,

@@ -116,7 +116,7 @@ def apply(chan, rho):
 def _iuo_mats(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """IUO matrices sum_y e^{i phases[y]} |perms[y]><y| of stacked perms and phases (..., d),
     checked and written for the whole stack at once."""
-    *lead, d = perms.shape
+    d = perms.shape[-1]
     if phases.shape != perms.shape or not np.isfinite(phases).all():
         raise ValueError(f"phase vectors must be finite and of length {d}")
     bad = ~(perms[..., None] == np.arange(d)).any(axis=-2).all(axis=-1)  # a value never hit
@@ -179,6 +179,7 @@ def _rank_one_stacks(level_maps: np.ndarray, entries: np.ndarray) -> np.ndarray:
 def dephasing_channel(dim: int) -> np.ndarray:
     """Kraus stack {|j><j|} of full dephasing in the reference basis: the
     canonical rank-one PPIO."""
+    _check_count("dim", dim)
     return _rank_one_stacks(np.arange(dim), np.ones(dim))
 
 

@@ -118,14 +118,15 @@ def test_make_iuo_rejects_non_finite_phases(bad):
 
 
 # each raised a ZeroDivisionError, numpy's reshape, negative-dimension or float-size
-# error, or (make_iuo on a 2-D permutation) returned a (1, 1, 2, 2) array, which is no
-# Kraus stack
+# error, or (make_iuo on a 2-D permutation, dephasing_channel(0)) returned an array that
+# is no Kraus stack
 BAD_SIZES_AND_SHAPES = {
     "random_iuo dim 0": (lambda rng: random_iuo(0, rng), "dim must be an integer >= 1, got 0"),
     "random_rank_one_ppio dim 0": (lambda rng: random_rank_one_ppio(0, rng, 1), "dim must be"),
     "random_rank_one_ppio n 0": (lambda rng: random_rank_one_ppio(2, rng, 0), "n must be an"),
     "random_rank_one_ppio n -1": (lambda rng: random_rank_one_ppio(2, rng, -1), "n must be an"),
     "random_rank_one_ppio n 1.5": (lambda rng: random_rank_one_ppio(2, rng, 1.5), "n must be an"),
+    "dephasing_channel dim 0": (lambda rng: dephasing_channel(0), "dim must be an integer >= 1"),
     "random_kraus_ops dim 2.5": (lambda rng: random_kraus_ops(2.5, 2, rng), "dim must be"),
     "random_kraus_ops n_ops 0": (lambda rng: random_kraus_ops(2, 0, rng), "n_ops must be"),
     "random_physically_free n_b_ops 0": (

@@ -180,11 +180,11 @@ def classical_quantum(probs, blocks, basis_a=None) -> DensityMatrix:
         raise ValueError("probabilities must be nonnegative")
     if abs(probs.sum() - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {probs.sum():.12g}, expected 1")
-    block_mats = np.array([_checked_state(b)[0] for b in blocks])  # raises on ragged shapes
-    d_b = block_mats.shape[-1]
-    if block_mats.shape[1:] != (d_b, d_b):
+    block_mats = [_checked_state(b)[0] for b in blocks]
+    if len({m.shape for m in block_mats}) > 1:
         raise ValueError("all B blocks must share one dimension")
-    d_a = len(probs)
+    block_mats = np.array(block_mats)
+    d_a, d_b = len(probs), block_mats.shape[-1]
     f = as_frame(basis_a, d_a)
     return DensityMatrix(_cq_mat(probs, block_mats, f), (d_a, d_b))
 
@@ -289,7 +289,7 @@ def random_state(d_a: int, d_b: int, ensemble: str, seed) -> DensityMatrix:
 def random_state_from(
     rng: np.random.Generator, d_a: int, d_b: int, ensemble: str = "ginibre-mixed"
 ) -> DensityMatrix:
-    """Draw a random state from an existing generator (suite plumbing)."""
+    """Draw a random state from an existing generator (random_state draws through it)."""
     return DensityMatrix(_state_mats(ensemble, _draw_state(d_a * d_b, ensemble, rng)), (d_a, d_b))
 
 

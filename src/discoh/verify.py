@@ -9,12 +9,13 @@ pass, theorem2's and zero-sets' one search at a time), and progress fires per tr
 order, as its batch comes out.  The rows reduce to a SuiteResult naming the worst trial.
 theorem1 and invariance carry a rank-one PPIO as its level map alone, which fixes its
 output (discord._merged_blocks): no Kraus stack is formed, no d x d output decomposed.
+An invariance trial checks one such map, the permutation of its IUO on A.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import islice, permutations, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -43,8 +44,6 @@ SUPERADDITIVITY_DIMS = ((2, 2), (2, 3), (3, 3))
 MEMBER_DISCORD_CHECKS = 20
 # Trials per stacked pass: it bounds peak memory, whatever the trial count.
 CHUNK = 64
-# Level maps per invariance pass over a chunk: it bounds peak memory, whatever d_a! is.
-_MAPS_PER_PASS = 120
 
 
 @dataclass
@@ -245,11 +244,12 @@ def verify_superadditivity(
 def verify_invariance(
     trials: int = 100, dims: tuple = (2, 2), seed: int = 0, progress=None
 ) -> SuiteResult:
-    """Representation independence of the closed form over every non-merging rank-one
-    PPIO, the d_a! permutations of A's levels as level maps, _MAPS_PER_PASS at a time,
-    plus invariance under local IUO conjugation; a trial draws rho and the two IUOs from
-    its own child stream.  Merging PPIOs drop strictly more coherence by convexity, so
-    representation independence holds on the non-merging class only."""
+    """Representation independence of the closed form: a trial draws rho and an IUO on
+    each side from its own child stream, checks that the non-merging rank-one PPIO whose
+    level map is U_a's permutation drops dac, and that dac is invariant under the IUO
+    conjugation.  Every non-merging rank-one PPIO is dephasing followed by an IUO, so the
+    trial's one level map stands for the d_a! of the class.  Merging PPIOs drop at least
+    as much coherence, so representation independence holds on the non-merging class only."""
     _check_dims(dims)
 
     def draw(i, rng):
@@ -263,10 +263,8 @@ def verify_invariance(
         both = np.stack([mats, apply_local(mats, dims, u_a, u_b)], 1)  # rho and its conjugate
         spectra = validate_density(both)
         dac = _closed_form(both, spectra, dims, _DAC)
-        devs, perms = np.abs(dac[:, 1] - dac[:, 0]), permutations(range(dims[0]))
-        while maps := list(islice(perms, _MAPS_PER_PASS)):
-            drops = _level_map_drops(mats, spectra[:, 0], dims, maps)
-            devs = np.maximum(devs, np.abs(drops - dac[:, :1]).max(axis=1))
+        drops = _level_map_drops(mats, spectra[:, 0], dims, perm_a)[:, 0]  # U_a's level map
+        devs = np.maximum(np.abs(dac[:, 1] - dac[:, 0]), np.abs(drops - dac[:, 0]))
         yield zip(devs.tolist(), repeat({}))
 
     return _run_trials("invariance", trials, dims, seed, 1e-9, draw, measure, progress)

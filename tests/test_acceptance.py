@@ -122,7 +122,7 @@ def test_criterion_6_representation_independence():
         6,
         "dac representation independence",
         ok,
-        f"100 states x both non-merging level maps, max deviation = "
+        f"100 states x their IUO's level map and conjugation, max deviation = "
         f"{result.max_violation:.2e} (tol 1e-9)",
     )
 

@@ -955,8 +955,21 @@ def test_invariance_check_bell_and_diagonal():
 
 
 def test_invariance_check_random_states():
-    for rho in random_states(5, seed=9):
-        assert invariance_deviation(rho) <= 1e-9
+    # all d_a! non-merging level maps, at 2x2, 3x2 and 4x2
+    for d_a, seed in ((2, 9), (3, 10), (4, 11)):
+        for rho in random_states(5, d_a, 2, seed=seed):
+            assert invariance_deviation(rho) <= 1e-9
+
+
+def test_permutation_maps_merge_the_same_blocks_to_the_last_bit():
+    # a permutation level map only reorders the conditional B blocks: at 5x2 the sorted
+    # merged-block spectra of all 120 maps are the identity map's, bit for bit
+    rho = random_states(1, 5, 2, seed=12)[0]
+    maps = list(itertools.permutations(range(5)))
+    assert maps[0] == tuple(range(5))
+    spectra = np.linalg.eigvalsh(_merged_blocks(rho.mat, rho.dims, maps)).reshape(120, -1)
+    spectra.sort(axis=1)
+    assert (spectra == spectra[0]).all()
 
 
 def test_symmetric_variant_diagonal_zero():

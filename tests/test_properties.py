@@ -1,7 +1,6 @@
 """Randomized invariant suites at reduced trial counts; the acceptance module
 runs the full campaigns."""
 
-import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -371,7 +370,7 @@ def test_invariance_check_catches_a_shifted_closed_form(monkeypatch):
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
 def test_invariance_check_catches_one_shifted_level_map(monkeypatch, dims):
-    # the drop of the last permutation alone is off by 1e-6
+    # the drop of each trial's level map alone is off by 1e-6
     import discoh.verify
 
     level_map_drops = discoh.verify._level_map_drops
@@ -489,7 +488,8 @@ def test_campaign_trials_form_no_kron(monkeypatch, name):
 
 
 def test_invariance_trial_decomposes_as_often_at_2_and_24_maps(monkeypatch):
-    # the 2 and the 24 non-merging level maps of d_a = 2 and 4 each take one pass
+    # d_a = 2 and 4 have 2 and 24 non-merging level maps, and a trial checks one of them:
+    # the same decomposition calls at both, and at 4x2 the merged blocks of one map
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     counts = []
     for d_a in (2, 4):
@@ -497,52 +497,42 @@ def test_invariance_trial_decomposes_as_often_at_2_and_24_maps(monkeypatch):
         assert verify_invariance(trials=1, dims=(d_a, 2), seed=121).passed
         counts.append(len(calls))
     assert counts[0] == counts[1]
+    b_side = sum(int(np.prod(shape[:-2])) for shape in calls if shape[-2:] == (2, 2))
+    assert b_side == 2 * (1 + 4) + 4
 
 
 def test_invariance_trial_decomposes_the_merged_blocks_of_each_map_and_no_output(monkeypatch):
     # at 3x2 the d_b x d_b decompositions are the B marginals and the three
     # conditional blocks of rho and its IUO conjugate for the closed form, then the
-    # three merged blocks of each of the 3! level maps; the only d x d ones are rho's
+    # three merged blocks of the trial's one level map; the only d x d ones are rho's
     # and its conjugate's, at validation
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     assert verify_invariance(trials=1, dims=(3, 2), seed=121).passed
     b_side = sum(int(np.prod(shape[:-2])) for shape in calls if shape[-2:] == (2, 2))
-    assert b_side == 2 * (1 + 3) + 6 * 3
+    assert b_side == 2 * (1 + 3) + 3
     assert [shape for shape in calls if shape[-2:] == (6, 6)] == [(1, 2, 6, 6)]
 
 
-@pytest.mark.parametrize("d_a,per_pass", [(1, 120), (3, 120), (4, 5), (5, 120)])
-def test_invariance_enumerates_every_permutation_once(monkeypatch, d_a, per_pass):
+@pytest.mark.parametrize("d_a", [1, 3, 5, 7])
+def test_an_invariance_trial_checks_the_level_map_of_its_iuo_on_a(monkeypatch, d_a):
+    # one level map per trial, whatever d_a! is: the permutation of the IUO on A that
+    # the trial draws from its child stream, after its state
     import discoh.verify
 
     passes, level_map_drops = [], discoh.verify._level_map_drops
 
     def recording(m, w, dims, maps):
-        passes.append([tuple(f) for f in maps])
+        passes.append(np.asarray(maps).tolist())
         return level_map_drops(m, w, dims, maps)
 
     monkeypatch.setattr(discoh.verify, "_level_map_drops", recording)
-    monkeypatch.setattr(discoh.verify, "_MAPS_PER_PASS", per_pass)
-    assert verify_invariance(trials=1, dims=(d_a, 2), seed=127).passed
-    maps = [f for part in passes for f in part]
-    assert sorted(maps) == sorted(itertools.permutations(range(d_a))) == sorted(set(maps))
-    assert all(len(part) <= per_pass for part in passes)
-
-
-def test_an_invariance_trial_at_6x2_checks_its_720_maps_in_slices(monkeypatch):
-    # 6! maps, _MAPS_PER_PASS at a time, so a pass holds no more than 120 maps' blocks
-    import discoh.verify
-
-    passes, level_map_drops = [], discoh.verify._level_map_drops
-
-    def counting(m, w, dims, maps):
-        passes.append(len(maps))
-        return level_map_drops(m, w, dims, maps)
-
-    monkeypatch.setattr(discoh.verify, "_level_map_drops", counting)
-    result = verify_invariance(trials=1, dims=(6, 2), seed=125)
-    assert result.passed and result.max_violation <= 1e-9
-    assert passes == [discoh.verify._MAPS_PER_PASS] * 6 and sum(passes) == 720
+    assert verify_invariance(trials=3, dims=(d_a, 2), seed=127).passed
+    replayed = []
+    for child in spawn_seeds(127, 3):
+        rng = rng_from_seed(int(child))
+        _draw_state(2 * d_a, "ginibre-mixed", rng)
+        replayed.append(_draw_rank_one_ppio(d_a, rng, 1, True)[0].tolist())
+    assert passes == [replayed]
 
 
 def test_progress_fires_once_per_trial_after_its_chunk_is_measured(monkeypatch):

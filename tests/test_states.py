@@ -143,6 +143,13 @@ def test_classical_quantum_invalid_probs():
         classical_quantum([1.5, -0.5], [zero, zero])
 
 
+def test_classical_quantum_rejects_blocks_of_different_sizes():
+    # checked one at a time, each block is a state; the library's message, not numpy's
+    for blocks in ([np.eye(2) / 2, np.eye(3) / 3], [np.eye(3) / 3, np.eye(2) / 2]):
+        with pytest.raises(ValueError, match="all B blocks must share one dimension"):
+            classical_quantum([0.5, 0.5], blocks)
+
+
 def test_classical_quantum_rotated_basis():
     hadamard = ReferenceBasis(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
     rho = classical_quantum(

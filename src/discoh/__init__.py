@@ -26,7 +26,6 @@ from .discord import (
     coherence_discord,
     coherence_discord_symmetric,
     discord,
-    discord_at_basis,
     discord_via_coherence,
     ppio_monotonicity_gap,
     qubit_discord_grid,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import LABEL_RANK_ONE_PPIO, classify
-from .linalg import MAX_OPT_DIM, conditional_blocks, dephase_local, partial_trace
+from .linalg import MAX_OPT_DIM, conditional_blocks, partial_trace
 from .measures import _DAC, _quantity, correlated_coherence, entropy_of_probs, mutual_information
 from .states import (
     DensityMatrix, ReferenceBasis, _check_count, haar_unitary, matrix_to_json, rng_from_seed,
@@ -80,22 +80,6 @@ class OptimizationTrace:
                 for r in self.restarts
             ],
         }
-
-
-# ---------------------------------------------------------------------------
-# Measured quantities at a fixed basis
-# ---------------------------------------------------------------------------
-
-
-def discord_at_basis(rho: DensityMatrix, basis) -> float:
-    """I(rho) - I(post-measurement state): the discord candidate at one basis.
-
-    Built from the full post-measurement state, the A-dephased rho, so it
-    cross-checks the closed form coherence_discord(rho, basis), which is
-    I(rho) - J_U(rho), through an independent route.
-    """
-    post = DensityMatrix(dephase_local(rho.mat, rho.dims, basis), rho.dims)
-    return mutual_information(rho) - mutual_information(post)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +242,15 @@ def _check_searchable(dim: int) -> None:
                          f"got {dim}")
 
 
-def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationTrace:
-    """One search over all restarts: restart 0 starts at the reference frame,
-    the others at seeded Haar frames; ties go to the lowest restart index.  It
-    converged if a restart that ended within F_TOL of the best value did."""
+def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
+    """Quantum discord up to part A by multi-start basis search.
+
+    Restart 0 starts at the reference frame, the others at seeded Haar frames;
+    ties go to the lowest restart index.  Returns (value, OptimizationTrace).
+    The value is an upper bound on the true minimum; it is deterministic for a
+    fixed config seed.  The search converged if a restart that ended within
+    F_TOL of the best value did.
+    """
     _check_searchable(rho.dim)
     config = config or OptimizerConfig()
     rng = rng_from_seed(config.seed)
@@ -272,18 +261,9 @@ def _search(rho: DensityMatrix, config: OptimizerConfig | None) -> OptimizationT
     records = tuple(RestartRecord(tuple(map(tuple, s)), v, i, why, e) for s, v, i, why, e
                     in zip(*(c.tolist() for c in (starts, values, iters, stops, evals))))
     at_best = values - values[best] <= F_TOL
-    return OptimizationTrace(float(values[best]), ReferenceBasis(frames[best]), records,
-                             bool(converged[at_best].any()), int(np.count_nonzero(at_best)))
-
-
-def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
-    """Quantum discord up to part A by multi-start basis search.
-
-    Returns (value, OptimizationTrace).  The value is an upper bound on the
-    true minimum; it is deterministic for a fixed config seed.
-    """
-    trace = _search(rho, config)
-    return trace.best_value, trace
+    value = float(values[best])
+    return value, OptimizationTrace(value, ReferenceBasis(frames[best]), records,
+                                    bool(converged[at_best].any()), int(np.count_nonzero(at_best)))
 
 
 def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400) -> float:
@@ -374,11 +354,12 @@ def discord_via_coherence(rho: DensityMatrix, config: OptimizerConfig | None = N
 
     Returns (value, best ReferenceBasis, OptimizationTrace).  The minimum
     recovers the quantum discord (Theorem 2 in the README): the coherence
-    correlation against a frame equals I(rho) minus the information its
-    measurement keeps, so this runs the same search as discord().
+    correlation against a frame U is I(rho) - I(Pi_U rho), Pi_U rho being rho
+    with A dephased in U, which is the discord candidate at U's measurement.
+    So this is discord(), with the trace's best basis returned beside it.
     """
-    trace = _search(rho, config)
-    return trace.best_value, trace.best_basis, trace
+    value, trace = discord(rho, config)
+    return value, trace.best_basis, trace
 
 
 # ---------------------------------------------------------------------------

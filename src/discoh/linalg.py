@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 # Global numerical tolerances (see README).  Hermiticity/trace/PSD checks sit
-# at 1e-10 and can be overridden per state; unitarity checks sit at 1e-9.
+# at 1e-10 and can be overridden per state, PSD_TOL only downwards: it is also the
+# floor below which every entropy rejects an eigenvalue.  Unitarity checks sit at 1e-9.
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10

@@ -32,12 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _frame, as_frame, check_unitary, conditional_blocks, dag, frame_diagonal
-from .linalg import partial_trace
+from .linalg import PSD_TOL, partial_trace
 from .states import DensityMatrix, _checked_state
-
-# Eigenvalues of a state below this are treated as exactly zero; anything
-# more negative signals an invalid state and raises.
-EIG_CLIP = 1e-10
 
 # Support cutoff for relative entropy: sigma eigenvalues below this count as
 # kernel directions, and rho mass above the same cutoff there gives +inf.
@@ -52,13 +48,13 @@ def entropy_of_probs(p: np.ndarray, axis=None):
     ``p`` as one distribution (a float), or of each distribution along
     ``axis`` (an array).
 
-    Values in [-EIG_CLIP, 0] count as zero; more negative values raise, since
+    Values in [-PSD_TOL, 0] count as zero; more negative values raise, since
     they signal an invalid state rather than roundoff.
     """
     p = np.asarray(p, dtype=float)
     w_min = p.min() if p.size else 0.0
-    if w_min < -EIG_CLIP:
-        raise ValueError(f"negative probability/eigenvalue {w_min:.3e} below -{EIG_CLIP:g}")
+    if w_min < -PSD_TOL:
+        raise ValueError(f"negative probability/eigenvalue {w_min:.3e} below -{PSD_TOL:g}")
     if axis is None:
         nz = p[p > 0.0]
         return float(-np.dot(nz, np.log2(nz))) if nz.size else 0.0

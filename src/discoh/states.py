@@ -40,10 +40,14 @@ def _check_dims(dims) -> tuple[int, int]:
 def validate_density(mats, hermitian_tol=HERMITIAN_TOL, trace_tol=TRACE_TOL, psd_tol=PSD_TOL):
     """Check that a matrix, or each matrix of a stack (..., d, d), is Hermitian,
     unit-trace and PSD within the tolerances, naming the worst value if not.
+    psd_tol may not exceed PSD_TOL, the floor of every entropy: a looser one would
+    accept a state that each measure then rejects.
     Returns the ascending spectra (..., d) the positivity check computes."""
     check_tolerance("hermitian_tol", hermitian_tol)
     check_tolerance("trace_tol", trace_tol)
-    check_tolerance("psd_tol", psd_tol)
+    if check_tolerance("psd_tol", psd_tol) > PSD_TOL:
+        raise ValueError(f"psd_tol must be <= {PSD_TOL:g}, the floor below which every "
+                         f"entropy rejects an eigenvalue, got {psd_tol:g}")
     # checked first, so that no arithmetic below sees inf or nan
     if not np.isfinite(mats).all():
         raise ValueError("matrix contains non-finite entries")

@@ -26,11 +26,11 @@ from .discord import (
     _level_map_drops,
     coherence_discord,
     discord,
-    discord_at_basis,
     qubit_discord_grid,
 )
 from .linalg import apply_local, dephase_local
-from .measures import _DAC, _I_CO, _NEGATIVE_ROUNDOFF, _closed_form, correlated_coherence
+from .measures import _DAC, _I_CO, _NEGATIVE_ROUNDOFF, _closed_form
+from .measures import correlated_coherence, mutual_information
 from .states import (
     DensityMatrix, _check_count, _check_dims, _cq_mat, _draw_cq, _draw_state, _restarts,
     _state_mats, ket_projector, rng_from_seed, spawn_seeds, validate_density,
@@ -136,12 +136,13 @@ def verify_theorem2(
     progress=None,
     max_iter: int = OptimizerConfig.max_iter,
 ) -> SuiteResult:
-    """One basis search per trial, checked at the basis it returns.  Two routes
-    that share no code with the search objective evaluate dac_U = I - J_U
-    there: discord_at_basis (I minus the post-measurement mutual information)
-    and the literal I_co drop under dephasing A in U.  Both must equal the
-    search value; the first grid_checks trials also compare it with the qubit
-    grid oracle, which catches a basis that is not the minimum."""
+    """One basis search per trial, checked at the basis U it returns.  The trial
+    builds Pi_U rho, rho with A dephased in U, once, and reads from it two routes
+    to dac_U = I(rho) - I(Pi_U rho) that share no code with the search objective:
+    the mutual-information drop (details key max_discord_at_basis_dev) and the
+    literal I_co drop.  Both must equal the search value; the first grid_checks
+    trials also compare it with the qubit grid oracle, which catches a basis that
+    is not the minimum."""
     _check_searchable(np.prod(_check_dims(dims)))
     _check_count("grid_checks", grid_checks, least=0)
     if grid_checks and dims[0] != 2:
@@ -159,7 +160,8 @@ def verify_theorem2(
             basis = trace.best_basis
             dephased = DensityMatrix(dephase_local(rho.mat, rho.dims, basis), rho.dims)
             drop = correlated_coherence(rho, basis) - correlated_coherence(dephased, basis)
-            row = {"max_discord_at_basis_dev": abs(discord_at_basis(rho, basis) - value),
+            mi_drop = mutual_information(rho) - mutual_information(dephased)
+            row = {"max_discord_at_basis_dev": abs(mi_drop - value),
                    "max_ico_drop_dev": abs(drop - value)}
             if grid:
                 row["max_grid_dev"] = abs(qubit_discord_grid(rho) - value)

@@ -107,6 +107,25 @@ def test_compute_tolerance_override(capsys, tmp_path):
     assert code == 0
 
 
+def test_compute_rejects_a_psd_tolerance_above_the_entropy_floor(capsys, tmp_path):
+    # every entropy rejects an eigenvalue below -1e-10, so a looser --tol-psd would load
+    # a state that each measure then rejects; it fails at load, before any measure
+    path = tmp_path / "negative.json"
+    mat = np.diag([0.5 + 1e-7, 0.5, -1e-7, 0.0]).astype(complex)
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix_to_json(mat)}))
+    for measures in ("all", "discord"):
+        code, out, err = run_cli(capsys, "compute", str(path), "--tol-psd", "1e-6",
+                                 "--measures", measures)
+        assert code == 2 and out == ""
+        assert f"{path}: psd_tol must be <= 1e-10" in err and "got 1e-06" in err
+    # a spectrum within the floor loads and measures at the defaults
+    mat = np.diag([0.5 + 5e-11, 0.5, -5e-11, 0.0]).astype(complex)
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix_to_json(mat)}))
+    code, out, _ = run_cli(capsys, "compute", str(path), "--measures", "dac,discord",
+                           "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "dac,discord"
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("flag", ["--tol-hermitian", "--tol-trace", "--tol-psd"])
 def test_compute_rejects_bad_tolerances_at_parse_time(capsys, tmp_path, flag, value):

@@ -22,13 +22,12 @@ from discoh.discord import (
     coherence_discord,
     coherence_discord_symmetric,
     discord,
-    discord_at_basis,
     discord_via_coherence,
     minimize,
     ppio_monotonicity_gap,
     qubit_discord_grid,
 )
-from discoh.linalg import apply_local, partial_trace
+from discoh.linalg import apply_local, dephase_local, partial_trace
 from discoh.measures import correlated_coherence, entropy, mutual_information
 from discoh.states import (
     DensityMatrix,
@@ -368,15 +367,22 @@ def test_measured_conditional_info_cq_block_evaluation():
     assert_allclose(measured_conditional_info(rho, None), expected, atol=1e-10)
 
 
+def measured_mi_drop(rho, basis):
+    # I(rho) - I(Pi_U rho), Pi_U rho being rho with A dephased in U: the discord
+    # candidate at U's measurement, from the full post-measurement state
+    post = DensityMatrix(dephase_local(rho.mat, rho.dims, basis), rho.dims)
+    return mutual_information(rho) - mutual_information(post)
+
+
 def test_discord_at_basis_cq_fixed_point():
-    assert abs(discord_at_basis(cq_example(), None)) < 1e-10
+    assert abs(measured_mi_drop(cq_example(), None)) < 1e-10
 
 
 def test_discord_at_basis_bell_any_basis():
     rng = np.random.default_rng(2)
     for _ in range(5):
         frame = haar_unitary(2, rng)
-        assert_allclose(discord_at_basis(bell_phi_plus(), frame), 1.0, atol=1e-9)
+        assert_allclose(measured_mi_drop(bell_phi_plus(), frame), 1.0, atol=1e-9)
 
 
 def test_discord_formulas_agree_at_random_bases():
@@ -384,7 +390,21 @@ def test_discord_formulas_agree_at_random_bases():
     rng = np.random.default_rng(3)
     for rho in random_states(10, seed=4):
         frame = haar_unitary(2, rng)
-        assert abs(discord_at_basis(rho, frame) - coherence_discord(rho, frame)) < 1e-9
+        assert abs(measured_mi_drop(rho, frame) - coherence_discord(rho, frame)) < 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
+@pytest.mark.parametrize("ensemble", ["ginibre-mixed", "haar-pure"])
+def test_search_objective_is_the_closed_form_at_each_frame(dims, ensemble):
+    # the one basis objective: d_b = 2 takes its qubit-block branch, d_b > 2 eigh
+    from discoh.discord import _basis_objective
+
+    d_a, d_b = dims
+    rho = random_state(d_a, d_b, ensemble, seed=7 * d_a + d_b)
+    frames = haar_unitary(d_a, rng_from_seed(d_a + 10 * d_b), 6)
+    values, _ = _basis_objective(rho)(frames)
+    want = [coherence_discord(rho, frame) for frame in frames]
+    assert np.max(np.abs(values - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1021,6 +1041,16 @@ def test_discord_via_coherence_cq_recovers_basis():
     # the minimizing frame realigns with the defining basis up to phase/order
     overlap = np.abs(basis.frame.conj().T @ np.eye(2))
     assert np.max(np.abs(np.sort(overlap, axis=0)[-1] - 1.0)) < 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_discord_via_coherence_is_discord(seed):
+    rho = random_state(3, 2, "ginibre-mixed", seed=seed)
+    config = OptimizerConfig(restarts=6, seed=seed)
+    value, trace = discord(rho, config)
+    other, basis, other_trace = discord_via_coherence(rho, config)
+    assert other == value and basis is other_trace.best_basis
+    assert other_trace.to_dict() == trace.to_dict()
 
 
 def test_discord_via_coherence_agrees_with_discord():

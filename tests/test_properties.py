@@ -71,12 +71,11 @@ def test_theorem2_check_catches_a_wrong_value(monkeypatch):
 
 def test_theorem2_grid_check_catches_a_non_optimal_basis(monkeypatch):
     import discoh.verify
-    from discoh.discord import discord_at_basis
     from discoh.states import ReferenceBasis, haar_unitary
 
     def wrong_basis(rho, config=None):
         basis = ReferenceBasis(haar_unitary(2, np.random.default_rng(1)))
-        return discord_at_basis(rho, basis), SimpleNamespace(best_basis=basis)
+        return coherence_discord(rho, basis), SimpleNamespace(best_basis=basis)
 
     monkeypatch.setattr(discoh.verify, "discord", wrong_basis)
     result = verify_theorem2(trials=1, seed=104, grid_checks=1)
@@ -85,6 +84,21 @@ def test_theorem2_grid_check_catches_a_non_optimal_basis(monkeypatch):
     assert result.details["max_discord_at_basis_dev"] <= 1e-12
     assert result.details["max_ico_drop_dev"] <= 1e-12
     assert result.details["max_grid_dev"] > 1e-4
+
+
+def test_a_theorem2_trial_builds_its_measured_state_once(monkeypatch):
+    # rho and Pi_U rho, A dephased in the found basis; both routes read the one Pi_U rho
+    import discoh.states
+
+    calls, check = [], discoh.states.validate_density
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(discoh.states, "validate_density", counted)
+    assert verify_theorem2(trials=3, seed=104).passed
+    assert len(calls) == 2 * 3
 
 
 @pytest.mark.parametrize("grid_checks, dims, match", [

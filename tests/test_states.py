@@ -369,6 +369,21 @@ def test_tolerances_must_be_finite_and_nonnegative(name, value):
         validate_density(np.eye(2)[None] / 2, **{name: value})
 
 
+def test_psd_tolerance_may_not_exceed_the_entropy_floor():
+    # every entropy rejects an eigenvalue below -PSD_TOL, so a looser psd_tol would
+    # accept a state that each measure then rejects
+    mat = np.diag([0.5 + 1e-7, 0.5, -1e-7, 0.0])
+    with pytest.raises(ValueError, match=r"^psd_tol must be <= 1e-10, .* got 1e-06$"):
+        DensityMatrix(mat, (2, 2), psd_tol=1e-6)
+    with pytest.raises(ValueError, match=r"^psd_tol must be <= 1e-10"):
+        validate_density(np.eye(2)[None] / 2, psd_tol=1e-9)
+    # the floor itself and tighter values stay; a spectrum within it loads and measures
+    rho = DensityMatrix(np.diag([0.5 + 5e-11, 0.5, -5e-11, 0.0]), (2, 2), psd_tol=1e-10)
+    assert abs(entropy(rho) - 1.0) < 1e-9
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(rho.mat, (2, 2), psd_tol=1e-11)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_stacked_haar_unitaries_are_successive_single_draws(d):
     one, many = rng_from_seed(40 + d), rng_from_seed(40 + d)

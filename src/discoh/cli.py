@@ -23,14 +23,13 @@ from .states import (
     DensityMatrix,
     ReferenceBasis,
     _check_count,
+    _state_text,
     check_tolerance,
     classical_quantum,
     ket_projector,
     load_bases,
     load_state,
     random_state,
-    save_state,
-    state_to_json,
     swap_subsystems,
     werner,
 )
@@ -281,11 +280,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random(args) -> int:
-    rho = random_state(args.dims[0], args.dims[1], args.ensemble, args.seed)
-    if args.out:
-        save_state(rho, args.out)
-    else:
-        print(json.dumps(state_to_json(rho), sort_keys=True, separators=(",", ":")))
+    _emit(_state_text(random_state(args.dims[0], args.dims[1], args.ensemble, args.seed)),
+          args.out)
     return 0
 
 

@@ -314,8 +314,9 @@ def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400)
         x *= np.log2(np.maximum(x, np.finfo(float).tiny))  # x log2 x, 0 at x = 0
         return x[0] - x[1] - x[2]
 
-    # qubit rows go ~16k points at a time: small temporaries reuse freed memory
-    rows = n_theta if d_b != 2 else max(1, 16384 // n_phi)
+    # rows go ~16k points at a time at every d_b: small temporaries reuse freed memory, and
+    # at d_b > 2 the blocks and their eigenvalues of a chunk, not of the grid, are held
+    rows = max(1, 16384 // n_phi)
     term = np.concatenate([term_at(theta[i:i + rows]) for i in range(0, n_theta, rows)])
     cond = term + np.roll(term[::-1], n_phi // 2, axis=1)
     mci = entropy_of_probs(np.linalg.eigvalsh(rb)) - cond

@@ -2,12 +2,12 @@
 maps and local channels.
 
 Everything here works on plain ``numpy`` arrays (complex128, row-major).
-Functions accepting a ``basis`` argument take either ``None`` (computational
-basis), a unitary frame matrix whose columns are the basis vectors, or any
-object with a ``.frame`` attribute, and check it with ``as_frame``; the frame of
-a ``ReferenceBasis`` was checked when it was built.  The inner kernels
-``conditional_blocks`` and ``frame_diagonal`` take a ``frame`` that is None or
-already checked, and trust their input.
+Functions accepting a ``basis`` argument take ``None`` (computational basis),
+a ``ReferenceBasis``, or a unitary frame matrix whose columns are the basis
+vectors, and check it with ``as_frame``; the frame of a ``ReferenceBasis`` was
+checked when it was built.  The inner kernels ``conditional_blocks`` and
+``frame_diagonal`` take a ``frame`` that is None or already checked, and trust
+their input.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _frame(basis, dim: int) -> tuple[np.ndarray | None, bool]:
     if basis is None:
         return None, True
     trusted = isinstance(basis, ReferenceBasis)
-    frame = basis.frame if trusted else as_complex_matrix(getattr(basis, "frame", basis))
+    frame = basis.frame if trusted else as_complex_matrix(basis)
     if frame.shape != (dim, dim):
         raise ValueError(f"basis frame is {frame.shape}, expected ({dim}, {dim})")
     return frame, trusted

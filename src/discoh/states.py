@@ -316,42 +316,37 @@ def random_cq_state(rng: np.random.Generator, d_a: int, d_b: int) -> DensityMatr
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-def _is_number(x) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+_DOUBLE_MAX = float(np.finfo(float).max)
+
+
+def _is_entry(x) -> bool:
+    """A [re, im] pair of finite numbers within double range; an int compares
+    exactly with a float, so an int too large for one fails without overflow, and
+    JSON true/false, which load as bool and so count as ints, fail too."""
+    return (isinstance(x, list) and len(x) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and -_DOUBLE_MAX <= v <= _DOUBLE_MAX for v in x))
 
 
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError("matrix must be a non-empty list of rows")
-    rows = len(obj)
-    cols = None
-    out = None
     for i, row in enumerate(obj):
         if not isinstance(row, list):
             raise ValueError(f"matrix row {i} is not a list")
-        if cols is None:
-            cols = len(row)
-            out = np.zeros((rows, cols), dtype=complex)
-        elif len(row) != cols:
-            raise ValueError(f"matrix row {i} has {len(row)} entries, expected {cols}")
+        if len(row) != len(obj[0]):
+            raise ValueError(f"matrix row {i} has {len(row)} entries, expected {len(obj[0])}")
         for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(_is_number(x) for x in entry)
-            ):
+            if not _is_entry(entry):
                 raise ValueError(
-                    f"matrix entry at row {i}, column {j} is not a [re, im] pair"
+                    f"matrix entry at row {i}, column {j} is not a finite [re, im] pair"
                 )
-            out[i, j] = entry[0] + 1j * entry[1]
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        bad = np.argwhere(~(np.isfinite(out.real) & np.isfinite(out.imag)))[0]
-        raise ValueError(f"matrix entry at row {bad[0]}, column {bad[1]} is not finite")
-    return out
+    # each row's re, im, re, im, ... doubles are its complex128 entries, bit for bit
+    return np.array(obj, dtype=float).reshape(len(obj), -1).view(complex)
 
 
 def state_to_json(rho: DensityMatrix) -> dict:
@@ -366,10 +361,14 @@ def state_from_json(obj, **tolerances) -> DensityMatrix:
     return DensityMatrix(matrix_from_json(obj["matrix"]), obj["dims"], **tolerances)
 
 
+def _state_text(rho: DensityMatrix) -> str:
+    """The compact state file text, without its final newline."""
+    return json.dumps(state_to_json(rho), sort_keys=True, separators=(",", ":"))
+
+
 def save_state(rho: DensityMatrix, path) -> None:
     with open(path, "w") as fh:
-        json.dump(state_to_json(rho), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(_state_text(rho) + "\n")
 
 
 def _read_json(path):

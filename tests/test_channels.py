@@ -178,6 +178,9 @@ def test_rank_one_ppio_output_always_incoherent():
 def test_rank_one_ppio_requires_one_unitary_per_level():
     with pytest.raises(ValueError, match="unitaries"):
         make_rank_one_ppio(3, [np.eye(3)])
+    # one per level, but each an IUO of the wrong dimension
+    with pytest.raises(ValueError, match=re.escape("unitary #0 is (2, 2), expected (3, 3)")):
+        make_rank_one_ppio(3, [np.eye(2)] * 3)
 
 
 def test_rank_one_ppio_rejects_non_iuo():
@@ -244,6 +247,12 @@ def test_mixture_weights_must_be_finite_and_positive(bad):
 def test_mixture_components_must_share_one_dimension():
     with pytest.raises(ValueError, match="share dimensions"):
         ChannelMixture((0.5, 0.5), ([np.eye(2)], [np.eye(3)]))
+
+
+def test_mixture_needs_a_component():
+    message = "^weights and components must be equal-length and non-empty$"
+    with pytest.raises(ValueError, match=message):
+        ChannelMixture((), ())
 
 
 def apply_free(u_a, b_ops, rho) -> DensityMatrix:

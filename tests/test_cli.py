@@ -53,6 +53,10 @@ def test_parse_measures_aliases_and_order():
     assert parse_measures("discord,ICO") == ["I_co", "discord"]
     with pytest.raises(ValueError, match="unknown measure"):
         parse_measures("ico,negativity")
+    # empty tokens are skipped; a list of nothing but them is an error
+    assert parse_measures("ico,,dac") == ["I_co", "dac"]
+    with pytest.raises(ValueError, match="^no measures requested$"):
+        parse_measures(",")
 
 
 def test_compute_bell_fixed_points(capsys, bell_file):
@@ -137,6 +141,22 @@ def test_compute_rejects_bad_tolerances_at_parse_time(capsys, tmp_path, flag, va
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err and "unread.json" not in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "theorem3", "--dims", "2by2"],
+     "argument --dims: dims must look like 2x2, got '2by2'"),
+    (["random", "--dims", "0x2"], "argument --dims: dims must be positive"),
+    (["compute", "unread.json", "--tol-trace", "abc"],
+     "argument --tol-trace: tolerance must be a number, got 'abc'"),
+])
+def test_parse_time_messages(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "unread.json" not in captured.err
 
 
 @pytest.mark.parametrize("value", ["-1", "1.5", "seven"])
@@ -337,6 +357,27 @@ def test_compute_rejects_json_booleans(capsys, tmp_path, bad, named):
     assert code == 2
     assert out == ""
     assert str(basis_path if bad == "basis entry" else state_path) in err and named in err
+
+
+@pytest.mark.parametrize("bad", ["state", "basis"])
+def test_compute_rejects_an_integer_beyond_double_range(capsys, tmp_path, bad):
+    # float() of such an int raises OverflowError, which would end in a traceback
+    big = int("1" + "0" * 400)
+    state = {"dims": [2, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    basis = {"frame_a": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    if bad == "state":
+        state["matrix"][1][0] = [0, big]
+    else:
+        basis["frame_a"][0][1] = [-big, 0]
+    state_path, basis_path = tmp_path / "s.json", tmp_path / "c.json"
+    state_path.write_text(json.dumps(state))
+    basis_path.write_text(json.dumps(basis))
+    code, out, err = run_cli(capsys, "compute", str(state_path), "--basis", str(basis_path))
+    assert code == 2
+    assert out == ""
+    where = (f"state JSON in {state_path}: matrix entry at row 1, column 0" if bad == "state"
+             else f"basis JSON in {basis_path}, frame_a: matrix entry at row 0, column 1")
+    assert f"error: {where} is not a finite [re, im] pair" in err
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 4)])
@@ -683,6 +724,18 @@ def test_random_roundtrip_and_determinism(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "compute", str(f1), "--measures", "s_ab")
     assert code == 0
     assert json.loads(out)["measures"]["S_ab"] > 0
+
+
+@pytest.mark.parametrize("dims, ensemble", [("2x2", "ginibre-mixed"), ("3x2", "haar-pure")])
+def test_random_prints_the_bytes_it_writes(capsys, tmp_path, dims, ensemble):
+    path = tmp_path / "r.json"
+    argv = ["random", "--dims", dims, "--ensemble", ensemble, "--seed", "9"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, printed_to_file, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and printed_to_file == ""
+    assert out.encode() == path.read_bytes()
+    assert out.endswith("}\n") and out.count("\n") == 1 and " " not in out
 
 
 def test_random_haar_pure_recomputes_to_zero_entropy(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -822,6 +823,18 @@ def test_grid_oracle_decomposes_each_sphere_point_once(monkeypatch, d_b, grid_bl
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     qubit_discord_grid(rho, 41, 40)
     assert sorted(shapes) == sorted([(d_b, d_b)] + grid_blocks)
+
+
+def test_grid_oracle_holds_one_chunk_of_blocks_at_a_time():
+    # the whole 400x400 grid of 4x4 blocks, with their spectra, took some 60 MB
+    rho = random_state(2, 4, "ginibre-mixed", seed=4)
+    tracemalloc.start()
+    try:
+        qubit_discord_grid(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def grid_reference(rho, n_theta, n_phi):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from discoh.linalg import (
+    as_complex_matrix,
     as_frame,
     conditional_blocks,
     dephase_local,
@@ -53,6 +56,17 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace(np.eye(4), (2, 3), "a")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_complex_matrix(np.ones(3)), "expected a 2-D matrix, got ndim=1"),
+    (lambda: as_complex_matrix(np.diag([1.0, np.inf])), "matrix contains non-finite entries"),
+    (lambda: partial_trace(np.eye(4), (2, 2), "c"), "keep must be 'a' or 'b', got 'c'"),
+    (lambda: dephase_local(np.eye(3), (2, 2)), "matrix is (3, 3), expected (4, 4)"),
+], ids=["1-D", "non-finite", "keep", "dephase-shape"])
+def test_kernel_input_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_dephase_local_bell():

@@ -138,6 +138,11 @@ def test_suites_reject_bad_dims_before_any_draw(monkeypatch, suite, dims):
         run_suite(suite, trials=2, dims=dims)
 
 
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match=r"^unknown suite 'nope'; expected one of \("):
+        run_suite("nope")
+
+
 @pytest.mark.parametrize("suite", ["theorem2", "zero-sets"])
 def test_searching_suites_reject_dims_above_the_search_cap_before_any_draw(monkeypatch, suite):
     forbid_draws(monkeypatch)

@@ -18,6 +18,8 @@ from discoh.states import (
     classical_quantum,
     haar_unitary,
     load_state,
+    matrix_from_json,
+    matrix_to_json,
     random_state,
     rng_from_seed,
     save_state,
@@ -141,6 +143,8 @@ def test_classical_quantum_invalid_probs():
         classical_quantum([0.5, 0.4], [zero, zero])
     with pytest.raises(ValueError, match="nonnegative"):
         classical_quantum([1.5, -0.5], [zero, zero])
+    with pytest.raises(ValueError, match="^probs and blocks must be equal-length sequences$"):
+        classical_quantum([0.5, 0.5], [zero, zero, zero])
 
 
 def test_classical_quantum_rejects_blocks_of_different_sizes():
@@ -279,11 +283,14 @@ def test_json_errors_cite_row_and_column():
         state_from_json(obj)
 
 
-# one malformed entry each: a JSON boolean, a string, a 3-element list and a NaN part
-MALFORMED_ENTRIES = (True, "x", [0.5, 0.0, 0.0], [0.0, float("nan")])
+# one malformed entry each: a JSON boolean, a string, a 3-element list, a NaN part, and
+# integers beyond double range, which float() would overflow on
+MALFORMED_ENTRIES = (True, "x", [0.5, 0.0, 0.0], [0.0, float("nan")], [10**400, 0.0],
+                     [0.0, -(10**309)])
 
 
-@pytest.mark.parametrize("bad", MALFORMED_ENTRIES, ids=["bool", "string", "triple", "nan"])
+@pytest.mark.parametrize("bad", MALFORMED_ENTRIES,
+                         ids=["bool", "string", "triple", "nan", "huge-int", "huge-negative-int"])
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.data())
 def test_json_errors_name_the_malformed_entry(bad, data):
@@ -295,6 +302,54 @@ def test_json_errors_name_the_malformed_entry(bad, data):
     matrix[i][j] = bad
     with pytest.raises(ValueError, match=f"row {i}, column {j} "):
         state_from_json({"dims": [n, 1], "matrix": matrix})
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_json_non_finite_literals_name_their_entry(tmp_path, literal):
+    # Python's json reads these as nan and inf floats
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"dims": [2, 1], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, {literal}]]]}}')
+    message = f"state JSON in {path}: matrix entry at row 1, column 1 is not a finite [re, im] pair"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_state(path)
+
+
+def test_json_matrix_round_trip_is_bit_exact():
+    # signed zeros, subnormals, the double range's ends and a full-precision value
+    tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0), complex(tiny, -tiny)],
+                  [complex(-2.5e-310, 1.0), complex(big, -big), complex(0.1, 1 / 3)]])
+    for back in (matrix_from_json(matrix_to_json(m)),
+                 matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))):
+        assert back.dtype == complex and back.shape == m.shape
+        assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+
+
+def test_json_integers_within_double_range_load():
+    back = matrix_from_json([[[10**300, -(2**60)], [0, 1]]])
+    assert back[0, 0] == complex(1e300, -(2.0**60)) and back[0, 1] == 1j
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([], "matrix must be a non-empty list of rows"),
+    ({"0": [[1, 0]]}, "matrix must be a non-empty list of rows"),
+    ([[[1, 0], [0, 0]], "row"], "matrix row 1 is not a list"),
+    ([[[1, 0], [0, 0]], [[0, 0]]], "matrix row 1 has 1 entries, expected 2"),
+])
+def test_json_matrix_shape_errors(matrix, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        matrix_from_json(matrix)
+
+
+@pytest.mark.parametrize("matrix", [[[]], [[], []]])
+def test_json_rows_without_entries_get_the_density_matrix_check(matrix):
+    with pytest.raises(ValueError, match=rf"^matrix is \({len(matrix)}, 0\) but dims"):
+        state_from_json({"dims": [1, 1], "matrix": matrix})
+
+
+def test_state_json_must_be_an_object():
+    with pytest.raises(ValueError, match="^state JSON must be an object$"):
+        state_from_json([[[1, 0]]])
 
 
 def test_json_requires_fields():
@@ -324,6 +379,8 @@ def test_load_state_malformed_json(tmp_path):
 def test_reference_basis_validates_unitarity():
     with pytest.raises(ValueError, match="unitary"):
         ReferenceBasis(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError, match="^basis frame must be square$"):
+        ReferenceBasis(np.eye(2, 3))
     basis = ReferenceBasis(np.eye(3))
     assert basis.dim == 3
 

@@ -46,8 +46,7 @@ print("  full dephasing:      ", sorted(classify(dephasing_channel(2))))
 hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 print("  Hadamard unitary:    ", sorted(classify([hadamard])), "(coherent)")
 rng = rng_from_seed(7)
-u_a, b_ops = random_physically_free(2, 2, rng)
-u_a, b_ops = make_physically_free(u_a[0], b_ops)  # the checked factor stacks
+u_a, b_ops = make_physically_free(*random_physically_free(2, 2, rng))  # checked factor stacks
 joint = np.array([np.kron(u, b) for u in u_a for b in b_ops])  # {U_a (x) B_j} on A (x) B
 print("  U_a x {B_j} channel: ", sorted(classify(joint, dims=(2, 2))))
 
@@ -64,10 +63,9 @@ for _ in range(5):
     gap, mi_drop = ppio_monotonicity_gap(rho, ppio)
     print(f"  drop = {gap:+.6f}  >=  mi drop = {mi_drop:+.6f}")
 
-# A level-merging rank-one PPIO in dimension 3: the first unitary swaps
-# levels 0 and 1, so blocks 0 and 1 pile onto the same output level.
-u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-merging = make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)])
+# A level-merging rank-one PPIO in dimension 3, built from its level map and phases:
+# levels 0 and 1 both go to 1, so blocks 0 and 1 pile onto the same output level.
+merging = make_rank_one_ppio([1, 1, 2], [0, 0, 0])
 rho = random_state(3, 2, "ginibre-mixed", seed=11)
 # its Kraus operators act on A's indices of rho; no operator on A (x) B is formed
 out = DensityMatrix(apply_local(rho.mat, rho.dims, merging), rho.dims)
@@ -97,8 +95,8 @@ print(f"  off the zero set, dac of |00>, of |+>|1> and of their equal mixture: "
       f"{dacs[0]:.2e}, {dacs[1]:.2e}, {dacs[2]:.4f}")
 rho = DensityMatrix(np.kron(plus, np.eye(2) / 2), (2, 2))
 prepare_0 = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])  # |0><0|, |0><1|
-outs = [apply_local(rho.mat, rho.dims, *make_physically_free(u, b_ops))
-        for u, b_ops in ((np.eye(2), prepare_0), (np.diag([1.0, -1.0]), prepare_0[:, ::-1]))]
+free = ((np.eye(2)[None], prepare_0), (np.diag([1.0, -1.0])[None], prepare_0[:, ::-1]))
+outs = [apply_local(rho.mat, rho.dims, *make_physically_free(u, b_ops)) for u, b_ops in free]
 mixed = DensityMatrix(sum(outs) / 2, (2, 2))
 print(f"  off the zero set, dac of |+><+| x 1/2: {shown(coherence_discord(rho)):.2e}, after the "
       f"equal mixture of 1 x (prepare |0>) and Z x (prepare |1>): {coherence_discord(mixed):.4f}")

@@ -3,12 +3,13 @@ incoherently unitary operations (IUOs), projective physically incoherent
 operations (PPIOs), their rank-one special case, and the factorizable
 physically free channels U_a (x) B_j.  Every channel argument and result is one
 (n, d, d) Kraus stack (U_a (x) B_j as its two factors, which act on the reshaped
-state through linalg.apply_local); each family's builder and sampler (a raw
-draw, then the build) share one construction; a rank-one PPIO's is one scatter of
-its level map f and phases, {e^{i th_j} |f(j)><j|}.  classify, ChannelMixture and
-apply check a stack through KrausChannel, the one trace-preservation check.  A
-PIO, a convex mixture of PPIOs, is a ChannelMixture of their stacks; a general
-PPIO is a stack that classify labels ppio.
+state through linalg.apply_local).  Each builder takes the input that defines its
+family: an IUO or a rank-one PPIO {e^{i th_j} |f(j)><j|} its level map f and phases,
+checked by one function (an IUO's f a permutation), and U_a (x) {B_j} its two factor
+stacks; a family's builder and sampler (a raw draw, then the build) share one
+construction.  classify, ChannelMixture and apply check a stack through KrausChannel,
+the one trace-preservation check.  A PIO, a convex mixture of PPIOs, is a
+ChannelMixture of their stacks; a general PPIO is a stack that classify labels ppio.
 
 classify decides physically-free in every Kraus representation of a channel;
 its other labels read the representation as given.
@@ -113,57 +114,50 @@ def apply(chan, rho):
 # ---------------------------------------------------------------------------
 
 
-def _iuo_mats(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """IUO matrices sum_y e^{i phases[y]} |perms[y]><y| of stacked perms and phases (..., d),
-    checked and written for the whole stack at once."""
-    d = perms.shape[-1]
-    if phases.shape != perms.shape or not np.isfinite(phases).all():
+def _level_map(level_map, phases, onto: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The checked level map f of range(d) into itself, a non-empty 1-D sequence of
+    integers, and its d finite phases, as arrays; onto, f must be a permutation."""
+    what = "a permutation" if onto else "a level map"
+    f = np.asarray(level_map)
+    if f.ndim != 1 or not f.size:
+        raise ValueError(f"{what} is a non-empty 1-D sequence, got shape {f.shape}")
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in level_map):
+        raise ValueError(f"{what} holds integers, got {list(level_map)!r}")
+    d, phases = f.size, np.asarray(phases, dtype=float)
+    if phases.shape != f.shape or not np.isfinite(phases).all():
         raise ValueError(f"phase vectors must be finite and of length {d}")
-    bad = ~(perms[..., None] == np.arange(d)).any(axis=-2).all(axis=-1)  # a value never hit
-    if bad.any():
-        raise ValueError(f"not a permutation of range({d}): {perms[bad][0].tolist()}")
-    return _rank_one_stacks(perms, np.exp(1j * phases)).sum(axis=-3)  # its columns, summed
+    if not ((0 <= f) & (f < d)).all():
+        raise ValueError(f"{what} takes values in range({d}), got {f.tolist()}")
+    if onto and len(set(f.tolist())) != d:
+        raise ValueError(f"not a permutation of range({d}): {f.tolist()}")
+    return f.astype(int), phases
+
+
+def _iuo_mats(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """IUO matrices sum_y e^{i phases[y]} |perms[y]><y| of stacked permutations and phases
+    (..., d), unchecked: the summed operators of the non-merging rank-one PPIOs."""
+    return _rank_one_stacks(perms, np.exp(1j * phases)).sum(axis=-3)
 
 
 def make_iuo(perm, phases) -> np.ndarray:
     """Kraus stack (1, d, d) of the incoherently unitary operation
     sum_y e^{i th_y} |perm(y)><y|: the PPIO with one projector, the identity."""
-    arr = np.asarray(perm)
-    if arr.ndim != 1 or not arr.size:
-        raise ValueError(f"a permutation is a non-empty 1-D sequence, got shape {arr.shape}")
-    if not all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in perm):
-        raise ValueError(f"a permutation holds integers, got {list(perm)!r}")
-    return _iuo_mats(arr.astype(int), np.asarray(phases, dtype=float))[None]
+    return _iuo_mats(*_level_map(perm, phases, onto=True))[None]
 
 
-def _is_iuo(u) -> bool:
+def make_rank_one_ppio(level_map, phases) -> np.ndarray:
+    """Kraus stack (d, d, d) of the rank-one PPIO {e^{i th_j} |f(j)><j|} = {U_j |j><j|} of a
+    level map f of range(d) into itself and phases th, U_j any IUO sending j to f(j) with
+    phase th_j; the levels that f sends to one output merge there."""
+    f, phases = _level_map(level_map, phases, onto=False)
+    return _rank_one_stacks(f, np.exp(1j * phases))
+
+
+def _is_iuo(ops) -> bool:
     try:
-        return LABEL_IUO in classify([u])  # raises for every matrix that is not unitary
+        return LABEL_IUO in classify(ops)  # raises for every stack that is not trace preserving
     except ValueError:
         return False
-
-
-def _require_iuo(u, what: str) -> np.ndarray:
-    if not _is_iuo(u):
-        raise ValueError(f"{what} is not a phase-decorated permutation of the reference basis")
-    return np.array(u, dtype=complex)
-
-
-def make_rank_one_ppio(dim: int, unitaries) -> np.ndarray:
-    """Kraus stack (dim, dim, dim) of the rank-one PPIO {U_j |j><j|}, with one
-    IUO matrix U_j per basis level.
-
-    Only the j-th column of U_j survives, so the channel sends every input to
-    a state diagonal in the reference basis (up to the permutations).
-    """
-    if len(unitaries) != dim:
-        raise ValueError(f"need {dim} unitaries (one per level), got {len(unitaries)}")
-    for j, u in enumerate(unitaries):
-        if _require_iuo(u, f"unitary #{j}").shape != (dim, dim):
-            raise ValueError(f"unitary #{j} is {np.shape(u)}, expected ({dim}, {dim})")
-    cols = np.array(unitaries, dtype=complex)[np.arange(dim), :, np.arange(dim)]  # U_j |j>
-    level_map = np.abs(cols).argmax(axis=-1)
-    return _rank_one_stacks(level_map, cols[np.arange(dim), level_map])
 
 
 def _rank_one_stacks(level_maps: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -184,18 +178,18 @@ def dephasing_channel(dim: int) -> np.ndarray:
 
 
 def make_physically_free(u_a, b_ops) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus stacks (1, d_a, d_a) and (n, d_b, d_b) of the bipartite channel
-    {U_a (x) B_j}, as its two checked factors.
-
-    u_a must be an IUO on A; the B-side operators must satisfy
-    sum_j B_j† B_j = I_b.
-    """
-    u = _require_iuo(u_a, "u_a")
+    """Kraus stacks (1, d_a, d_a) and (n, d_b, d_b) of the bipartite channel {U_a (x) B_j},
+    as its two checked factors: u_a an IUO stack, as make_iuo and random_iuo return it,
+    and b_ops with sum_j B_j† B_j = I_b."""
+    u = np.array(u_a, dtype=complex)
+    if u.ndim != 3 or len(u) != 1 or not _is_iuo(u):
+        raise ValueError(f"u_a must be a one-operator stack (1, d_a, d_a) of a phase-decorated "
+                         f"permutation of the reference basis, got one of shape {u.shape}")
     try:
         b = KrausChannel(b_ops)
     except ValueError as exc:
         raise ValueError(f"B-side Kraus set incomplete: {exc}") from exc
-    return u[None], b.ops
+    return u, b.ops
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +245,7 @@ def _is_factorizable_free(ops: np.ndarray, dims) -> bool:
     r = ops.reshape(-1, d_a, d_b, d_a, d_b).transpose(1, 3, 0, 2, 4).reshape(d_a * d_a, -1)
     u, s, _ = np.linalg.svd(r, full_matrices=False)
     return bool(s[1:].sum() <= 10 * CLASSIFY_TOL * s[0]
-                and _is_iuo(np.sqrt(d_a) * u[:, 0].reshape(d_a, d_a)))
+                and _is_iuo(np.sqrt(d_a) * u[:, 0].reshape(1, d_a, d_a)))
 
 
 # ---------------------------------------------------------------------------

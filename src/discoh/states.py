@@ -259,6 +259,8 @@ def _haar_isometries(g: np.ndarray) -> np.ndarray:
 def haar_unitary(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Haar-distributed unitary, the one-operator Haar isometry, or an (n, dim, dim)
     stack of them, drawn as n successive single calls draw them."""
+    _check_count("dim", dim)
+    _check_count("n", 0 if n is None else n, least=0)
     u = _haar_isometries(rng.standard_normal((1 if n is None else n, 2, dim, dim)))
     return u[0] if n is None else u
 
@@ -294,6 +296,7 @@ def random_state_from(
     rng: np.random.Generator, d_a: int, d_b: int, ensemble: str = "ginibre-mixed"
 ) -> DensityMatrix:
     """Draw a random state from an existing generator (random_state draws through it)."""
+    _check_dims((d_a, d_b))
     return DensityMatrix(_state_mats(ensemble, _draw_state(d_a * d_b, ensemble, rng)), (d_a, d_b))
 
 
@@ -304,6 +307,7 @@ def _draw_cq(rng: np.random.Generator, d_a: int, d_b: int) -> tuple[np.ndarray, 
 
 def random_cq_state(rng: np.random.Generator, d_a: int, d_b: int) -> DensityMatrix:
     """Random classical-quantum state in the computational reference basis."""
+    _check_dims((d_a, d_b))
     probs, g = _draw_cq(rng, d_a, d_b)
     return DensityMatrix(_cq_mat(probs, _state_mats("ginibre-mixed", g)), (d_a, d_b))
 

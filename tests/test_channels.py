@@ -24,7 +24,8 @@ from discoh.channels import (
 from discoh.discord import coherence_discord, ppio_monotonicity_gap
 from discoh.linalg import apply_local
 from discoh.states import (
-    DensityMatrix, bell_phi_plus, classical_quantum, haar_unitary, random_state, rng_from_seed,
+    DensityMatrix, bell_phi_plus, classical_quantum, haar_unitary, random_cq_state, random_state,
+    random_state_from, rng_from_seed,
 )
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -118,8 +119,8 @@ def test_make_iuo_rejects_non_finite_phases(bad):
 
 
 # each raised a ZeroDivisionError, numpy's reshape, negative-dimension or float-size
-# error, or (make_iuo on a 2-D permutation, dephasing_channel(0)) returned an array that
-# is no Kraus stack
+# error, or (make_iuo on a 2-D permutation, dephasing_channel(0), haar_unitary(0)) returned
+# an array that is no Kraus stack or unitary; the state samplers check dims before drawing
 BAD_SIZES_AND_SHAPES = {
     "random_iuo dim 0": (lambda rng: random_iuo(0, rng), "dim must be an integer >= 1, got 0"),
     "random_rank_one_ppio dim 0": (lambda rng: random_rank_one_ppio(0, rng, 1), "dim must be"),
@@ -133,6 +134,17 @@ BAD_SIZES_AND_SHAPES = {
         lambda rng: random_physically_free(2, 2, rng, n_b_ops=0), "n_b_ops must be"),
     "make_iuo 2-D": (lambda rng: make_iuo([[0, 1]], [[0.0, 0.0]]), "1-D sequence, got shape (1,"),
     "make_iuo empty": (lambda rng: make_iuo([], []), "non-empty 1-D sequence, got shape (0,)"),
+    "haar_unitary dim 0": (lambda rng: haar_unitary(0, rng), "dim must be an integer >= 1, got 0"),
+    "haar_unitary n -1": (lambda rng: haar_unitary(2, rng, -1),
+                          "n must be an integer >= 0, got -1"),
+    "random_state dims 2.0": (lambda rng: random_state(2.0, 2, "ginibre-mixed", 1),
+                              "dims must be a pair of positive integers, got (2.0, 2)"),
+    "random_state dims -1": (lambda rng: random_state(-1, 2, "ginibre-mixed", 1),
+                             "dims must be a pair of positive integers, got (-1, 2)"),
+    "random_state_from dims 0": (lambda rng: random_state_from(rng, 2, 0),
+                                 "dims must be a pair of positive integers, got (2, 0)"),
+    "random_cq_state dims 1.5": (lambda rng: random_cq_state(rng, 1.5, 2),
+                                 "dims must be a pair of positive integers, got (1.5, 2)"),
 }
 
 
@@ -144,16 +156,15 @@ def test_public_samplers_and_make_iuo_reject_bad_sizes_and_shapes(case):
 
 
 def test_rank_one_ppio_all_identity_is_dephasing():
-    ops = make_rank_one_ppio(2, [np.eye(2), np.eye(2)])
+    ops = make_rank_one_ppio([0, 1], [0.0, 0.0])
     assert np.array_equal(ops, dephasing_channel(2))
     rho = random_state(2, 1, "ginibre-mixed", seed=5)
     assert_allclose(apply(ops, rho).mat, plain_dephase(rho.mat), atol=1e-12)
 
 
 def test_rank_one_ppio_dim3_level_swap_kraus_set():
-    # the level-merging example: U_0 swaps levels 0 and 1, the rest identity
-    u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    ops = make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)])
+    # the level-merging example: levels 0 and 1 both go to 1, level 2 stays
+    ops = make_rank_one_ppio([1, 1, 2], [0.0, 0.0, 0.0])
     k0 = np.zeros((3, 3))
     k0[1, 0] = 1.0
     assert ops.shape == (3, 3, 3)
@@ -175,19 +186,42 @@ def test_rank_one_ppio_output_always_incoherent():
         assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-12
 
 
-def test_rank_one_ppio_requires_one_unitary_per_level():
-    with pytest.raises(ValueError, match="unitaries"):
-        make_rank_one_ppio(3, [np.eye(3)])
-    # one per level, but each an IUO of the wrong dimension
-    with pytest.raises(ValueError, match=re.escape("unitary #0 is (2, 2), expected (3, 3)")):
-        make_rank_one_ppio(3, [np.eye(2)] * 3)
+def test_rank_one_ppio_and_iuo_build_the_sampled_stacks():
+    # a rank-one PPIO from its level map and phases is the sampler's scatter, merging or
+    # not, and an IUO from a drawn permutation is random_iuo of the same draw
+    for d in (1, 2, 3, 4):
+        for s, injective in itertools.product(range(6), (False, True)):
+            ((f,), (th,)) = _draw_rank_one_ppio(d, rng_from_seed(s), 1, injective)
+            ops = make_rank_one_ppio(f, th)
+            assert np.array_equal(ops, _rank_one_stacks(f, np.exp(1j * th)))
+            assert np.array_equal(ops, random_rank_one_ppio(d, rng_from_seed(s), 1, injective)[0])
+            if injective:
+                assert np.array_equal(make_iuo(f, th), random_iuo(d, rng_from_seed(s)))
 
 
-def test_rank_one_ppio_rejects_non_iuo():
-    # a unitary that is not an IUO, and a matrix that is not even unitary
-    for u in (HADAMARD, 2.0 * np.eye(2)):
-        with pytest.raises(ValueError, match="permutation"):
-            make_rank_one_ppio(2, [u, np.eye(2)])
+BAD_LEVEL_MAPS = {
+    "level out of range": ([0, 3, 1], [0.0] * 3, "a level map takes values in range(3), got"),
+    "negative level": ([0, -1], [0.0] * 2, "a level map takes values in range(2), got [0, -1]"),
+    "float levels": ([0.0, 1.0], [0.0] * 2, "a level map holds integers"),
+    "float array": (np.array([1.0, 0.0]), [0.0] * 2, "a level map holds integers"),
+    "bool levels": ([True, False], [0.0] * 2, "a level map holds integers"),
+    "2-D map": ([[0, 1]], [[0.0, 0.0]], "a level map is a non-empty 1-D sequence, got shape (1,"),
+    "empty map": ([], [], "a level map is a non-empty 1-D sequence, got shape (0,)"),
+    "short phases": ([0, 1, 1], [0.0] * 2, "phase vectors must be finite and of length 3"),
+    "long phases": ([0, 1], [0.0] * 3, "phase vectors must be finite and of length 2"),
+    "nan phase": ([0, 1], [np.nan, 0.0], "phase vectors must be finite and of length 2"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_LEVEL_MAPS)
+def test_rank_one_ppio_rejects_bad_level_maps_and_phases(case):
+    level_map, phases, message = BAD_LEVEL_MAPS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_rank_one_ppio(level_map, phases)
+    # make_iuo runs the same check, and also wants the map onto range(d)
+    message = message.replace("a level map", "a permutation")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_iuo(level_map, phases)
 
 
 def test_ppio_coarse_projectors_not_rank_one():
@@ -206,10 +240,9 @@ def test_ppio_all_rank_one_projectors():
 
 
 def test_builders_return_trace_preserving_stacks():
-    u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
     stacks = [
         make_iuo([2, 0, 1], [0.1, 0.2, 0.3]),
-        make_rank_one_ppio(3, [u_swap, np.eye(3), u_swap]),
+        make_rank_one_ppio([1, 1, 2], [0.0, 0.4, 0.0]),
         dephasing_channel(3),
     ]
     for ops in stacks:
@@ -267,11 +300,20 @@ def joint(u_a, b_ops) -> np.ndarray:
 
 
 def test_physically_free_identity():
-    u_a, b_ops = make_physically_free(np.eye(2), [np.eye(2)])
+    u_a, b_ops = make_physically_free(np.eye(2)[None], [np.eye(2)])
     assert_allclose(u_a, np.eye(2)[None], rtol=0, atol=0)
     assert_allclose(b_ops, np.eye(2)[None], rtol=0, atol=0)
     rho = random_state(2, 2, "ginibre-mixed", seed=9)
-    assert_allclose(apply_free(np.eye(2), [np.eye(2)], rho).mat, rho.mat, atol=1e-12)
+    assert_allclose(apply_free(np.eye(2)[None], [np.eye(2)], rho).mat, rho.mat, atol=1e-12)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(1, 2), (2, 2), (3, 2), (2, 4)])
+def test_physically_free_takes_the_sampled_factors(d_a, d_b):
+    # the sampler's two stacks are the builder's input form, and come back bit for bit
+    for s in range(4):
+        u_a, b_ops = random_physically_free(d_a, d_b, rng_from_seed(s), n_b_ops=1 + s % 3)
+        built = make_physically_free(u_a, b_ops)
+        assert all(np.array_equal(x, y) for x, y in zip(built, (u_a, b_ops)))
 
 
 def test_physically_free_depolarizing_b_keeps_cq_free():
@@ -280,13 +322,13 @@ def test_physically_free_depolarizing_b_keeps_cq_free():
              np.sqrt(0.5 / 3) * np.array([[0, -1j], [1j, 0]]),
              np.sqrt(0.5 / 3) * np.diag([1.0, -1.0])]
     cq = classical_quantum([0.3, 0.7], [PLUS, np.diag([0.2, 0.8])])
-    out = apply_free(np.eye(2), b_ops, cq)
+    out = apply_free(np.eye(2)[None], b_ops, cq)
     assert abs(coherence_discord(out)) < 1e-10
 
 
 def test_physically_free_level_swap_permutes_cq():
     cq = classical_quantum([0.3, 0.7], [PLUS, np.diag([0.2, 0.8])])
-    out = apply_free(PAULI_X, [np.eye(2)], cq)
+    out = apply_free(PAULI_X[None], [np.eye(2)], cq)
     assert abs(coherence_discord(out)) < 1e-12
     expected = classical_quantum([0.7, 0.3], [np.diag([0.2, 0.8]), PLUS])
     assert_allclose(out.mat, expected.mat, atol=1e-12)
@@ -294,12 +336,17 @@ def test_physically_free_level_swap_permutes_cq():
 
 def test_physically_free_requires_complete_b_side():
     with pytest.raises(ValueError, match="B-side"):
-        make_physically_free(np.eye(2), [np.sqrt(0.5) * np.eye(2)])
+        make_physically_free(np.eye(2)[None], [np.sqrt(0.5) * np.eye(2)])
 
 
 def test_physically_free_requires_iuo_on_a():
-    with pytest.raises(ValueError, match="permutation"):
-        make_physically_free(HADAMARD, [np.eye(2)])
+    # a unitary that is not an IUO, a matrix that is not even unitary, two operators, and
+    # an IUO given as a bare matrix, not as its one-operator stack
+    message = "u_a must be a one-operator stack (1, d_a, d_a) of a phase-decorated permutation"
+    for u_a in (HADAMARD[None], 2.0 * np.eye(2)[None], np.array([np.eye(2), PAULI_X]), PAULI_X):
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            make_physically_free(u_a, [np.eye(2)])
+        assert f"got one of shape {np.shape(u_a)}" in str(err.value)
 
 
 def test_classify_dephasing():

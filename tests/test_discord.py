@@ -1,6 +1,6 @@
 import functools
+import importlib
 import itertools
-import sys
 import tracemalloc
 
 import numpy as np
@@ -41,6 +41,11 @@ from discoh.states import (
     werner,
 )
 from discoh.verify import nonconvexity_witness
+
+# the module itself, for monkeypatch: the function discord, which discoh exports, shadows the
+# submodule as the attribute discoh.discord, so monkeypatch.setattr("discoh.discord.X", ...)
+# would look X up on the function
+DISCORD_MODULE = importlib.import_module("discoh.discord")
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -116,7 +121,7 @@ def test_cayley_steps_keep_frames_unitary(monkeypatch, d_a):
     from discoh.discord import _basis_objective
 
     # a gradient-norm threshold no restart reaches keeps every restart stepping
-    monkeypatch.setattr(sys.modules["discoh.discord"], "X_TOL", 1e-300)
+    monkeypatch.setattr(DISCORD_MODULE, "X_TOL", 1e-300)
     rng = np.random.default_rng(2)
     rho = random_state(d_a, 2, "ginibre-mixed", seed=3)
     starts = np.stack([haar_unitary(d_a, rng) for _ in range(4)])
@@ -146,7 +151,7 @@ def test_a_search_step_is_one_solve_and_no_eigendecomposition(monkeypatch):
 
         return minimize(counted, frames, config)
 
-    monkeypatch.setattr(sys.modules["discoh.discord"], "minimize", counting_minimize)
+    monkeypatch.setattr(DISCORD_MODULE, "minimize", counting_minimize)
     _, trace = discord(rho)
     assert trace.converged and len(stacked) > 10
     assert calls["eigh"] == []
@@ -215,7 +220,7 @@ def test_stacked_calls_follow_the_longest_restart():
 
     rho = hidden_basis_state(np.random.default_rng(44), 4)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys.modules["discoh.discord"], "minimize", counting)
+        mp.setattr(DISCORD_MODULE, "minimize", counting)
         value, trace = discord(rho)
     assert abs(value) <= 1e-9 and trace.converged
     evaluations = [r.evaluations for r in trace.restarts]
@@ -705,7 +710,7 @@ def test_search_converged_if_a_restart_at_the_best_value_converged(monkeypatch, 
         values = np.array([0.3, 0.1, 0.1 + 5e-10])
         return frames, values, np.full(3, 9), stop != "budget", stop, np.full(3, 10)
 
-    monkeypatch.setattr(sys.modules["discoh.discord"], "minimize", fake)
+    monkeypatch.setattr(DISCORD_MODULE, "minimize", fake)
     value, trace = discord(random_state(2, 2, "ginibre-mixed", seed=1), OptimizerConfig(3))
     assert value == 0.1 and trace.restarts_at_best == 2
     assert [r.stop for r in trace.restarts] == stops
@@ -777,7 +782,7 @@ def test_x_state_oracles_catch_a_search_pinned_to_the_reference_frame(monkeypatc
         u = np.broadcast_to(np.eye(2, dtype=complex), frames.shape)
         return minimize(lambda x: (objective(x)[0], np.zeros_like(x)), u, config)
 
-    monkeypatch.setattr(sys.modules["discoh.discord"], "minimize", pinned)
+    monkeypatch.setattr(DISCORD_MODULE, "minimize", pinned)
     # caught on every state but the two whose minimum is at the reference frame
     assert x_states_off_their_oracles() == [0, 1, 3, 5, 6, 7]
 
@@ -1105,9 +1110,8 @@ def test_gap_bell_equality_case():
 
 @pytest.mark.parametrize("gap, mi_drop", [(-1e-6, 0.0), (0.5, 0.5 + 1e-6)])
 def test_gap_violation_raises(monkeypatch, gap, mi_drop):
-    # a negative gap, or one below the mutual-information drop, is a numerical
-    # bug; the package's name discord is the function, so patch the module
-    monkeypatch.setattr(sys.modules["discoh.discord"], "_level_map_drops",
+    # a negative gap, or one below the mutual-information drop, is a numerical bug
+    monkeypatch.setattr(DISCORD_MODULE, "_level_map_drops",
                         lambda m, w, dims, maps: np.array([gap, mi_drop]))
     with pytest.raises(ArithmeticError, match="monotonicity violated"):
         ppio_monotonicity_gap(bell_phi_plus(), dephasing_channel(2))
@@ -1128,8 +1132,7 @@ def test_gap_checks_the_stack_and_its_side():
 
 
 def test_gap_dim3_level_swap_nonnegative():
-    u_swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    ppio = make_rank_one_ppio(3, [u_swap, np.eye(3), np.eye(3)])
+    ppio = make_rank_one_ppio([1, 1, 2], [0.0, 0.0, 0.0])  # levels 0 and 1 both go to 1
     rng = np.random.default_rng(15)
     for _ in range(10):
         rho = random_state(3, 2, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
@@ -1202,8 +1205,7 @@ def test_merged_blocks_are_the_applied_ppio_output(d_a):
 
 def test_monotonicity_drop_under_merging_exceeds_closed_form():
     # a merging PPIO can only drop more correlated coherence than dephasing
-    u_swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    merging = make_rank_one_ppio(2, [u_swap, np.eye(2)])
+    merging = make_rank_one_ppio([1, 1], [0.0, 0.0])
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
     rho = classical_quantum([0.5, 0.5], [PLUS, minus])
     drop, _ = ppio_monotonicity_gap(rho, merging)
@@ -1265,7 +1267,7 @@ def test_a_mixture_of_physically_free_channels_raises_dac_off_the_zero_set():
     prepare_1 = prepare_0[:, ::-1]
     rho = product_state(PLUS, np.eye(2) / 2)
     outputs = []
-    for u, b_ops in ((np.eye(2), prepare_0), (np.diag([1.0, -1.0]), prepare_1)):
+    for u, b_ops in ((np.eye(2)[None], prepare_0), (np.diag([1.0, -1.0])[None], prepare_1)):
         u_a, b = make_physically_free(u, b_ops)
         assert LABEL_PHYSICALLY_FREE in classify(np.kron(u_a, b), dims=(2, 2))
         outputs.append(apply_local(rho.mat, rho.dims, u_a, b))

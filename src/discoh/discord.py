@@ -10,8 +10,10 @@ backtracking, and retires on its own once its Riemannian gradient A is small
 (Abrudan, Eriksson & Koivunen, IEEE TSP 56, 1134 (2008); Wen & Yin, Math.
 Program. 142, 397 (2013)).  One stacked evaluation gives the value and
 analytic gradient at the next trial point of every live restart, a new step or
-a halved backtrack, so no restart waits on another's line search.  The value
-is an upper bound on the true minimum, with per-restart statistics attached.
+a halved backtrack, so no restart waits on another's line search.  No frame goes
+below max(0, S(A) - S(AB)); once a restart reaches that floor, the search is
+certified and its other restarts stop.  The value is an upper bound on the true
+minimum, with per-restart statistics attached.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """One restart: stop is "gradient", "line-search" or "budget", and evaluations
-    counts the objective rows it took, its initial point included."""
+    """One restart: stop is "gradient", "line-search", "budget" or "cut" (stopped once
+    another restart reached the floor), and evaluations counts the objective rows it
+    took, its initial point included."""
 
     initial_frame: tuple
     final_value: float
@@ -59,20 +62,24 @@ class RestartRecord:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """The search's result: restarts_at_best counts the restarts that ended
-    within F_TOL of the best value, and converged says whether one of them converged."""
+    """The search's result: restarts_at_best counts the restarts that ended within
+    F_TOL of the best value; certified says whether a restart reached the floor
+    max(0, S(A) - S(AB)) that no frame goes below, which makes the value the minimum to
+    roundoff; converged says whether the search is certified or one of those converged."""
 
     best_value: float
     best_basis: ReferenceBasis
     restarts: tuple
     converged: bool
     restarts_at_best: int
+    certified: bool
 
     def to_dict(self) -> dict:
         return {
             "best_value": self.best_value,
             "best_frame": matrix_to_json(self.best_basis.frame),
             "converged": self.converged,
+            "certified": self.certified,
             "restarts_at_best": self.restarts_at_best,
             "restarts": [
                 {"initial_frame": matrix_to_json(r.initial_frame), "final_value": r.final_value,
@@ -89,6 +96,9 @@ class OptimizationTrace:
 # Value changes this small are roundoff; the line search lets them pass, so a
 # restart near its minimum keeps following the (still exact) gradient.
 ROUNDOFF = 1e-14
+# A value within FLOOR_TOL of the objective's floor is its minimum: no frame is lower by
+# more.  At the floor, the objective's roundoff reaches 1e-14 on 3x3 and 4x4 states.
+FLOOR_TOL = 1e-14
 ARMIJO, MAX_BACKTRACKS = 1e-4, 40
 # A restart stops once its Riemannian gradient norm reaches X_TOL, or when its
 # line search can lower its value no further (converged if its last step
@@ -159,6 +169,9 @@ def _basis_objective(rho: DensityMatrix):
             wmat = (vec * w[..., None, :]) @ vec.conj().swapaxes(-1, -2)
         return f, np.einsum("rijla,ralj->ria", y, wmat)
 
+    # no frame goes below S(rho_a) - S(rho), the sum's terms being p_k S(B|k) >= 0, nor
+    # below 0, f being a drop of mutual information under a local measurement
+    objective.floor = max(0.0, float(const))
     return objective
 
 
@@ -185,7 +198,10 @@ def minimize(objective, frames, config: OptimizerConfig):
     unitary to roundoff.  Each stacked call carries the next trial point of
     every live restart, a new step or a halved one, from one stacked solve, so
     no restart waits on another's line search and each follows the path it
-    would follow alone.
+    would follow alone.  If objective has a floor, a value no frame goes below,
+    the start or accepted step that first brings a restart within FLOOR_TOL of it
+    stops every other live restart (stop "cut"); the restarts at the floor go on
+    to their own stop.
     Returns (frames, values, iterations, converged, stop, evaluations), one
     entry per restart in each.
     """
@@ -198,6 +214,12 @@ def minimize(objective, frames, config: OptimizerConfig):
     stats = np.zeros((7, n))
     stats[0], stats[1], stats[2], stats[6] = f, _inner(a, a), math.inf, 1.0
     rows = np.flatnonzero(stats[1] > X_TOL**2)
+    floor = getattr(objective, "floor", -math.inf) + FLOOR_TOL
+    certified = bool((f <= floor).any())
+    cut = np.zeros(n, dtype=bool)
+    if certified:
+        cut[rows] = f[rows] > floor
+        rows = rows[~cut[rows]]
     # the live restarts' state, over their rows only; each writes it back as it retires
     ul, al, sl = u[rows], a[rows], stats[:, rows]
     sl[3] = np.minimum(1.0, np.pi / np.sqrt(sl[1]))
@@ -222,6 +244,10 @@ def minimize(objective, frames, config: OptimizerConfig):
         step = np.minimum(np.maximum(bb, 1e-10), 1e10)
         sl[3] = np.where(ok, np.minimum(step, np.pi / np.sqrt(np.maximum(aal, X_TOL**2))), 0.5 * mu)
         keep = (aal > X_TOL**2) & (it < config.max_iter) & (tries < MAX_BACKTRACKS)
+        if not certified and (fl <= floor).any():
+            certified = True
+            cut[rows] = keep & (fl > floor)
+            keep &= fl <= floor
         if np.count_nonzero(keep) < rows.size:
             done = rows[~keep]
             u[done], stats[:, done] = ul[~keep], sl[:, ~keep]
@@ -232,6 +258,7 @@ def minimize(objective, frames, config: OptimizerConfig):
     # value by at most F_TOL
     at_gradient, failed = aa <= X_TOL**2, tries >= MAX_BACKTRACKS
     stop = np.where(failed, "line-search", np.where(at_gradient, "gradient", "budget"))
+    stop[cut] = "cut"
     converged = at_gradient | failed & (drop <= F_TOL)
     return u, f, iters.astype(int), converged, stop, evals.astype(int)
 
@@ -248,22 +275,28 @@ def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
     Restart 0 starts at the reference frame, the others at seeded Haar frames;
     ties go to the lowest restart index.  Returns (value, OptimizationTrace).
     The value is an upper bound on the true minimum; it is deterministic for a
-    fixed config seed.  The search converged if a restart that ended within
-    F_TOL of the best value did.
+    fixed config seed.  The search is certified if a restart reached the
+    objective's floor, and converged if it is certified or a restart that ended
+    within F_TOL of the best value converged.
     """
     _check_searchable(rho.dim)
     config = config or OptimizerConfig()
     rng = rng_from_seed(config.seed)
     eye = np.eye(rho.d_a, dtype=complex)[None]
     starts = np.concatenate([eye, haar_unitary(rho.d_a, rng, config.restarts - 1)])
-    frames, values, iters, converged, stops, evals = minimize(_basis_objective(rho), starts, config)
+    objective = _basis_objective(rho)
+    frames, values, iters, converged, stops, evals = minimize(objective, starts, config)
     best = int(np.argmin(values))
     records = tuple(RestartRecord(tuple(map(tuple, s)), v, i, why, e) for s, v, i, why, e
                     in zip(*(c.tolist() for c in (starts, values, iters, stops, evals))))
     at_best = values - values[best] <= F_TOL
     value = float(values[best])
+    # a restart reached the floor if it cut another, or if the value ends there (a
+    # restart at the floor that ran alone can end roundoff above where it reached it)
+    certified = "cut" in stops or value <= objective.floor + FLOOR_TOL
     return value, OptimizationTrace(value, ReferenceBasis(frames[best]), records,
-                                    bool(converged[at_best].any()), int(np.count_nonzero(at_best)))
+                                    certified or bool(converged[at_best].any()),
+                                    int(np.count_nonzero(at_best)), certified)
 
 
 def qubit_discord_grid(rho: DensityMatrix, n_theta: int = 400, n_phi: int = 400) -> float:

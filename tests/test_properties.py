@@ -176,9 +176,19 @@ def test_invariance_suite_small():
 def test_zero_sets_suite_small(monkeypatch):
     import discoh.verify
 
+    traces, search = [], discoh.verify.discord
+
+    def traced(rho, config=None):
+        value, trace = search(rho, config)
+        traces.append(trace)
+        return value, trace
+
+    monkeypatch.setattr(discoh.verify, "discord", traced)
     monkeypatch.setattr(discoh.verify, "MEMBER_DISCORD_CHECKS", 5)
     result = verify_zero_sets(trials=40, seed=109)
     assert result.passed
+    # each member sits at its floor, 0; the witness, last, does not
+    assert [t.certified for t in traces] == [True] * 5 + [False]
     assert result.details["witness_discord_optimizer"] > 0.01
     assert result.details["witness_discord_grid"] > 0.01
 

@@ -686,10 +686,10 @@ RECORDED = {
     },
     "zero-sets": {
         (3, 30): (4.440892098500626e-16, 0, 11, 9918724147601234342,
-                  0.0, 0.2017520733857111, 0.20175241779843478),
+                  2.220446049250313e-16, 0.2017520733857111, 0.20175241779843478),
         (2, 25, ("dims", (3, 2)), ("restarts", 4)): (
             8.881784197001252e-16, 0, 12, 9099095930707887757,
-            2.220446049250313e-16, 0.20175207338571177, 0.20175241779843478),
+            5.551115123125783e-16, 0.20175207338571177, 0.20175241779843478),
     },
 }
 

@@ -214,11 +214,12 @@ def minimize(objective, frames, config: OptimizerConfig):
     stats = np.zeros((7, n))
     stats[0], stats[1], stats[2], stats[6] = f, _inner(a, a), math.inf, 1.0
     rows = np.flatnonzero(stats[1] > X_TOL**2)
-    floor = getattr(objective, "floor", -math.inf) + FLOOR_TOL
-    certified = bool((f <= floor).any())
+    # a value up to reach is within FLOOR_TOL of the floor, which no frame goes below
+    reach = getattr(objective, "floor", -math.inf) + FLOOR_TOL
+    certified = bool((f <= reach).any())
     cut = np.zeros(n, dtype=bool)
     if certified:
-        cut[rows] = f[rows] > floor
+        cut[rows] = f[rows] > reach
         rows = rows[~cut[rows]]
     # the live restarts' state, over their rows only; each writes it back as it retires
     ul, al, sl = u[rows], a[rows], stats[:, rows]
@@ -244,10 +245,10 @@ def minimize(objective, frames, config: OptimizerConfig):
         step = np.minimum(np.maximum(bb, 1e-10), 1e10)
         sl[3] = np.where(ok, np.minimum(step, np.pi / np.sqrt(np.maximum(aal, X_TOL**2))), 0.5 * mu)
         keep = (aal > X_TOL**2) & (it < config.max_iter) & (tries < MAX_BACKTRACKS)
-        if not certified and (fl <= floor).any():
+        if not certified and (fl <= reach).any():
             certified = True
-            cut[rows] = keep & (fl > floor)
-            keep &= fl <= floor
+            cut[rows] = keep & (fl > reach)
+            keep &= fl <= reach
         if np.count_nonzero(keep) < rows.size:
             done = rows[~keep]
             u[done], stats[:, done] = ul[~keep], sl[:, ~keep]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .discord import OptimizerConfig, coherence_discord, discord
-from .measures import _NEGATIVE_ROUNDOFF, CSV_COLUMNS, MeasureReport
+from .measures import CSV_COLUMNS, MeasureReport, _roundoff_to_zero
 from .states import (
     ENSEMBLES,
     DensityMatrix,
@@ -115,14 +115,9 @@ def parse_seed(text: str) -> int:
 
 
 def _state_tolerances(args) -> dict:
-    tols = {}
-    if args.tol_hermitian is not None:
-        tols["hermitian_tol"] = args.tol_hermitian
-    if args.tol_trace is not None:
-        tols["trace_tol"] = args.tol_trace
-    if args.tol_psd is not None:
-        tols["psd_tol"] = args.tol_psd
-    return tols
+    tols = {"hermitian_tol": args.tol_hermitian, "trace_tol": args.tol_trace,
+            "psd_tol": args.tol_psd}
+    return {key: tol for key, tol in tols.items() if tol is not None}
 
 
 def _config_dict(args, **extra) -> dict:
@@ -166,8 +161,7 @@ def _measure_values(rho, names, basis_a, basis_b, opt_config):
     if "discord" in names:
         # discord minimizes over all bases, so any basis file is irrelevant to it
         values["discord"], trace = discord(rho, opt_config)
-    return {n: 0.0 if n in _NONNEGATIVE and -_NEGATIVE_ROUNDOFF <= v <= 0.0 else v
-            for n, v in values.items()}, trace
+    return {n: _roundoff_to_zero(v) if n in _NONNEGATIVE else v for n, v in values.items()}, trace
 
 
 def cmd_compute(args) -> int:

@@ -124,8 +124,9 @@ def _log2_slope(lo, hi, r):
 
 
 def _basis_objective(rho: DensityMatrix):
-    """f(U) = I(rho) - J_U(rho) = S(rho_a) - S(rho) + S_union - H(p) on a
-    stack of frames U, shape (R, d_a, d_a), with its gradient wrt conj(U).
+    """(objective, floor): f(U) = I(rho) - J_U(rho) = S(rho_a) - S(rho) + S_union - H(p)
+    on a stack of frames U, shape (R, d_a, d_a), with its gradient wrt conj(U), and the
+    floor max(0, S(rho_a) - S(rho)) no f(U) goes below, which every caller passes to minimize.
 
     M_k = <u_k|rho|u_k>_A are the unnormalized conditional B blocks, p_k their
     traces and S_union the entropy of their joint spectrum.  The same f is the
@@ -171,8 +172,7 @@ def _basis_objective(rho: DensityMatrix):
 
     # no frame goes below S(rho_a) - S(rho), the sum's terms being p_k S(B|k) >= 0, nor
     # below 0, f being a drop of mutual information under a local measurement
-    objective.floor = max(0.0, float(const))
-    return objective
+    return objective, max(0.0, float(const))
 
 
 def _riemannian(grad, frames):
@@ -186,7 +186,7 @@ def _inner(a, b):
     return np.einsum("rij,rij->r", a.view(float), b.view(float))
 
 
-def minimize(objective, frames, config: OptimizerConfig):
+def minimize(objective, frames, config: OptimizerConfig, floor: float):
     """Riemannian gradient descent on U(d), each restart on its own path.
 
     objective(frames) maps an (n, d, d) stack to the values and the gradients
@@ -198,10 +198,10 @@ def minimize(objective, frames, config: OptimizerConfig):
     unitary to roundoff.  Each stacked call carries the next trial point of
     every live restart, a new step or a halved one, from one stacked solve, so
     no restart waits on another's line search and each follows the path it
-    would follow alone.  If objective has a floor, a value no frame goes below,
-    the start or accepted step that first brings a restart within FLOOR_TOL of it
-    stops every other live restart (stop "cut"); the restarts at the floor go on
-    to their own stop.
+    would follow alone.  floor is a value no frame goes below, -inf if none is
+    known: every caller passes one.  The start or accepted step that first brings
+    a restart within FLOOR_TOL of it stops every other live restart (stop "cut");
+    the restarts at the floor go on to their own stop.
     Returns (frames, values, iterations, converged, stop, evaluations), one
     entry per restart in each.
     """
@@ -215,7 +215,7 @@ def minimize(objective, frames, config: OptimizerConfig):
     stats[0], stats[1], stats[2], stats[6] = f, _inner(a, a), math.inf, 1.0
     rows = np.flatnonzero(stats[1] > X_TOL**2)
     # a value up to reach is within FLOOR_TOL of the floor, which no frame goes below
-    reach = getattr(objective, "floor", -math.inf) + FLOOR_TOL
+    reach = floor + FLOOR_TOL
     certified = bool((f <= reach).any())
     cut = np.zeros(n, dtype=bool)
     if certified:
@@ -277,16 +277,16 @@ def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
     ties go to the lowest restart index.  Returns (value, OptimizationTrace).
     The value is an upper bound on the true minimum; it is deterministic for a
     fixed config seed.  The search is certified if a restart reached the
-    objective's floor, and converged if it is certified or a restart that ended
-    within F_TOL of the best value converged.
+    objective's floor, which discord passes to minimize, and converged if it is
+    certified or a restart that ended within F_TOL of the best value converged.
     """
     _check_searchable(rho.dim)
     config = config or OptimizerConfig()
     rng = rng_from_seed(config.seed)
     eye = np.eye(rho.d_a, dtype=complex)[None]
     starts = np.concatenate([eye, haar_unitary(rho.d_a, rng, config.restarts - 1)])
-    objective = _basis_objective(rho)
-    frames, values, iters, converged, stops, evals = minimize(objective, starts, config)
+    objective, floor = _basis_objective(rho)
+    frames, values, iters, converged, stops, evals = minimize(objective, starts, config, floor)
     best = int(np.argmin(values))
     records = tuple(RestartRecord(tuple(map(tuple, s)), v, i, why, e) for s, v, i, why, e
                     in zip(*(c.tolist() for c in (starts, values, iters, stops, evals))))
@@ -294,7 +294,7 @@ def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
     value = float(values[best])
     # a restart reached the floor if it cut another, or if the value ends there (a
     # restart at the floor that ran alone can end roundoff above where it reached it)
-    certified = "cut" in stops or value <= objective.floor + FLOOR_TOL
+    certified = "cut" in stops or value <= floor + FLOOR_TOL
     return value, OptimizationTrace(value, ReferenceBasis(frames[best]), records,
                                     certified or bool(converged[at_best].any()),
                                     int(np.count_nonzero(at_best)), certified)

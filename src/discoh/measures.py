@@ -39,8 +39,13 @@ from .states import DensityMatrix, _checked_state
 # kernel directions, and rho mass above the same cutoff there gives +inf.
 SUPPORT_CUTOFF = 1e-10
 
-# A value in [-_NEGATIVE_ROUNDOFF, 0] of a measure the theory makes nonnegative is roundoff
 _NEGATIVE_ROUNDOFF = 1e-12
+
+
+def _roundoff_to_zero(v: float) -> float:
+    """0.0 for a value in [-_NEGATIVE_ROUNDOFF, 0] of a measure the theory makes
+    nonnegative, that being roundoff; any other value as it is."""
+    return 0.0 if -_NEGATIVE_ROUNDOFF <= v <= 0.0 else v
 
 
 def entropy_of_probs(p: np.ndarray, axis=None):

@@ -29,7 +29,7 @@ from .discord import (
     qubit_discord_grid,
 )
 from .linalg import apply_local, dephase_local
-from .measures import _DAC, _I_CO, _NEGATIVE_ROUNDOFF, _closed_form
+from .measures import _DAC, _I_CO, _closed_form, _roundoff_to_zero
 from .measures import correlated_coherence, mutual_information
 from .states import (
     DensityMatrix, _check_count, _check_dims, _cq_mat, _draw_cq, _draw_state, _restarts,
@@ -313,7 +313,7 @@ def verify_zero_sets(
             mixture, row = DensityMatrix(sum(w * p for w, p in zip(weights, parts)), dims), {}
             if search_seed is not None:  # discord >= 0: a value below roundoff counts as |value|
                 dv, _ = discord(mixture, OptimizerConfig(restarts, max_iter, search_seed))
-                row["member_discord_max"] = 0.0 if -_NEGATIVE_ROUNDOFF <= dv <= 0.0 else abs(dv)
+                row["member_discord_max"] = abs(_roundoff_to_zero(dv))
             yield [(coherence_discord(mixture), row)]
 
     result = _run_trials(

@@ -53,3 +53,21 @@ def test_traced_entry_points_run_and_uninstall_cleanly():
     assert np.linalg.eigh is eigh
     for cls, init in inits.items():
         assert cls.__init__ is init, cls
+
+
+def test_a_traced_search_at_its_floor_is_the_search_users_run():
+    # the tracer wraps the objective that minimize gets, and the floor reaches minimize as
+    # an argument, so a traced search that starts at its floor still cuts every other restart
+    tracing = load_tracing()
+    rho = discoh.DensityMatrix(np.diag([0.4, 0.1, 0.2, 0.3]), (2, 2))
+    untraced = discoh.discord(rho)[1].to_dict()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = [discoh.discord(rho)[1].to_dict(), discoh.discord_via_coherence(rho)[2].to_dict()]
+    finally:
+        tracer.uninstall()
+    restarts = untraced["restarts"]
+    assert [r["stop"] for r in restarts].count("cut") == 15
+    assert sum(r["evaluations"] for r in restarts) == 16
+    assert traced == [untraced, untraced]

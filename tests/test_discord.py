@@ -96,6 +96,19 @@ def hidden_basis_state(rng, d_a, d_b=2):
     return classical_quantum(rng.dirichlet(np.ones(d_a)), blocks, basis_a=basis)
 
 
+def counting_minimize(calls):
+    """minimize that appends the row count of each stacked objective call to calls; its
+    trailing arguments, the floor among them, pass through as perfbench's tracer passes them."""
+    def counting(objective, frames, *args):
+        def counted(x):
+            calls.append(len(x))
+            return objective(x)
+
+        return minimize(counted, frames, *args)
+
+    return counting
+
+
 def test_riemannian_gradient_matches_finite_differences():
     from discoh.discord import _basis_objective, _riemannian
 
@@ -104,7 +117,7 @@ def test_riemannian_gradient_matches_finite_differences():
     states.append(DensityMatrix(ginibre(rng, 6, 2), (2, 3)))  # every conditional block singular
     h = 1e-5
     for rho in states:
-        objective = _basis_objective(rho)
+        objective, _ = _basis_objective(rho)
         for _ in range(3):
             u = haar_unitary(rho.d_a, rng)
             x = random_skew(rng, rho.d_a)
@@ -125,7 +138,8 @@ def test_cayley_steps_keep_frames_unitary(monkeypatch, d_a):
     rng = np.random.default_rng(2)
     rho = random_state(d_a, 2, "ginibre-mixed", seed=3)
     starts = np.stack([haar_unitary(d_a, rng) for _ in range(4)])
-    frames, _, iters, *_ = minimize(_basis_objective(rho), starts, OptimizerConfig())
+    objective, floor = _basis_objective(rho)
+    frames, _, iters, *_ = minimize(objective, starts, OptimizerConfig(), floor)
     assert iters.min() > 10
     for u in frames:
         assert np.max(np.abs(u.conj().T @ u - np.eye(d_a))) < 1e-12
@@ -143,15 +157,7 @@ def test_a_search_step_is_one_solve_and_no_eigendecomposition(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     stacked = []
-
-    def counting_minimize(objective, frames, config):
-        def counted(x):
-            stacked.append(len(x))
-            return objective(x)
-
-        return minimize(counted, frames, config)
-
-    monkeypatch.setattr(DISCORD_MODULE, "minimize", counting_minimize)
+    monkeypatch.setattr(DISCORD_MODULE, "minimize", counting_minimize(stacked))
     _, trace = discord(rho)
     assert trace.converged and len(stacked) > 10
     assert calls["eigh"] == []
@@ -161,14 +167,14 @@ def test_a_search_step_is_one_solve_and_no_eigendecomposition(monkeypatch):
 def test_search_retires_restarts_whose_line_search_fails():
     from discoh.discord import _basis_objective
 
-    objective = _basis_objective(random_state(3, 2, "ginibre-mixed", seed=5))
+    objective, _ = _basis_objective(random_state(3, 2, "ginibre-mixed", seed=5))
 
     def uphill(frames):
         f, g = objective(frames)
         return f, -g
 
     starts = np.stack([haar_unitary(3, np.random.default_rng(k)) for k in range(3)])
-    frames, values, iters, converged, *_ = minimize(uphill, starts, OptimizerConfig())
+    frames, values, iters, converged, *_ = minimize(uphill, starts, OptimizerConfig(), -np.inf)
     assert_allclose(frames, starts, atol=1e-15)
     assert_allclose(values, objective(starts)[0], atol=1e-15)
     assert not iters.any() and not converged.any()
@@ -198,11 +204,12 @@ def test_a_restart_follows_the_path_it_takes_alone(d_a, d_b):
     from discoh.discord import _basis_objective
 
     # d_b = 2 runs the closed-form qubit blocks, d_b = 3 the eigh ones
-    objective = _basis_objective(random_state(d_a, d_b, "ginibre-mixed", seed=10 * d_a + d_b))
+    rho = random_state(d_a, d_b, "ginibre-mixed", seed=10 * d_a + d_b)
+    objective, floor = _basis_objective(rho)
     starts = np.concatenate([np.eye(d_a)[None], haar_unitary(d_a, rng_from_seed(d_a), 15)])
-    stacked = minimize(objective, starts, OptimizerConfig())
+    stacked = minimize(objective, starts, OptimizerConfig(), floor)
     for k in range(len(starts)):
-        alone = minimize(objective, starts[k:k + 1], OptimizerConfig())
+        alone = minimize(objective, starts[k:k + 1], OptimizerConfig(), floor)
         # every column: frames, values, iterations, converged, stop and evaluations
         for together, by_itself in zip(stacked, alone, strict=True):
             assert np.array_equal(together[k:k + 1], by_itself)
@@ -210,17 +217,9 @@ def test_a_restart_follows_the_path_it_takes_alone(d_a, d_b):
 
 def test_stacked_calls_follow_the_longest_restart():
     calls = []
-
-    def counting(objective, frames, config):
-        def counted(x):
-            calls.append(len(x))
-            return objective(x)
-
-        return minimize(counted, frames, config)
-
     rho = hidden_basis_state(np.random.default_rng(44), 4)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DISCORD_MODULE, "minimize", counting)
+        mp.setattr(DISCORD_MODULE, "minimize", counting_minimize(calls))
         value, trace = discord(rho)
     assert abs(value) <= 1e-9 and trace.converged
     evaluations = [r.evaluations for r in trace.restarts]
@@ -234,9 +233,9 @@ def test_stacked_calls_follow_the_longest_restart():
 def test_stop_reasons_name_the_budget_and_the_line_search():
     from discoh.discord import _basis_objective
 
-    objective = _basis_objective(random_state(3, 2, "ginibre-mixed", seed=5))
+    objective, floor = _basis_objective(random_state(3, 2, "ginibre-mixed", seed=5))
     starts = np.stack([haar_unitary(3, np.random.default_rng(k)) for k in range(3)])
-    _, _, iters, _, stop, _ = minimize(objective, starts, OptimizerConfig(max_iter=2))
+    _, _, iters, _, stop, _ = minimize(objective, starts, OptimizerConfig(max_iter=2), floor)
     assert list(stop) == ["budget"] * 3 and list(iters) == [2] * 3
 
     def uphill(frames):
@@ -244,7 +243,7 @@ def test_stop_reasons_name_the_budget_and_the_line_search():
         return f, -g
 
     # the initial point and every halving of the one step that never drops
-    *_, stop, evaluations = minimize(uphill, starts, OptimizerConfig())
+    *_, stop, evaluations = minimize(uphill, starts, OptimizerConfig(), -np.inf)
     assert list(stop) == ["line-search"] * 3
     assert list(evaluations) == [41] * 3
 
@@ -306,7 +305,7 @@ def test_qubit_block_kernel_matches_eigh(case):
     d_a = rho.d_a
     # the computational frame holds the case's blocks; the Haar frames mix them
     frames = np.concatenate([np.eye(d_a)[None], haar_unitary(d_a, rng_from_seed(5), 3)]) + 0j
-    f, g = _basis_objective(rho)(frames)
+    f, g = _basis_objective(rho)[0](frames)
     f_ref, g_ref = eigh_objective(rho, frames)
     assert np.max(np.abs(f - f_ref)) <= 1e-12
     assert np.max(np.abs(g - g_ref)) <= 1e-12
@@ -408,7 +407,7 @@ def test_search_objective_is_the_closed_form_at_each_frame(dims, ensemble):
     d_a, d_b = dims
     rho = random_state(d_a, d_b, ensemble, seed=7 * d_a + d_b)
     frames = haar_unitary(d_a, rng_from_seed(d_a + 10 * d_b), 6)
-    values, _ = _basis_objective(rho)(frames)
+    values, _ = _basis_objective(rho)[0](frames)
     want = [coherence_discord(rho, frame) for frame in frames]
     assert np.max(np.abs(values - want)) <= 1e-12
 
@@ -561,7 +560,7 @@ def test_no_sampled_frame_beats_the_search(rank, d_a, d_b):
     d = d_a * d_b
     rho = DensityMatrix(ginibre(rng, d, d if rank == "full" else rank), (d_a, d_b))
     value, _ = discord(rho)
-    values, _ = _basis_objective(rho)(haar_unitary(d_a, rng, 10**4))
+    values, _ = _basis_objective(rho)[0](haar_unitary(d_a, rng, 10**4))
     assert values.min() >= value - 1e-12
 
 
@@ -706,7 +705,7 @@ def test_koashi_winter_checks_catch_a_short_search_and_a_wrong_oracle():
     (["gradient", "budget", "budget"], False),
 ])
 def test_search_converged_if_a_restart_at_the_best_value_converged(monkeypatch, stops, converged):
-    def fake(objective, frames, config):
+    def fake(objective, frames, config, floor):
         stop = np.array(stops)
         values = np.array([0.3, 0.1, 0.1 + 5e-10])
         return frames, values, np.full(3, 9), stop != "budget", stop, np.full(3, 10)
@@ -790,10 +789,10 @@ def test_x_state_discord_is_below_the_candidate_and_at_the_grid():
 
 
 def test_x_state_oracles_catch_a_search_pinned_to_the_reference_frame(monkeypatch):
-    def pinned(objective, frames, config):
+    def pinned(objective, frames, config, floor):
         # the search itself, from the reference frame, with every gradient zeroed
         u = np.broadcast_to(np.eye(2, dtype=complex), frames.shape)
-        return minimize(lambda x: (objective(x)[0], np.zeros_like(x)), u, config)
+        return minimize(lambda x: (objective(x)[0], np.zeros_like(x)), u, config, floor)
 
     monkeypatch.setattr(DISCORD_MODULE, "minimize", pinned)
     # caught on every state but the two whose minimum is at the reference frame

@@ -12,8 +12,10 @@ Program. 142, 397 (2013)).  One stacked evaluation gives the value and
 analytic gradient at the next trial point of every live restart, a new step or
 a halved backtrack, so no restart waits on another's line search.  No frame goes
 below max(0, S(A) - S(AB)); once a restart reaches that floor, the search is
-certified and its other restarts stop.  The value is an upper bound on the true
-minimum, with per-restart statistics attached.
+certified and its other restarts stop.  A zero-discord state's own frame, where each
+slice Tr_B[(1 x X) rho] is diagonal (Dakic, Vedral & Brukner, PRL 105, 190502 (2010)),
+starts the search there.  The value is an upper bound on the true minimum, with
+per-restart statistics attached.
 """
 
 from __future__ import annotations
@@ -104,6 +106,9 @@ ARMIJO, MAX_BACKTRACKS = 1e-4, 40
 # line search can lower its value no further (converged if its last step
 # changed the value by at most F_TOL).
 X_TOL, F_TOL = 1e-9, 1e-9
+# A fixed generic Hermitian on B, X[j, l] = sqrt(j + l + 2) e^{i(j - l)}: its slice
+# Tr_B[(1 x X) rho] of a cq state sum_k p_k |f_k><f_k| (x) sigma_k is diagonal in the f_k.
+_PROBE = np.fromfunction(lambda j, l: np.sqrt(j + l + 2) * np.exp(1j * (j - l)), (MAX_OPT_DIM,) * 2)
 
 
 def _log2_or_0(x):
@@ -270,15 +275,25 @@ def _check_searchable(dim: int) -> None:
                          f"got {dim}")
 
 
+def _probe_frame(rho: DensityMatrix) -> np.ndarray:
+    """The eigenframe of the slice Tr_B[(1 x X) rho], X = _PROBE: on a cq state
+    sum_k p_k |f_k><f_k| (x) sigma_k, the f_k if the p_k Tr(X sigma_k) are distinct."""
+    d_a, d_b = rho.dims
+    probe = np.einsum("ijkl,lj->ik", rho.mat.reshape(d_a, d_b, d_a, d_b), _PROBE[:d_b, :d_b])
+    return np.linalg.eigh(probe)[1]
+
+
 def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
     """Quantum discord up to part A by multi-start basis search.
 
     Restart 0 starts at the reference frame, the others at seeded Haar frames;
-    ties go to the lowest restart index.  Returns (value, OptimizationTrace).
-    The value is an upper bound on the true minimum; it is deterministic for a
-    fixed config seed.  The search is certified if a restart reached the
-    objective's floor, which discord passes to minimize, and converged if it is
-    certified or a restart that ended within F_TOL of the best value converged.
+    ties go to the lowest restart index.  If the floor is 0, as a cq state's is,
+    restart 0 starts at _probe_frame instead where that frame reaches the floor and the
+    reference frame does not.  Returns (value, OptimizationTrace).  The value is an
+    upper bound on the true minimum; it is deterministic for a fixed config seed.
+    The search is certified if a restart reached the objective's floor, which discord
+    passes to minimize, and converged if it is certified or a restart that ended
+    within F_TOL of the best value converged.
     """
     _check_searchable(rho.dim)
     config = config or OptimizerConfig()
@@ -286,6 +301,11 @@ def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
     eye = np.eye(rho.d_a, dtype=complex)[None]
     starts = np.concatenate([eye, haar_unitary(rho.d_a, rng, config.restarts - 1)])
     objective, floor = _basis_objective(rho)
+    if floor <= FLOOR_TOL:  # as on a cq state, whose S(AB) >= S(A)
+        pair = np.stack([starts[0], _probe_frame(rho)])
+        reach = objective(pair)[0] <= floor + FLOOR_TOL
+        if reach[1] and not reach[0]:
+            starts[0] = pair[1]
     frames, values, iters, converged, stops, evals = minimize(objective, starts, config, floor)
     best = int(np.argmin(values))
     records = tuple(RestartRecord(tuple(map(tuple, s)), v, i, why, e) for s, v, i, why, e

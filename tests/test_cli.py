@@ -773,7 +773,7 @@ def test_verify_rejects_invalid_restarts_and_max_iter(capsys, suite):
     assert "trials" not in err  # no trial ran, so no progress line
 
 
-def test_unconverged_search_warns_on_stderr_only(capsys, tmp_path):
+def test_unconverged_search_warns_on_stderr_only(capsys, tmp_path, monkeypatch):
     path = tmp_path / "mixed.json"
     save_state(random_state(3, 2, "ginibre-mixed", seed=4), path)
     args = ("compute", str(path), "--measures", "discord")
@@ -790,9 +790,15 @@ def test_unconverged_search_warns_on_stderr_only(capsys, tmp_path):
         k: v for k, v in full.items() if k not in ("config", "measures")
     }
 
-    code, out, err = run_cli(
-        capsys, "sweep", "cq-angle", "--steps", "3", "--measures", "discord", "--max-iter", "1"
-    )
+    # a cq-angle state starts its search in its own frame and certifies there, even on one
+    # step, so the sweep warns on those states mixed with a Bell state, whose discord is nonzero
+    sweep = ("sweep", "cq-angle", "--steps", "3", "--measures", "discord", "--max-iter", "1")
+    code, _, err = run_cli(capsys, *sweep)
+    assert code == 0 and err == ""
+    param, last, cq_angle = discoh.cli._SWEEPS["cq-angle"]
+    monkeypatch.setitem(discoh.cli._SWEEPS, "cq-angle", (param, last, lambda theta: DensityMatrix(
+        (cq_angle(theta).mat + bell_phi_plus().mat) / 2, (2, 2))))
+    code, out, err = run_cli(capsys, *sweep)
     assert code == 0
     assert "cq-angle theta=" in err
     assert len(out.strip().splitlines()) == 4

@@ -96,6 +96,19 @@ def hidden_basis_state(rng, d_a, d_b=2):
     return classical_quantum(rng.dirichlet(np.ones(d_a)), blocks, basis_a=basis)
 
 
+def probe_blind_state(rng):
+    # cq in a Haar frame of A, with equal weights on two B blocks the probe X cannot tell
+    # apart, Tr(X sigma_0) = Tr(X sigma_1): its slice is degenerate there, so the frame
+    # the probe picks is not the state's own
+    x = DISCORD_MODULE._PROBE[:2, :2]
+    sx, sz = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    c_x, c_z = np.trace(x @ sx).real, np.trace(x @ sz).real
+    blind = (c_z * sx - c_x * sz) / (4.0 * np.hypot(c_x, c_z))  # traceless, Tr(X blind) = 0
+    blocks = [np.eye(2) / 2, np.eye(2) / 2 + blind, ginibre(rng, 2, 2)]
+    basis = ReferenceBasis(haar_unitary(3, rng))
+    return classical_quantum([0.35, 0.35, 0.3], blocks, basis_a=basis)
+
+
 def counting_minimize(calls):
     """minimize that appends the row count of each stacked objective call to calls; its
     trailing arguments, the floor among them, pass through as perfbench's tracer passes them."""
@@ -147,7 +160,8 @@ def test_cayley_steps_keep_frames_unitary(monkeypatch, d_a):
 
 def test_a_search_step_is_one_solve_and_no_eigendecomposition(monkeypatch):
     # qubit B blocks take their spectra in closed form, and each trial point is
-    # one stacked Cayley solve over the restarts the objective call carries
+    # one stacked Cayley solve over the restarts the objective call carries; the one
+    # eigendecomposition is the probe's, of its (d_a, d_a) slice, before the search
     rho = random_state(3, 2, "ginibre-mixed", seed=7)
     calls = {name: [] for name in ("eigh", "solve")}
     for name, shapes in calls.items():
@@ -156,11 +170,19 @@ def test_a_search_step_is_one_solve_and_no_eigendecomposition(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    stacked = []
-    monkeypatch.setattr(DISCORD_MODULE, "minimize", counting_minimize(stacked))
+    stacked, eigh_in_search = [], []
+    counting_search = counting_minimize(stacked)
+
+    def search(*args):
+        before = len(calls["eigh"])
+        result = counting_search(*args)
+        eigh_in_search.extend(calls["eigh"][before:])
+        return result
+
+    monkeypatch.setattr(DISCORD_MODULE, "minimize", search)
     _, trace = discord(rho)
     assert trace.converged and len(stacked) > 10
-    assert calls["eigh"] == []
+    assert calls["eigh"] == [(3, 3)] and eigh_in_search == []
     assert [shape[0] for shape in calls["solve"]] == stacked[1:]
 
 
@@ -187,6 +209,85 @@ def test_search_finds_hidden_basis_zero(d_a):
         value, trace = discord(hidden_basis_state(rng, d_a))
         assert abs(value) <= 1e-9
         assert trace.converged
+
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+def test_the_search_from_the_reference_and_haar_frames_finds_hidden_basis_zero(d_a):
+    from discoh.discord import FLOOR_TOL, _basis_objective
+
+    # discord starts these states in their own frame; from the reference frame and 15
+    # seeded Haar frames, the gradient search still walks to their zero and certifies it
+    rng = np.random.default_rng(40 + d_a)
+    for _ in range(3):
+        objective, floor = _basis_objective(hidden_basis_state(rng, d_a))
+        starts = np.concatenate([np.eye(d_a)[None], haar_unitary(d_a, rng_from_seed(0), 15)])
+        _, values, _, _, stop, evaluations = minimize(objective, starts, OptimizerConfig(), floor)
+        assert values.min() <= 1e-9 and evaluations.sum() > len(starts)
+        assert "cut" in stop or values.min() <= floor + FLOOR_TOL
+
+
+def assert_certified_at_its_own_frame(rho, frame):
+    # one stacked call of 16 rows: restart 0 starts at frame, which reaches the floor 0,
+    # and cuts the other 15 at their first row
+    from discoh.discord import FLOOR_TOL
+
+    value, trace = discord(rho)
+    assert trace.certified and trace.converged and abs(value) <= FLOOR_TOL
+    assert np.array_equal(trace.restarts[0].initial_frame, frame)
+    assert [r.stop for r in trace.restarts[1:]] == ["cut"] * 15
+    assert sum(r.evaluations for r in trace.restarts) == 16
+    # the state is cq in that frame: its blocks <f_j|rho|f_k>_A off the diagonal vanish
+    d_a, d_b = rho.dims
+    u = np.kron(frame, np.eye(d_b))
+    blocks = (u.conj().T @ rho.mat @ u).reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
+    assert np.abs(blocks[~np.eye(d_a, dtype=bool)]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("equal_weights", [False, True])
+@pytest.mark.parametrize("d_b", [2, 3])
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+def test_a_cq_state_in_a_haar_frame_certifies_at_the_probe_frame(d_a, d_b, equal_weights):
+    rng = np.random.default_rng(10 * d_a + d_b)
+    for _ in range(3):
+        probs = np.full(d_a, 1.0 / d_a) if equal_weights else rng.dirichlet(np.ones(d_a))
+        blocks = [ginibre(rng, d_b, d_b) for _ in range(d_a)]
+        basis = ReferenceBasis(haar_unitary(d_a, rng))
+        rho = classical_quantum(probs, blocks, basis_a=basis)
+        assert_certified_at_its_own_frame(rho, DISCORD_MODULE._probe_frame(rho))
+
+
+@pytest.mark.parametrize("step", range(11))
+def test_every_cq_angle_of_the_sweep_certifies_at_its_first_row(step):
+    from discoh.cli import _cq_angle_state
+
+    # the sweep's default 11 angles; at theta = 0 the reference frame is the state's own
+    rho = _cq_angle_state(np.pi / 4 * step / 10)
+    frame = DISCORD_MODULE._probe_frame(rho) if step else np.eye(2)
+    assert_certified_at_its_own_frame(rho, frame)
+
+
+def test_a_state_cq_in_the_reference_frame_keeps_the_reference_start():
+    # the probe's frame lists this state's levels the other way round, but the reference
+    # frame reaches the floor too, and the search starts as it would without the probe
+    rho = classical_quantum([0.5, 0.5], [PLUS, np.diag([1.0, 0.0])])
+    assert not np.array_equal(DISCORD_MODULE._probe_frame(rho), np.eye(2))
+    assert_certified_at_its_own_frame(rho, np.eye(2))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2), (3, 3)])
+def test_a_wrong_probe_frame_leaves_the_search_from_the_reference_frame(monkeypatch, dims):
+    # certification never trusts the probe: a Haar frame in its place reaches no floor,
+    # and the search is the one from the reference frame, bit for bit
+    rng = np.random.default_rng(sum(dims))
+    seed = 10 * dims[0] + dims[1]
+    for rho in (hidden_basis_state(rng, *dims), random_state(*dims, "ginibre-mixed", seed=seed)):
+        monkeypatch.setattr(DISCORD_MODULE, "_probe_frame", lambda rho: np.eye(rho.d_a))
+        reference = discord(rho)[1].to_dict()
+        monkeypatch.setattr(DISCORD_MODULE, "_probe_frame",
+                            lambda rho: haar_unitary(rho.d_a, rng))
+        assert discord(rho)[1].to_dict() == reference
+        assert sum(r["evaluations"] for r in reference["restarts"]) > 16
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2), (2, 4)])
@@ -1304,10 +1405,12 @@ def test_a_mixture_of_physically_free_channels_raises_dac_off_the_zero_set():
 
 
 def test_unconverged_discord_search_leaves_membership_undecided():
-    # exact discord 0; one step leaves the best restart far above the threshold,
-    # and the trace says the value is only an upper bound
-    rho = hidden_basis_state(np.random.default_rng(7), 3)
+    # exact discord 0, in a frame the probe misses, so the search starts at the reference
+    # frame; one step leaves the best restart far above the threshold, and the trace says
+    # the value is only an upper bound
+    rho = probe_blind_state(np.random.default_rng(7))
     value, _, trace = discord_via_coherence(rho, OptimizerConfig(max_iter=1))
+    assert np.array_equal(trace.restarts[0].initial_frame, np.eye(3))
     assert not trace.converged and value > 1e-6
     value, _, trace = discord_via_coherence(rho)
     assert trace.converged and value <= 1e-9

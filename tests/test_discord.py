@@ -321,8 +321,10 @@ def test_stacked_calls_follow_the_longest_restart():
     rho = hidden_basis_state(np.random.default_rng(44), 4)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DISCORD_MODULE, "minimize", counting_minimize(calls))
+        # from the reference and Haar starts: the probe's frame would certify at once
+        mp.setattr(DISCORD_MODULE, "_probe_frame", lambda rho: np.eye(rho.d_a))
         value, trace = discord(rho)
-    assert abs(value) <= 1e-9 and trace.converged
+    assert abs(value) <= 1e-9 and trace.converged and len(calls) > 1
     evaluations = [r.evaluations for r in trace.restarts]
     # every call carries each live restart once, the first call all of them
     assert len(calls) == max(evaluations) and sum(calls) == sum(evaluations)

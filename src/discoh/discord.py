@@ -207,8 +207,8 @@ def minimize(objective, frames, config: OptimizerConfig, floor: float):
     known: every caller passes one.  The start or accepted step that first brings
     a restart within FLOOR_TOL of it stops every other live restart (stop "cut");
     the restarts at the floor go on to their own stop.
-    Returns (frames, values, iterations, converged, stop, evaluations), one
-    entry per restart in each.
+    Returns (frames, values, iterations, converged, stop, evaluations), one entry per
+    restart in each, and certified, whether a start or accepted step came that close.
     """
     u = np.array(frames, dtype=complex)
     n = len(u)
@@ -266,7 +266,7 @@ def minimize(objective, frames, config: OptimizerConfig, floor: float):
     stop = np.where(failed, "line-search", np.where(at_gradient, "gradient", "budget"))
     stop[cut] = "cut"
     converged = at_gradient | failed & (drop <= F_TOL)
-    return u, f, iters.astype(int), converged, stop, evals.astype(int)
+    return u, f, iters.astype(int), converged, stop, evals.astype(int), certified
 
 
 def _check_searchable(dim: int) -> None:
@@ -291,9 +291,9 @@ def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
     restart 0 starts at _probe_frame instead where that frame reaches the floor and the
     reference frame does not.  Returns (value, OptimizationTrace).  The value is an
     upper bound on the true minimum; it is deterministic for a fixed config seed.
-    The search is certified if a restart reached the objective's floor, which discord
-    passes to minimize, and converged if it is certified or a restart that ended
-    within F_TOL of the best value converged.
+    The search is certified as minimize returns it: a restart's start or accepted step came
+    within FLOOR_TOL of the floor, even if it then ended roundoff above it.  It is converged
+    if it is certified or a restart that ended within F_TOL of the best value converged.
     """
     _check_searchable(rho.dim)
     config = config or OptimizerConfig()
@@ -306,15 +306,13 @@ def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
         reach = objective(pair)[0] <= floor + FLOOR_TOL
         if reach[1] and not reach[0]:
             starts[0] = pair[1]
-    frames, values, iters, converged, stops, evals = minimize(objective, starts, config, floor)
+    frames, values, iters, converged, stops, evals, certified = minimize(
+        objective, starts, config, floor)
     best = int(np.argmin(values))
     records = tuple(RestartRecord(tuple(map(tuple, s)), v, i, why, e) for s, v, i, why, e
                     in zip(*(c.tolist() for c in (starts, values, iters, stops, evals))))
     at_best = values - values[best] <= F_TOL
     value = float(values[best])
-    # a restart reached the floor if it cut another, or if the value ends there (a
-    # restart at the floor that ran alone can end roundoff above where it reached it)
-    certified = "cut" in stops or value <= floor + FLOOR_TOL
     return value, OptimizationTrace(value, ReferenceBasis(frames[best]), records,
                                     certified or bool(converged[at_best].any()),
                                     int(np.count_nonzero(at_best)), certified)

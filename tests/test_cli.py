@@ -804,6 +804,21 @@ def test_unconverged_search_warns_on_stderr_only(capsys, tmp_path, monkeypatch):
     assert len(out.strip().splitlines()) == 4
 
 
+def test_a_search_certified_above_its_floor_prints_no_warning(capsys, tmp_path):
+    # a rank-2 4x2 state whose one restart reaches its floor at an accepted step and ends
+    # on its budget 1.2e-14 above it: certified, so converged, and stderr stays empty
+    rng = np.random.default_rng(207)
+    g = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    m = g @ g.conj().T
+    path = tmp_path / "rank2.json"
+    save_state(DensityMatrix(m / np.trace(m).real, (4, 2)), path)
+    code, out, err = run_cli(
+        capsys, "compute", str(path), "--restarts", "1", "--measures", "discord", "--format", "csv"
+    )
+    assert code == 0 and err == ""
+    assert out == "discord\n0.415715285329\n"
+
+
 def test_cli_import_leaves_scipy_out():
     import os
     import subprocess

@@ -221,9 +221,11 @@ def test_the_search_from_the_reference_and_haar_frames_finds_hidden_basis_zero(d
     for _ in range(3):
         objective, floor = _basis_objective(hidden_basis_state(rng, d_a))
         starts = np.concatenate([np.eye(d_a)[None], haar_unitary(d_a, rng_from_seed(0), 15)])
-        _, values, _, _, stop, evaluations = minimize(objective, starts, OptimizerConfig(), floor)
+        _, values, _, _, stop, evaluations, certified = minimize(
+            objective, starts, OptimizerConfig(), floor)
         assert values.min() <= 1e-9 and evaluations.sum() > len(starts)
         assert "cut" in stop or values.min() <= floor + FLOOR_TOL
+        assert certified
 
 
 def assert_certified_at_its_own_frame(rho, frame):
@@ -308,12 +310,15 @@ def test_a_restart_follows_the_path_it_takes_alone(d_a, d_b):
     rho = random_state(d_a, d_b, "ginibre-mixed", seed=10 * d_a + d_b)
     objective, floor = _basis_objective(rho)
     starts = np.concatenate([np.eye(d_a)[None], haar_unitary(d_a, rng_from_seed(d_a), 15)])
-    stacked = minimize(objective, starts, OptimizerConfig(), floor)
+    # no frame of a full-rank state reaches its floor, so no restart certifies or is cut
+    *stacked, certified = minimize(objective, starts, OptimizerConfig(), floor)
+    assert not certified
     for k in range(len(starts)):
-        alone = minimize(objective, starts[k:k + 1], OptimizerConfig(), floor)
+        *alone, certified = minimize(objective, starts[k:k + 1], OptimizerConfig(), floor)
         # every column: frames, values, iterations, converged, stop and evaluations
         for together, by_itself in zip(stacked, alone, strict=True):
             assert np.array_equal(together[k:k + 1], by_itself)
+        assert not certified
 
 
 def test_stacked_calls_follow_the_longest_restart():
@@ -338,16 +343,17 @@ def test_stop_reasons_name_the_budget_and_the_line_search():
 
     objective, floor = _basis_objective(random_state(3, 2, "ginibre-mixed", seed=5))
     starts = np.stack([haar_unitary(3, np.random.default_rng(k)) for k in range(3)])
-    _, _, iters, _, stop, _ = minimize(objective, starts, OptimizerConfig(max_iter=2), floor)
-    assert list(stop) == ["budget"] * 3 and list(iters) == [2] * 3
+    _, _, iters, _, stop, _, certified = minimize(
+        objective, starts, OptimizerConfig(max_iter=2), floor)
+    assert list(stop) == ["budget"] * 3 and list(iters) == [2] * 3 and not certified
 
     def uphill(frames):
         f, g = objective(frames)
         return f, -g
 
     # the initial point and every halving of the one step that never drops
-    *_, stop, evaluations = minimize(uphill, starts, OptimizerConfig(), -np.inf)
-    assert list(stop) == ["line-search"] * 3
+    *_, stop, evaluations, certified = minimize(uphill, starts, OptimizerConfig(), -np.inf)
+    assert list(stop) == ["line-search"] * 3 and not certified
     assert list(evaluations) == [41] * 3
 
 
@@ -811,13 +817,13 @@ def test_search_converged_if_a_restart_at_the_best_value_converged(monkeypatch, 
     def fake(objective, frames, config, floor):
         stop = np.array(stops)
         values = np.array([0.3, 0.1, 0.1 + 5e-10])
-        return frames, values, np.full(3, 9), stop != "budget", stop, np.full(3, 10)
+        return frames, values, np.full(3, 9), stop != "budget", stop, np.full(3, 10), False
 
     monkeypatch.setattr(DISCORD_MODULE, "minimize", fake)
     value, trace = discord(random_state(2, 2, "ginibre-mixed", seed=1), OptimizerConfig(3))
     assert value == 0.1 and trace.restarts_at_best == 2
     assert [r.stop for r in trace.restarts] == stops
-    assert trace.converged is converged
+    assert trace.converged is converged and trace.certified is False
 
 
 @pytest.mark.parametrize("seed", [93])
@@ -842,6 +848,18 @@ def test_rank_two_4x2_states_at_their_floor_are_certified(seed):
     stops = [r.stop for r in trace.restarts]
     assert stops.count("cut") == 15 and set(stops) - {"cut"} <= {"gradient", "budget"}
     assert abs(value - koashi_winter_discord(rho)) <= 1e-9
+
+
+def test_a_restart_certified_at_an_accepted_step_keeps_the_verdict_above_the_floor():
+    from discoh.discord import FLOOR_TOL, _basis_objective
+
+    # the one restart reaches the floor S(A) - S(AB) at an accepted step, with no restart
+    # left to cut, walks on to its 500-step budget and ends 1.2e-14 above that floor
+    rho = DensityMatrix(ginibre(np.random.default_rng(207), 8, 2), (4, 2))
+    value, trace = discord(rho, OptimizerConfig(restarts=1))
+    assert trace.certified and trace.converged
+    assert [r.stop for r in trace.restarts] == ["budget"]
+    assert value > _basis_objective(rho)[1] + FLOOR_TOL
 
 
 def test_a_search_whose_restarts_at_the_best_value_all_hit_their_budget_is_unconverged():

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .channels import (
     ChannelMixture,
-    apply,
     classify,
     dephasing_channel,
     make_iuo,

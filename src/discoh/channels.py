@@ -2,14 +2,16 @@
 incoherently unitary operations (IUOs), projective physically incoherent
 operations (PPIOs), their rank-one special case, and the factorizable
 physically free channels U_a (x) B_j.  Every channel argument and result is one
-(n, d, d) Kraus stack (U_a (x) B_j as its two factors, which act on the reshaped
-state through linalg.apply_local).  Each builder takes the input that defines its
-family: an IUO or a rank-one PPIO {e^{i th_j} |f(j)><j|} its level map f and phases,
-checked by one function (an IUO's f a permutation), and U_a (x) {B_j} its two factor
-stacks; a family's builder and sampler (a raw draw, then the build) share one
-construction.  classify, ChannelMixture and apply check a stack through KrausChannel,
-the one trace-preservation check.  A PIO, a convex mixture of PPIOs, is a
-ChannelMixture of their stacks; a general PPIO is a stack that classify labels ppio.
+(n, d, d) Kraus stack (U_a (x) B_j as its two factors), and every stack acts through
+linalg.apply_local: on one side of a bipartite state, or on a state of its own system
+as side A of dims (d, 1).  Each builder takes the input that defines its family: an
+IUO or a rank-one PPIO {e^{i th_j} |f(j)><j|} its level map f and phases, checked by
+one function (an IUO's f a permutation), and U_a (x) {B_j} its two factor stacks; a
+family's builder and sampler (a raw draw, then the build) share one construction.
+classify and ChannelMixture check a stack through KrausChannel, the one
+trace-preservation check.  A PIO, a convex mixture of PPIOs, is a ChannelMixture of
+their stacks, its output the weighted sum of theirs; a general PPIO is a stack that
+classify labels ppio.
 
 classify decides physically-free in every Kraus representation of a channel;
 its other labels read the representation as given.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import dag
-from .states import DensityMatrix, _check_count, _check_dims, _checked_state, _haar_isometries
+from .states import _check_count, _check_dims, _haar_isometries
 
 KRAUS_TOL = 1e-9
 CLASSIFY_TOL = 1e-9
@@ -64,9 +66,9 @@ class KrausChannel:
 class ChannelMixture:
     """Convex combination of Kraus stacks, each checked and kept read-only.
 
-    Mixtures are applied as the weighted sum of the component outputs; they
-    are deliberately not flattened into one Kraus set, so the number of
-    components stays observable.
+    A mixture's output is the weighted sum of its components' outputs, each
+    through linalg.apply_local; it is deliberately not flattened into one Kraus
+    set, so the number of components stays observable.
     """
 
     __slots__ = ("weights", "components")
@@ -87,26 +89,6 @@ class ChannelMixture:
 
     def __setattr__(self, name, value):
         raise AttributeError("ChannelMixture is immutable")
-
-
-def apply(chan, rho):
-    """Apply a Kraus stack (n, d, d), or a ChannelMixture of them, to a state of
-    its own system.
-
-    DensityMatrix in, DensityMatrix out (revalidated); a plain matrix, checked
-    on entry, comes out as a matrix.  A channel on one side of a bipartite
-    state, such as U_a (x) {B_j}, acts through linalg.apply_local instead.
-    """
-    if not isinstance(chan, ChannelMixture):
-        chan = ChannelMixture((1.0,), (chan,))  # which checks the stack
-    state = isinstance(rho, DensityMatrix)
-    m = _checked_state(rho)[0]
-    dim = chan.components[0].shape[-1]
-    if m.shape[0] != dim:
-        raise ValueError(f"state dimension {m.shape[0]} does not match channel ({dim})")
-    out = sum(w * (c @ m @ c.conj().swapaxes(-1, -2)).sum(axis=0)
-              for w, c in zip(chan.weights, chan.components))
-    return DensityMatrix(out, rho.dims) if state else out
 
 
 # ---------------------------------------------------------------------------

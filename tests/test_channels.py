@@ -10,7 +10,6 @@ from discoh.channels import (
     KrausChannel,
     _draw_rank_one_ppio,
     _rank_one_stacks,
-    apply,
     classify,
     dephasing_channel,
     make_iuo,
@@ -40,18 +39,18 @@ def plain_dephase(m):
 def test_identity_channel_is_noop():
     chan = [np.eye(2)]
     rho = random_state(2, 1, "ginibre-mixed", seed=1)
-    assert_allclose(apply(chan, rho).mat, rho.mat, atol=1e-12)
+    assert_allclose(apply_local(rho.mat, rho.dims, chan), rho.mat, atol=1e-12)
 
 
 def test_full_dephasing_channel_matches_dephase():
     chan = dephasing_channel(2)
     rho = random_state(2, 1, "ginibre-mixed", seed=2)
-    assert_allclose(apply(chan, rho).mat, plain_dephase(rho.mat), atol=1e-12)
+    assert_allclose(apply_local(rho.mat, rho.dims, chan), plain_dephase(rho.mat), atol=1e-12)
 
 
 def test_bit_flip_channel():
     chan = [PAULI_X]
-    out = apply(chan, np.diag([1.0, 0.0]).astype(complex))
+    out = apply_local(np.diag([1.0, 0.0]).astype(complex), (2, 1), chan)
     assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
 
@@ -68,19 +67,13 @@ def test_kraus_channel_rejects_non_square_operators():
     assert KrausChannel([np.eye(3)]).dim == 3
 
 
-def test_apply_dimension_mismatch():
-    chan = [np.eye(2)]
-    with pytest.raises(ValueError, match="dimension"):
-        apply(chan, np.eye(3) / 3)
-
-
 def test_make_iuo_identity_and_swap():
     ident = make_iuo([0, 1], [0.0, 0.0])
     assert ident.shape == (1, 2, 2)
     assert_allclose(ident[0], np.eye(2))
     swap = make_iuo([1, 0], [0.0, 0.0])
     rho = random_state(2, 1, "ginibre-mixed", seed=3)
-    assert_allclose(apply(swap, rho).mat, PAULI_X @ rho.mat @ PAULI_X, atol=1e-12)
+    assert_allclose(apply_local(rho.mat, rho.dims, swap), PAULI_X @ rho.mat @ PAULI_X, atol=1e-12)
 
 
 def test_make_iuo_preserves_diagonal_states():
@@ -88,7 +81,7 @@ def test_make_iuo_preserves_diagonal_states():
     for _ in range(5):
         chan = make_iuo(rng.permutation(3), rng.uniform(0, 2 * np.pi, 3))
         d = rng.dirichlet(np.ones(3))
-        out = apply(chan, np.diag(d).astype(complex))
+        out = apply_local(np.diag(d).astype(complex), (3, 1), chan)
         assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-12
 
 
@@ -159,7 +152,7 @@ def test_rank_one_ppio_all_identity_is_dephasing():
     ops = make_rank_one_ppio([0, 1], [0.0, 0.0])
     assert np.array_equal(ops, dephasing_channel(2))
     rho = random_state(2, 1, "ginibre-mixed", seed=5)
-    assert_allclose(apply(ops, rho).mat, plain_dephase(rho.mat), atol=1e-12)
+    assert_allclose(apply_local(rho.mat, rho.dims, ops), plain_dephase(rho.mat), atol=1e-12)
 
 
 def test_rank_one_ppio_dim3_level_swap_kraus_set():
@@ -173,7 +166,7 @@ def test_rank_one_ppio_dim3_level_swap_kraus_set():
     assert_allclose(ops[2], np.diag([0.0, 0.0, 1.0]))
     # it merges the first two diagonal blocks
     rho = random_state(3, 1, "ginibre-mixed", seed=6)
-    out = apply(ops, rho).mat
+    out = apply_local(rho.mat, rho.dims, ops)
     assert_allclose(out, np.diag([0.0, rho.mat[0, 0] + rho.mat[1, 1], rho.mat[2, 2]]), atol=1e-12)
 
 
@@ -182,7 +175,7 @@ def test_rank_one_ppio_output_always_incoherent():
     for _ in range(10):
         chan = random_rank_one_ppio(2, rng, 1)[0]
         rho = random_state(2, 1, "ginibre-mixed", seed=int(rng.integers(1 << 32)))
-        out = apply(chan, rho).mat
+        out = apply_local(rho.mat, rho.dims, chan)
         assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-12
 
 
@@ -258,8 +251,10 @@ def test_pio_mixture_of_two_ppios():
     assert len(pio.components) == 2
     assert all(not c.flags.writeable for c in pio.components)
     rho = random_state(2, 1, "ginibre-mixed", seed=8)
-    expected = 0.5 * apply(one, rho).mat + 0.5 * apply(other, rho).mat
-    assert_allclose(apply(pio, rho).mat, expected, atol=1e-12)
+    m, dims = rho.mat, rho.dims
+    expected = 0.5 * apply_local(m, dims, one) + 0.5 * apply_local(m, dims, other)
+    out = sum(w * apply_local(m, dims, c) for w, c in zip(pio.weights, pio.components))
+    assert_allclose(out, expected, atol=1e-12)
 
 
 def test_pio_weights_must_sum_to_one():
@@ -491,13 +486,26 @@ def test_apply_local_dephasing_on_a_is_dephase_local():
 
 
 def test_product_channel_matches_its_joint_kraus_set():
-    # U_a (x) {B_j} from its factors through apply_local, and through apply
-    # as its joint stack on A (x) B
+    # U_a (x) {B_j} from its factors, and as its joint stack on A (x) B: the
+    # channel on the one system of dims (6, 1)
     rng = np.random.default_rng(14)
     u_a, b_ops = random_physically_free(2, 3, rng, n_b_ops=2)
     rho = random_state(2, 3, "ginibre-mixed", seed=14)
     assert_allclose(apply_local(rho.mat, rho.dims, u_a, b_ops),
-                    apply(joint(u_a, b_ops), rho).mat, atol=1e-12)
+                    apply_local(rho.mat, (6, 1), joint(u_a, b_ops)), atol=1e-12)
+
+
+def test_keeping_the_zero_set_does_not_make_a_channel_physically_free():
+    # Theorem 3 as the suite checks it runs one way: U_a (x) {B_j} keeps the zero set.
+    # The converse fails: reset of A, a rank-one PPIO, keeps every sampled cq state at
+    # dac = 0 exactly, yet {K_n (x) 1} is no U_a (x) {B_j}, since no mixture of unitaries
+    # on A sends 1/2 to |0><0|
+    reset = make_rank_one_ppio([0, 0], [0.0, 0.0])
+    rng = rng_from_seed(3)
+    for _ in range(200):
+        rho = random_cq_state(rng, 2, 2)
+        assert coherence_discord(DensityMatrix(apply_local(rho.mat, rho.dims, reset), (2, 2))) == 0
+    assert classify(joint(reset, np.eye(2)[None]), dims=(2, 2)) == {"incoherent", "ppio"}
 
 
 @pytest.mark.parametrize("side", ["a", "b"])
@@ -533,24 +541,27 @@ def test_a_kraus_channel_is_not_taken_for_its_stack():
     chan = KrausChannel(dephasing_channel(2))
     for call in (lambda: KrausChannel(chan), lambda: classify(chan),
                  lambda: ppio_monotonicity_gap(bell_phi_plus(), chan),
-                 lambda: ChannelMixture([0.5, 0.5], [chan, chan]),
-                 lambda: apply(chan, np.eye(2) / 2)):
+                 lambda: ChannelMixture([0.5, 0.5], [chan, chan])):
         with pytest.raises(TypeError, match=r"pass its \.ops"):
             call()
     assert "rank-one-ppio" in classify(chan.ops)
 
 
-def test_apply_and_mixtures_take_the_kraus_stack():
-    # the stack is the one channel form: apply and ChannelMixture take it as classify
-    # does, and give what the stack checked through KrausChannel gives, bit for bit
-    stack, swap = dephasing_channel(2), make_iuo([1, 0], [0.0, 0.0])
-    rho = random_state(2, 1, "ginibre-mixed", seed=17)
-    out = apply(stack, rho).mat
-    checked = KrausChannel(stack).ops
-    assert np.array_equal(out, (checked @ rho.mat @ checked.conj().swapaxes(-1, -2)).sum(0))
-    pio = ChannelMixture([0.5, 0.5], [stack, swap])
-    assert np.array_equal(apply(pio, rho).mat, 0.5 * out + 0.5 * apply(swap, rho).mat)
-    assert np.array_equal(apply(pio, np.ones((2, 2)) / 2), [[0.5, 0.25], [0.25, 0.5]])
+def test_apply_local_on_a_trivial_b_is_the_kraus_sum():
+    # a channel on one system is the local channel on A of dims (d, 1), and a PIO's
+    # output is the weighted sum of its components' outputs: both are sum_n K_n m K_n†
+    rng = rng_from_seed(17)
+    for d in (2, 3, 4, 6):
+        m = random_state_from(rng, d, 1).mat
+        ops, other = random_kraus_ops(d, 2, rng), random_kraus_ops(d, 3, rng)
+
+        def kraus_sum(k):
+            return (k @ m @ k.conj().swapaxes(-1, -2)).sum(axis=0)
+
+        assert_allclose(apply_local(m, (d, 1), ops), kraus_sum(ops), rtol=0, atol=1e-15)
+        pio = ChannelMixture([0.25, 0.75], [ops, other])
+        out = sum(w * apply_local(m, (d, 1), c) for w, c in zip(pio.weights, pio.components))
+        assert_allclose(out, 0.25 * kraus_sum(ops) + 0.75 * kraus_sum(other), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -723,11 +723,13 @@ def test_local_unitary_invariance_catches_a_one_step_search():
 def test_a_spectator_joined_to_b_leaves_the_discord(d_a):
     # D^a(rho (x) sigma) = D^a(rho) for a state sigma of a qubit B' joined to B: the
     # objective is the same function of the frame on both states, read through the
-    # qubit closed form at d_b = 2 and through eigh at d_b = 4
-    rng = np.random.default_rng(900 + d_a)
-    rho = DensityMatrix(ginibre(rng, 2 * d_a, 2 * d_a), (d_a, 2))
-    joined = DensityMatrix(np.kron(rho.mat, ginibre(rng, 2, 2)), (d_a, 4))
-    assert abs(discord(joined)[0] - discord(rho)[0]) <= 1e-9
+    # qubit closed form at d_b = 2 and through eigh at d_b = 4; from d_b = 3, through
+    # eigh on both sides (d_a x 3 and d_a x 6, within MAX_OPT_DIM)
+    for d_b in (2, 3):
+        rng = np.random.default_rng(900 + d_a)
+        rho = DensityMatrix(ginibre(rng, d_b * d_a, d_b * d_a), (d_a, d_b))
+        joined = DensityMatrix(np.kron(rho.mat, ginibre(rng, 2, 2)), (d_a, 2 * d_b))
+        assert abs(discord(joined)[0] - discord(rho)[0]) <= 1e-9, d_b
 
 
 SIGMA_YY = np.kron([[0.0, -1j], [1j, 0.0]], [[0.0, -1j], [1j, 0.0]])

@@ -59,7 +59,7 @@ def test_readme_quickstart_runs():
     assert checked == [
         "coherence_discord(bell)", "value", "coherence_discord(cq)",
         "coherence_discord(dephased)", "classify(swap)",
-        "apply(pio, np.ones((2, 2)) / 2)", "coherence_discord(freed)",
+        "mixed", "coherence_discord(freed)",
     ]
 
 

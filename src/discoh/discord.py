@@ -14,12 +14,15 @@ a halved backtrack, so no restart waits on another's line search.  No frame goes
 below max(0, S(A) - S(AB)); once a restart reaches that floor, the search is
 certified and its other restarts stop.  A zero-discord state's own frame, where each
 slice Tr_B[(1 x X) rho] is diagonal (Dakic, Vedral & Brukner, PRL 105, 190502 (2010)),
-starts the search there.  The value is an upper bound on the true minimum, with
-per-restart statistics attached.
+starts the search there.  The seeded starts, the reference frame and Haar frames, are
+drawn once per process for each (d_a, restarts, seed) and shared read-only by every
+search of that config, so a value stays a function of the state and the config.  The
+value is an upper bound on the true minimum, with per-restart statistics attached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +50,9 @@ class OptimizerConfig:
         _check_count("restarts", self.restarts)
         _check_count("max_iter", self.max_iter)
         _check_count("seed", self.seed, least=0)
+
+
+_DEFAULT_CONFIG = OptimizerConfig()
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,14 @@ X_TOL, F_TOL = 1e-9, 1e-9
 # A fixed generic Hermitian on B, X[j, l] = sqrt(j + l + 2) e^{i(j - l)}: its slice
 # Tr_B[(1 x X) rho] of a cq state sum_k p_k |f_k><f_k| (x) sigma_k is diagonal in the f_k.
 _PROBE = np.fromfunction(lambda j, l: np.sqrt(j + l + 2) * np.exp(1j * (j - l)), (MAX_OPT_DIM,) * 2)
+# a qubit block's p, lo and hi: weights on half its trace and on r, half the gap
+# of its spectrum, and the signs of their x log2 x in f
+_HALF_TRACE, _HALF_GAP, _SIGNS = np.array([[2.0, 1.0, 1.0], [0.0, -1.0, 1.0], [1.0, -1.0, -1.0]])
+_HALF_TRACE, _HALF_GAP = _HALF_TRACE[:, None, None], _HALF_GAP[:, None, None]
+# The seeded starts a process keeps, each for one (d_a, restarts, seed): enough for the
+# default search at every d_a and a few configs beside it, while searches that each draw
+# their own seed, as the theorem2 and zero-sets trials do, only cycle through the memo.
+_STARTS_MEMO_SIZE = 32
 
 
 def _log2_or_0(x):
@@ -146,10 +160,6 @@ def _basis_objective(rho: DensityMatrix):
     # the marginal is trusted as rho is, not rechecked at tolerances rho may have loosened
     ra = partial_trace(rho.mat, rho.dims, keep="a")
     const = entropy_of_probs(np.linalg.eigvalsh(ra)) - entropy_of_probs(rho.spectrum)
-    # a qubit block's p, lo and hi: weights on half its trace and on r, half the gap
-    # of its spectrum, and the signs of their x log2 x in f
-    half_trace, half_gap, signs = np.array([[2.0, 1.0, 1.0], [0.0, -1.0, 1.0], [1.0, -1.0, -1.0]])
-    half_trace, half_gap = half_trace[:, None, None], half_gap[:, None, None]
 
     def objective(frames):
         y = (tm @ frames).reshape(-1, d_a, d_b, d_b, d_a)
@@ -157,11 +167,11 @@ def _basis_objective(rho: DensityMatrix):
         if d_b == 2:
             a, d = blocks[..., 0, 0].real, blocks[..., 1, 1].real
             half, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(blocks[..., 0, 1]))
-            x = np.maximum(half_trace * half + half_gap * r, 0.0)  # p, lo, hi
+            x = np.maximum(_HALF_TRACE * half + _HALF_GAP * r, 0.0)  # p, lo, hi
             # pseudo-log, log 0 := 0: a zero eigenvalue of a PSD block moves only at
             # second order, so its weight in W adds nothing to the gradient
             logs = _log2_or_0(x)
-            f = const + np.einsum("kra,k->r", x * logs, signs)
+            f = const + np.einsum("kra,k->r", x * logs, _SIGNS)
             c1 = _log2_slope(x[1], x[2], r)
             wmat = -c1[..., None, None] * blocks
             wmat.reshape(*c1.shape, 4)[..., ::3] += (logs[0] - logs[1] + c1 * x[1])[..., None]
@@ -283,11 +293,22 @@ def _probe_frame(rho: DensityMatrix) -> np.ndarray:
     return np.linalg.eigh(probe)[1]
 
 
+@functools.lru_cache(maxsize=_STARTS_MEMO_SIZE)
+def _seeded_starts(d_a: int, restarts: int, seed: int) -> np.ndarray:
+    """The reference frame, then restarts - 1 Haar frames from rng_from_seed(seed): drawn
+    once per process for each (d_a, restarts, seed) and shared read-only."""
+    eye = np.eye(d_a, dtype=complex)[None]
+    starts = np.concatenate([eye, haar_unitary(d_a, rng_from_seed(seed), restarts - 1)])
+    starts.flags.writeable = False
+    return starts
+
+
 def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
     """Quantum discord up to part A by multi-start basis search.
 
-    Restart 0 starts at the reference frame, the others at seeded Haar frames;
-    ties go to the lowest restart index.  If the floor is 0, as a cq state's is,
+    Restart 0 starts at the reference frame, the others at seeded Haar frames, which a
+    process draws once for each (d_a, restarts, seed) and shares read-only between its
+    searches; ties go to the lowest restart index.  If the floor is 0, as a cq state's is,
     restart 0 starts at _probe_frame instead where that frame reaches the floor and the
     reference frame does not.  Returns (value, OptimizationTrace).  The value is an
     upper bound on the true minimum; it is deterministic for a fixed config seed.
@@ -296,16 +317,14 @@ def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
     if it is certified or a restart that ended within F_TOL of the best value converged.
     """
     _check_searchable(rho.dim)
-    config = config or OptimizerConfig()
-    rng = rng_from_seed(config.seed)
-    eye = np.eye(rho.d_a, dtype=complex)[None]
-    starts = np.concatenate([eye, haar_unitary(rho.d_a, rng, config.restarts - 1)])
+    config = config or _DEFAULT_CONFIG
+    starts = _seeded_starts(rho.d_a, config.restarts, config.seed)
     objective, floor = _basis_objective(rho)
     if floor <= FLOOR_TOL:  # as on a cq state, whose S(AB) >= S(A)
         pair = np.stack([starts[0], _probe_frame(rho)])
         reach = objective(pair)[0] <= floor + FLOOR_TOL
-        if reach[1] and not reach[0]:
-            starts[0] = pair[1]
+        if reach[1] and not reach[0]:  # a copy: the memo's starts stay as drawn
+            starts = np.concatenate([pair[1:], starts[1:]])
     frames, values, iters, converged, stops, evals, certified = minimize(
         objective, starts, config, floor)
     best = int(np.argmin(values))

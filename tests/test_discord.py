@@ -1,6 +1,7 @@
 import functools
 import importlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -36,11 +37,12 @@ from discoh.states import (
     bell_phi_plus,
     classical_quantum,
     haar_unitary,
+    matrix_to_json,
     random_state,
     rng_from_seed,
     werner,
 )
-from discoh.verify import nonconvexity_witness
+from discoh.verify import nonconvexity_witness, run_suite
 
 # the module itself, for monkeypatch: the function discord, which discoh exports, shadows the
 # submodule as the attribute discoh.discord, so monkeypatch.setattr("discoh.discord.X", ...)
@@ -290,6 +292,57 @@ def test_a_wrong_probe_frame_leaves_the_search_from_the_reference_frame(monkeypa
         assert discord(rho)[1].to_dict() == reference
         assert sum(r["evaluations"] for r in reference["restarts"]) > 16
         monkeypatch.undo()
+
+
+def drawn_starts(d_a, restarts, seed):
+    """The seeded starts as a search draws them without the memo."""
+    eye = np.eye(d_a, dtype=complex)[None]
+    return np.concatenate([eye, haar_unitary(d_a, rng_from_seed(seed), restarts - 1)])
+
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+def test_the_memoized_starts_are_the_drawn_ones_and_read_only(d_a):
+    starts = DISCORD_MODULE._seeded_starts(d_a, 16, 0)
+    drawn = drawn_starts(d_a, 16, 0)
+    assert starts.shape == drawn.shape and starts.tobytes() == drawn.tobytes()
+    assert DISCORD_MODULE._seeded_starts(d_a, 16, 0) is starts
+    with pytest.raises(ValueError, match="read-only"):
+        starts[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+def test_a_search_takes_one_path_whether_its_starts_are_memoized_or_drawn(d_a):
+    # the cq state certifies at its probe frame, which takes restart 0's place in a copy
+    rng = np.random.default_rng(60 + d_a)
+    states = (random_state(d_a, 2, "ginibre-mixed", seed=60 + d_a), hidden_basis_state(rng, d_a, 2))
+    for rho in states:
+        discord(rho)
+        warm = discord(rho)[1].to_dict()
+        DISCORD_MODULE._seeded_starts.cache_clear()
+        assert json.dumps(discord(rho)[1].to_dict()) == json.dumps(warm)
+    assert warm["certified"] and warm["restarts"][0]["initial_frame"] != matrix_to_json(np.eye(d_a))
+    assert DISCORD_MODULE._seeded_starts(d_a, 16, 0).tobytes() == drawn_starts(d_a, 16, 0).tobytes()
+
+
+def test_searches_of_another_seed_or_restart_count_get_their_own_starts():
+    rho = random_state(2, 2, "ginibre-mixed", seed=9)
+    memo = DISCORD_MODULE._seeded_starts
+    memo.cache_clear()
+    configs = [(8, 1), (8, 2), (12, 1)]
+    for restarts, seed in configs:
+        trace = discord(rho, OptimizerConfig(restarts=restarts, seed=seed))[1]
+        starts = np.array([r.initial_frame for r in trace.restarts])
+        assert starts.tobytes() == drawn_starts(2, restarts, seed).tobytes()
+    assert memo.cache_info().currsize == len(configs)
+
+
+def test_per_trial_seeds_keep_the_memo_within_its_bound():
+    memo = DISCORD_MODULE._seeded_starts
+    memo.cache_clear()
+    # each of the 100 trials searches from its own seed
+    assert run_suite("theorem2", trials=100, seed=3).passed
+    info = memo.cache_info()
+    assert info.misses == 100 and info.currsize == info.maxsize == DISCORD_MODULE._STARTS_MEMO_SIZE
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2), (2, 4)])
@@ -724,8 +777,8 @@ def test_a_spectator_joined_to_b_leaves_the_discord(d_a):
     # D^a(rho (x) sigma) = D^a(rho) for a state sigma of a qubit B' joined to B: the
     # objective is the same function of the frame on both states, read through the
     # qubit closed form at d_b = 2 and through eigh at d_b = 4; from d_b = 3, through
-    # eigh on both sides (d_a x 3 and d_a x 6, within MAX_OPT_DIM)
-    for d_b in (2, 3):
+    # eigh on both sides, up to 4x4 against 4x8 (32, within MAX_OPT_DIM)
+    for d_b in (2, 3, 4):
         rng = np.random.default_rng(900 + d_a)
         rho = DensityMatrix(ginibre(rng, d_b * d_a, d_b * d_a), (d_a, d_b))
         joined = DensityMatrix(np.kron(rho.mat, ginibre(rng, 2, 2)), (d_a, 2 * d_b))

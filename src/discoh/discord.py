@@ -14,10 +14,10 @@ a halved backtrack, so no restart waits on another's line search.  No frame goes
 below max(0, S(A) - S(AB)); once a restart reaches that floor, the search is
 certified and its other restarts stop.  A zero-discord state's own frame, where each
 slice Tr_B[(1 x X) rho] is diagonal (Dakic, Vedral & Brukner, PRL 105, 190502 (2010)),
-starts the search there.  The seeded starts, the reference frame and Haar frames, are
-drawn once per process for each (d_a, restarts, seed) and shared read-only by every
-search of that config, so a value stays a function of the state and the config.  The
-value is an upper bound on the true minimum, with per-restart statistics attached.
+rides in the first stacked call and starts the search there.  The seeded starts, the
+reference frame and Haar frames, are drawn once per process for each (d_a, restarts,
+seed) and shared read-only, so a value stays a function of the state and the config.
+The value is an upper bound on the true minimum, with per-restart statistics attached.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +56,7 @@ class OptimizerConfig:
 _DEFAULT_CONFIG = OptimizerConfig()
 
 
-@dataclass(frozen=True)
-class RestartRecord:
+class RestartRecord(NamedTuple):
     """One restart: stop is "gradient", "line-search", "budget" or "cut" (stopped once
     another restart reached the floor), and evaluations counts the objective rows it
     took, its initial point included."""
@@ -201,7 +201,7 @@ def _inner(a, b):
     return np.einsum("rij,rij->r", a.view(float), b.view(float))
 
 
-def minimize(objective, frames, config: OptimizerConfig, floor: float):
+def minimize(objective, frames, config: OptimizerConfig, floor: float, probe=None):
     """Riemannian gradient descent on U(d), each restart on its own path.
 
     objective(frames) maps an (n, d, d) stack to the values and the gradients
@@ -216,30 +216,36 @@ def minimize(objective, frames, config: OptimizerConfig, floor: float):
     would follow alone.  floor is a value no frame goes below, -inf if none is
     known: every caller passes one.  The start or accepted step that first brings
     a restart within FLOOR_TOL of it stops every other live restart (stop "cut");
-    the restarts at the floor go on to their own stop.
-    Returns (frames, values, iterations, converged, stop, evaluations), one entry per
-    restart in each, and certified, whether a start or accepted step came that close.
+    the restarts at the floor go on to their own stop.  A probe frame rides as one more
+    row of the first call, and restart 0 starts there, with that row's value and gradient,
+    where it reaches the floor and frames[0] does not; only then is the row an evaluation.
+    Returns (starts, frames, values, iterations, converged, stop, evaluations), one entry
+    per restart in each, and certified, whether a start or accepted step came that close.
     """
-    u = np.array(frames, dtype=complex)
-    n = len(u)
-    f, g = objective(u)
+    starts = np.array(frames, dtype=complex)
+    n = len(starts)
+    # a value up to reach is within FLOOR_TOL of the floor, which no frame goes below
+    reach = floor + FLOOR_TOL
+    f, g = objective(starts if probe is None else np.concatenate([starts, probe[None]]))
+    if probe is not None and f[n] <= reach and not f[0] <= reach:
+        starts[0], f[0], g[0] = probe, f[n], g[n]
+    f, g = f[:n], g[:n]
+    u = starts.copy()
     a = _riemannian(g, u)
     # the rows of stats, per restart: value, |A|^2, the drop of the last accepted
     # step, mu, iterations, tries since that step, and evaluations
     stats = np.zeros((7, n))
     stats[0], stats[1], stats[2], stats[6] = f, _inner(a, a), math.inf, 1.0
     rows = np.flatnonzero(stats[1] > X_TOL**2)
-    # a value up to reach is within FLOOR_TOL of the floor, which no frame goes below
-    reach = floor + FLOOR_TOL
     certified = bool((f <= reach).any())
     cut = np.zeros(n, dtype=bool)
     if certified:
         cut[rows] = f[rows] > reach
         rows = rows[~cut[rows]]
-    # the live restarts' state, over their rows only; each writes it back as it retires
-    ul, al, sl = u[rows], a[rows], stats[:, rows]
-    sl[3] = np.minimum(1.0, np.pi / np.sqrt(sl[1]))
-    eye = np.eye(u.shape[-1])
+    if rows.size:  # the live restarts' state, over their rows; each writes it back as it retires
+        ul, al, sl = u[rows], a[rows], stats[:, rows]
+        sl[3] = np.minimum(1.0, np.pi / np.sqrt(sl[1]))
+        eye = np.eye(u.shape[-1])
     while rows.size:
         fl, aal, _, mu, it, tries, _ = sl
         trial = 2.0 * np.linalg.solve(eye + (0.5 * mu)[:, None, None] * al, ul) - ul
@@ -276,7 +282,7 @@ def minimize(objective, frames, config: OptimizerConfig, floor: float):
     stop = np.where(failed, "line-search", np.where(at_gradient, "gradient", "budget"))
     stop[cut] = "cut"
     converged = at_gradient | failed & (drop <= F_TOL)
-    return u, f, iters.astype(int), converged, stop, evals.astype(int), certified
+    return starts, u, f, iters.astype(int), converged, stop, evals.astype(int), certified
 
 
 def _check_searchable(dim: int) -> None:
@@ -303,33 +309,37 @@ def _seeded_starts(d_a: int, restarts: int, seed: int) -> np.ndarray:
     return starts
 
 
+@functools.lru_cache(maxsize=_STARTS_MEMO_SIZE)
+def _start_tuples(d_a: int, restarts: int, seed: int) -> tuple:
+    """The seeded starts as the nested tuples of RestartRecord.initial_frame."""
+    return tuple(tuple(map(tuple, s)) for s in _seeded_starts(d_a, restarts, seed).tolist())
+
+
 def discord(rho: DensityMatrix, config: OptimizerConfig | None = None):
     """Quantum discord up to part A by multi-start basis search.
 
     Restart 0 starts at the reference frame, the others at seeded Haar frames, which a
     process draws once for each (d_a, restarts, seed) and shares read-only between its
     searches; ties go to the lowest restart index.  If the floor is 0, as a cq state's is,
-    restart 0 starts at _probe_frame instead where that frame reaches the floor and the
-    reference frame does not.  Returns (value, OptimizationTrace).  The value is an
-    upper bound on the true minimum; it is deterministic for a fixed config seed.
+    _probe_frame rides as one more row of minimize's first stacked call, and restart 0
+    starts there where that frame reaches the floor and the reference frame does not.
+    Returns (value, OptimizationTrace).  The value is an upper bound on the true
+    minimum; it is deterministic for a fixed config seed.
     The search is certified as minimize returns it: a restart's start or accepted step came
     within FLOOR_TOL of the floor, even if it then ended roundoff above it.  It is converged
     if it is certified or a restart that ended within F_TOL of the best value converged.
     """
     _check_searchable(rho.dim)
     config = config or _DEFAULT_CONFIG
-    starts = _seeded_starts(rho.d_a, config.restarts, config.seed)
     objective, floor = _basis_objective(rho)
-    if floor <= FLOOR_TOL:  # as on a cq state, whose S(AB) >= S(A)
-        pair = np.stack([starts[0], _probe_frame(rho)])
-        reach = objective(pair)[0] <= floor + FLOOR_TOL
-        if reach[1] and not reach[0]:  # a copy: the memo's starts stay as drawn
-            starts = np.concatenate([pair[1:], starts[1:]])
-    frames, values, iters, converged, stops, evals, certified = minimize(
-        objective, starts, config, floor)
+    probe = _probe_frame(rho) if floor <= FLOOR_TOL else None  # as on a cq state
+    key = rho.d_a, config.restarts, config.seed
+    starts, frames, values, iters, converged, stop, evals, certified = minimize(
+        objective, _seeded_starts(*key), config, floor, probe)
     best = int(np.argmin(values))
-    records = tuple(RestartRecord(tuple(map(tuple, s)), v, i, why, e) for s, v, i, why, e
-                    in zip(*(c.tolist() for c in (starts, values, iters, stops, evals))))
+    # restart 0 starts at the probe or the reference frame, the others at the memo's frames
+    firsts = (tuple(map(tuple, starts[0].tolist())), *_start_tuples(*key)[1:])
+    records = tuple(map(RestartRecord, firsts, *(c.tolist() for c in (values, iters, stop, evals))))
     at_best = values - values[best] <= F_TOL
     value = float(values[best])
     return value, OptimizationTrace(value, ReferenceBasis(frames[best]), records,

@@ -113,7 +113,8 @@ def probe_blind_state(rng):
 
 def counting_minimize(calls):
     """minimize that appends the row count of each stacked objective call to calls; its
-    trailing arguments, the floor among them, pass through as perfbench's tracer passes them."""
+    trailing arguments, the floor and the probe frame among them, pass through as
+    perfbench's tracer passes them."""
     def counting(objective, frames, *args):
         def counted(x):
             calls.append(len(x))
@@ -154,7 +155,7 @@ def test_cayley_steps_keep_frames_unitary(monkeypatch, d_a):
     rho = random_state(d_a, 2, "ginibre-mixed", seed=3)
     starts = np.stack([haar_unitary(d_a, rng) for _ in range(4)])
     objective, floor = _basis_objective(rho)
-    frames, _, iters, *_ = minimize(objective, starts, OptimizerConfig(), floor)
+    _, frames, _, iters, *_ = minimize(objective, starts, OptimizerConfig(), floor)
     assert iters.min() > 10
     for u in frames:
         assert np.max(np.abs(u.conj().T @ u - np.eye(d_a))) < 1e-12
@@ -198,7 +199,7 @@ def test_search_retires_restarts_whose_line_search_fails():
         return f, -g
 
     starts = np.stack([haar_unitary(3, np.random.default_rng(k)) for k in range(3)])
-    frames, values, iters, converged, *_ = minimize(uphill, starts, OptimizerConfig(), -np.inf)
+    _, frames, values, iters, converged, *_ = minimize(uphill, starts, OptimizerConfig(), -np.inf)
     assert_allclose(frames, starts, atol=1e-15)
     assert_allclose(values, objective(starts)[0], atol=1e-15)
     assert not iters.any() and not converged.any()
@@ -223,7 +224,7 @@ def test_the_search_from_the_reference_and_haar_frames_finds_hidden_basis_zero(d
     for _ in range(3):
         objective, floor = _basis_objective(hidden_basis_state(rng, d_a))
         starts = np.concatenate([np.eye(d_a)[None], haar_unitary(d_a, rng_from_seed(0), 15)])
-        _, values, _, _, stop, evaluations, certified = minimize(
+        _, _, values, _, _, stop, evaluations, certified = minimize(
             objective, starts, OptimizerConfig(), floor)
         assert values.min() <= 1e-9 and evaluations.sum() > len(starts)
         assert "cut" in stop or values.min() <= floor + FLOOR_TOL
@@ -231,7 +232,7 @@ def test_the_search_from_the_reference_and_haar_frames_finds_hidden_basis_zero(d
 
 
 def assert_certified_at_its_own_frame(rho, frame):
-    # one stacked call of 16 rows: restart 0 starts at frame, which reaches the floor 0,
+    # one stacked call of 17 rows: restart 0 starts at frame, which reaches the floor 0,
     # and cuts the other 15 at their first row
     from discoh.discord import FLOOR_TOL
 
@@ -292,6 +293,105 @@ def test_a_wrong_probe_frame_leaves_the_search_from_the_reference_frame(monkeypa
         assert discord(rho)[1].to_dict() == reference
         assert sum(r["evaluations"] for r in reference["restarts"]) > 16
         monkeypatch.undo()
+
+
+def counted_search(rho, config=None):
+    """(row counts of each stacked objective call, trace) of one search; every call the
+    objective gets passes through the objective minimize is given."""
+    calls, made = [], []
+
+    def counting_objective(rho):
+        objective, floor = basis_objective(rho)
+
+        def counted(x):
+            made.append(len(x))
+            return objective(x)
+
+        return counted, floor
+
+    basis_objective = DISCORD_MODULE._basis_objective
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DISCORD_MODULE, "minimize", counting_minimize(calls))
+        mp.setattr(DISCORD_MODULE, "_basis_objective", counting_objective)
+        trace = discord(rho, config)[1]
+    assert calls == made
+    return calls, trace
+
+
+@pytest.mark.parametrize("d_a", [2, 3, 4])
+def test_a_cq_state_in_a_haar_frame_takes_one_call_of_seventeen_rows(d_a):
+    # the probe row rides in the first call, reaches the floor 0 and cuts every other start
+    calls, trace = counted_search(hidden_basis_state(np.random.default_rng(80 + d_a), d_a))
+    assert calls == [17] and trace.certified
+    assert sum(r.evaluations for r in trace.restarts) == 16
+
+
+def test_a_state_whose_floor_is_above_zero_carries_no_probe_row():
+    # a pure state's floor S(A) is above 0, so no frame is probed
+    rho = random_state(3, 2, "haar-pure", seed=8)
+    assert DISCORD_MODULE._basis_objective(rho)[1] > DISCORD_MODULE.FLOOR_TOL
+    calls, trace = counted_search(rho)
+    assert calls[0] == 16 and trace.certified
+
+
+def test_a_probe_row_that_misses_leaves_restart_0_at_the_reference_frame():
+    calls, trace = counted_search(probe_blind_state(np.random.default_rng(7)))
+    assert calls[0] == 17 and len(calls) > 1
+    assert np.array_equal(trace.restarts[0].initial_frame, np.eye(3))
+    assert sum(calls) == sum(r.evaluations for r in trace.restarts) + 1
+
+
+def two_call_search(rho, config=None):
+    """trace.to_dict() of the search as it ran with the probe in a call of its own: a
+    2-row call on [reference frame, probe frame], restart 0 at the probe where only the
+    probe reaches the floor, then minimize on those starts."""
+    from discoh.discord import F_TOL, FLOOR_TOL, _basis_objective
+
+    config = config or OptimizerConfig()
+    objective, floor = _basis_objective(rho)
+    starts = drawn_starts(rho.d_a, config.restarts, config.seed)
+    if floor <= FLOOR_TOL:
+        pair = np.stack([starts[0], DISCORD_MODULE._probe_frame(rho)])
+        reach = objective(pair)[0] <= floor + FLOOR_TOL
+        if reach[1] and not reach[0]:
+            starts = np.concatenate([pair[1:], starts[1:]])
+    _, frames, values, iters, converged, stop, evals, certified = minimize(
+        objective, starts, config, floor)
+    best = int(np.argmin(values))
+    at_best = values - values[best] <= F_TOL
+    columns = (starts, values.tolist(), iters.tolist(), stop.tolist(), evals.tolist())
+    return {
+        "best_value": float(values[best]),
+        "best_frame": matrix_to_json(frames[best]),
+        "converged": certified or bool(converged[at_best].any()),
+        "certified": certified,
+        "restarts_at_best": int(np.count_nonzero(at_best)),
+        "restarts": [{"initial_frame": matrix_to_json(s), "final_value": v, "iterations": i,
+                      "stop": why, "evaluations": e} for s, v, i, why, e in zip(*columns)],
+    }
+
+
+def test_the_probe_row_gives_the_search_of_the_two_call_path():
+    rng = np.random.default_rng(90)
+    # the probe is taken: cq states in Haar frames, d_a = 2-4 at d_b = 2 and 3
+    taken = [hidden_basis_state(rng, d_a, d_b) for d_a in (2, 3, 4) for d_b in (2, 3)]
+    cases = [(rho, None, "probe") for rho in taken]
+    cases += [
+        # cq in the reference frame, which reaches the floor too and keeps restart 0
+        (classical_quantum([0.5, 0.5], [PLUS, np.diag([1.0, 0.0])]), None, "reference"),
+        # the probe misses and the search walks from the reference frame
+        (probe_blind_state(np.random.default_rng(7)), None, "reference"),
+        # a floor above 0: no probe row at all
+        (random_state(3, 2, "haar-pure", seed=8), None, "reference"),
+        # one restart, so the first call has two rows, at the probe's hit and at its miss
+        (taken[2], OptimizerConfig(restarts=1), "probe"),
+        (random_state(3, 2, "ginibre-mixed", seed=8), OptimizerConfig(restarts=1), "reference"),
+    ]
+    for rho, config, start in cases:
+        trace = discord(rho, config)[1].to_dict()
+        assert trace == two_call_search(rho, config)
+        at_reference = trace["restarts"][0]["initial_frame"] == matrix_to_json(np.eye(rho.d_a))
+        assert at_reference == (start == "reference")
 
 
 def drawn_starts(d_a, restarts, seed):
@@ -368,7 +468,7 @@ def test_a_restart_follows_the_path_it_takes_alone(d_a, d_b):
     assert not certified
     for k in range(len(starts)):
         *alone, certified = minimize(objective, starts[k:k + 1], OptimizerConfig(), floor)
-        # every column: frames, values, iterations, converged, stop and evaluations
+        # every column: starts, frames, values, iterations, converged, stop and evaluations
         for together, by_itself in zip(stacked, alone, strict=True):
             assert np.array_equal(together[k:k + 1], by_itself)
         assert not certified
@@ -384,9 +484,10 @@ def test_stacked_calls_follow_the_longest_restart():
         value, trace = discord(rho)
     assert abs(value) <= 1e-9 and trace.converged and len(calls) > 1
     evaluations = [r.evaluations for r in trace.restarts]
-    # every call carries each live restart once, the first call all of them
-    assert len(calls) == max(evaluations) and sum(calls) == sum(evaluations)
-    assert calls[0] == len(trace.restarts)
+    # every call carries each live restart once, the first call all of them and the probe
+    # row, which counts as no restart's evaluation here: it reaches no floor
+    assert len(calls) == max(evaluations) and sum(calls) == sum(evaluations) + 1
+    assert calls[0] == len(trace.restarts) + 1
     # restarts that waited on each other's backtracks took 141 calls on this state
     assert 1.5 * len(calls) <= 141
 
@@ -396,7 +497,7 @@ def test_stop_reasons_name_the_budget_and_the_line_search():
 
     objective, floor = _basis_objective(random_state(3, 2, "ginibre-mixed", seed=5))
     starts = np.stack([haar_unitary(3, np.random.default_rng(k)) for k in range(3)])
-    _, _, iters, _, stop, _, certified = minimize(
+    _, _, _, iters, _, stop, _, certified = minimize(
         objective, starts, OptimizerConfig(max_iter=2), floor)
     assert list(stop) == ["budget"] * 3 and list(iters) == [2] * 3 and not certified
 
@@ -869,10 +970,10 @@ def test_koashi_winter_checks_catch_a_short_search_and_a_wrong_oracle():
     (["gradient", "budget", "budget"], False),
 ])
 def test_search_converged_if_a_restart_at_the_best_value_converged(monkeypatch, stops, converged):
-    def fake(objective, frames, config, floor):
+    def fake(objective, frames, config, floor, probe):
         stop = np.array(stops)
         values = np.array([0.3, 0.1, 0.1 + 5e-10])
-        return frames, values, np.full(3, 9), stop != "budget", stop, np.full(3, 10), False
+        return frames, frames, values, np.full(3, 9), stop != "budget", stop, np.full(3, 10), False
 
     monkeypatch.setattr(DISCORD_MODULE, "minimize", fake)
     value, trace = discord(random_state(2, 2, "ginibre-mixed", seed=1), OptimizerConfig(3))
@@ -965,8 +1066,9 @@ def test_x_state_discord_is_below_the_candidate_and_at_the_grid():
 
 
 def test_x_state_oracles_catch_a_search_pinned_to_the_reference_frame(monkeypatch):
-    def pinned(objective, frames, config, floor):
-        # the search itself, from the reference frame, with every gradient zeroed
+    def pinned(objective, frames, config, floor, probe):
+        # the search itself, from the reference frame and without the probe, with every
+        # gradient zeroed
         u = np.broadcast_to(np.eye(2, dtype=complex), frames.shape)
         return minimize(lambda x: (objective(x)[0], np.zeros_like(x)), u, config, floor)
 
